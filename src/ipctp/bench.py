@@ -47,16 +47,18 @@ def rpd_percent(short_objective: float, long_objective: float) -> float:
 def run_bench(
     items: Iterable[tuple[str, str, int, Instance]],
     budgets: tuple[float, float] = (600.0, 3600.0),
-    workers: int = 1,
     solve_fn: Callable = None,
 ) -> tuple[list[BenchRow], list[RunRecord]]:
-    """Solve each (name, config_id, replicate, instance) under both budgets."""
+    """Solve each (name, config_id, replicate, instance) under both budgets.
+
+    ``solve_fn(instance, budget)`` returns (objective, status, wall, gap).
+    """
     runner = solve_fn or _default_runner
     records: list[RunRecord] = []
     for name, config_id, replicate, instance in items:
         for budget in budgets:
             try:
-                objective, status, wall, gap = runner(instance, budget, workers)
+                objective, status, wall, gap = runner(instance, budget)
                 records.append(
                     RunRecord(
                         name=name,
@@ -86,11 +88,8 @@ def run_bench(
     return aggregate(records, budgets), records
 
 
-def _default_runner(instance: Instance, budget: float, workers: int):
-    derived = build_derived(instance)
-    report, _ = solve(
-        instance, derived, SolveParams(time_limit=budget, workers=workers)
-    )
+def _default_runner(instance: Instance, budget: float):
+    report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=budget))
     return report.best_objective, report.status, report.wall_time, report.gap_percent
 
 

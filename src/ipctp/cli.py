@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -14,26 +13,15 @@ from .errors import IpctpError
 from .generator import (
     GRID_REPLICATES,
     GenConfig,
-    derive_seed,
-    generate,
     generate_grid,
-    instance_name,
+    grid_entry,
     manifest_payload,
-    GridEntry,
 )
 from .instance import build_derived, canonical_dumps, read_instance, write_instance
 from .mip import export_lp, mapping_to_json
 from .oracle import DEFAULT_LIMIT, brute_force
 from .schedule import read_solution, validate, write_solution
 from .solver import SolveParams, solve
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("IPCTP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -58,8 +46,6 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="branch-and-bound solve an instance file")
     p.add_argument("instance")
     p.add_argument("--time-limit", type=float, default=600.0)
-    p.add_argument("--workers", type=int, default=None)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-dir", default=None)
     p.add_argument("--gantt", action="store_true", help="print a text timeline")
 
@@ -82,7 +68,6 @@ def _parser() -> argparse.ArgumentParser:
                    nargs="+")
     p.add_argument("--budgets", default="600,3600",
                    help="short,long time limits in seconds")
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("gantt", help="render per-crane timelines")
@@ -98,33 +83,15 @@ def _cmd_generate(args) -> int:
     if args.grid:
         entries = generate_grid(args.seed)
     else:
-        entries = []
-        for replicate in range(args.count):
-            config = GenConfig(
-                ul_ratio=args.ul_ratio,
-                bays=args.bays,
-                shipments=args.shipments,
-                inbound_ratio=args.inbound_ratio,
-                vessels=args.vessels,
-                instances_per_config=args.count,
-            )
-            seeded = GenConfig(
-                ul_ratio=args.ul_ratio,
-                bays=args.bays,
-                shipments=args.shipments,
-                inbound_ratio=args.inbound_ratio,
-                vessels=args.vessels,
-                seed=derive_seed(args.seed, config, replicate),
-                instances_per_config=args.count,
-            )
-            entries.append(
-                GridEntry(
-                    name=instance_name(seeded, replicate),
-                    config=seeded,
-                    replicate=replicate,
-                    instance=generate(seeded),
-                )
-            )
+        config = GenConfig(
+            ul_ratio=args.ul_ratio,
+            bays=args.bays,
+            shipments=args.shipments,
+            inbound_ratio=args.inbound_ratio,
+            vessels=args.vessels,
+            instances_per_config=args.count,
+        )
+        entries = [grid_entry(args.seed, config, r) for r in range(args.count)]
     for entry in entries:
         write_instance(out_dir / (entry.name + ".json"), entry.instance)
     manifest = manifest_payload(args.seed, entries)
@@ -136,12 +103,7 @@ def _cmd_generate(args) -> int:
 def _cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     derived = build_derived(instance)
-    workers = args.workers if args.workers is not None else _default_workers()
-    report, solution = solve(
-        instance,
-        derived,
-        SolveParams(time_limit=args.time_limit, workers=workers, seed=args.seed),
-    )
+    report, solution = solve(instance, derived, SolveParams(time_limit=args.time_limit))
     stem = Path(args.instance).stem
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.instance).parent
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -214,16 +176,10 @@ def _bench_items(paths: list[str]):
         if path.is_dir():
             manifest = json.loads((path / "manifest.json").read_text())
             for entry in manifest["instances"]:
-                config = entry["config"]
-                config_id = (
-                    f"u{config['ul_ratio']}_b{config['bays']}"
-                    f"_s{config['shipments']}"
-                    f"_r{int(round(config['inbound_ratio'] * 100))}"
-                )
                 items.append(
                     (
                         entry["file"],
-                        config_id,
+                        GenConfig(**entry["config"]).id_string(),
                         entry["replicate"],
                         read_instance(path / entry["file"]),
                     )
@@ -233,12 +189,20 @@ def _bench_items(paths: list[str]):
     return items
 
 
+def _budgets(text: str) -> tuple[float, float]:
+    try:
+        short, long = (float(part) for part in text.split(","))
+    except ValueError:
+        raise IpctpError(
+            f"--budgets takes two comma-separated numbers, got {text!r}"
+        ) from None
+    return short, long
+
+
 def _cmd_bench(args) -> int:
-    short_raw, long_raw = args.budgets.split(",")
-    budgets = (float(short_raw), float(long_raw))
-    workers = args.workers if args.workers is not None else _default_workers()
+    budgets = _budgets(args.budgets)
     items = _bench_items(args.corpus)
-    rows, records = bench_mod.run_bench(items, budgets=budgets, workers=workers)
+    rows, records = bench_mod.run_bench(items, budgets=budgets)
     text = bench_mod.rows_to_text(rows)
     print(text, end="")
     if args.out_dir:
@@ -293,7 +257,7 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except IpctpError as exc:
+    except (IpctpError, json.JSONDecodeError) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

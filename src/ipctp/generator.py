@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import ConfigInvalid
 from .instance import (
@@ -237,6 +237,17 @@ def instance_name(config: GenConfig, replicate: int) -> str:
     return f"ipctp_{config.id_string()}_{replicate}"
 
 
+def grid_entry(base_seed: int, config: GenConfig, replicate: int) -> GridEntry:
+    """One replicate of a configuration, sub-seeded from the base seed."""
+    seeded = replace(config, seed=derive_seed(base_seed, config, replicate))
+    return GridEntry(
+        name=instance_name(seeded, replicate),
+        config=seeded,
+        replicate=replicate,
+        instance=generate(seeded),
+    )
+
+
 def generate_grid(
     base_seed: int, instances_per_config: int = GRID_REPLICATES
 ) -> list[GridEntry]:
@@ -246,30 +257,15 @@ def generate_grid(
         for bays in GRID_BAYS:
             for shipments in GRID_SHIPMENTS:
                 for inbound_ratio in GRID_INBOUND_RATIOS:
+                    config = GenConfig(
+                        ul_ratio=ul_ratio,
+                        bays=bays,
+                        shipments=shipments,
+                        inbound_ratio=inbound_ratio,
+                        instances_per_config=instances_per_config,
+                    )
                     for replicate in range(instances_per_config):
-                        config = GenConfig(
-                            ul_ratio=ul_ratio,
-                            bays=bays,
-                            shipments=shipments,
-                            inbound_ratio=inbound_ratio,
-                            instances_per_config=instances_per_config,
-                        )
-                        seeded = GenConfig(
-                            ul_ratio=ul_ratio,
-                            bays=bays,
-                            shipments=shipments,
-                            inbound_ratio=inbound_ratio,
-                            seed=derive_seed(base_seed, config, replicate),
-                            instances_per_config=instances_per_config,
-                        )
-                        entries.append(
-                            GridEntry(
-                                name=instance_name(seeded, replicate),
-                                config=seeded,
-                                replicate=replicate,
-                                instance=generate(seeded),
-                            )
-                        )
+                        entries.append(grid_entry(base_seed, config, replicate))
     return entries
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import chain
 from typing import Mapping
 
 from .errors import InstanceInvalid, NoEligibleCrane
@@ -18,6 +19,21 @@ OUTBOUND = "outbound"
 INBOUND_AVAILABLE = "inbound-available"
 OUTBOUND_FIXED = "outbound-fixed"
 YARD_FIELDS = ("A", "B", "C")
+
+
+_INSTANCE_INTEGERS = (
+    "total_bays", "qc_count", "yc_count", "safety_distance", "qc_unit_travel",
+)
+_SHIPMENT_INTEGERS = (
+    "id", "vessel", "bay", "containers", "qc_time", "yc_time",
+    "fixed_location", "yt_outbound_time",
+)
+_OPTIONAL_INTEGERS = ("fixed_location", "yt_outbound_time")
+
+
+def is_integer(value) -> bool:
+    """True only for a plain int; a bool (an int subclass) is not a number here."""
+    return type(value) is int
 
 
 def canonical_dumps(payload) -> str:
@@ -151,6 +167,7 @@ class Instance:
     # -- validation ----------------------------------------------------
 
     def _check(self) -> None:
+        self._check_integers()
         if self.total_bays < 1:
             raise InstanceInvalid("total_bays must be positive")
         if self.qc_count < 1:
@@ -251,6 +268,33 @@ class Instance:
                     f"outbound location {k.id} is referenced by no shipment"
                 )
 
+    def _check_integers(self) -> None:
+        """Every number is an int (not a bool), so all arithmetic stays exact."""
+        for label, items, names in (
+            ("", (self,), _INSTANCE_INTEGERS),
+            ("vessel", self.vessels, ("id", "weight")),
+            ("shipment", self.shipments, _SHIPMENT_INTEGERS),
+            ("location", self.yard_locations, ("id", "yc", "block_group")),
+        ):
+            for item in items:
+                for name in names:
+                    value = getattr(item, name)
+                    if is_integer(value) or (
+                        value is None and name in _OPTIONAL_INTEGERS
+                    ):
+                        continue
+                    what = f"{label} {item.id!r} {name}" if label else name
+                    raise InstanceInvalid(f"{what} must be an integer, got {value!r}")
+        for what, values in (
+            ("transfer time", self.yt_inbound_transfer.values()),
+            ("yc_travel entry", chain.from_iterable(self.yc_travel)),
+        ):
+            values = list(values)
+            # Types first: the travel matrix holds thousands of entries.
+            if set(map(type, values)) - {int}:
+                bad = next(v for v in values if not is_integer(v))
+                raise InstanceInvalid(f"{what} must be an integer, got {bad!r}")
+
 
 # -- quay geometry -----------------------------------------------------
 
@@ -330,21 +374,18 @@ def interference_time(
 
 @dataclass(frozen=True)
 class DerivedTables:
-    """Precomputed eligibility, distances, interference and empty travel."""
+    """Precomputed eligibility, interference and quay-crane empty travel."""
 
     eligible_qcs: Mapping[int, frozenset[int]]
-    crane_min_distance: tuple[tuple[int, ...], ...]
     interference_time: Mapping[tuple[int, int, int, int], int]
     interference_set: tuple[tuple[int, int, int, int], ...]
     qc_empty_travel: Mapping[tuple[int, int], int]
-    yc_empty_travel: Mapping[tuple[int, int], int]
 
     def canonical_json(self) -> str:
         payload = {
             "eligible_qcs": {
                 str(i): sorted(qcs) for i, qcs in sorted(self.eligible_qcs.items())
             },
-            "crane_min_distance": [list(row) for row in self.crane_min_distance],
             "interference_time": [
                 [i, j, v, w, t]
                 for (i, j, v, w), t in sorted(self.interference_time.items())
@@ -352,9 +393,6 @@ class DerivedTables:
             "interference_set": [list(t) for t in self.interference_set],
             "qc_empty_travel": [
                 [i, j, t] for (i, j), t in sorted(self.qc_empty_travel.items())
-            ],
-            "yc_empty_travel": [
-                [k, l, t] for (k, l), t in sorted(self.yc_empty_travel.items())
             ],
         }
         return canonical_dumps(payload)
@@ -368,15 +406,6 @@ def build_derived(instance: Instance) -> DerivedTables:
         )
         for s in instance.shipments
     }
-
-    size = instance.qc_count + 1
-    distance = tuple(
-        tuple(
-            crane_min_distance(v, w, instance.safety_distance) if v and w else 0
-            for w in range(size)
-        )
-        for v in range(size)
-    )
 
     interference: dict[tuple[int, int, int, int], int] = {}
     ships = sorted(instance.shipments, key=lambda s: s.id)
@@ -405,19 +434,12 @@ def build_derived(instance: Instance) -> DerivedTables:
         for a in ships
         for b in ships
     }
-    yc_empty = {
-        (a.id, b.id): instance.tyc(a.id, b.id)
-        for a in instance.yard_locations
-        for b in instance.yard_locations
-    }
 
     return DerivedTables(
         eligible_qcs=eligible,
-        crane_min_distance=distance,
         interference_time=interference,
         interference_set=theta,
         qc_empty_travel=qc_empty,
-        yc_empty_travel=yc_empty,
     )
 
 

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from typing import Mapping
+from operator import attrgetter
+from typing import Callable, Mapping
 
 from .errors import CyclicOrdering, MalformedSolution
-from .instance import DerivedTables, Instance, canonical_dumps
+from .instance import DerivedTables, Instance, canonical_dumps, is_integer
 
 I_FIRST = "i_first"
 J_FIRST = "j_first"
@@ -117,35 +118,141 @@ def active_interference(
     ]
 
 
-def completion_times(instance: Instance, solution: Solution) -> dict[int, int]:
-    """Final handling completion per shipment (yard side in, quay side out)."""
-    completions: dict[int, int] = {}
-    for ship in instance.shipments:
-        if ship.is_inbound:
-            completions[ship.id] = solution.yc_start[ship.id] + ship.yc_time
-        else:
-            completions[ship.id] = solution.qc_start[ship.id] + ship.qc_time
-    return completions
-
-
 def vessel_completions(instance: Instance, solution: Solution) -> dict[int, int]:
-    per_shipment = completion_times(instance, solution)
-    result: dict[int, int] = {}
-    for vessel in instance.vessels:
-        ships = instance.shipments_of_vessel(vessel.id)
-        result[vessel.id] = max((per_shipment[s.id] for s in ships), default=0)
-    return result
+    return _vessel_completions(instance, solution.qc_start, solution.yc_start)
 
 
-def objective_of(instance: Instance, solution: Solution):
-    """Sum of weighted vessel completion times, recomputed from start times."""
-    per_vessel = vessel_completions(instance, solution)
+def _vessel_completions(
+    instance: Instance, qc_start: Mapping[int, int], yc_start: Mapping[int, int]
+) -> dict[int, int]:
+    """Latest handling completion per vessel (yard side in, quay side out)."""
+    done = {
+        s.id: yc_start[s.id] + s.yc_time if s.is_inbound else qc_start[s.id] + s.qc_time
+        for s in instance.shipments
+    }
+    return {
+        v.id: max((done[s.id] for s in instance.shipments_of_vessel(v.id)), default=0)
+        for v in instance.vessels
+    }
+
+
+def _weighted_sum(instance: Instance, per_vessel: Mapping[int, int]) -> int:
     return sum(
         instance.vessel(v).weight * completion for v, completion in per_vessel.items()
     )
 
 
+def objective_of(instance: Instance, solution: Solution):
+    """Sum of weighted vessel completion times, recomputed from start times."""
+    return _weighted_sum(instance, vessel_completions(instance, solution))
+
+
 # -- schedule construction ----------------------------------------------
+
+
+def _crane_pairs(
+    sequences: Mapping[int, tuple[int, ...]],
+    crane_count: int,
+    ship_ids: list[int],
+    crane_of: Callable[[int], int | None],
+) -> list[tuple[int, int]]:
+    """Pairs (a, b) where b follows a on one crane, crane by crane.
+
+    Each crane contributes its sequence chain, then one pair from its last
+    sequenced shipment to each shipment that ``crane_of`` puts on it but no
+    sequence holds yet (by id).
+    """
+    unsequenced: dict[int, list[int]] = {}
+    sequenced = set().union(*sequences.values())
+    if len(sequenced) < len(ship_ids):
+        for i in ship_ids:
+            crane = None if i in sequenced else crane_of(i)
+            if crane is not None:
+                unsequenced.setdefault(crane, []).append(i)
+    pairs: list[tuple[int, int]] = []
+    for crane in range(1, crane_count + 1):
+        sequence = sequences[crane]
+        if sequence:
+            pairs += zip(sequence, sequence[1:])
+            pairs += [(sequence[-1], u) for u in unsequenced.get(crane, ())]
+    return pairs
+
+
+def precedence_arcs(
+    instance: Instance,
+    derived: DerivedTables,
+    yard_assignment: Mapping[int, int],
+    qc_assignment: Mapping[int, int],
+    qc_sequences: Mapping[int, tuple[int, ...]],
+    yc_sequences: Mapping[int, tuple[int, ...]],
+    interference_order: Mapping[tuple[int, int, int, int], str],
+) -> list[tuple[int, int, int]]:
+    """Precedence arcs ``(u, v, min_gap)`` induced by possibly partial decisions.
+
+    Task ``2p`` is the quay task and ``2p + 1`` the yard task of the p-th
+    shipment by id; every arc demands ``start[v] >= start[u] + min_gap``.
+    Arcs come in a fixed order: the transfer of each shipment by id; per
+    quay crane its sequence chain, then an arc from its last sequenced
+    shipment to each unsequenced member; the same per yard crane; then one
+    arc per interference order, in mapping order.  An inbound shipment
+    without a location gets the smallest transfer time of a free location.
+    """
+    shipment = instance.shipment
+    ships = sorted(instance.shipments, key=attrgetter("id"))
+    ship_ids = [s.id for s in ships]
+    task = {i: 2 * p for p, i in enumerate(ship_ids)}
+    location: dict[int, int] = {}
+    arcs: list[tuple[int, int, int]] = []
+    min_free = None
+    for s in ships:
+        t = task[s.id]
+        if s.is_outbound:
+            location[s.id] = s.fixed_location
+            arcs.append((t + 1, t, s.yc_time + s.yt_outbound_time))
+            continue
+        k = yard_assignment.get(s.id)
+        if k is not None:
+            location[s.id] = k
+            transfer = instance.tt(k)
+        else:
+            if min_free is None:
+                used = set(yard_assignment.values())
+                min_free = min(
+                    (tt for free, tt in instance.yt_inbound_transfer.items()
+                     if free not in used),
+                    default=0,
+                )
+            transfer = min_free
+        arcs.append((t, t + 1, s.qc_time + transfer))
+
+    qc_pairs = _crane_pairs(
+        qc_sequences, instance.qc_count, ship_ids, qc_assignment.get
+    )
+    yc_pairs = _crane_pairs(
+        yc_sequences,
+        instance.yc_count,
+        ship_ids,
+        lambda i: instance.location(location[i]).yc if i in location else None,
+    )
+    qc_empty = derived.qc_empty_travel
+    for a, b in qc_pairs:
+        arcs.append((task[a], task[b], shipment(a).qc_time + qc_empty[(a, b)]))
+    for a, b in yc_pairs:
+        arcs.append(
+            (
+                task[a] + 1,
+                task[b] + 1,
+                shipment(a).yc_time + instance.tyc(location[a], location[b]),
+            )
+        )
+
+    separation = derived.interference_time
+    for key, direction in interference_order.items():
+        first, second = key[:2] if direction == I_FIRST else (key[1], key[0])
+        arcs.append(
+            (task[first], task[second], shipment(first).qc_time + separation[key])
+        )
+    return arcs
 
 
 def compute_schedule(
@@ -153,11 +260,10 @@ def compute_schedule(
 ) -> Solution:
     """Earliest-start schedule for fixed discrete decisions.
 
-    Builds the precedence graph (crane sequences with empty travel,
-    quay/yard transfer chains per shipment, decided interference
-    separations) and assigns every task its longest path from time zero.
-    Raises CyclicOrdering when the interference orders contradict the
-    sequences, MalformedSolution when the decisions are structurally broken.
+    Assigns every task its longest path from time zero through
+    ``precedence_arcs``.  Raises CyclicOrdering when the interference
+    orders contradict the sequences, MalformedSolution when the decisions
+    are structurally broken.
     """
     qc_assignment = decisions.resolved_qc_assignment()
     structural = _structural_violations(
@@ -171,64 +277,26 @@ def compute_schedule(
     if structural:
         raise MalformedSolution("; ".join(str(v) for v in structural[:3]))
 
-    active = active_interference(derived, qc_assignment)
-    for key in active:
-        if decisions.interference_order.get(key) not in (I_FIRST, J_FIRST):
+    order = {}
+    for key in active_interference(derived, qc_assignment):
+        order[key] = decisions.interference_order.get(key)
+        if order[key] not in (I_FIRST, J_FIRST):
             raise MalformedSolution(f"no ordering decided for interference {key}")
 
-    ships = sorted(instance.shipments, key=lambda s: s.id)
-    pos = {s.id: p for p, s in enumerate(ships)}
-    n_tasks = 2 * len(ships)
-
-    def qc_node(ship_id: int) -> int:
-        return 2 * pos[ship_id]
-
-    def yc_node(ship_id: int) -> int:
-        return 2 * pos[ship_id] + 1
-
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(n_tasks)]
+    n_tasks = 2 * len(instance.shipments)
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n_tasks)]
     indegree = [0] * n_tasks
-
-    def add_arc(u: int, v: int, weight: int) -> None:
-        adjacency[u].append((v, weight))
-        indegree[v] += 1
-
-    location = dict(decisions.yard_assignment)
-    for ship in ships:
-        if ship.is_inbound:
-            transfer = instance.tt(location[ship.id])
-            add_arc(qc_node(ship.id), yc_node(ship.id), ship.qc_time + transfer)
-        else:
-            location[ship.id] = ship.fixed_location
-            add_arc(
-                yc_node(ship.id), qc_node(ship.id), ship.yc_time + ship.yt_outbound_time
-            )
-
-    for crane in sorted(decisions.qc_sequences):
-        sequence = decisions.qc_sequences[crane]
-        for a, b in zip(sequence, sequence[1:]):
-            weight = instance.shipment(a).qc_time + derived.qc_empty_travel[(a, b)]
-            add_arc(qc_node(a), qc_node(b), weight)
-
-    for crane in sorted(decisions.yc_sequences):
-        sequence = decisions.yc_sequences[crane]
-        for a, b in zip(sequence, sequence[1:]):
-            weight = instance.shipment(a).yc_time + instance.tyc(
-                location[a], location[b]
-            )
-            add_arc(yc_node(a), yc_node(b), weight)
-
-    separation = derived.interference_time
-    for key in active:
-        i, j, v, w = key
-        if decisions.interference_order[key] == I_FIRST:
-            add_arc(
-                qc_node(i), qc_node(j), instance.shipment(i).qc_time + separation[key]
-            )
-        else:
-            add_arc(
-                qc_node(j), qc_node(i), instance.shipment(j).qc_time + separation[key]
-            )
+    for arc in precedence_arcs(
+        instance,
+        derived,
+        decisions.yard_assignment,
+        qc_assignment,
+        decisions.qc_sequences,
+        decisions.yc_sequences,
+        order,
+    ):
+        adjacency[arc[0]].append(arc)
+        indegree[arc[1]] += 1
 
     start = [0] * n_tasks
     stack = [node for node in range(n_tasks) if indegree[node] == 0]
@@ -236,7 +304,7 @@ def compute_schedule(
     while stack:
         u = stack.pop()
         processed += 1
-        for v, weight in adjacency[u]:
+        for _, v, weight in adjacency[u]:
             if start[u] + weight > start[v]:
                 start[v] = start[u] + weight
             indegree[v] -= 1
@@ -247,11 +315,10 @@ def compute_schedule(
             "interference orderings are incompatible with the crane sequences"
         )
 
-    qc_start = {s.id: start[qc_node(s.id)] for s in ships}
-    yc_start = {s.id: start[yc_node(s.id)] for s in ships}
-    yt_time = {
-        s.id: instance.tt(location[s.id]) for s in ships if s.is_inbound
-    }
+    ships = sorted(instance.shipments, key=attrgetter("id"))
+    location = dict(decisions.yard_assignment)
+    for s in instance.outbound_shipments:
+        location[s.id] = s.fixed_location
     yc_empty: dict[tuple[int, int], int] = {}
     for crane in sorted(decisions.yc_sequences):
         sequence = decisions.yc_sequences[crane]
@@ -260,22 +327,20 @@ def compute_schedule(
                 continue
             yc_empty[(a, b)] = instance.tyc(location[a], location[b])
 
-    partial = Solution(
+    qc_start = {s.id: start[2 * p] for p, s in enumerate(ships)}
+    yc_start = {s.id: start[2 * p + 1] for p, s in enumerate(ships)}
+    per_vessel = _vessel_completions(instance, qc_start, yc_start)
+    return Solution(
         yard_assignment=dict(decisions.yard_assignment),
         qc_assignment=qc_assignment,
         qc_sequences={q: tuple(s) for q, s in decisions.qc_sequences.items()},
         yc_sequences={c: tuple(s) for c, s in decisions.yc_sequences.items()},
-        interference_order={k: decisions.interference_order[k] for k in active},
+        interference_order=order,
         qc_start=qc_start,
         yc_start=yc_start,
-        objective=0,
-        yt_time=yt_time,
+        objective=_weighted_sum(instance, per_vessel),
+        yt_time={s.id: instance.tt(location[s.id]) for s in ships if s.is_inbound},
         yc_empty=yc_empty,
-    )
-    per_vessel = vessel_completions(instance, partial)
-    return replace(
-        partial,
-        objective=objective_of(instance, partial),
         per_vessel_completion=per_vessel,
     )
 
@@ -640,7 +705,7 @@ def solution_from_payload(payload: Mapping) -> Solution:
         for q, sequence in qc_sequences.items():
             for ship in sequence:
                 qc_assignment[ship] = q
-        return Solution(
+        solution = Solution(
             yard_assignment={
                 int(i): k for i, k in payload["yard_assignment"].items()
             },
@@ -658,6 +723,21 @@ def solution_from_payload(payload: Mapping) -> Solution:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedSolution(f"malformed solution file: {exc}") from exc
+    numbers = [
+        *(i for sequence in qc_sequences.values() for i in sequence),
+        *(i for sequence in yc_sequences.values() for i in sequence),
+        *solution.yard_assignment.values(),
+        *(i for key in solution.interference_order for i in key),
+        *solution.qc_start.values(),
+        *solution.yc_start.values(),
+        solution.objective,
+    ]
+    for value in numbers:
+        if not is_integer(value):
+            raise MalformedSolution(
+                f"malformed solution file: {value!r} is not an integer"
+            )
+    return solution
 
 
 def solution_to_json(solution: Solution) -> str:

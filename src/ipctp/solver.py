@@ -6,24 +6,26 @@ interference disjunctions (branched lazily, only when both sides are
 assigned and their time windows still overlap).  Every node keeps earliest
 and latest start windows that only tighten along a branch; an admissible
 lower bound prunes against the incumbent.  All arithmetic is exact integer
-arithmetic and tie-breaking is by lowest id, so single-worker runs are
-reproducible.
+arithmetic, tie-breaking is by lowest id and the search is single-threaded,
+so runs are reproducible.
 """
 
 from __future__ import annotations
 
-import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional
 
 from .instance import DerivedTables, Instance
+from .mip import default_big_m
 from .schedule import (
     Decisions,
     I_FIRST,
     J_FIRST,
     Solution,
+    active_interference,
     compute_schedule,
+    precedence_arcs,
     validate,
 )
 from .errors import CyclicOrdering, IpctpError
@@ -32,8 +34,8 @@ from .errors import CyclicOrdering, IpctpError
 @dataclass(frozen=True)
 class SolveParams:
     time_limit: float = 600.0
+    # Solves are single-threaded; any value but 1 is rejected.
     workers: int = 1
-    seed: int = 0
 
 
 @dataclass
@@ -89,12 +91,10 @@ class _Context:
         self.pos = {s.id: p for p, s in enumerate(ships)}
         self.n_tasks = 2 * len(ships)
         self.inbound_ids = [s.id for s in ships if s.is_inbound]
-        self.outbound_ids = [s.id for s in ships if s.is_outbound]
         self.available = sorted(k.id for k in instance.inbound_available_locations)
         self.eligible = {i: sorted(derived.eligible_qcs[i]) for i in self.ship_ids}
         self.qc_ids = list(range(1, instance.qc_count + 1))
         self.yc_ids = list(range(1, instance.yc_count + 1))
-        self.theta = set(derived.interference_set)
         self.delta = derived.interference_time
         self.duration = [0] * self.n_tasks
         self.vessel_of_task = [0] * self.n_tasks
@@ -105,28 +105,13 @@ class _Context:
             self.vessel_of_task[self.yc_task(s.id)] = s.vessel
         self.weight = {v.id: v.weight for v in instance.vessels}
         self.min_tt = min(instance.yt_inbound_transfer.values(), default=0)
-        self.horizon = self._horizon()
+        self.horizon = default_big_m(instance, derived)
 
     def qc_task(self, ship_id: int) -> int:
         return 2 * self.pos[ship_id]
 
     def yc_task(self, ship_id: int) -> int:
         return 2 * self.pos[ship_id] + 1
-
-    def _horizon(self) -> int:
-        inst = self.instance
-        total = 0
-        for s in inst.shipments:
-            transfer = (
-                s.yt_outbound_time
-                if s.is_outbound
-                else max(inst.yt_inbound_transfer.values(), default=0)
-            )
-            total += s.qc_time + s.yc_time + transfer
-        eqc_max = inst.qc_unit_travel * (inst.total_bays - 1)
-        eyc_max = max((max(row) for row in inst.yc_travel), default=0)
-        delta_max = max(self.delta.values(), default=0)
-        return total + len(inst.shipments) * (eqc_max + eyc_max + delta_max) + 1
 
     def root(self) -> SearchNode:
         return SearchNode(
@@ -171,114 +156,18 @@ class _Context:
             return ship.yt_outbound_time + ship.qc_time
         return 0
 
-    def active_tuples(self, node: SearchNode) -> list[tuple[int, int, int, int]]:
-        out = []
-        for i, j, v, w in self.derived.interference_set:
-            if node.qc_of.get(i) == v and node.qc_of.get(j) == w:
-                out.append((i, j, v, w))
-        return out
-
-
-def _build_arcs(ctx: _Context, node: SearchNode) -> list[tuple[int, int, int]]:
-    instance = ctx.instance
-    arcs: list[tuple[int, int, int]] = []
-    free_tt = [
-        instance.tt(k) for k in ctx.available if k not in set(node.yard.values())
-    ]
-    min_free = min(free_tt) if free_tt else 0
-    for i in ctx.ship_ids:
-        ship = instance.shipment(i)
-        if ship.is_inbound:
-            location = node.yard.get(i)
-            transfer = instance.tt(location) if location is not None else min_free
-            arcs.append((ctx.qc_task(i), ctx.yc_task(i), ship.qc_time + transfer))
-        else:
-            arcs.append(
-                (ctx.yc_task(i), ctx.qc_task(i), ship.yc_time + ship.yt_outbound_time)
-            )
-
-    for q in ctx.qc_ids:
-        prefix = node.qc_prefix[q]
-        members = [i for i in ctx.ship_ids if node.qc_of.get(i) == q]
-        unsequenced = [i for i in members if i not in prefix]
-        for a, b in zip(prefix, prefix[1:]):
-            arcs.append(
-                (
-                    ctx.qc_task(a),
-                    ctx.qc_task(b),
-                    instance.shipment(a).qc_time + ctx.derived.qc_empty_travel[(a, b)],
-                )
-            )
-        if prefix and unsequenced:
-            last = prefix[-1]
-            for u in unsequenced:
-                arcs.append(
-                    (
-                        ctx.qc_task(last),
-                        ctx.qc_task(u),
-                        instance.shipment(last).qc_time
-                        + ctx.derived.qc_empty_travel[(last, u)],
-                    )
-                )
-
-    for c in ctx.yc_ids:
-        prefix = node.yc_prefix[c]
-        members = [i for i in ctx.ship_ids if ctx.yc_of(node, i) == c]
-        unsequenced = [i for i in members if i not in prefix]
-        for a, b in zip(prefix, prefix[1:]):
-            arcs.append(
-                (
-                    ctx.yc_task(a),
-                    ctx.yc_task(b),
-                    instance.shipment(a).yc_time
-                    + instance.tyc(
-                        ctx.location_of(node, a), ctx.location_of(node, b)
-                    ),
-                )
-            )
-        if prefix and unsequenced:
-            last = prefix[-1]
-            for u in unsequenced:
-                arcs.append(
-                    (
-                        ctx.yc_task(last),
-                        ctx.yc_task(u),
-                        instance.shipment(last).yc_time
-                        + instance.tyc(
-                            ctx.location_of(node, last), ctx.location_of(node, u)
-                        ),
-                    )
-                )
-
-    for key, direction in node.order.items():
-        i, j, _, _ = key
-        if direction == I_FIRST:
-            arcs.append(
-                (ctx.qc_task(i), ctx.qc_task(j),
-                 instance.shipment(i).qc_time + ctx.delta[key])
-            )
-        else:
-            arcs.append(
-                (ctx.qc_task(j), ctx.qc_task(i),
-                 instance.shipment(j).qc_time + ctx.delta[key])
-            )
-    return arcs
-
 
 class _Engine:
     def __init__(self, ctx: _Context, params: SolveParams):
         self.ctx = ctx
-        self.params = params
         self.deadline = time.monotonic() + params.time_limit
         self.started = time.monotonic()
-        self.lock = threading.Lock()
         self.incumbent: Optional[int] = None
         self.best_decisions: Optional[Decisions] = None
         self.trace: list[tuple[float, int]] = []
         self.nodes = 0
         self.propagations = 0
         self.root_lb = 0
-        self.timed_out = False
         self.frontier_lbs: list[int] = []
         self.interrupt_lb: Optional[int] = None
 
@@ -297,7 +186,10 @@ class _Engine:
             return None
 
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
-            arcs = _build_arcs(ctx, node) + self._order_arcs_delta(order, node)
+            arcs = precedence_arcs(
+                ctx.instance, ctx.derived, node.yard, node.qc_of,
+                node.qc_prefix, node.yc_prefix, order,
+            )
             if not self._relax(arcs, est):
                 return None
             self._tighten_lct(node, arcs, est, lct)
@@ -312,38 +204,7 @@ class _Engine:
                 return None
             if not (changed or forced):
                 break
-        return SearchNode(
-            yard=node.yard,
-            qc_of=node.qc_of,
-            qc_prefix=node.qc_prefix,
-            yc_prefix=node.yc_prefix,
-            order=order,
-            est=tuple(est),
-            lct=tuple(lct),
-            depth=node.depth,
-        )
-
-    def _order_arcs_delta(
-        self, order: dict, node: SearchNode
-    ) -> list[tuple[int, int, int]]:
-        # Orders forced during propagation but not yet stored on the node.
-        ctx = self.ctx
-        extra = []
-        for key, direction in order.items():
-            if key in node.order:
-                continue
-            i, j, _, _ = key
-            if direction == I_FIRST:
-                extra.append(
-                    (ctx.qc_task(i), ctx.qc_task(j),
-                     ctx.instance.shipment(i).qc_time + ctx.delta[key])
-                )
-            else:
-                extra.append(
-                    (ctx.qc_task(j), ctx.qc_task(i),
-                     ctx.instance.shipment(j).qc_time + ctx.delta[key])
-                )
-        return extra
+        return replace(node, order=order, est=tuple(est), lct=tuple(lct))
 
     def _relax(self, arcs: list[tuple[int, int, int]], est: list[int]) -> bool:
         for round_no in range(self.ctx.n_tasks + 2):
@@ -459,7 +320,7 @@ class _Engine:
         """Decide interference tuples whose disjunction has one side left."""
         ctx = self.ctx
         forced = False
-        for key in ctx.active_tuples(node):
+        for key in active_interference(ctx.derived, node.qc_of):
             if key in order:
                 continue
             i, j, _, _ = key
@@ -571,7 +432,7 @@ class _Engine:
             return ("seq", kind, crane, left)
 
         free_orders: dict[tuple[int, int, int, int], str] = {}
-        for key in ctx.active_tuples(node):
+        for key in active_interference(ctx.derived, node.qc_of):
             if key in node.order:
                 continue
             i, j, _, _ = key
@@ -593,96 +454,30 @@ class _Engine:
         return None
 
     def _children(self, node: SearchNode, decision):
-        ctx = self.ctx
         kind = decision[0]
+        depth = node.depth + 1
         if kind == "yard":
             _, ship, locations = decision
             for location in locations:
-                yard = dict(node.yard)
-                yard[ship] = location
-                yield SearchNode(
-                    yard=yard,
-                    qc_of=node.qc_of,
-                    qc_prefix=node.qc_prefix,
-                    yc_prefix=node.yc_prefix,
-                    order=node.order,
-                    est=node.est,
-                    lct=node.lct,
-                    depth=node.depth + 1,
-                )
+                yield replace(node, yard={**node.yard, ship: location}, depth=depth)
         elif kind == "qc":
             _, ship, cranes = decision
             for crane in cranes:
-                qc_of = dict(node.qc_of)
-                qc_of[ship] = crane
-                yield SearchNode(
-                    yard=node.yard,
-                    qc_of=qc_of,
-                    qc_prefix=node.qc_prefix,
-                    yc_prefix=node.yc_prefix,
-                    order=node.order,
-                    est=node.est,
-                    lct=node.lct,
-                    depth=node.depth + 1,
-                )
+                yield replace(node, qc_of={**node.qc_of, ship: crane}, depth=depth)
         elif kind == "seq":
             _, crane_kind, crane, candidates = decision
+            field_name = "qc_prefix" if crane_kind == "qc" else "yc_prefix"
+            prefixes = getattr(node, field_name)
             for ship in candidates:
-                if crane_kind == "qc":
-                    prefix = dict(node.qc_prefix)
-                    prefix[crane] = prefix[crane] + (ship,)
-                    yield SearchNode(
-                        yard=node.yard,
-                        qc_of=node.qc_of,
-                        qc_prefix=prefix,
-                        yc_prefix=node.yc_prefix,
-                        order=node.order,
-                        est=node.est,
-                        lct=node.lct,
-                        depth=node.depth + 1,
-                    )
-                else:
-                    prefix = dict(node.yc_prefix)
-                    prefix[crane] = prefix[crane] + (ship,)
-                    yield SearchNode(
-                        yard=node.yard,
-                        qc_of=node.qc_of,
-                        qc_prefix=node.qc_prefix,
-                        yc_prefix=prefix,
-                        order=node.order,
-                        est=node.est,
-                        lct=node.lct,
-                        depth=node.depth + 1,
-                    )
+                prefix = {**prefixes, crane: prefixes[crane] + (ship,)}
+                yield replace(node, **{field_name: prefix}, depth=depth)
         elif kind == "order":
             _, key, directions = decision
             for direction in directions:
-                order = dict(node.order)
-                order[key] = direction
-                yield SearchNode(
-                    yard=node.yard,
-                    qc_of=node.qc_of,
-                    qc_prefix=node.qc_prefix,
-                    yc_prefix=node.yc_prefix,
-                    order=order,
-                    est=node.est,
-                    lct=node.lct,
-                    depth=node.depth + 1,
-                )
+                yield replace(node, order={**node.order, key: direction}, depth=depth)
         else:  # finalize: dominated directions are fixed in one child
             _, free_orders = decision
-            order = dict(node.order)
-            order.update(free_orders)
-            yield SearchNode(
-                yard=node.yard,
-                qc_of=node.qc_of,
-                qc_prefix=node.qc_prefix,
-                yc_prefix=node.yc_prefix,
-                order=order,
-                est=node.est,
-                lct=node.lct,
-                depth=node.depth + 1,
-            )
+            yield replace(node, order={**node.order, **free_orders}, depth=depth)
 
     def _decisions_of(self, node: SearchNode) -> Decisions:
         return Decisions(
@@ -694,28 +489,23 @@ class _Engine:
         )
 
     def _offer_incumbent(self, objective: int, decisions: Decisions) -> None:
-        with self.lock:
-            if self.incumbent is None or objective < self.incumbent:
-                self.incumbent = objective
-                self.best_decisions = decisions
-                self.trace.append(
-                    (time.monotonic() - self.started, objective)
-                )
+        if self.incumbent is None or objective < self.incumbent:
+            self.incumbent = objective
+            self.best_decisions = decisions
+            self.trace.append((time.monotonic() - self.started, objective))
 
     def _dfs(self, node: SearchNode) -> None:
         self.nodes += 1
         if self.nodes % 64 == 0 and time.monotonic() > self.deadline:
             # Snapshot the open-subtree bound before the stack unwinds.
-            self.interrupt_lb = self.frontier_bound()
+            self.interrupt_lb = min(self.frontier_lbs, default=None)
             raise _Timeout
         tightened = self.propagate(node)
         if tightened is None:
             return
         node = tightened
         bound = self.lower_bound(node)
-        with self.lock:
-            incumbent = self.incumbent
-        if incumbent is not None and bound >= incumbent:
+        if self.incumbent is not None and bound >= self.incumbent:
             return
         decision = self._next_decision(node)
         if decision is None:
@@ -733,21 +523,6 @@ class _Engine:
                 self._dfs(child)
         finally:
             self.frontier_lbs.pop()
-
-    def run_subtree(self, node: SearchNode) -> bool:
-        """DFS a subtree; returns False when the deadline interrupted it."""
-        try:
-            self._dfs(node)
-            return True
-        except _Timeout:
-            self.timed_out = True
-            return False
-
-    def frontier_bound(self) -> Optional[int]:
-        if not self.frontier_lbs:
-            return None
-        return min(self.frontier_lbs)
-
 
 def propagate(
     instance: Instance,
@@ -785,56 +560,17 @@ def solve(
     """
     if params.time_limit <= 0:
         raise IpctpError("time_limit must be positive")
+    if params.workers != 1:
+        raise IpctpError("workers must be 1: solves are single-threaded")
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, params)
     root = ctx.root()
     engine.root_lb = engine.lower_bound(root)
-
-    completed: bool
-    frontier: list[Optional[int]] = []
-    if params.workers <= 1:
-        completed = engine.run_subtree(root)
-        frontier.append(engine.interrupt_lb)
-    else:
-        tightened = engine.propagate(root)
-        if tightened is None:
-            completed = True
-        else:
-            decision = engine._next_decision(tightened)
-            if decision is None:
-                completed = engine.run_subtree(tightened)
-                frontier.append(engine.interrupt_lb)
-            else:
-                jobs = list(engine._children(tightened, decision))
-                job_lock = threading.Lock()
-                results: list[bool] = []
-                leftovers = {"pending": len(jobs)}
-
-                def worker() -> None:
-                    while True:
-                        with job_lock:
-                            if not jobs:
-                                return
-                            job = jobs.pop(0)
-                        done = engine.run_subtree(job)
-                        with job_lock:
-                            leftovers["pending"] -= 1
-                            results.append(done)
-                        if not done:
-                            return
-
-                threads = [
-                    threading.Thread(target=worker)
-                    for _ in range(min(params.workers, max(1, len(jobs))))
-                ]
-                for t in threads:
-                    t.start()
-                for t in threads:
-                    t.join()
-                completed = all(results) and leftovers["pending"] == 0
-                # Frontier stacks interleave across threads, so fall back to
-                # the admissible root bound when interrupted.
-                frontier.append(engine.root_lb)
+    try:
+        engine._dfs(root)
+        completed = True
+    except _Timeout:
+        completed = False
 
     wall = time.monotonic() - engine.started
     best = engine.incumbent
@@ -847,9 +583,8 @@ def solve(
             lb = best
     else:
         status = "feasible" if best is not None else "unknown"
-        candidates = [b for b in frontier if b is not None]
-        lb = min(candidates) if candidates else engine.root_lb
-        if best is not None and lb is not None:
+        lb = engine.root_lb if engine.interrupt_lb is None else engine.interrupt_lb
+        if best is not None:
             lb = min(lb, best)
 
     gap = None

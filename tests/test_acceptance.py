@@ -318,7 +318,7 @@ def test_criterion_8_determinism():
 
     instance = generate(config)
     derived = build_derived(instance)
-    params = SolveParams(time_limit=120, workers=1, seed=88)
+    params = SolveParams(time_limit=120)
     report_a, solution_a = solve(instance, derived, params)
     report_b, solution_b = solve(instance, derived, params)
     assert solution_to_json(solution_a) == solution_to_json(solution_b)

@@ -74,7 +74,7 @@ class TestAggregation:
         assert rows[0].rpd_percent == 0.0
 
     def test_failures_do_not_abort_the_batch(self):
-        def exploding_runner(instance, budget, workers):
+        def exploding_runner(instance, budget):
             raise RuntimeError("boom")
 
         instance = generate(

@@ -7,7 +7,13 @@ import pytest
 
 from ipctp.cli import main
 from ipctp.gantt import render_svg, render_text
-from ipctp.instance import build_derived, read_instance, write_instance
+from ipctp.generator import generate_grid
+from ipctp.instance import (
+    build_derived,
+    instance_to_json,
+    read_instance,
+    write_instance,
+)
 from ipctp.schedule import compute_schedule, read_solution
 
 from conftest import mixed_decisions, mixed_instance
@@ -132,6 +138,37 @@ def test_missing_file_is_a_machine_readable_error(tmp_path, capsys):
     assert err["error"] == "FileNotFound"
 
 
+def test_malformed_json_is_a_machine_readable_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"vessels": [')
+    assert main(["solve", str(bad)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize("budgets", ["1", "1,2,3", "short,long"])
+def test_malformed_budgets_are_a_machine_readable_error(corpus, capsys, budgets):
+    assert main(["bench", str(corpus), "--budgets", budgets]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IpctpError"
+    assert "--budgets" in err["message"]
+
+
+def test_generate_matches_the_grid_for_one_configuration(tmp_path):
+    assert main([
+        "generate", "--out-dir", str(tmp_path), "--seed", "5", "--shipments", "10",
+        "--bays", "6", "--inbound-ratio", "0.5", "--ul-ratio", "3", "--count", "2",
+    ]) == 0
+    grid = [
+        entry for entry in generate_grid(5, instances_per_config=2)
+        if entry.config.id_string() == "u3_b6_s10_r50"
+    ]
+    assert len(grid) == 2
+    for entry in grid:
+        written = (tmp_path / f"{entry.name}.json").read_text()
+        assert written == instance_to_json(entry.instance)
+
+
 def test_solve_gantt_flag(corpus, capsys):
     instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
     assert main(["solve", str(instance_file), "--time-limit", "30", "--gantt"]) == 0
@@ -148,13 +185,3 @@ def test_render_helpers_directly():
     svg = render_svg(instance, solution)
     assert svg.count("<rect") == 2 * len(instance.shipments)
 
-
-def test_workers_default_from_environment(monkeypatch):
-    from ipctp.cli import _default_workers
-
-    monkeypatch.setenv("IPCTP_THREADS", "4")
-    assert _default_workers() == 4
-    monkeypatch.setenv("IPCTP_THREADS", "garbage")
-    assert _default_workers() == 1
-    monkeypatch.delenv("IPCTP_THREADS")
-    assert _default_workers() == 1

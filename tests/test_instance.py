@@ -180,22 +180,11 @@ class TestBuildDerived:
             assert v in derived.eligible_qcs[i]
             assert w in derived.eligible_qcs[j]
 
-    def test_crane_distance_table(self, mixed):
-        _, derived = mixed
-        assert derived.crane_min_distance[1][2] == 2
-        assert derived.crane_min_distance[2][1] == 2
-        assert derived.crane_min_distance[1][1] == 0
-
     def test_qc_empty_travel(self, mixed):
         instance, derived = mixed
         assert derived.qc_empty_travel[(1, 2)] == 3  # bays 4 -> 5
         assert derived.qc_empty_travel[(1, 3)] == 9  # bays 4 -> 1
         assert derived.qc_empty_travel[(1, 1)] == 0
-
-    def test_yc_empty_travel_matches_matrix(self, mixed):
-        instance, derived = mixed
-        assert derived.yc_empty_travel[(1, 2)] == instance.tyc(1, 2)
-        assert derived.yc_empty_travel[(5, 1)] == 0
 
     def test_deterministic_byte_for_byte(self):
         first = build_derived(mixed_instance()).canonical_json()
@@ -314,3 +303,24 @@ class TestInstanceJson:
         }
         assert set(payload["geometry"]) == {"B_T", "QC_T", "yc_count", "delta", "s_qc"}
         assert set(payload["travel"]) == {"tyc", "tt"}
+
+    @pytest.mark.parametrize("value", [7.5, True, "7"])
+    def test_non_integer_handling_time_rejected(self, value):
+        import json
+
+        payload = json.loads(instance_to_json(mixed_instance()))
+        payload["shipments"][0]["qc_time"] = value
+        with pytest.raises(InstanceInvalid, match="qc_time must be an integer"):
+            instance_from_json(json.dumps(payload))
+
+    def test_bool_geometry_and_float_travel_rejected(self):
+        import json
+
+        payload = json.loads(instance_to_json(mixed_instance()))
+        payload["geometry"]["QC_T"] = True
+        with pytest.raises(InstanceInvalid, match="qc_count must be an integer"):
+            instance_from_json(json.dumps(payload))
+        payload = json.loads(instance_to_json(mixed_instance()))
+        payload["travel"]["tyc"][0][1] = payload["travel"]["tyc"][1][0] = 1.0
+        with pytest.raises(InstanceInvalid, match="yc_travel entry must be an integer"):
+            instance_from_json(json.dumps(payload))

@@ -327,6 +327,29 @@ class TestSolutionJson:
             "status",
         }
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("objective",), 27.5),
+            (("objective",), True),
+            (("starts", "qc", "1"), 0.0),
+            (("yard_assignment", "4"), True),
+            (("qc_sequences", "1", 0), 1.0),
+        ],
+    )
+    def test_non_integer_values_rejected(self, path, value):
+        import json
+
+        instance = mixed_instance()
+        solution = compute_schedule(instance, build_derived(instance), mixed_decisions())
+        payload = json.loads(solution_to_json(solution))
+        target = payload
+        for step in path[:-1]:
+            target = target[step]
+        target[path[-1]] = value
+        with pytest.raises(MalformedSolution, match="not an integer"):
+            solution_from_json(json.dumps(payload))
+
 
 class TestMinimality:
     def test_any_unit_decrement_breaks_feasibility(self):

@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from ipctp.errors import IpctpError
 from ipctp.generator import GenConfig, derive_seed, generate
 from ipctp.instance import build_derived
 from ipctp.oracle import brute_force
@@ -225,19 +226,17 @@ class TestSolve:
             assert report.lower_bound <= report.best_objective
             assert report.gap_percent is not None and report.gap_percent > 0
 
-    def test_workers_agree_with_single_worker(self):
-        for seed in (50, 51, 52):
-            instance = _random_instance(4, 0.5, 6, seed=seed)
-            derived = build_derived(instance)
-            solo, _ = solve(instance, derived, SolveParams(time_limit=60, workers=1))
-            multi, _ = solve(instance, derived, SolveParams(time_limit=60, workers=3))
-            assert solo.status == multi.status == "optimal"
-            assert solo.best_objective == multi.best_objective
+    def test_workers_other_than_one_are_rejected(self):
+        instance = single_inbound_instance()
+        derived = build_derived(instance)
+        for workers in (0, 2):
+            with pytest.raises(IpctpError, match="single-threaded"):
+                solve(instance, derived, SolveParams(workers=workers))
 
     def test_single_worker_runs_are_reproducible(self):
         instance = _random_instance(5, 0.5, 4, seed=60)
         derived = build_derived(instance)
-        params = SolveParams(time_limit=60, seed=7)
+        params = SolveParams(time_limit=60)
         report_a, solution_a = solve(instance, derived, params)
         report_b, solution_b = solve(instance, derived, params)
         assert solution_to_json(solution_a) == solution_to_json(solution_b)
@@ -264,6 +263,30 @@ class TestSolve:
         report, _ = solve(instance, derived, SolveParams(time_limit=60))
         assert time.monotonic() - started < 60
         assert report.status == "optimal"
+
+
+class TestSearchTree:
+    """The exact tree on fixed instances: a change to propagation, bounding or
+    branching that alters any node shows here, even when the optimum holds."""
+
+    # (ul, bays, shipments, inbound ratio) sub-seeded from 707, replicate 0;
+    # nodes, propagations and incumbent objectives as first recorded.
+    PINNED = [
+        ((3, 4, 5, 0.5), 124, 1080, [360, 348, 346, 340, 334, 328]),
+        ((2, 6, 5, 0.5), 63, 557, [331, 330]),
+        ((2, 4, 6, 0.5), 1099, 5668, [406, 403, 381, 373, 347, 333]),
+        ((2, 6, 6, 0.5), 108, 1058, [465, 454, 372, 347, 299, 287]),
+    ]
+
+    @pytest.mark.parametrize("shape, nodes, propagations, incumbents", PINNED)
+    def test_tree_is_pinned(self, shape, nodes, propagations, incumbents):
+        ul, bays, shipments, ratio = shape
+        instance = _random_instance(shipments, ratio, bays, seed=707, ul=ul)
+        report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
+        assert report.status == "optimal"
+        assert report.nodes == nodes
+        assert report.propagations == propagations
+        assert [obj for _, obj in report.incumbent_trace] == incumbents
 
 
 class TestCraneChoice:
