@@ -175,15 +175,16 @@ def _bench_items(paths: list[str]):
         path = Path(raw)
         if path.is_dir():
             manifest = json.loads((path / "manifest.json").read_text())
-            for entry in manifest["instances"]:
-                items.append(
-                    (
-                        entry["file"],
-                        GenConfig(**entry["config"]).id_string(),
-                        entry["replicate"],
-                        read_instance(path / entry["file"]),
-                    )
-                )
+            try:
+                entries = [
+                    (e["file"], path / e["file"],
+                     GenConfig(**e["config"]).id_string(), e["replicate"])
+                    for e in manifest["instances"]
+                ]
+            except (KeyError, TypeError) as exc:
+                raise IpctpError(f"malformed manifest in {path}: {exc!r}") from exc
+            for name, file, config_id, replicate in entries:
+                items.append((name, config_id, replicate, read_instance(file)))
         else:
             items.append((path.name, path.stem, 0, read_instance(path)))
     return items
@@ -263,11 +264,11 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 2
-    except FileNotFoundError as exc:
-        print(
-            json.dumps({"error": "FileNotFound", "message": str(exc)}),
-            file=sys.stderr,
-        )
+    except OSError as exc:
+        error = type(exc).__name__
+        if isinstance(exc, FileNotFoundError):
+            error = "FileNotFound"
+        print(json.dumps({"error": error, "message": str(exc)}), file=sys.stderr)
         return 2
 
 

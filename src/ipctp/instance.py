@@ -157,13 +157,6 @@ class Instance:
         """Quay-to-yard transfer time for an inbound-available location."""
         return self.yt_inbound_transfer[location_id]
 
-    def shipment_location(self, shipment_id: int, yard_assignment: Mapping[int, int]) -> int:
-        """Yard location of a shipment: the fixed one, or the assigned one."""
-        ship = self.shipment(shipment_id)
-        if ship.is_outbound:
-            return ship.fixed_location
-        return yard_assignment[shipment_id]
-
     # -- validation ----------------------------------------------------
 
     def _check(self) -> None:

@@ -10,8 +10,8 @@ and a Solution to be injected as a point satisfying every row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional
 
 from .errors import MalformedSolution
 from .instance import DerivedTables, Instance, canonical_dumps
@@ -574,20 +574,16 @@ class _Builder:
                 INTERFERENCE_SEPARATION,
             )
 
-    def build(self, families: Optional[Iterable[str]] = None) -> MipArtifacts:
+    def build(self) -> MipArtifacts:
         self.declare_variables()
         self.emit()
-        rows = self.rows
-        if families is not None:
-            keep = set(families)
-            rows = [row for row in rows if row.family in keep]
         counts = {family: 0 for family in ALL_FAMILIES}
-        for row in rows:
+        for row in self.rows:
             counts[row.family] += 1
         objective = {self.cmax(v.id): 1 for v in self.instance.vessels}
         return MipArtifacts(
             variables=dict(self.variables),
-            rows=tuple(rows),
+            rows=tuple(self.rows),
             objective=objective,
             big_m=self.big_m,
             dummy_start=self.dummy_start,
@@ -600,12 +596,11 @@ def build_mip(
     instance: Instance,
     derived: DerivedTables,
     big_m: Optional[int] = None,
-    families: Optional[Iterable[str]] = None,
 ) -> MipArtifacts:
     chosen = big_m if big_m is not None else default_big_m(instance, derived)
     if chosen <= 0:
         raise MalformedSolution("big_m must be positive")
-    return _Builder(instance, derived, chosen).build(families)
+    return _Builder(instance, derived, chosen).build()
 
 
 def _format_terms(coeffs: Mapping[str, int]) -> list[str]:
@@ -650,10 +645,9 @@ def export_lp(
     instance: Instance,
     derived: DerivedTables,
     big_m: Optional[int] = None,
-    families: Optional[Iterable[str]] = None,
 ) -> tuple[str, MipArtifacts]:
     """LP text plus the variable registry needed to interpret solutions."""
-    artifacts = build_mip(instance, derived, big_m=big_m, families=families)
+    artifacts = build_mip(instance, derived, big_m=big_m)
     return render_lp(artifacts), artifacts
 
 
@@ -765,45 +759,28 @@ def solution_from_values(
         if info["kind"] == "yard_assignment" and on(name):
             yard[info["shipment"]] = info["location"]
 
-    successors: dict[int, dict[int, int]] = {}
-    for name, info in artifacts.variables.items():
-        if info["kind"] == "qc_successor" and on(name):
-            successors.setdefault(info["crane"], {})[info["predecessor"]] = info[
-                "successor"
-            ]
-    qc_sequences: dict[int, tuple[int, ...]] = {}
-    for q in range(1, instance.qc_count + 1):
-        chain: list[int] = []
-        here = artifacts.dummy_start
-        hops = successors.get(q, {})
-        guard = 0
-        while here in hops and hops[here] != artifacts.dummy_end:
-            here = hops[here]
-            chain.append(here)
-            guard += 1
-            if guard > len(instance.shipments) + 1:
-                raise MalformedSolution(f"crane {q} successor chain does not terminate")
-        qc_sequences[q] = tuple(chain)
+    def chains(kind: str, crane_count: int) -> dict[int, tuple[int, ...]]:
+        """Each crane's sequence, read off its chosen successor arcs."""
+        hops: dict[int, dict[int, int]] = {c: {} for c in range(1, crane_count + 1)}
+        for name, info in artifacts.variables.items():
+            if info["kind"] == kind and on(name):
+                hops[info["crane"]][info["predecessor"]] = info["successor"]
+        sequences: dict[int, tuple[int, ...]] = {}
+        for c, after in hops.items():
+            chain: list[int] = []
+            here = artifacts.dummy_start
+            while here in after and after[here] != artifacts.dummy_end:
+                here = after[here]
+                chain.append(here)
+                if len(chain) > len(instance.shipments) + 1:
+                    raise MalformedSolution(
+                        f"{kind} chain of crane {c} does not terminate"
+                    )
+            sequences[c] = tuple(chain)
+        return sequences
 
-    yc_successors: dict[int, dict[int, int]] = {}
-    for name, info in artifacts.variables.items():
-        if info["kind"] == "yc_successor" and on(name):
-            yc_successors.setdefault(info["crane"], {})[info["predecessor"]] = info[
-                "successor"
-            ]
-    yc_sequences: dict[int, tuple[int, ...]] = {}
-    for c in range(1, instance.yc_count + 1):
-        chain = []
-        here = artifacts.dummy_start
-        hops = yc_successors.get(c, {})
-        guard = 0
-        while here in hops and hops[here] != artifacts.dummy_end:
-            here = hops[here]
-            chain.append(here)
-            guard += 1
-            if guard > len(instance.shipments) + 1:
-                raise MalformedSolution(f"yard crane {c} chain does not terminate")
-        yc_sequences[c] = tuple(chain)
+    qc_sequences = chains("qc_successor", instance.qc_count)
+    yc_sequences = chains("yc_successor", instance.yc_count)
 
     qc_assignment: dict[int, int] = {}
     for q, sequence in qc_sequences.items():
@@ -827,7 +804,7 @@ def solution_from_values(
         else:
             order[key] = I_FIRST if qc_start[i] <= qc_start[j] else J_FIRST
 
-    partial = Solution(
+    solution = Solution(
         yard_assignment=yard,
         qc_assignment=qc_assignment,
         qc_sequences=qc_sequences,
@@ -837,16 +814,7 @@ def solution_from_values(
         yc_start=yc_start,
         objective=0,
     )
-    return Solution(
-        yard_assignment=yard,
-        qc_assignment=qc_assignment,
-        qc_sequences=qc_sequences,
-        yc_sequences=yc_sequences,
-        interference_order=order,
-        qc_start=qc_start,
-        yc_start=yc_start,
-        objective=objective_of(instance, partial),
-    )
+    return replace(solution, objective=objective_of(instance, solution))
 
 
 def mapping_to_json(artifacts: MipArtifacts) -> str:

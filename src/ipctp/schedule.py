@@ -721,7 +721,7 @@ def solution_from_payload(payload: Mapping) -> Solution:
             objective=payload["objective"],
             status=payload["status"],
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise MalformedSolution(f"malformed solution file: {exc}") from exc
     numbers = [
         *(i for sequence in qc_sequences.values() for i in sequence),

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional
+from itertools import combinations
+from typing import Mapping, NamedTuple, Optional
 
 from .instance import DerivedTables, Instance
 from .mip import default_big_m
@@ -73,7 +74,23 @@ class SearchNode:
     order: Mapping[tuple[int, int, int, int], str]
     est: tuple[int, ...]
     lct: tuple[int, ...]
-    depth: int = 0
+
+
+# Crane kinds; a shipment's task of a kind is ``2 * position + kind``.
+QUAY, YARD = 0, 1
+# The SearchNode field holding each kind's crane sequences.
+_PREFIX_FIELD = ("qc_prefix", "yc_prefix")
+
+
+class _Facts(NamedTuple):
+    """What a node's decisions fix; propagation leaves all of it unchanged."""
+
+    # Yard location of every shipment that has one.
+    location: dict[int, int]
+    # Per kind (quay first), each crane's shipments in id order.
+    members: tuple[dict[int, list[int]], dict[int, list[int]]]
+    # Shortest remaining chain after each task ends.
+    tail: list[int]
 
 
 class _Timeout(Exception):
@@ -95,23 +112,32 @@ class _Context:
         self.eligible = {i: sorted(derived.eligible_qcs[i]) for i in self.ship_ids}
         self.qc_ids = list(range(1, instance.qc_count + 1))
         self.yc_ids = list(range(1, instance.yc_count + 1))
+        self.yc_at = {k.id: k.yc for k in instance.yard_locations}
+        self.fixed_location = {s.id: s.fixed_location for s in ships if s.is_outbound}
         self.delta = derived.interference_time
         self.duration = [0] * self.n_tasks
         self.vessel_of_task = [0] * self.n_tasks
+        # Tails that no decision changes; an inbound quay task's depends on
+        # its location and is filled in per node.
+        self.tail = [0] * self.n_tasks
         for s in ships:
-            self.duration[self.qc_task(s.id)] = s.qc_time
-            self.duration[self.yc_task(s.id)] = s.yc_time
-            self.vessel_of_task[self.qc_task(s.id)] = s.vessel
-            self.vessel_of_task[self.yc_task(s.id)] = s.vessel
+            quay, yard = self.task(s.id, QUAY), self.task(s.id, YARD)
+            self.duration[quay], self.duration[yard] = s.qc_time, s.yc_time
+            self.vessel_of_task[quay] = self.vessel_of_task[yard] = s.vessel
+            if s.is_outbound:
+                self.tail[yard] = s.yt_outbound_time + s.qc_time
         self.weight = {v.id: v.weight for v in instance.vessels}
         self.min_tt = min(instance.yt_inbound_transfer.values(), default=0)
         self.horizon = default_big_m(instance, derived)
 
-    def qc_task(self, ship_id: int) -> int:
-        return 2 * self.pos[ship_id]
+    def task(self, ship_id: int, kind: int) -> int:
+        return 2 * self.pos[ship_id] + kind
 
-    def yc_task(self, ship_id: int) -> int:
-        return 2 * self.pos[ship_id] + 1
+    def transition(self, kind: int, a: int, b: int, location: Mapping[int, int]) -> int:
+        """Empty travel of a crane of the kind from shipment a to shipment b."""
+        if kind == QUAY:
+            return self.derived.qc_empty_travel[(a, b)]
+        return self.instance.tyc(location[a], location[b])
 
     def root(self) -> SearchNode:
         return SearchNode(
@@ -123,38 +149,22 @@ class _Context:
             order={},
             est=(0,) * self.n_tasks,
             lct=(self.horizon,) * self.n_tasks,
-            depth=0,
         )
 
-    # -- node geometry helpers ------------------------------------------
-
-    def location_of(self, node: SearchNode, ship_id: int) -> Optional[int]:
-        ship = self.instance.shipment(ship_id)
-        if ship.is_outbound:
-            return ship.fixed_location
-        return node.yard.get(ship_id)
-
-    def yc_of(self, node: SearchNode, ship_id: int) -> Optional[int]:
-        location = self.location_of(node, ship_id)
-        if location is None:
-            return None
-        return self.instance.location(location).yc
-
-    def tail_min(self, node: SearchNode, task: int) -> int:
-        """Shortest remaining chain after the task ends, for bounds/deadlines."""
-        ship_id = self.ship_ids[task // 2]
-        ship = self.instance.shipment(ship_id)
-        if task % 2 == 0:  # quay task
-            if ship.is_outbound:
-                return 0
-            location = node.yard.get(ship_id)
-            transfer = (
-                self.instance.tt(location) if location is not None else self.min_tt
-            )
-            return transfer + ship.yc_time
-        if ship.is_outbound:
-            return ship.yt_outbound_time + ship.qc_time
-        return 0
+    def facts(self, node: SearchNode) -> _Facts:
+        location = {**self.fixed_location, **node.yard}
+        members = ({q: [] for q in self.qc_ids}, {c: [] for c in self.yc_ids})
+        for i in self.ship_ids:
+            if i in node.qc_of:
+                members[QUAY][node.qc_of[i]].append(i)
+            if i in location:
+                members[YARD][self.yc_at[location[i]]].append(i)
+        tail = list(self.tail)
+        for i in self.inbound_ids:
+            k = node.yard.get(i)
+            transfer = self.instance.tt(k) if k is not None else self.min_tt
+            tail[self.task(i, QUAY)] = transfer + self.duration[self.task(i, YARD)]
+        return _Facts(location, members, tail)
 
 
 class _Engine:
@@ -173,7 +183,7 @@ class _Engine:
 
     # -- propagation -----------------------------------------------------
 
-    def propagate(self, node: SearchNode) -> Optional[SearchNode]:
+    def propagate(self, node: SearchNode, facts: _Facts) -> Optional[SearchNode]:
         ctx = self.ctx
         n = ctx.n_tasks
         est = list(node.est)
@@ -192,11 +202,11 @@ class _Engine:
             )
             if not self._relax(arcs, est):
                 return None
-            self._tighten_lct(node, arcs, est, lct)
+            self._tighten_lct(facts.tail, arcs, est, lct)
             for task in range(n):
                 if est[task] > lct[task]:
                     return None
-            changed = self._pairwise(node, est, lct)
+            changed = self._pairwise(node, facts, est, lct)
             if changed is None:
                 return None
             forced = self._force_orders(node, order, est, lct)
@@ -221,13 +231,13 @@ class _Engine:
 
     def _tighten_lct(
         self,
-        node: SearchNode,
+        tail: list[int],
         arcs: list[tuple[int, int, int]],
         est: list[int],
         lct: list[int],
     ) -> None:
         ctx = self.ctx
-        vessel_lb = self._vessel_bounds(node, est)
+        vessel_lb = self._vessel_bounds(est, tail)
         caps: dict[int, int] = {}
         total = sum(ctx.weight[s] * lb for s, lb in vessel_lb.items())
         for vessel_id, lb in vessel_lb.items():
@@ -238,7 +248,7 @@ class _Engine:
                 caps[vessel_id] = (self.incumbent - 1 - others) // ctx.weight[vessel_id]
         for task in range(ctx.n_tasks):
             cap = caps[ctx.vessel_of_task[task]]
-            deadline = cap - ctx.duration[task] - ctx.tail_min(node, task)
+            deadline = cap - ctx.duration[task] - tail[task]
             if deadline < lct[task]:
                 lct[task] = deadline
                 self.propagations += 1
@@ -254,58 +264,27 @@ class _Engine:
                 break
 
     def _pairwise(
-        self, node: SearchNode, est: list[int], lct: list[int]
+        self, node: SearchNode, facts: _Facts, est: list[int], lct: list[int]
     ) -> Optional[bool]:
         """Disjunctive reasoning between unsequenced tasks on one crane."""
         ctx = self.ctx
-        instance = ctx.instance
+        duration, transition, location = ctx.duration, ctx.transition, facts.location
         changed = False
-        groups: list[tuple[list[int], dict]] = []
-        for q in ctx.qc_ids:
-            members = [
-                i
-                for i in ctx.ship_ids
-                if node.qc_of.get(i) == q and i not in node.qc_prefix[q]
-            ]
-            if len(members) > 1:
-                groups.append((members, {"kind": "qc"}))
-        for c in ctx.yc_ids:
-            members = [
-                i
-                for i in ctx.ship_ids
-                if ctx.yc_of(node, i) == c and i not in node.yc_prefix[c]
-            ]
-            if len(members) > 1:
-                groups.append((members, {"kind": "yc"}))
-
-        for members, info in groups:
-            for ai in range(len(members)):
-                for bi in range(ai + 1, len(members)):
-                    a, b = members[ai], members[bi]
-                    if info["kind"] == "qc":
-                        ta, tb = ctx.qc_task(a), ctx.qc_task(b)
-                        trans_ab = ctx.derived.qc_empty_travel[(a, b)]
-                        trans_ba = ctx.derived.qc_empty_travel[(b, a)]
-                    else:
-                        ta, tb = ctx.yc_task(a), ctx.yc_task(b)
-                        loc_a = ctx.location_of(node, a)
-                        loc_b = ctx.location_of(node, b)
-                        trans_ab = instance.tyc(loc_a, loc_b)
-                        trans_ba = instance.tyc(loc_b, loc_a)
-                    a_first = est[ta] + ctx.duration[ta] + trans_ab <= lct[tb]
-                    b_first = est[tb] + ctx.duration[tb] + trans_ba <= lct[ta]
+        for kind, cranes in enumerate(facts.members):
+            prefixes = getattr(node, _PREFIX_FIELD[kind])
+            for crane, members in cranes.items():
+                left = [i for i in members if i not in prefixes[crane]]
+                for a, b in combinations(left, 2):
+                    ta, tb = ctx.task(a, kind), ctx.task(b, kind)
+                    a_done = est[ta] + duration[ta] + transition(kind, a, b, location)
+                    b_done = est[tb] + duration[tb] + transition(kind, b, a, location)
+                    a_first, b_first = a_done <= lct[tb], b_done <= lct[ta]
                     if not a_first and not b_first:
                         return None
-                    if a_first and not b_first:
-                        candidate = est[ta] + ctx.duration[ta] + trans_ab
-                        if candidate > est[tb]:
-                            est[tb] = candidate
-                            self.propagations += 1
-                            changed = True
-                    elif b_first and not a_first:
-                        candidate = est[tb] + ctx.duration[tb] + trans_ba
-                        if candidate > est[ta]:
-                            est[ta] = candidate
+                    if a_first != b_first:  # one order left: push the second
+                        later, ready = (tb, a_done) if a_first else (ta, b_done)
+                        if ready > est[later]:
+                            est[later] = ready
                             self.propagations += 1
                             changed = True
         return changed
@@ -324,7 +303,7 @@ class _Engine:
             if key in order:
                 continue
             i, j, _, _ = key
-            ti, tj = ctx.qc_task(i), ctx.qc_task(j)
+            ti, tj = ctx.task(i, QUAY), ctx.task(j, QUAY)
             sep = ctx.delta[key]
             i_possible = est[ti] + ctx.duration[ti] + sep <= lct[tj]
             j_possible = est[tj] + ctx.duration[tj] + sep <= lct[ti]
@@ -338,11 +317,11 @@ class _Engine:
                 forced = True
         return forced
 
-    def _vessel_bounds(self, node: SearchNode, est: list[int]) -> dict[int, int]:
+    def _vessel_bounds(self, est: list[int], tail: list[int]) -> dict[int, int]:
         ctx = self.ctx
         bounds = {v.id: 0 for v in ctx.instance.vessels}
         for task in range(ctx.n_tasks):
-            completion = est[task] + ctx.duration[task] + ctx.tail_min(node, task)
+            completion = est[task] + ctx.duration[task] + tail[task]
             vessel_id = ctx.vessel_of_task[task]
             if completion > bounds[vessel_id]:
                 bounds[vessel_id] = completion
@@ -350,48 +329,34 @@ class _Engine:
 
     # -- bounding ---------------------------------------------------------
 
-    def lower_bound(self, node: SearchNode) -> int:
+    def lower_bound(self, node: SearchNode, facts: _Facts) -> int:
         ctx = self.ctx
-        est = list(node.est)
-        vessel_lb = self._vessel_bounds(node, est)
+        vessel_lb = self._vessel_bounds(node.est, facts.tail)
         best = sum(ctx.weight[s] * lb for s, lb in vessel_lb.items())
-
-        for q in ctx.qc_ids:
-            forced = [
-                i
-                for i in ctx.ship_ids
-                if node.qc_of.get(i) == q
-                or (i not in node.qc_of and ctx.eligible[i] == [q])
-            ]
-            if not forced:
-                continue
-            earliest = min(est[ctx.qc_task(i)] for i in forced)
-            workload = sum(ctx.instance.shipment(i).qc_time for i in forced)
-            candidate = min(
-                ctx.weight[ctx.instance.shipment(i).vessel]
-                * (earliest + workload + ctx.tail_min(node, ctx.qc_task(i)))
-                for i in forced
-            )
-            if candidate > best:
-                best = candidate
-        for c in ctx.yc_ids:
-            forced = [i for i in ctx.ship_ids if ctx.yc_of(node, i) == c]
-            if not forced:
-                continue
-            earliest = min(est[ctx.yc_task(i)] for i in forced)
-            workload = sum(ctx.instance.shipment(i).yc_time for i in forced)
-            candidate = min(
-                ctx.weight[ctx.instance.shipment(i).vessel]
-                * (earliest + workload + ctx.tail_min(node, ctx.yc_task(i)))
-                for i in forced
-            )
-            if candidate > best:
-                best = candidate
+        for kind, cranes in enumerate(facts.members):
+            for crane, members in cranes.items():
+                tasks = [ctx.task(i, kind) for i in members]
+                if kind == QUAY:  # an unassigned shipment with one eligible crane
+                    tasks += [
+                        ctx.task(i, QUAY) for i in ctx.ship_ids
+                        if i not in node.qc_of and ctx.eligible[i] == [crane]
+                    ]
+                if not tasks:
+                    continue
+                earliest = min(node.est[t] for t in tasks)
+                workload = sum(ctx.duration[t] for t in tasks)
+                candidate = min(
+                    ctx.weight[ctx.vessel_of_task[t]]
+                    * (earliest + workload + facts.tail[t])
+                    for t in tasks
+                )
+                if candidate > best:
+                    best = candidate
         return best
 
     # -- branching --------------------------------------------------------
 
-    def _next_decision(self, node: SearchNode):
+    def _next_decision(self, node: SearchNode, facts: _Facts):
         ctx = self.ctx
         unassigned_yard = [i for i in ctx.inbound_ids if i not in node.yard]
         if unassigned_yard:
@@ -405,30 +370,24 @@ class _Engine:
         unassigned_qc = [i for i in ctx.ship_ids if i not in node.qc_of]
         if unassigned_qc:
             ship = min(unassigned_qc, key=lambda i: (len(ctx.eligible[i]), i))
-            load = {q: 0 for q in ctx.qc_ids}
-            for i, q in node.qc_of.items():
-                load[q] += ctx.instance.shipment(i).qc_time
+            load = {
+                q: sum(ctx.duration[ctx.task(i, QUAY)] for i in members)
+                for q, members in facts.members[QUAY].items()
+            }
             cranes = sorted(ctx.eligible[ship], key=lambda q: (load[q], q))
             return ("qc", ship, cranes)
 
-        pending: list[tuple[int, int, str, int, list[int]]] = []
-        for q in ctx.qc_ids:
-            members = [i for i in ctx.ship_ids if node.qc_of.get(i) == q]
-            left = [i for i in members if i not in node.qc_prefix[q]]
-            if left:
-                load = sum(ctx.instance.shipment(i).qc_time for i in members)
-                pending.append((-load, 0, "qc", q, left))
-        for c in ctx.yc_ids:
-            members = [i for i in ctx.ship_ids if ctx.yc_of(node, i) == c]
-            left = [i for i in members if i not in node.yc_prefix[c]]
-            if left:
-                load = sum(ctx.instance.shipment(i).yc_time for i in members)
-                pending.append((-load, 1, "yc", c, left))
+        pending: list[tuple[int, int, int, list[int]]] = []
+        for kind, cranes in enumerate(facts.members):
+            prefixes = getattr(node, _PREFIX_FIELD[kind])
+            for crane, members in cranes.items():
+                left = [i for i in members if i not in prefixes[crane]]
+                if left:
+                    load = sum(ctx.duration[ctx.task(i, kind)] for i in members)
+                    pending.append((-load, kind, crane, left))
         if pending:
-            pending.sort(key=lambda entry: (entry[0], entry[1], entry[3]))
-            _, _, kind, crane, left = pending[0]
-            task_of = ctx.qc_task if kind == "qc" else ctx.yc_task
-            left.sort(key=lambda i: (node.est[task_of(i)], i))
+            _, kind, crane, left = min(pending)  # (kind, crane) never ties
+            left.sort(key=lambda i: (node.est[ctx.task(i, kind)], i))
             return ("seq", kind, crane, left)
 
         free_orders: dict[tuple[int, int, int, int], str] = {}
@@ -436,7 +395,7 @@ class _Engine:
             if key in node.order:
                 continue
             i, j, _, _ = key
-            ti, tj = ctx.qc_task(i), ctx.qc_task(j)
+            ti, tj = ctx.task(i, QUAY), ctx.task(j, QUAY)
             sep = ctx.delta[key]
             if node.est[tj] >= node.est[ti] + ctx.duration[ti] + sep:
                 free_orders[key] = I_FIRST
@@ -455,29 +414,28 @@ class _Engine:
 
     def _children(self, node: SearchNode, decision):
         kind = decision[0]
-        depth = node.depth + 1
         if kind == "yard":
             _, ship, locations = decision
             for location in locations:
-                yield replace(node, yard={**node.yard, ship: location}, depth=depth)
+                yield replace(node, yard={**node.yard, ship: location})
         elif kind == "qc":
             _, ship, cranes = decision
             for crane in cranes:
-                yield replace(node, qc_of={**node.qc_of, ship: crane}, depth=depth)
+                yield replace(node, qc_of={**node.qc_of, ship: crane})
         elif kind == "seq":
             _, crane_kind, crane, candidates = decision
-            field_name = "qc_prefix" if crane_kind == "qc" else "yc_prefix"
+            field_name = _PREFIX_FIELD[crane_kind]
             prefixes = getattr(node, field_name)
             for ship in candidates:
                 prefix = {**prefixes, crane: prefixes[crane] + (ship,)}
-                yield replace(node, **{field_name: prefix}, depth=depth)
+                yield replace(node, **{field_name: prefix})
         elif kind == "order":
             _, key, directions = decision
             for direction in directions:
-                yield replace(node, order={**node.order, key: direction}, depth=depth)
+                yield replace(node, order={**node.order, key: direction})
         else:  # finalize: dominated directions are fixed in one child
             _, free_orders = decision
-            yield replace(node, order={**node.order, **free_orders}, depth=depth)
+            yield replace(node, order={**node.order, **free_orders})
 
     def _decisions_of(self, node: SearchNode) -> Decisions:
         return Decisions(
@@ -500,14 +458,15 @@ class _Engine:
             # Snapshot the open-subtree bound before the stack unwinds.
             self.interrupt_lb = min(self.frontier_lbs, default=None)
             raise _Timeout
-        tightened = self.propagate(node)
+        facts = self.ctx.facts(node)
+        tightened = self.propagate(node, facts)
         if tightened is None:
             return
         node = tightened
-        bound = self.lower_bound(node)
+        bound = self.lower_bound(node, facts)
         if self.incumbent is not None and bound >= self.incumbent:
             return
-        decision = self._next_decision(node)
+        decision = self._next_decision(node, facts)
         if decision is None:
             try:
                 solution = compute_schedule(
@@ -524,6 +483,7 @@ class _Engine:
         finally:
             self.frontier_lbs.pop()
 
+
 def propagate(
     instance: Instance,
     derived: DerivedTables,
@@ -531,17 +491,19 @@ def propagate(
     incumbent: Optional[int] = None,
 ) -> Optional[SearchNode]:
     """Tighten a node's windows to their fixpoint; None means pruned."""
-    engine = _Engine(_Context(instance, derived), SolveParams(time_limit=1e9))
+    ctx = _Context(instance, derived)
+    engine = _Engine(ctx, SolveParams(time_limit=1e9))
     engine.incumbent = incumbent
-    return engine.propagate(node)
+    return engine.propagate(node, ctx.facts(node))
 
 
 def lower_bound(
     instance: Instance, derived: DerivedTables, node: SearchNode
 ) -> int:
     """Admissible lower bound on any feasible completion of the node."""
-    engine = _Engine(_Context(instance, derived), SolveParams(time_limit=1e9))
-    return engine.lower_bound(node)
+    ctx = _Context(instance, derived)
+    engine = _Engine(ctx, SolveParams(time_limit=1e9))
+    return engine.lower_bound(node, ctx.facts(node))
 
 
 def root_node(instance: Instance, derived: DerivedTables) -> SearchNode:
@@ -565,7 +527,7 @@ def solve(
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, params)
     root = ctx.root()
-    engine.root_lb = engine.lower_bound(root)
+    engine.root_lb = engine.lower_bound(root, ctx.facts(root))
     try:
         engine._dfs(root)
         completed = True

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from ipctp.generator import GenConfig, grid_entry
 from ipctp.instance import (
     INBOUND,
     INBOUND_AVAILABLE,
@@ -18,6 +19,12 @@ from ipctp.instance import (
     build_derived,
 )
 from ipctp.schedule import Decisions, I_FIRST, J_FIRST, active_interference
+
+
+def random_instance(shipments, ratio, bays, seed, ul=2) -> Instance:
+    """Replicate 0 of a generator configuration, sub-seeded from ``seed``."""
+    config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments, inbound_ratio=ratio)
+    return grid_entry(seed, config, 0).instance
 
 
 def single_outbound_instance() -> Instance:

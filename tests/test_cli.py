@@ -146,6 +146,46 @@ def test_malformed_json_is_a_machine_readable_error(tmp_path, capsys):
     assert err["error"] == "JSONDecodeError"
 
 
+def test_directory_as_instance_is_a_machine_readable_error(tmp_path, capsys):
+    assert main(["solve", str(tmp_path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IsADirectoryError"
+
+
+def test_list_of_sequences_is_a_machine_readable_error(corpus, tmp_path, capsys):
+    instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
+    main(["solve", str(instance_file), "--time-limit", "30"])
+    capsys.readouterr()
+    payload = json.loads((corpus / f"{instance_file.stem}.sol.json").read_text())
+    payload["qc_sequences"] = list(payload["qc_sequences"].values())
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    assert main(["validate", str(instance_file), str(broken)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedSolution"
+
+
+@pytest.mark.parametrize(
+    "shape", ["no-instances", "entry-without-config", "numeric-file", "list"]
+)
+def test_malformed_manifest_is_a_machine_readable_error(corpus, capsys, shape):
+    manifest_file = corpus / "manifest.json"
+    manifest = json.loads(manifest_file.read_text())
+    if shape == "no-instances":
+        del manifest["instances"]
+    elif shape == "entry-without-config":
+        del manifest["instances"][0]["config"]
+    elif shape == "numeric-file":
+        manifest["instances"][0]["file"] = 5
+    else:
+        manifest = manifest["instances"]
+    manifest_file.write_text(json.dumps(manifest))
+    assert main(["bench", str(corpus), "--budgets", "1,2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IpctpError"
+    assert "manifest" in err["message"]
+
+
 @pytest.mark.parametrize("budgets", ["1", "1,2,3", "short,long"])
 def test_malformed_budgets_are_a_machine_readable_error(corpus, capsys, budgets):
     assert main(["bench", str(corpus), "--budgets", budgets]) == 2

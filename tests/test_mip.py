@@ -2,12 +2,11 @@
 
 import pytest
 
-from ipctp.generator import GenConfig, derive_seed, generate
+from ipctp.errors import MalformedSolution
 from ipctp.instance import build_derived
 from ipctp.mip import (
     LOCATION_ASSIGNMENT,
     LOCATION_CAPACITY,
-    QC_DISJUNCTION,
     build_mip,
     check_point,
     default_big_m,
@@ -20,21 +19,8 @@ from ipctp.oracle import brute_force
 from ipctp.schedule import validate
 from ipctp.solver import SolveParams, solve
 
-from conftest import mixed_instance, single_inbound_instance
+from conftest import mixed_instance, random_instance, single_inbound_instance
 from milp_backend import solve_lp_text
-
-
-def _random_instance(shipments, ratio, bays, seed, ul=2):
-    config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments, inbound_ratio=ratio)
-    return generate(
-        GenConfig(
-            ul_ratio=ul,
-            bays=bays,
-            shipments=shipments,
-            inbound_ratio=ratio,
-            seed=derive_seed(seed, config, 0),
-        )
-    )
 
 
 class TestRowStructure:
@@ -63,13 +49,6 @@ class TestRowStructure:
         assert all(count >= 0 for count in artifacts.row_counts.values())
         assert sum(artifacts.row_counts.values()) == len(artifacts.rows)
 
-    def test_families_are_toggleable(self):
-        instance = mixed_instance()
-        derived = build_derived(instance)
-        artifacts = build_mip(instance, derived, families=[QC_DISJUNCTION])
-        assert artifacts.rows
-        assert {r.family for r in artifacts.rows} == {QC_DISJUNCTION}
-
     def test_big_m_override_and_default(self):
         instance = mixed_instance()
         derived = build_derived(instance)
@@ -88,7 +67,7 @@ class TestRowStructure:
 class TestInjection:
     def test_oracle_and_solver_solutions_satisfy_every_row(self):
         for seed in range(4):
-            instance = _random_instance(3, 0.5, (4, 6)[seed % 2], seed=seed)
+            instance = random_instance(3, 0.5, (4, 6)[seed % 2], seed=seed)
             derived = build_derived(instance)
             artifacts = build_mip(instance, derived)
             oracle = brute_force(instance, derived)
@@ -103,7 +82,7 @@ class TestInjection:
             assert check_point(artifacts, point) == []
 
     def test_point_parse_back_reproduces_the_solution(self):
-        instance = _random_instance(4, 0.5, 6, seed=8)
+        instance = random_instance(4, 0.5, 6, seed=8)
         derived = build_derived(instance)
         artifacts = build_mip(instance, derived)
         oracle = brute_force(instance, derived)
@@ -121,11 +100,27 @@ class TestInjection:
         assert parsed.objective == oracle.best_objective
         assert validate(instance, derived, parsed) == []
 
+    @pytest.mark.parametrize("kind", ["qc_successor", "yc_successor"])
+    def test_successor_cycle_is_rejected(self, kind):
+        instance = mixed_instance()
+        derived = build_derived(instance)
+        artifacts = build_mip(instance, derived)
+        arc = {
+            (info["predecessor"], info["successor"], info["crane"]): name
+            for name, info in artifacts.variables.items()
+            if info["kind"] == kind
+        }
+        # start -> 3 -> 1 -> 3 -> ... on crane 1: the chain never reaches the end
+        start = artifacts.dummy_start
+        values = {arc[(start, 3, 1)]: 1, arc[(3, 1, 1)]: 1, arc[(1, 3, 1)]: 1}
+        with pytest.raises(MalformedSolution, match="does not terminate"):
+            solution_from_values(instance, derived, artifacts, values)
+
 
 class TestExternalEngine:
     def test_lp_text_round_trip_reaches_oracle_optimum(self):
         for seed in range(3):
-            instance = _random_instance(3, 0.5, 4, seed=100 + seed)
+            instance = random_instance(3, 0.5, 4, seed=100 + seed)
             derived = build_derived(instance)
             text, artifacts = export_lp(instance, derived)
             oracle = brute_force(instance, derived)

@@ -6,25 +6,11 @@ from dataclasses import replace
 import pytest
 
 from ipctp.errors import BudgetExceeded
-from ipctp.generator import GenConfig, derive_seed, generate
 from ipctp.instance import INBOUND_AVAILABLE, Instance, build_derived
 from ipctp.oracle import brute_force, estimate_combinations
 from ipctp.schedule import compute_schedule, validate
 
-from conftest import random_decisions, single_inbound_instance
-
-
-def _random_instance(shipments, ratio, bays, seed, ul=2):
-    config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments, inbound_ratio=ratio)
-    return generate(
-        GenConfig(
-            ul_ratio=ul,
-            bays=bays,
-            shipments=shipments,
-            inbound_ratio=ratio,
-            seed=derive_seed(seed, config, 0),
-        )
-    )
+from conftest import random_decisions, random_instance, single_inbound_instance
 
 
 class TestBruteForce:
@@ -40,21 +26,21 @@ class TestBruteForce:
         assert validate(instance, derived, result.best_solution) == []
 
     def test_estimate_matches_enumeration(self):
-        instance = _random_instance(4, 0.5, 4, seed=3)
+        instance = random_instance(4, 0.5, 4, seed=3)
         derived = build_derived(instance)
         estimate = estimate_combinations(instance, derived, limit=10_000_000)
         result = brute_force(instance, derived, limit=10_000_000)
         assert result.enumerated == estimate
 
     def test_budget_guard(self):
-        instance = _random_instance(5, 0.5, 8, seed=5, ul=3)
+        instance = random_instance(5, 0.5, 8, seed=5, ul=3)
         derived = build_derived(instance)
         with pytest.raises(BudgetExceeded):
             brute_force(instance, derived, limit=10)
 
     def test_dominates_every_random_solution(self):
         rng = random.Random(77)
-        instance = _random_instance(4, 0.5, 6, seed=11)
+        instance = random_instance(4, 0.5, 6, seed=11)
         derived = build_derived(instance)
         best = brute_force(instance, derived).best_objective
         for _ in range(50):
@@ -64,7 +50,7 @@ class TestBruteForce:
             assert best <= candidate.objective
 
     def test_optimum_invariant_under_id_relabeling(self):
-        instance = _random_instance(4, 0.5, 4, seed=21)
+        instance = random_instance(4, 0.5, 4, seed=21)
         derived = build_derived(instance)
         baseline = brute_force(instance, derived).best_objective
 
@@ -89,7 +75,7 @@ class TestBruteForce:
         )
 
     def test_removing_a_location_never_helps(self):
-        instance = _random_instance(3, 0.5, 4, seed=31, ul=3)
+        instance = random_instance(3, 0.5, 4, seed=31, ul=3)
         derived = build_derived(instance)
         baseline = brute_force(instance, derived).best_objective
 

@@ -6,7 +6,6 @@ from dataclasses import replace
 import pytest
 
 from ipctp.errors import CyclicOrdering, MalformedSolution
-from ipctp.generator import GenConfig, derive_seed, generate
 from ipctp.instance import Vessel, Instance, build_derived
 from ipctp.schedule import (
     Decisions,
@@ -26,22 +25,10 @@ from conftest import (
     mixed_decisions,
     mixed_instance,
     random_decisions,
+    random_instance,
     single_inbound_instance,
     single_outbound_instance,
 )
-
-
-def _random_instance(shipments, ratio, bays, seed, ul=2):
-    config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments, inbound_ratio=ratio)
-    return generate(
-        GenConfig(
-            ul_ratio=ul,
-            bays=bays,
-            shipments=shipments,
-            inbound_ratio=ratio,
-            seed=derive_seed(seed, config, 0),
-        )
-    )
 
 
 class TestComputeSchedule:
@@ -134,7 +121,7 @@ class TestComputeSchedule:
     def test_output_always_validates(self):
         rng = random.Random(20260808)
         for trial in range(40):
-            instance = _random_instance(
+            instance = random_instance(
                 shipments=rng.choice((2, 3, 4, 5)),
                 ratio=rng.choice((0.2, 0.5)),
                 bays=rng.choice((4, 6, 8)),
@@ -249,7 +236,7 @@ class TestObjective:
 
     def test_invariant_under_id_relabeling(self):
         rng = random.Random(7)
-        instance = _random_instance(4, 0.5, 6, 99)
+        instance = random_instance(4, 0.5, 6, 99)
         derived = build_derived(instance)
         decisions = random_decisions(instance, derived, rng)
         solution = compute_schedule(instance, derived, decisions)
@@ -355,7 +342,7 @@ class TestMinimality:
     def test_any_unit_decrement_breaks_feasibility(self):
         rng = random.Random(4242)
         for trial in range(15):
-            instance = _random_instance(
+            instance = random_instance(
                 shipments=rng.choice((2, 3, 4)),
                 ratio=0.5,
                 bays=rng.choice((4, 6)),

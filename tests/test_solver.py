@@ -30,22 +30,10 @@ from ipctp.solver import (
 from conftest import (
     interference_pair_decisions,
     interference_pair_instance,
+    random_instance,
     single_inbound_instance,
     single_outbound_instance,
 )
-
-
-def _random_instance(shipments, ratio, bays, seed, ul=2):
-    config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments, inbound_ratio=ratio)
-    return generate(
-        GenConfig(
-            ul_ratio=ul,
-            bays=bays,
-            shipments=shipments,
-            inbound_ratio=ratio,
-            seed=derive_seed(seed, config, 0),
-        )
-    )
 
 
 class TestPropagate:
@@ -148,7 +136,7 @@ class TestLowerBound:
 
     def test_admissible_at_root(self):
         for seed in range(8):
-            instance = _random_instance(3, 0.5, 4, seed=seed)
+            instance = random_instance(3, 0.5, 4, seed=seed)
             derived = build_derived(instance)
             optimum = brute_force(instance, derived).best_objective
             root = propagate(instance, derived, root_node(instance, derived))
@@ -185,7 +173,7 @@ class TestSolve:
 
     def test_matches_oracle_on_random_instances(self):
         for seed in range(12):
-            instance = _random_instance(
+            instance = random_instance(
                 shipments=3 + seed % 3,
                 ratio=(0.2, 0.5)[seed % 2],
                 bays=(4, 6, 8)[seed % 3],
@@ -199,7 +187,7 @@ class TestSolve:
             assert validate(instance, derived, solution) == []
 
     def test_incumbent_trace_strictly_decreases(self):
-        instance = _random_instance(6, 0.5, 6, seed=40)
+        instance = random_instance(6, 0.5, 6, seed=40)
         derived = build_derived(instance)
         report, _ = solve(instance, derived, SolveParams(time_limit=20))
         objectives = [obj for _, obj in report.incumbent_trace]
@@ -208,7 +196,7 @@ class TestSolve:
         assert objectives[-1] == report.best_objective
 
     def test_gap_zero_iff_optimal(self):
-        instance = _random_instance(4, 0.5, 4, seed=41)
+        instance = random_instance(4, 0.5, 4, seed=41)
         derived = build_derived(instance)
         report, _ = solve(instance, derived, SolveParams(time_limit=60))
         assert report.status == "optimal"
@@ -216,7 +204,7 @@ class TestSolve:
         assert report.lower_bound == report.best_objective
 
     def test_timeout_keeps_best_incumbent_and_admissible_bound(self):
-        instance = _random_instance(15, 0.5, 6, seed=42)
+        instance = random_instance(15, 0.5, 6, seed=42)
         derived = build_derived(instance)
         report, solution = solve(instance, derived, SolveParams(time_limit=2))
         assert report.status in ("feasible", "unknown")
@@ -234,7 +222,7 @@ class TestSolve:
                 solve(instance, derived, SolveParams(workers=workers))
 
     def test_single_worker_runs_are_reproducible(self):
-        instance = _random_instance(5, 0.5, 4, seed=60)
+        instance = random_instance(5, 0.5, 4, seed=60)
         derived = build_derived(instance)
         params = SolveParams(time_limit=60)
         report_a, solution_a = solve(instance, derived, params)
@@ -281,7 +269,7 @@ class TestSearchTree:
     @pytest.mark.parametrize("shape, nodes, propagations, incumbents", PINNED)
     def test_tree_is_pinned(self, shape, nodes, propagations, incumbents):
         ul, bays, shipments, ratio = shape
-        instance = _random_instance(shipments, ratio, bays, seed=707, ul=ul)
+        instance = random_instance(shipments, ratio, bays, seed=707, ul=ul)
         report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
         assert report.status == "optimal"
         assert report.nodes == nodes
