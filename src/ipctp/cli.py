@@ -60,7 +60,6 @@ def _parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("export-mip", help="write the LP file and variable mapping")
     p.add_argument("instance")
-    p.add_argument("--big-m", type=int, default=None)
     p.add_argument("--out-dir", default=None)
 
     p = sub.add_parser("bench", help="dual-budget benchmark over a corpus")
@@ -155,7 +154,7 @@ def _cmd_oracle(args) -> int:
 def _cmd_export_mip(args) -> int:
     instance = read_instance(args.instance)
     derived = build_derived(instance)
-    text, artifacts = export_lp(instance, derived, big_m=args.big_m)
+    text, artifacts = export_lp(instance, derived)
     stem = Path(args.instance).stem
     out_dir = Path(args.out_dir) if args.out_dir else Path(args.instance).parent
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -2,47 +2,39 @@
 
 from __future__ import annotations
 
+from operator import attrgetter
+
 from .instance import Instance
 from .schedule import Solution
 
 
-def _qc_spans(instance: Instance, solution: Solution, crane: int):
-    for ship in solution.qc_sequences.get(crane, ()):
-        start = solution.qc_start[ship]
-        yield ship, start, start + instance.shipment(ship).qc_time
-
-
-def _yc_spans(instance: Instance, solution: Solution, crane: int):
-    for ship in solution.yc_sequences.get(crane, ()):
-        start = solution.yc_start[ship]
-        yield ship, start, start + instance.shipment(ship).yc_time
+def _rows(instance: Instance, solution: Solution):
+    """(label, spans) per crane, quay cranes first; a span is (ship, start, end)."""
+    rows: list[tuple[str, list[tuple[int, int, int]]]] = []
+    for kind, sequences, starts, duration in (
+        ("QC", solution.qc_sequences, solution.qc_start, attrgetter("qc_time")),
+        ("YC", solution.yc_sequences, solution.yc_start, attrgetter("yc_time")),
+    ):
+        for crane in sorted(sequences):
+            spans = []
+            for ship in sequences[crane]:
+                start = starts[ship]
+                spans.append((ship, start, start + duration(instance.shipment(ship))))
+            rows.append((f"{kind} {crane}", spans))
+    return rows
 
 
 def render_text(instance: Instance, solution: Solution) -> str:
-    lines = []
-    for crane in sorted(solution.qc_sequences):
-        spans = " ".join(
-            f"{ship}:[{start},{end})"
-            for ship, start, end in _qc_spans(instance, solution, crane)
-        )
-        lines.append(f"QC {crane} | {spans}")
-    for crane in sorted(solution.yc_sequences):
-        spans = " ".join(
-            f"{ship}:[{start},{end})"
-            for ship, start, end in _yc_spans(instance, solution, crane)
-        )
-        lines.append(f"YC {crane} | {spans}")
+    lines = [
+        f"{label} | " + " ".join(f"{ship}:[{s},{e})" for ship, s, e in spans)
+        for label, spans in _rows(instance, solution)
+    ]
     lines.append(f"objective {solution.objective} ({solution.status})")
     return "\n".join(lines) + "\n"
 
 
 def render_svg(instance: Instance, solution: Solution, scale: float = 4.0) -> str:
-    rows: list[tuple[str, list[tuple[int, int, int]]]] = []
-    for crane in sorted(solution.qc_sequences):
-        rows.append((f"QC {crane}", list(_qc_spans(instance, solution, crane))))
-    for crane in sorted(solution.yc_sequences):
-        rows.append((f"YC {crane}", list(_yc_spans(instance, solution, crane))))
-
+    rows = _rows(instance, solution)
     horizon = max(
         (end for _, spans in rows for _, _, end in spans), default=1
     )

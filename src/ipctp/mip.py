@@ -11,30 +11,39 @@ and a Solution to be injected as a point satisfying every row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple
 
 from .errors import MalformedSolution
 from .instance import DerivedTables, Instance, canonical_dumps
+# Row families the validator reports too are defined once, in schedule.
 from .schedule import (
     I_FIRST,
+    INBOUND_PRECEDENCE,
+    INTERFERENCE_SEPARATION,
     J_FIRST,
+    LOCATION_ASSIGNMENT,
+    LOCATION_CAPACITY,
+    OUTBOUND_PRECEDENCE,
+    QC_ELIGIBILITY,
+    QC_SEQUENCE_TIMING,
+    YC_MEMBERSHIP_INBOUND,
+    YC_MEMBERSHIP_OUTBOUND,
+    YC_SEQUENCE_TIMING_AFTER_INBOUND,
+    YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND,
+    YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND,
     Solution,
     active_interference,
     objective_of,
+    qc_assignment_of,
     vessel_completions,
 )
 
 COMPLETION_OUTBOUND = "completion_outbound"
 COMPLETION_INBOUND = "completion_inbound"
-LOCATION_CAPACITY = "location_capacity"
-LOCATION_ASSIGNMENT = "location_assignment"
 QC_CHAIN_START = "qc_chain_start"
 YC_CHAIN_START = "yc_chain_start"
 QC_CHAIN_END = "qc_chain_end"
 YC_CHAIN_END = "yc_chain_end"
-QC_ELIGIBILITY = "qc_eligibility"
-YC_MEMBERSHIP_INBOUND = "yc_membership_inbound"
-YC_MEMBERSHIP_OUTBOUND = "yc_membership_outbound"
 QC_FLOW = "qc_flow"
 YC_FLOW = "yc_flow"
 YT_TRANSFER = "yt_transfer"
@@ -42,15 +51,8 @@ YC_EMPTY_TO_OUTBOUND = "yc_empty_to_outbound"
 YC_EMPTY_BETWEEN_INBOUND = "yc_empty_between_inbound"
 YC_EMPTY_LINEARIZATION = "yc_empty_linearization"
 YC_EMPTY_FROM_OUTBOUND = "yc_empty_from_outbound"
-QC_SEQUENCE_TIMING = "qc_sequence_timing"
-YC_SEQUENCE_TIMING_AFTER_INBOUND = "yc_sequence_timing_after_inbound"
-YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND = "yc_sequence_timing_outbound_to_inbound"
-YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND = "yc_sequence_timing_between_outbound"
-OUTBOUND_PRECEDENCE = "outbound_precedence"
-INBOUND_PRECEDENCE = "inbound_precedence"
 QC_DISJUNCTION = "qc_disjunction"
 INTERFERENCE_DISJUNCTION = "interference_disjunction"
-INTERFERENCE_SEPARATION = "interference_separation"
 
 ALL_FAMILIES = (
     COMPLETION_OUTBOUND,
@@ -81,6 +83,23 @@ ALL_FAMILIES = (
     INTERFERENCE_DISJUNCTION,
     INTERFERENCE_SEPARATION,
 )
+
+
+class _Chain(NamedTuple):
+    """How the successor chains of one crane kind appear in the model."""
+
+    arc: str  # successor variables are named f"{arc}_{i}_{j}_{crane}"
+    # Families of the chain start, chain end and flow rows.
+    start: str
+    end: str
+    flow: str
+
+
+# Crane kinds, quay cranes first; the kind also prefixes each row name.
+_CHAINS = {
+    "qc": _Chain("z", QC_CHAIN_START, QC_CHAIN_END, QC_FLOW),
+    "yc": _Chain("v", YC_CHAIN_START, YC_CHAIN_END, YC_FLOW),
+}
 
 
 @dataclass(frozen=True)
@@ -129,32 +148,43 @@ def default_big_m(instance: Instance, derived: DerivedTables) -> int:
 
 
 class _Builder:
-    def __init__(self, instance: Instance, derived: DerivedTables, big_m: int):
+    def __init__(self, instance: Instance, derived: DerivedTables):
         self.instance = instance
         self.derived = derived
-        self.big_m = big_m
+        self.big_m = default_big_m(instance, derived)
         self.ships = sorted(instance.shipments, key=lambda s: s.id)
         self.ship_ids = [s.id for s in self.ships]
         self.inbound = [s.id for s in self.ships if s.is_inbound]
         self.outbound = [s.id for s in self.ships if s.is_outbound]
         self.available = sorted(k.id for k in instance.inbound_available_locations)
-        self.qc_ids = list(range(1, instance.qc_count + 1))
-        self.yc_ids = list(range(1, instance.yc_count + 1))
         self.dummy_start = 0
         self.dummy_end = max(self.ship_ids, default=0) + 1
         self.variables: dict[str, dict] = {}
         self.rows: list[Row] = []
-        inbound_ycs = sorted(
-            {instance.location(k).yc for k in self.available}
-        )
-        self.possible_ycs = {
-            i: (
-                inbound_ycs
-                if instance.shipment(i).is_inbound
-                else [instance.location(instance.shipment(i).fixed_location).yc]
-            )
-            for i in self.ship_ids
+        inbound_ycs = sorted({instance.location(k).yc for k in self.available})
+        # Per crane kind: each shipment's possible cranes, and each crane's
+        # possible shipments in id order.
+        self.cranes_of = {
+            "qc": {i: sorted(derived.eligible_qcs[i]) for i in self.ship_ids},
+            "yc": {
+                s.id: (
+                    inbound_ycs
+                    if s.is_inbound
+                    else [instance.location(s.fixed_location).yc]
+                )
+                for s in self.ships
+            },
         }
+        crane_count = {"qc": instance.qc_count, "yc": instance.yc_count}
+        self.members = {
+            kind: {
+                c: [i for i in self.ship_ids if c in cranes[i]]
+                for c in range(1, crane_count[kind] + 1)
+            }
+            for kind, cranes in self.cranes_of.items()
+        }
+        # Every crane's chain as (kind, crane), quay cranes first.
+        self.chains = [(kind, c) for kind in _CHAINS for c in self.members[kind]]
 
     # -- variables --------------------------------------------------------
 
@@ -166,15 +196,32 @@ class _Builder:
     def x(self, i: int, k: int) -> str:
         return self.var(f"x_{i}_{k}", "yard_assignment", True, shipment=i, location=k)
 
-    def z(self, i: int, j: int, q: int) -> str:
+    def arc(self, kind: str, i: int, j: int, c: int) -> str:
+        """Successor variable: crane c of the kind handles j right after i."""
         return self.var(
-            f"z_{i}_{j}_{q}", "qc_successor", True, predecessor=i, successor=j, crane=q
+            f"{_CHAINS[kind].arc}_{i}_{j}_{c}",
+            f"{kind}_successor",
+            True,
+            predecessor=i,
+            successor=j,
+            crane=c,
         )
 
-    def v(self, i: int, j: int, c: int) -> str:
-        return self.var(
-            f"v_{i}_{j}_{c}", "yc_successor", True, predecessor=i, successor=j, crane=c
-        )
+    def into(self, kind: str, i: int, c: int) -> dict[str, int]:
+        """Unit coefficients of the arcs entering i on crane c of the kind."""
+        return {
+            self.arc(kind, j, i, c): 1
+            for j in [self.dummy_start] + self.members[kind][c]
+            if j != i
+        }
+
+    def out_of(self, kind: str, i: int, c: int) -> dict[str, int]:
+        """Unit coefficients of the arcs leaving i on crane c of the kind."""
+        return {
+            self.arc(kind, i, j, c): 1
+            for j in self.members[kind][c] + [self.dummy_end]
+            if j != i
+        }
 
     def qz(self, i: int, j: int) -> str:
         return self.var(f"qz_{i}_{j}", "qc_ordering", True, before=i, after=j)
@@ -205,14 +252,27 @@ class _Builder:
     def cmax(self, s: int) -> str:
         return self.var(f"cmax_{s}", "vessel_completion", False, vessel=s)
 
-    def qc_nodes(self, q: int) -> list[int]:
-        return [i for i in self.ship_ids if q in self.derived.eligible_qcs[i]]
-
-    def yc_nodes(self, c: int) -> list[int]:
-        return [i for i in self.ship_ids if c in self.possible_ycs[i]]
-
     def row(self, name, coeffs, sense, rhs, family) -> None:
         self.rows.append(Row(name, dict(coeffs), sense, rhs, family))
+
+    def empty_travel(self, kind: str, i: int, j: int) -> tuple[int, dict, str]:
+        """A crane's empty travel from i to j in the timing row of arc i -> j.
+
+        Returns its fixed part, the row terms that carry the rest, and the
+        row's family.
+        """
+        if kind == "qc":
+            return self.derived.qc_empty_travel[(i, j)], {}, QC_SEQUENCE_TIMING
+        a, b = self.instance.shipment(i), self.instance.shipment(j)
+        if a.is_outbound and b.is_outbound:
+            travel = self.instance.tyc(a.fixed_location, b.fixed_location)
+            return travel, {}, YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND
+        family = (
+            YC_SEQUENCE_TIMING_AFTER_INBOUND
+            if a.is_inbound
+            else YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND
+        )
+        return 0, {self.sy(i, j): -1}, family
 
     # -- model ------------------------------------------------------------
 
@@ -222,18 +282,9 @@ class _Builder:
             for k in self.available:
                 self.x(i, k)
             self.t(i)
-        for q in self.qc_ids:
-            nodes = self.qc_nodes(q)
-            for i in [self.dummy_start] + nodes:
-                for j in nodes + [self.dummy_end]:
-                    if i != j:
-                        self.z(i, j, q)
-        for c in self.yc_ids:
-            nodes = self.yc_nodes(c)
-            for i in [self.dummy_start] + nodes:
-                for j in nodes + [self.dummy_end]:
-                    if i != j:
-                        self.v(i, j, c)
+        for kind, c in self.chains:
+            for i in [self.dummy_start] + self.members[kind][c]:
+                self.out_of(kind, i, c)  # declares the arcs leaving i
         for i in self.ship_ids:
             for j in self.ship_ids:
                 if i != j:
@@ -304,92 +355,37 @@ class _Builder:
                 LOCATION_ASSIGNMENT,
             )
 
-        for q in self.qc_ids:
-            nodes = self.qc_nodes(q)
-            self.row(
-                f"qcs_{q}",
-                {self.z(self.dummy_start, j, q): 1 for j in nodes + [self.dummy_end]},
-                "=",
-                1,
-                QC_CHAIN_START,
-            )
-            self.row(
-                f"qce_{q}",
-                {self.z(i, self.dummy_end, q): 1 for i in [self.dummy_start] + nodes},
-                "=",
-                1,
-                QC_CHAIN_END,
-            )
-        for c in self.yc_ids:
-            nodes = self.yc_nodes(c)
-            self.row(
-                f"ycs_{c}",
-                {self.v(self.dummy_start, j, c): 1 for j in nodes + [self.dummy_end]},
-                "=",
-                1,
-                YC_CHAIN_START,
-            )
-            self.row(
-                f"yce_{c}",
-                {self.v(i, self.dummy_end, c): 1 for i in [self.dummy_start] + nodes},
-                "=",
-                1,
-                YC_CHAIN_END,
-            )
+        for kind, c in self.chains:
+            chain = _CHAINS[kind]
+            first = self.out_of(kind, self.dummy_start, c)
+            last = self.into(kind, self.dummy_end, c)
+            self.row(f"{kind}s_{c}", first, "=", 1, chain.start)
+            self.row(f"{kind}e_{c}", last, "=", 1, chain.end)
 
         for i in self.ship_ids:
             coeffs: dict[str, int] = {}
-            for q in sorted(self.derived.eligible_qcs[i]):
-                for j in self.qc_nodes(q) + [self.dummy_end]:
-                    if j != i:
-                        coeffs[self.z(i, j, q)] = 1
+            for q in self.cranes_of["qc"][i]:
+                coeffs.update(self.out_of("qc", i, q))
             self.row(f"elig_{i}", coeffs, "=", 1, QC_ELIGIBILITY)
 
         for i in self.inbound:
-            for c in self.possible_ycs[i]:
-                coeffs = {
-                    self.v(i, j, c): 1
-                    for j in self.yc_nodes(c) + [self.dummy_end]
-                    if j != i
-                }
+            for c in self.cranes_of["yc"][i]:
+                coeffs = self.out_of("yc", i, c)
                 for k in self.available:
                     if instance.location(k).yc == c:
                         coeffs[self.x(i, k)] = -1
                 self.row(f"ymi_{i}_{c}", coeffs, "=", 0, YC_MEMBERSHIP_INBOUND)
         for i in self.outbound:
-            c = self.possible_ycs[i][0]
-            self.row(
-                f"ymo_{i}",
-                {
-                    self.v(i, j, c): 1
-                    for j in self.yc_nodes(c) + [self.dummy_end]
-                    if j != i
-                },
-                "=",
-                1,
-                YC_MEMBERSHIP_OUTBOUND,
-            )
+            (c,) = self.cranes_of["yc"][i]
+            coeffs = self.out_of("yc", i, c)
+            self.row(f"ymo_{i}", coeffs, "=", 1, YC_MEMBERSHIP_OUTBOUND)
 
-        for i in self.ship_ids:
-            for q in sorted(self.derived.eligible_qcs[i]):
-                coeffs = {}
-                for j in [self.dummy_start] + self.qc_nodes(q):
-                    if j != i:
-                        coeffs[self.z(j, i, q)] = 1
-                for j in self.qc_nodes(q) + [self.dummy_end]:
-                    if j != i:
-                        coeffs[self.z(i, j, q)] = coeffs.get(self.z(i, j, q), 0) - 1
-                self.row(f"qcf_{i}_{q}", coeffs, "=", 0, QC_FLOW)
-        for i in self.ship_ids:
-            for c in self.possible_ycs[i]:
-                coeffs = {}
-                for j in [self.dummy_start] + self.yc_nodes(c):
-                    if j != i:
-                        coeffs[self.v(j, i, c)] = 1
-                for j in self.yc_nodes(c) + [self.dummy_end]:
-                    if j != i:
-                        coeffs[self.v(i, j, c)] = coeffs.get(self.v(i, j, c), 0) - 1
-                self.row(f"ycf_{i}_{c}", coeffs, "=", 0, YC_FLOW)
+        for kind, chain in _CHAINS.items():
+            for i in self.ship_ids:
+                for c in self.cranes_of[kind][i]:
+                    coeffs = self.into(kind, i, c)
+                    coeffs.update(dict.fromkeys(self.out_of(kind, i, c), -1))
+                    self.row(f"{kind}f_{i}_{c}", coeffs, "=", 0, chain.flow)
 
         for i in self.inbound:
             coeffs = {self.t(i): 1}
@@ -448,55 +444,23 @@ class _Builder:
                     coeffs[self.x(j, m)] = -instance.tyc(source, m)
                 self.row(f"sy_ou_{i}_{j}", coeffs, "=", 0, YC_EMPTY_FROM_OUTBOUND)
 
-        for q in self.qc_ids:
-            nodes = self.qc_nodes(q)
+        for kind, c in self.chains:
+            start = self.sqc if kind == "qc" else self.syc
+            nodes = self.members[kind][c]
             for i in nodes:
+                a = instance.shipment(i)
+                duration = a.qc_time if kind == "qc" else a.yc_time
                 for j in nodes:
                     if i == j:
                         continue
+                    travel, terms, family = self.empty_travel(kind, i, j)
+                    coeffs = {start(j): 1, start(i): -1, self.arc(kind, i, j, c): -M}
+                    coeffs.update(terms)
                     self.row(
-                        f"qst_{i}_{j}_{q}",
-                        {self.sqc(j): 1, self.sqc(i): -1, self.z(i, j, q): -M},
+                        f"{kind[0]}st_{i}_{j}_{c}",
+                        coeffs,
                         ">=",
-                        instance.shipment(i).qc_time
-                        + self.derived.qc_empty_travel[(i, j)]
-                        - M,
-                        QC_SEQUENCE_TIMING,
-                    )
-        for c in self.yc_ids:
-            nodes = self.yc_nodes(c)
-            for i in nodes:
-                for j in nodes:
-                    if i == j:
-                        continue
-                    a = instance.shipment(i)
-                    b = instance.shipment(j)
-                    if a.is_outbound and b.is_outbound:
-                        self.row(
-                            f"yst_{i}_{j}_{c}",
-                            {self.syc(j): 1, self.syc(i): -1, self.v(i, j, c): -M},
-                            ">=",
-                            a.yc_time
-                            + instance.tyc(a.fixed_location, b.fixed_location)
-                            - M,
-                            YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND,
-                        )
-                        continue
-                    family = (
-                        YC_SEQUENCE_TIMING_AFTER_INBOUND
-                        if a.is_inbound
-                        else YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND
-                    )
-                    self.row(
-                        f"yst_{i}_{j}_{c}",
-                        {
-                            self.syc(j): 1,
-                            self.syc(i): -1,
-                            self.sy(i, j): -1,
-                            self.v(i, j, c): -M,
-                        },
-                        ">=",
-                        a.yc_time - M,
+                        duration + travel - M,
                         family,
                     )
 
@@ -532,47 +496,22 @@ class _Builder:
 
         for key in self.derived.interference_set:
             i, j, v, w = key
-            on_v = {
-                self.z(u, i, v): 1
-                for u in [self.dummy_start] + self.qc_nodes(v)
-                if u != i
-            }
-            on_w = {
-                self.z(u, j, w): 1
-                for u in [self.dummy_start] + self.qc_nodes(w)
-                if u != j
-            }
-            coeffs = dict(on_v)
-            coeffs.update(on_w)
-            coeffs[self.qz(i, j)] = -1
-            coeffs[self.qz(j, i)] = -1
+            on_v = self.into("qc", i, v)
+            on_w = self.into("qc", j, w)
+            coeffs = {**on_v, **on_w, self.qz(i, j): -1, self.qz(j, i): -1}
             self.row(f"idj_{i}_{j}_{v}_{w}", coeffs, "<=", 1, INTERFERENCE_DISJUNCTION)
 
             sep = self.derived.interference_time[key]
-            coeffs = {self.sqc(i): 1, self.sqc(j): -1, self.qz(i, j): M}
-            for name in on_v:
-                coeffs[name] = M
-            for name in on_w:
-                coeffs[name] = M
-            self.row(
-                f"isp_{i}_{j}_{v}_{w}",
-                coeffs,
-                "<=",
-                3 * M - instance.shipment(i).qc_time - sep,
-                INTERFERENCE_SEPARATION,
-            )
-            coeffs = {self.sqc(j): 1, self.sqc(i): -1, self.qz(j, i): M}
-            for name in on_v:
-                coeffs[name] = M
-            for name in on_w:
-                coeffs[name] = M
-            self.row(
-                f"isp_{j}_{i}_{w}_{v}",
-                coeffs,
-                "<=",
-                3 * M - instance.shipment(j).qc_time - sep,
-                INTERFERENCE_SEPARATION,
-            )
+            for a, b, crane_a, crane_b in ((i, j, v, w), (j, i, w, v)):
+                coeffs = {self.sqc(a): 1, self.sqc(b): -1, self.qz(a, b): M}
+                coeffs.update(dict.fromkeys([*on_v, *on_w], M))
+                self.row(
+                    f"isp_{a}_{b}_{crane_a}_{crane_b}",
+                    coeffs,
+                    "<=",
+                    3 * M - instance.shipment(a).qc_time - sep,
+                    INTERFERENCE_SEPARATION,
+                )
 
     def build(self) -> MipArtifacts:
         self.declare_variables()
@@ -592,15 +531,8 @@ class _Builder:
         )
 
 
-def build_mip(
-    instance: Instance,
-    derived: DerivedTables,
-    big_m: Optional[int] = None,
-) -> MipArtifacts:
-    chosen = big_m if big_m is not None else default_big_m(instance, derived)
-    if chosen <= 0:
-        raise MalformedSolution("big_m must be positive")
-    return _Builder(instance, derived, chosen).build()
+def build_mip(instance: Instance, derived: DerivedTables) -> MipArtifacts:
+    return _Builder(instance, derived).build()
 
 
 def _format_terms(coeffs: Mapping[str, int]) -> list[str]:
@@ -641,22 +573,13 @@ def render_lp(artifacts: MipArtifacts) -> str:
     return "\n".join(lines) + "\n"
 
 
-def export_lp(
-    instance: Instance,
-    derived: DerivedTables,
-    big_m: Optional[int] = None,
-) -> tuple[str, MipArtifacts]:
+def export_lp(instance: Instance, derived: DerivedTables) -> tuple[str, MipArtifacts]:
     """LP text plus the variable registry needed to interpret solutions."""
-    artifacts = build_mip(instance, derived, big_m=big_m)
+    artifacts = build_mip(instance, derived)
     return render_lp(artifacts), artifacts
 
 
 # -- solution <-> point mappings -----------------------------------------
-
-
-def _chain_arcs(sequence: tuple[int, ...], start: int, end: int) -> list[tuple[int, int]]:
-    nodes = [start] + list(sequence) + [end]
-    return list(zip(nodes, nodes[1:]))
 
 
 def mip_point_from_solution(
@@ -675,16 +598,12 @@ def mip_point_from_solution(
 
     for i, k in solution.yard_assignment.items():
         set_var(f"x_{i}_{k}", 1)
-    for q in sorted(solution.qc_sequences):
-        for a, b in _chain_arcs(
-            tuple(solution.qc_sequences[q]), artifacts.dummy_start, artifacts.dummy_end
-        ):
-            set_var(f"z_{a}_{b}_{q}", 1)
-    for c in sorted(solution.yc_sequences):
-        for a, b in _chain_arcs(
-            tuple(solution.yc_sequences[c]), artifacts.dummy_start, artifacts.dummy_end
-        ):
-            set_var(f"v_{a}_{b}_{c}", 1)
+    chains = {"qc": solution.qc_sequences, "yc": solution.yc_sequences}
+    for kind, sequences in chains.items():
+        for c in sorted(sequences):
+            nodes = [artifacts.dummy_start, *sequences[c], artifacts.dummy_end]
+            for a, b in zip(nodes, nodes[1:]):
+                set_var(f"{_CHAINS[kind].arc}_{a}_{b}_{c}", 1)
 
     ships = sorted(instance.shipments, key=lambda s: s.id)
     for a in ships:
@@ -782,10 +701,7 @@ def solution_from_values(
     qc_sequences = chains("qc_successor", instance.qc_count)
     yc_sequences = chains("yc_successor", instance.yc_count)
 
-    qc_assignment: dict[int, int] = {}
-    for q, sequence in qc_sequences.items():
-        for ship in sequence:
-            qc_assignment[ship] = q
+    qc_assignment = qc_assignment_of(qc_sequences)
 
     qc_start = {
         s.id: int(round(values.get(f"sqc_{s.id}", 0))) for s in instance.shipments

@@ -59,6 +59,11 @@ class Violation:
         return f"{self.family}{list(self.ids)}: {self.detail}"
 
 
+def qc_assignment_of(qc_sequences: Mapping[int, tuple[int, ...]]) -> dict[int, int]:
+    """The quay crane of each shipment, read off the crane sequences."""
+    return {ship: q for q, sequence in qc_sequences.items() for ship in sequence}
+
+
 @dataclass(frozen=True)
 class Decisions:
     """The discrete part of a solution; start times follow deterministically."""
@@ -72,11 +77,7 @@ class Decisions:
     def resolved_qc_assignment(self) -> dict[int, int]:
         if self.qc_assignment is not None:
             return dict(self.qc_assignment)
-        assignment: dict[int, int] = {}
-        for crane, sequence in self.qc_sequences.items():
-            for ship in sequence:
-                assignment[ship] = crane
-        return assignment
+        return qc_assignment_of(self.qc_sequences)
 
 
 @dataclass(frozen=True)
@@ -701,15 +702,11 @@ def solution_from_payload(payload: Mapping) -> Solution:
         yc_sequences = {
             int(c): tuple(seq) for c, seq in payload["yc_sequences"].items()
         }
-        qc_assignment: dict[int, int] = {}
-        for q, sequence in qc_sequences.items():
-            for ship in sequence:
-                qc_assignment[ship] = q
         solution = Solution(
             yard_assignment={
                 int(i): k for i, k in payload["yard_assignment"].items()
             },
-            qc_assignment=qc_assignment,
+            qc_assignment=qc_assignment_of(qc_sequences),
             qc_sequences=qc_sequences,
             yc_sequences=yc_sequences,
             interference_order={

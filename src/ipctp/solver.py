@@ -91,6 +91,8 @@ class _Facts(NamedTuple):
     members: tuple[dict[int, list[int]], dict[int, list[int]]]
     # Shortest remaining chain after each task ends.
     tail: list[int]
+    # Inbound locations no shipment holds yet, in id order.
+    free: list[int]
 
 
 class _Timeout(Exception):
@@ -164,7 +166,9 @@ class _Context:
             k = node.yard.get(i)
             transfer = self.instance.tt(k) if k is not None else self.min_tt
             tail[self.task(i, QUAY)] = transfer + self.duration[self.task(i, YARD)]
-        return _Facts(location, members, tail)
+        taken = set(node.yard.values())
+        free = [k for k in self.available if k not in taken]
+        return _Facts(location, members, tail, free)
 
 
 class _Engine:
@@ -190,9 +194,8 @@ class _Engine:
         lct = list(node.lct)
         order = dict(node.order)
 
-        free_locations = [k for k in ctx.available if k not in set(node.yard.values())]
         unassigned = sum(1 for i in ctx.inbound_ids if i not in node.yard)
-        if unassigned > len(free_locations):
+        if unassigned > len(facts.free):
             return None
 
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
@@ -360,10 +363,7 @@ class _Engine:
         ctx = self.ctx
         unassigned_yard = [i for i in ctx.inbound_ids if i not in node.yard]
         if unassigned_yard:
-            free = sorted(
-                (k for k in ctx.available if k not in set(node.yard.values())),
-                key=lambda k: (ctx.instance.tt(k), k),
-            )
+            free = sorted(facts.free, key=lambda k: (ctx.instance.tt(k), k))
             ship = min(unassigned_yard)  # identical domains, lowest id first
             return ("yard", ship, free)
 

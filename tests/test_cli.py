@@ -14,6 +14,7 @@ from ipctp.instance import (
     read_instance,
     write_instance,
 )
+from ipctp.mip import default_big_m
 from ipctp.schedule import compute_schedule, read_solution
 
 from conftest import mixed_decisions, mixed_instance
@@ -92,15 +93,17 @@ def test_validate_flags_broken_solution(corpus, tmp_path, capsys):
 
 def test_export_mip(corpus, capsys):
     instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
-    assert main(["export-mip", str(instance_file), "--big-m", "5000"]) == 0
+    assert main(["export-mip", str(instance_file)]) == 0
     out = capsys.readouterr().out
-    assert "big_m=5000" in out
+    instance = read_instance(instance_file)
+    big_m = default_big_m(instance, build_derived(instance))
+    assert f"big_m={big_m}" in out
     lp_file = corpus / f"{instance_file.stem}.lp"
     text = lp_file.read_text()
     assert text.startswith("\\")
     assert "Minimize" in text and "Subject To" in text and text.rstrip().endswith("End")
     mapping = json.loads((corpus / f"{instance_file.stem}.mapping.json").read_text())
-    assert mapping["big_m"] == 5000
+    assert mapping["big_m"] == big_m
     assert "variables" in mapping and "row_families" in mapping
 
 

@@ -1,12 +1,17 @@
 """LP export: row structure, injection feasibility, round trips, determinism."""
 
+import hashlib
+import random
+
 import pytest
 
 from ipctp.errors import MalformedSolution
 from ipctp.instance import build_derived
 from ipctp.mip import (
+    INTERFERENCE_DISJUNCTION,
     LOCATION_ASSIGNMENT,
     LOCATION_CAPACITY,
+    YC_EMPTY_LINEARIZATION,
     build_mip,
     check_point,
     default_big_m,
@@ -19,7 +24,13 @@ from ipctp.oracle import brute_force
 from ipctp.schedule import validate
 from ipctp.solver import SolveParams, solve
 
-from conftest import mixed_instance, random_instance, single_inbound_instance
+from conftest import (
+    interference_pair_instance,
+    mixed_instance,
+    random_instance,
+    single_inbound_instance,
+    wide_eligibility_instance,
+)
 from milp_backend import solve_lp_text
 
 
@@ -53,7 +64,6 @@ class TestRowStructure:
         instance = mixed_instance()
         derived = build_derived(instance)
         assert build_mip(instance, derived).big_m == default_big_m(instance, derived)
-        assert build_mip(instance, derived, big_m=99999).big_m == 99999
 
     def test_export_is_byte_stable(self):
         instance = mixed_instance()
@@ -62,6 +72,57 @@ class TestRowStructure:
         second, artifacts_b = export_lp(instance, derived)
         assert first == second
         assert mapping_to_json(artifacts_a) == mapping_to_json(artifacts_b)
+
+
+class TestPinnedExport:
+    """The LP text and mapping of fixed instances, pinned by sha256.
+
+    Renaming, reordering or re-weighting any row or variable changes a
+    digest.  ``mixed`` and ``wide`` give shipments a choice of quay crane;
+    every case has two or more inbound shipments (``thl``/``thu`` rows) and
+    active interference tuples (``idj``/``isp`` rows).
+    """
+
+    PINNED = {
+        "mixed": (
+            "8f16e0bfe402e5a59fc75cf50cc29405f27c9b619b348dcbbb6c15a28e1e8b34",
+            "f7af1815be7d12f697f15bf3fbdbec2f0c495fcd8321174740d4c0677d5884a2",
+        ),
+        "interference_pair": (
+            "75945ac5e8fda1fe9b6f4892cccde8f183a2ac544b9a85c53c7b6aada9256288",
+            "5a94ceb8b2f087130ecd4b2305b79585853846536fa848450f0d17fe61e69568",
+        ),
+        "random_s5": (
+            "7795d61a9e96f56a48ea5b8835c4010527516d70804d156cefebdc4a47d25d7c",
+            "eb8c6255e2ab214d9c63e40ee185ff9273bd17627c19e49e39d9db61c67d8b39",
+        ),
+        "wide": (
+            "6e5896912e91105db20fa5d54f10561296c51b559fb010deb68c0dd6f7d52c75",
+            "b85ac42f9b0df818c3018e638940eeed4840449acac6d811aec03900cb245b44",
+        ),
+    }
+
+    @staticmethod
+    def instance(name):
+        return {
+            "mixed": mixed_instance,
+            "interference_pair": interference_pair_instance,
+            "random_s5": lambda: random_instance(5, 0.5, 6, seed=3),
+            "wide": lambda: wide_eligibility_instance(random.Random(808), shipments=4),
+        }[name]()
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_export_digests_are_pinned(self, name):
+        instance = self.instance(name)
+        derived = build_derived(instance)
+        text, artifacts = export_lp(instance, derived)
+        assert artifacts.row_counts[YC_EMPTY_LINEARIZATION] > 0
+        assert artifacts.row_counts[INTERFERENCE_DISJUNCTION] > 0
+        digests = (
+            hashlib.sha256(text.encode("ascii")).hexdigest(),
+            hashlib.sha256(mapping_to_json(artifacts).encode("ascii")).hexdigest(),
+        )
+        assert digests == self.PINNED[name]
 
 
 class TestInjection:
