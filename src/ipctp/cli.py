@@ -190,12 +190,13 @@ def _bench_items(paths: list[str]):
 
 
 def _budgets(text: str) -> tuple[float, float]:
+    message = f"--budgets takes two comma-separated positive numbers, got {text!r}"
     try:
         short, long = (float(part) for part in text.split(","))
     except ValueError:
-        raise IpctpError(
-            f"--budgets takes two comma-separated numbers, got {text!r}"
-        ) from None
+        raise IpctpError(message) from None
+    if not (short > 0 and long > 0):  # NaN fails too
+        raise IpctpError(message)
     return short, long
 
 

@@ -401,41 +401,37 @@ class _Builder:
                     coeffs[self.x(i, m)] = -instance.tyc(m, target)
                 self.row(f"sy_uo_{i}_{j}", coeffs, "=", 0, YC_EMPTY_TO_OUTBOUND)
         for i in self.inbound:
+            x_i = {k: self.x(i, k) for k in self.available}
             for j in self.inbound:
                 if i == j:
                     continue
+                x_j = {l: self.x(j, l) for l in self.available}
+                # Each pair variable is named once for the three row kinds.
+                pairs = [
+                    (k, l, self.theta(i, k, j, l))
+                    for k in self.available
+                    for l in self.available
+                    if k != l
+                ]
                 coeffs = {self.sy(i, j): 1}
-                for k in self.available:
-                    for l in self.available:
-                        if k != l:
-                            coeffs[self.theta(i, k, j, l)] = -instance.tyc(k, l)
+                for k, l, theta in pairs:
+                    coeffs[theta] = -instance.tyc(k, l)
                 self.row(f"sy_uu_{i}_{j}", coeffs, "=", 0, YC_EMPTY_BETWEEN_INBOUND)
-                for k in self.available:
-                    for l in self.available:
-                        if k == l:
-                            continue
-                        self.row(
-                            f"thl_{i}_{k}_{j}_{l}",
-                            {
-                                self.x(i, k): 1,
-                                self.x(j, l): 1,
-                                self.theta(i, k, j, l): -1,
-                            },
-                            "<=",
-                            1,
-                            YC_EMPTY_LINEARIZATION,
-                        )
-                        self.row(
-                            f"thu_{i}_{k}_{j}_{l}",
-                            {
-                                self.theta(i, k, j, l): 2,
-                                self.x(i, k): -1,
-                                self.x(j, l): -1,
-                            },
-                            "<=",
-                            0,
-                            YC_EMPTY_LINEARIZATION,
-                        )
+                for k, l, theta in pairs:
+                    self.row(
+                        f"thl_{i}_{k}_{j}_{l}",
+                        {x_i[k]: 1, x_j[l]: 1, theta: -1},
+                        "<=",
+                        1,
+                        YC_EMPTY_LINEARIZATION,
+                    )
+                    self.row(
+                        f"thu_{i}_{k}_{j}_{l}",
+                        {theta: 2, x_i[k]: -1, x_j[l]: -1},
+                        "<=",
+                        0,
+                        YC_EMPTY_LINEARIZATION,
+                    )
         for i in self.outbound:
             source = instance.shipment(i).fixed_location
             for j in self.inbound:

@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import Callable, Mapping
 
 from .errors import CyclicOrdering, MalformedSolution
-from .instance import DerivedTables, Instance, canonical_dumps, is_integer
+from .instance import DerivedTables, Instance, Shipment, canonical_dumps, is_integer
 
 I_FIRST = "i_first"
 J_FIRST = "j_first"
@@ -150,70 +150,31 @@ def objective_of(instance: Instance, solution: Solution):
 
 # -- schedule construction ----------------------------------------------
 
+# Crane kinds; a shipment's task of a kind is ``2 * position + kind``, where
+# position is the shipment's rank by id.
+QUAY, YARD = 0, 1
 
-def _crane_pairs(
-    sequences: Mapping[int, tuple[int, ...]],
-    crane_count: int,
-    ship_ids: list[int],
-    crane_of: Callable[[int], int | None],
-) -> list[tuple[int, int]]:
-    """Pairs (a, b) where b follows a on one crane, crane by crane.
+Arc = tuple[int, int, int]
 
-    Each crane contributes its sequence chain, then one pair from its last
-    sequenced shipment to each shipment that ``crane_of`` puts on it but no
-    sequence holds yet (by id).
+
+def transfer_arcs(
+    instance: Instance, ships: list[Shipment], yard_assignment: Mapping[int, int]
+) -> list[Arc]:
+    """The arc between the two tasks of each shipment, by id.
+
+    ``ships`` are the instance's shipments in id order.  An inbound
+    shipment without a location gets the smallest transfer time of a free
+    location.
     """
-    unsequenced: dict[int, list[int]] = {}
-    sequenced = set().union(*sequences.values())
-    if len(sequenced) < len(ship_ids):
-        for i in ship_ids:
-            crane = None if i in sequenced else crane_of(i)
-            if crane is not None:
-                unsequenced.setdefault(crane, []).append(i)
-    pairs: list[tuple[int, int]] = []
-    for crane in range(1, crane_count + 1):
-        sequence = sequences[crane]
-        if sequence:
-            pairs += zip(sequence, sequence[1:])
-            pairs += [(sequence[-1], u) for u in unsequenced.get(crane, ())]
-    return pairs
-
-
-def precedence_arcs(
-    instance: Instance,
-    derived: DerivedTables,
-    yard_assignment: Mapping[int, int],
-    qc_assignment: Mapping[int, int],
-    qc_sequences: Mapping[int, tuple[int, ...]],
-    yc_sequences: Mapping[int, tuple[int, ...]],
-    interference_order: Mapping[tuple[int, int, int, int], str],
-) -> list[tuple[int, int, int]]:
-    """Precedence arcs ``(u, v, min_gap)`` induced by possibly partial decisions.
-
-    Task ``2p`` is the quay task and ``2p + 1`` the yard task of the p-th
-    shipment by id; every arc demands ``start[v] >= start[u] + min_gap``.
-    Arcs come in a fixed order: the transfer of each shipment by id; per
-    quay crane its sequence chain, then an arc from its last sequenced
-    shipment to each unsequenced member; the same per yard crane; then one
-    arc per interference order, in mapping order.  An inbound shipment
-    without a location gets the smallest transfer time of a free location.
-    """
-    shipment = instance.shipment
-    ships = sorted(instance.shipments, key=attrgetter("id"))
-    ship_ids = [s.id for s in ships]
-    task = {i: 2 * p for p, i in enumerate(ship_ids)}
-    location: dict[int, int] = {}
-    arcs: list[tuple[int, int, int]] = []
+    arcs: list[Arc] = []
     min_free = None
-    for s in ships:
-        t = task[s.id]
+    for p, s in enumerate(ships):
+        t = 2 * p
         if s.is_outbound:
-            location[s.id] = s.fixed_location
             arcs.append((t + 1, t, s.yc_time + s.yt_outbound_time))
             continue
         k = yard_assignment.get(s.id)
         if k is not None:
-            location[s.id] = k
             transfer = instance.tt(k)
         else:
             if min_free is None:
@@ -225,35 +186,120 @@ def precedence_arcs(
                 )
             transfer = min_free
         arcs.append((t, t + 1, s.qc_time + transfer))
+    return arcs
 
-    qc_pairs = _crane_pairs(
-        qc_sequences, instance.qc_count, ship_ids, qc_assignment.get
-    )
-    yc_pairs = _crane_pairs(
-        yc_sequences,
-        instance.yc_count,
-        ship_ids,
-        lambda i: instance.location(location[i]).yc if i in location else None,
-    )
-    qc_empty = derived.qc_empty_travel
-    for a, b in qc_pairs:
-        arcs.append((task[a], task[b], shipment(a).qc_time + qc_empty[(a, b)]))
-    for a, b in yc_pairs:
-        arcs.append(
-            (
-                task[a] + 1,
-                task[b] + 1,
-                shipment(a).yc_time + instance.tyc(location[a], location[b]),
-            )
-        )
 
+def crane_arcs(
+    instance: Instance,
+    derived: DerivedTables,
+    task: Mapping[int, int],
+    kind: int,
+    sequence: tuple[int, ...],
+    unsequenced: list[int],
+    location: Mapping[int, int],
+) -> list[Arc]:
+    """The arcs of one crane of the kind.
+
+    Its sequence chain, then one arc from its last sequenced shipment to
+    each shipment in ``unsequenced``.  ``location`` is needed for yard
+    cranes only.
+    """
+    if not sequence:
+        return []
+    pairs = zip(sequence, sequence[1:])
+    if unsequenced:
+        pairs = [*pairs, *((sequence[-1], u) for u in unsequenced)]
+    shipment = instance.shipment
+    if kind == QUAY:
+        empty = derived.qc_empty_travel
+        return [
+            (task[a], task[b], shipment(a).qc_time + empty[a, b]) for a, b in pairs
+        ]
+    tyc = instance.tyc
+    return [
+        (task[a] + 1, task[b] + 1, shipment(a).yc_time + tyc(location[a], location[b]))
+        for a, b in pairs
+    ]
+
+
+def order_arcs(
+    instance: Instance,
+    derived: DerivedTables,
+    task: Mapping[int, int],
+    interference_order: Mapping[tuple[int, int, int, int], str],
+) -> list[Arc]:
+    """One arc per interference order, in mapping order."""
+    shipment = instance.shipment
     separation = derived.interference_time
+    arcs: list[Arc] = []
     for key, direction in interference_order.items():
         first, second = key[:2] if direction == I_FIRST else (key[1], key[0])
         arcs.append(
             (task[first], task[second], shipment(first).qc_time + separation[key])
         )
     return arcs
+
+
+def _unsequenced(
+    sequences: Mapping[int, tuple[int, ...]],
+    ship_ids: list[int],
+    crane_of: Callable[[int], int | None],
+) -> dict[int, list[int]]:
+    """Per crane, the shipments ``crane_of`` puts on it that no sequence holds."""
+    unsequenced: dict[int, list[int]] = {}
+    sequenced = set().union(*sequences.values())
+    if len(sequenced) < len(ship_ids):
+        for i in ship_ids:
+            crane = None if i in sequenced else crane_of(i)
+            if crane is not None:
+                unsequenced.setdefault(crane, []).append(i)
+    return unsequenced
+
+
+def precedence_arcs(
+    instance: Instance,
+    derived: DerivedTables,
+    yard_assignment: Mapping[int, int],
+    qc_assignment: Mapping[int, int],
+    qc_sequences: Mapping[int, tuple[int, ...]],
+    yc_sequences: Mapping[int, tuple[int, ...]],
+    interference_order: Mapping[tuple[int, int, int, int], str],
+) -> list[Arc]:
+    """Precedence arcs ``(u, v, min_gap)`` induced by possibly partial decisions.
+
+    Task ``2p`` is the quay task and ``2p + 1`` the yard task of the p-th
+    shipment by id; every arc demands ``start[v] >= start[u] + min_gap``.
+    The arcs are the concatenation of fixed segments: ``transfer_arcs``;
+    ``crane_arcs`` of each quay crane, then of each yard crane, by id, where
+    a crane's unsequenced shipments are those it holds in no sequence; then
+    ``order_arcs``.
+    """
+    ships = sorted(instance.shipments, key=attrgetter("id"))
+    ship_ids = [s.id for s in ships]
+    task = {i: 2 * p for p, i in enumerate(ship_ids)}
+    location = dict(yard_assignment)
+    for s in ships:
+        if s.is_outbound:
+            location[s.id] = s.fixed_location
+    arcs = transfer_arcs(instance, ships, yard_assignment)
+    for kind, sequences, crane_count, crane_of in (
+        (QUAY, qc_sequences, instance.qc_count, qc_assignment.get),
+        (
+            YARD,
+            yc_sequences,
+            instance.yc_count,
+            lambda i: instance.location(location[i]).yc if i in location else None,
+        ),
+    ):
+        unsequenced = _unsequenced(sequences, ship_ids, crane_of)
+        for crane in range(1, crane_count + 1):
+            sequence = sequences[crane]
+            if len(sequence) > 1 or sequence and crane in unsequenced:  # has arcs
+                arcs += crane_arcs(
+                    instance, derived, task, kind, sequence,
+                    unsequenced.get(crane, []), location,
+                )
+    return arcs + order_arcs(instance, derived, task, interference_order)
 
 
 def compute_schedule(

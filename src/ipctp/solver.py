@@ -15,18 +15,24 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from itertools import combinations
+from operator import gt
 from typing import Mapping, NamedTuple, Optional
 
 from .instance import DerivedTables, Instance
 from .mip import default_big_m
 from .schedule import (
+    QUAY,
+    YARD,
+    Arc,
     Decisions,
     I_FIRST,
     J_FIRST,
     Solution,
     active_interference,
     compute_schedule,
-    precedence_arcs,
+    crane_arcs,
+    order_arcs,
+    transfer_arcs,
     validate,
 )
 from .errors import CyclicOrdering, IpctpError
@@ -76,8 +82,6 @@ class SearchNode:
     lct: tuple[int, ...]
 
 
-# Crane kinds; a shipment's task of a kind is ``2 * position + kind``.
-QUAY, YARD = 0, 1
 # The SearchNode field holding each kind's crane sequences.
 _PREFIX_FIELD = ("qc_prefix", "yc_prefix")
 
@@ -93,6 +97,17 @@ class _Facts(NamedTuple):
     tail: list[int]
     # Inbound locations no shipment holds yet, in id order.
     free: list[int]
+    # Interference tuples the quay assignment selects.
+    active: list[tuple[int, int, int, int]]
+
+
+class _Segments(NamedTuple):
+    """A node's arcs before its interference orders, cut as
+    ``precedence_arcs`` cuts them; propagation leaves them unchanged."""
+
+    transfer: list[Arc]
+    # Per kind (quay first), each crane's arcs, by crane id.
+    cranes: tuple[dict[int, list[Arc]], dict[int, list[Arc]]]
 
 
 class _Timeout(Exception):
@@ -105,9 +120,8 @@ class _Context:
     def __init__(self, instance: Instance, derived: DerivedTables):
         self.instance = instance
         self.derived = derived
-        ships = sorted(instance.shipments, key=lambda s: s.id)
+        self.ships = ships = sorted(instance.shipments, key=lambda s: s.id)
         self.ship_ids = [s.id for s in ships]
-        self.pos = {s.id: p for p, s in enumerate(ships)}
         self.n_tasks = 2 * len(ships)
         self.inbound_ids = [s.id for s in ships if s.is_inbound]
         self.available = sorted(k.id for k in instance.inbound_available_locations)
@@ -116,30 +130,43 @@ class _Context:
         self.yc_ids = list(range(1, instance.yc_count + 1))
         self.yc_at = {k.id: k.yc for k in instance.yard_locations}
         self.fixed_location = {s.id: s.fixed_location for s in ships if s.is_outbound}
-        self.delta = derived.interference_time
+        # Per kind (quay first), each shipment's task.
+        self.task_of = (
+            {i: 2 * p for p, i in enumerate(self.ship_ids)},
+            {i: 2 * p + 1 for p, i in enumerate(self.ship_ids)},
+        )
+        # Per kind, a crane's empty travel between the spots of two shipments:
+        # a shipment's spot is itself for quay cranes, its location for yard
+        # cranes.
+        places = sorted({*self.fixed_location.values(), *self.available})
+        self.itself = {i: i for i in self.ship_ids}
+        self.travel = (
+            derived.qc_empty_travel,
+            {(k, l): instance.tyc(k, l) for k in places for l in places},
+        )
         self.duration = [0] * self.n_tasks
         self.vessel_of_task = [0] * self.n_tasks
         # Tails that no decision changes; an inbound quay task's depends on
         # its location and is filled in per node.
         self.tail = [0] * self.n_tasks
+        quay_task = self.task_of[QUAY]
         for s in ships:
-            quay, yard = self.task(s.id, QUAY), self.task(s.id, YARD)
-            self.duration[quay], self.duration[yard] = s.qc_time, s.yc_time
-            self.vessel_of_task[quay] = self.vessel_of_task[yard] = s.vessel
+            quay = quay_task[s.id]
+            self.duration[quay], self.duration[quay + 1] = s.qc_time, s.yc_time
+            self.vessel_of_task[quay] = self.vessel_of_task[quay + 1] = s.vessel
             if s.is_outbound:
-                self.tail[yard] = s.yt_outbound_time + s.qc_time
+                self.tail[quay + 1] = s.yt_outbound_time + s.qc_time
+        # Per interference tuple (i, j, v, w): the quay tasks of i and j and
+        # the least start-to-start gap with i first and with j first.
+        self.interference: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
+        for key in derived.interference_set:
+            ti, tj = quay_task[key[0]], quay_task[key[1]]
+            delta = derived.interference_time[key]
+            gaps = (self.duration[ti] + delta, self.duration[tj] + delta)
+            self.interference[key] = (ti, tj, *gaps)
         self.weight = {v.id: v.weight for v in instance.vessels}
         self.min_tt = min(instance.yt_inbound_transfer.values(), default=0)
         self.horizon = default_big_m(instance, derived)
-
-    def task(self, ship_id: int, kind: int) -> int:
-        return 2 * self.pos[ship_id] + kind
-
-    def transition(self, kind: int, a: int, b: int, location: Mapping[int, int]) -> int:
-        """Empty travel of a crane of the kind from shipment a to shipment b."""
-        if kind == QUAY:
-            return self.derived.qc_empty_travel[(a, b)]
-        return self.instance.tyc(location[a], location[b])
 
     def root(self) -> SearchNode:
         return SearchNode(
@@ -162,13 +189,47 @@ class _Context:
             if i in location:
                 members[YARD][self.yc_at[location[i]]].append(i)
         tail = list(self.tail)
+        quay_task = self.task_of[QUAY]
         for i in self.inbound_ids:
             k = node.yard.get(i)
             transfer = self.instance.tt(k) if k is not None else self.min_tt
-            tail[self.task(i, QUAY)] = transfer + self.duration[self.task(i, YARD)]
+            tail[quay_task[i]] = transfer + self.duration[quay_task[i] + 1]
         taken = set(node.yard.values())
         free = [k for k in self.available if k not in taken]
-        return _Facts(location, members, tail, free)
+        active = active_interference(self.derived, node.qc_of)
+        return _Facts(location, members, tail, free, active)
+
+    def crane_segment(
+        self, node: SearchNode, facts: _Facts, kind: int, crane: int
+    ) -> list[Arc]:
+        sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
+        unsequenced = [i for i in facts.members[kind][crane] if i not in sequence]
+        return crane_arcs(
+            self.instance, self.derived, self.task_of[QUAY], kind, sequence,
+            unsequenced, facts.location,
+        )
+
+    def segments(self, node: SearchNode, facts: _Facts) -> _Segments:
+        return _Segments(
+            transfer_arcs(self.instance, self.ships, node.yard),
+            tuple(
+                {crane: self.crane_segment(node, facts, kind, crane) for crane in cranes}
+                for kind, cranes in enumerate(facts.members)
+            ),
+        )
+
+    def renew(
+        self,
+        segments: _Segments,
+        node: SearchNode,
+        facts: _Facts,
+        kind: int,
+        crane: int,
+    ) -> _Segments:
+        """The segments with one crane's arcs rebuilt for the node."""
+        cranes = list(segments.cranes)
+        cranes[kind] = {**cranes[kind], crane: self.crane_segment(node, facts, kind, crane)}
+        return segments._replace(cranes=tuple(cranes))
 
 
 class _Engine:
@@ -187,9 +248,10 @@ class _Engine:
 
     # -- propagation -----------------------------------------------------
 
-    def propagate(self, node: SearchNode, facts: _Facts) -> Optional[SearchNode]:
+    def propagate(
+        self, node: SearchNode, facts: _Facts, segments: _Segments
+    ) -> Optional[SearchNode]:
         ctx = self.ctx
-        n = ctx.n_tasks
         est = list(node.est)
         lct = list(node.lct)
         order = dict(node.order)
@@ -198,25 +260,30 @@ class _Engine:
         if unassigned > len(facts.free):
             return None
 
+        # The arcs precedence_arcs gives for the node and its working order:
+        # the segments, then the orders, each newly forced one appended.
+        arcs = list(segments.transfer)
+        for cranes in segments.cranes:
+            for segment in cranes.values():
+                arcs += segment
+        quay_task = ctx.task_of[QUAY]
+        arcs += order_arcs(ctx.instance, ctx.derived, quay_task, order)
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
-            arcs = precedence_arcs(
-                ctx.instance, ctx.derived, node.yard, node.qc_of,
-                node.qc_prefix, node.yc_prefix, order,
-            )
             if not self._relax(arcs, est):
                 return None
             self._tighten_lct(facts.tail, arcs, est, lct)
-            for task in range(n):
-                if est[task] > lct[task]:
-                    return None
+            if any(map(gt, est, lct)):
+                return None
             changed = self._pairwise(node, facts, est, lct)
             if changed is None:
                 return None
-            forced = self._force_orders(node, order, est, lct)
+            forced = self._force_orders(facts, order, est, lct)
             if forced is None:
                 return None
             if not (changed or forced):
                 break
+            forced_order = {key: order[key] for key in forced}
+            arcs += order_arcs(ctx.instance, ctx.derived, quay_task, forced_order)
         return replace(node, order=order, est=tuple(est), lct=tuple(lct))
 
     def _relax(self, arcs: list[tuple[int, int, int]], est: list[int]) -> bool:
@@ -249,9 +316,10 @@ class _Engine:
             else:
                 others = total - ctx.weight[vessel_id] * lb
                 caps[vessel_id] = (self.incumbent - 1 - others) // ctx.weight[vessel_id]
-        for task in range(ctx.n_tasks):
-            cap = caps[ctx.vessel_of_task[task]]
-            deadline = cap - ctx.duration[task] - tail[task]
+        for task, (vessel_id, duration, rest) in enumerate(
+            zip(ctx.vessel_of_task, ctx.duration, tail)
+        ):
+            deadline = caps[vessel_id] - duration - rest
             if deadline < lct[task]:
                 lct[task] = deadline
                 self.propagations += 1
@@ -271,16 +339,18 @@ class _Engine:
     ) -> Optional[bool]:
         """Disjunctive reasoning between unsequenced tasks on one crane."""
         ctx = self.ctx
-        duration, transition, location = ctx.duration, ctx.transition, facts.location
+        duration = ctx.duration
         changed = False
         for kind, cranes in enumerate(facts.members):
             prefixes = getattr(node, _PREFIX_FIELD[kind])
+            task, travel = ctx.task_of[kind], ctx.travel[kind]
+            spot = facts.location if kind == YARD else ctx.itself
             for crane, members in cranes.items():
                 left = [i for i in members if i not in prefixes[crane]]
                 for a, b in combinations(left, 2):
-                    ta, tb = ctx.task(a, kind), ctx.task(b, kind)
-                    a_done = est[ta] + duration[ta] + transition(kind, a, b, location)
-                    b_done = est[tb] + duration[tb] + transition(kind, b, a, location)
+                    ta, tb, sa, sb = task[a], task[b], spot[a], spot[b]
+                    a_done = est[ta] + duration[ta] + travel[sa, sb]
+                    b_done = est[tb] + duration[tb] + travel[sb, sa]
                     a_first, b_first = a_done <= lct[tb], b_done <= lct[ta]
                     if not a_first and not b_first:
                         return None
@@ -294,40 +364,41 @@ class _Engine:
 
     def _force_orders(
         self,
-        node: SearchNode,
+        facts: _Facts,
         order: dict,
         est: list[int],
         lct: list[int],
-    ) -> Optional[bool]:
-        """Decide interference tuples whose disjunction has one side left."""
-        ctx = self.ctx
-        forced = False
-        for key in active_interference(ctx.derived, node.qc_of):
+    ) -> Optional[list[tuple[int, int, int, int]]]:
+        """Decide interference tuples whose disjunction has one side left.
+
+        Returns the tuples decided, in the order they were added to ``order``.
+        """
+        interference = self.ctx.interference
+        forced = []
+        for key in facts.active:
             if key in order:
                 continue
-            i, j, _, _ = key
-            ti, tj = ctx.task(i, QUAY), ctx.task(j, QUAY)
-            sep = ctx.delta[key]
-            i_possible = est[ti] + ctx.duration[ti] + sep <= lct[tj]
-            j_possible = est[tj] + ctx.duration[tj] + sep <= lct[ti]
+            ti, tj, gap_i, gap_j = interference[key]
+            i_possible = est[ti] + gap_i <= lct[tj]
+            j_possible = est[tj] + gap_j <= lct[ti]
             if not i_possible and not j_possible:
                 return None
             if i_possible and not j_possible:
                 order[key] = I_FIRST
-                forced = True
+                forced.append(key)
             elif j_possible and not i_possible:
                 order[key] = J_FIRST
-                forced = True
+                forced.append(key)
         return forced
 
     def _vessel_bounds(self, est: list[int], tail: list[int]) -> dict[int, int]:
         ctx = self.ctx
         bounds = {v.id: 0 for v in ctx.instance.vessels}
-        for task in range(ctx.n_tasks):
-            completion = est[task] + ctx.duration[task] + tail[task]
-            vessel_id = ctx.vessel_of_task[task]
-            if completion > bounds[vessel_id]:
-                bounds[vessel_id] = completion
+        for start, duration, rest, vessel_id in zip(
+            est, ctx.duration, tail, ctx.vessel_of_task
+        ):
+            if start + duration + rest > bounds[vessel_id]:
+                bounds[vessel_id] = start + duration + rest
         return bounds
 
     # -- bounding ---------------------------------------------------------
@@ -337,13 +408,9 @@ class _Engine:
         vessel_lb = self._vessel_bounds(node.est, facts.tail)
         best = sum(ctx.weight[s] * lb for s, lb in vessel_lb.items())
         for kind, cranes in enumerate(facts.members):
-            for crane, members in cranes.items():
-                tasks = [ctx.task(i, kind) for i in members]
-                if kind == QUAY:  # an unassigned shipment with one eligible crane
-                    tasks += [
-                        ctx.task(i, QUAY) for i in ctx.ship_ids
-                        if i not in node.qc_of and ctx.eligible[i] == [crane]
-                    ]
+            task = ctx.task_of[kind]
+            for members in cranes.values():
+                tasks = [task[i] for i in members]
                 if not tasks:
                     continue
                 earliest = min(node.est[t] for t in tasks)
@@ -370,8 +437,9 @@ class _Engine:
         unassigned_qc = [i for i in ctx.ship_ids if i not in node.qc_of]
         if unassigned_qc:
             ship = min(unassigned_qc, key=lambda i: (len(ctx.eligible[i]), i))
+            task = ctx.task_of[QUAY]
             load = {
-                q: sum(ctx.duration[ctx.task(i, QUAY)] for i in members)
+                q: sum(ctx.duration[task[i]] for i in members)
                 for q, members in facts.members[QUAY].items()
             }
             cranes = sorted(ctx.eligible[ship], key=lambda q: (load[q], q))
@@ -380,62 +448,78 @@ class _Engine:
         pending: list[tuple[int, int, int, list[int]]] = []
         for kind, cranes in enumerate(facts.members):
             prefixes = getattr(node, _PREFIX_FIELD[kind])
+            task = ctx.task_of[kind]
             for crane, members in cranes.items():
                 left = [i for i in members if i not in prefixes[crane]]
                 if left:
-                    load = sum(ctx.duration[ctx.task(i, kind)] for i in members)
+                    load = sum(ctx.duration[task[i]] for i in members)
                     pending.append((-load, kind, crane, left))
         if pending:
             _, kind, crane, left = min(pending)  # (kind, crane) never ties
-            left.sort(key=lambda i: (node.est[ctx.task(i, kind)], i))
+            task = ctx.task_of[kind]
+            left.sort(key=lambda i: (node.est[task[i]], i))
             return ("seq", kind, crane, left)
 
+        est = node.est
         free_orders: dict[tuple[int, int, int, int], str] = {}
-        for key in active_interference(ctx.derived, node.qc_of):
+        for key in facts.active:
             if key in node.order:
                 continue
-            i, j, _, _ = key
-            ti, tj = ctx.task(i, QUAY), ctx.task(j, QUAY)
-            sep = ctx.delta[key]
-            if node.est[tj] >= node.est[ti] + ctx.duration[ti] + sep:
+            ti, tj, gap_i, gap_j = ctx.interference[key]
+            if est[tj] >= est[ti] + gap_i:
                 free_orders[key] = I_FIRST
-            elif node.est[ti] >= node.est[tj] + ctx.duration[tj] + sep:
+            elif est[ti] >= est[tj] + gap_j:
                 free_orders[key] = J_FIRST
             else:
                 directions = (
-                    (I_FIRST, J_FIRST)
-                    if node.est[ti] <= node.est[tj]
-                    else (J_FIRST, I_FIRST)
+                    (I_FIRST, J_FIRST) if est[ti] <= est[tj] else (J_FIRST, I_FIRST)
                 )
                 return ("order", key, directions)
         if free_orders:
             return ("finalize", free_orders)
         return None
 
-    def _children(self, node: SearchNode, decision):
+    def _children(
+        self, node: SearchNode, facts: _Facts, segments: _Segments, decision
+    ):
+        """Each child with its facts and segments; a child rebuilds only the
+        ones its decision changes."""
+        ctx = self.ctx
         kind = decision[0]
         if kind == "yard":
             _, ship, locations = decision
             for location in locations:
-                yield replace(node, yard={**node.yard, ship: location})
+                child = replace(node, yard={**node.yard, ship: location})
+                child_facts = ctx.facts(child)
+                # Other shipments' transfer arcs depend on the free locations.
+                transfer = transfer_arcs(ctx.instance, ctx.ships, child.yard)
+                yield child, child_facts, ctx.renew(
+                    segments._replace(transfer=transfer),
+                    child, child_facts, YARD, ctx.yc_at[location],
+                )
         elif kind == "qc":
             _, ship, cranes = decision
             for crane in cranes:
-                yield replace(node, qc_of={**node.qc_of, ship: crane})
+                child = replace(node, qc_of={**node.qc_of, ship: crane})
+                child_facts = ctx.facts(child)
+                yield child, child_facts, ctx.renew(
+                    segments, child, child_facts, QUAY, crane
+                )
         elif kind == "seq":
             _, crane_kind, crane, candidates = decision
             field_name = _PREFIX_FIELD[crane_kind]
             prefixes = getattr(node, field_name)
             for ship in candidates:
                 prefix = {**prefixes, crane: prefixes[crane] + (ship,)}
-                yield replace(node, **{field_name: prefix})
+                child = replace(node, **{field_name: prefix})
+                yield child, facts, ctx.renew(segments, child, facts, crane_kind, crane)
         elif kind == "order":
             _, key, directions = decision
             for direction in directions:
-                yield replace(node, order={**node.order, key: direction})
+                yield replace(node, order={**node.order, key: direction}), facts, segments
         else:  # finalize: dominated directions are fixed in one child
             _, free_orders = decision
-            yield replace(node, order={**node.order, **free_orders})
+            yield replace(node, order={**node.order, **free_orders}), facts, segments
 
     def _decisions_of(self, node: SearchNode) -> Decisions:
         return Decisions(
@@ -452,14 +536,13 @@ class _Engine:
             self.best_decisions = decisions
             self.trace.append((time.monotonic() - self.started, objective))
 
-    def _dfs(self, node: SearchNode) -> None:
+    def _dfs(self, node: SearchNode, facts: _Facts, segments: _Segments) -> None:
         self.nodes += 1
         if self.nodes % 64 == 0 and time.monotonic() > self.deadline:
             # Snapshot the open-subtree bound before the stack unwinds.
             self.interrupt_lb = min(self.frontier_lbs, default=None)
             raise _Timeout
-        facts = self.ctx.facts(node)
-        tightened = self.propagate(node, facts)
+        tightened = self.propagate(node, facts, segments)
         if tightened is None:
             return
         node = tightened
@@ -478,8 +561,8 @@ class _Engine:
             return
         self.frontier_lbs.append(bound)
         try:
-            for child in self._children(node, decision):
-                self._dfs(child)
+            for child in self._children(node, facts, segments, decision):
+                self._dfs(*child)
         finally:
             self.frontier_lbs.pop()
 
@@ -494,7 +577,8 @@ def propagate(
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, SolveParams(time_limit=1e9))
     engine.incumbent = incumbent
-    return engine.propagate(node, ctx.facts(node))
+    facts = ctx.facts(node)
+    return engine.propagate(node, facts, ctx.segments(node, facts))
 
 
 def lower_bound(
@@ -520,16 +604,17 @@ def solve(
     The returned solution, when present, passes ``validate`` with zero
     violations; status "optimal" means the search tree was exhausted.
     """
-    if params.time_limit <= 0:
+    if not params.time_limit > 0:  # NaN too: no clock reading exceeds it
         raise IpctpError("time_limit must be positive")
     if params.workers != 1:
         raise IpctpError("workers must be 1: solves are single-threaded")
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, params)
     root = ctx.root()
-    engine.root_lb = engine.lower_bound(root, ctx.facts(root))
+    facts = ctx.facts(root)
+    engine.root_lb = engine.lower_bound(root, facts)
     try:
-        engine._dfs(root)
+        engine._dfs(root, facts, ctx.segments(root, facts))
         completed = True
     except _Timeout:
         completed = False

@@ -189,12 +189,21 @@ def test_malformed_manifest_is_a_machine_readable_error(corpus, capsys, shape):
     assert "manifest" in err["message"]
 
 
-@pytest.mark.parametrize("budgets", ["1", "1,2,3", "short,long"])
+@pytest.mark.parametrize("budgets", ["1", "1,2,3", "short,long", "nan,5", "5,0"])
 def test_malformed_budgets_are_a_machine_readable_error(corpus, capsys, budgets):
     assert main(["bench", str(corpus), "--budgets", budgets]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "IpctpError"
     assert "--budgets" in err["message"]
+
+
+@pytest.mark.parametrize("limit", ["nan", "0"])
+def test_non_positive_time_limit_is_a_machine_readable_error(corpus, capsys, limit):
+    instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
+    assert main(["solve", str(instance_file), "--time-limit", limit]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "IpctpError"
+    assert "time_limit must be positive" in err["message"]
 
 
 def test_generate_matches_the_grid_for_one_configuration(tmp_path):

@@ -15,12 +15,14 @@ from ipctp.schedule import (
     I_FIRST,
     J_FIRST,
     compute_schedule,
+    precedence_arcs,
     solution_to_json,
     validate,
 )
 from ipctp.solver import (
     SearchNode,
     SolveParams,
+    _Engine,
     lower_bound,
     propagate,
     root_node,
@@ -33,6 +35,7 @@ from conftest import (
     random_instance,
     single_inbound_instance,
     single_outbound_instance,
+    wide_eligibility_instance,
 )
 
 
@@ -214,6 +217,14 @@ class TestSolve:
             assert report.lower_bound <= report.best_objective
             assert report.gap_percent is not None and report.gap_percent > 0
 
+    def test_nan_time_limit_is_rejected(self):
+        # No clock reading exceeds NaN, so such a solve would never time out.
+        instance = single_inbound_instance()
+        derived = build_derived(instance)
+        for limit in (float("nan"), 0.0, -1.0):
+            with pytest.raises(IpctpError, match="time_limit must be positive"):
+                solve(instance, derived, SolveParams(time_limit=limit))
+
     def test_workers_other_than_one_are_rejected(self):
         instance = single_inbound_instance()
         derived = build_derived(instance)
@@ -264,6 +275,8 @@ class TestSearchTree:
         ((2, 6, 5, 0.5), 63, 557, [331, 330]),
         ((2, 4, 6, 0.5), 1099, 5668, [406, 403, 381, 373, 347, 333]),
         ((2, 6, 6, 0.5), 108, 1058, [465, 454, 372, 347, 299, 287]),
+        ((3, 6, 8, 0.5), 99, 1639, [525, 509, 459, 418, 402]),
+        ((2, 8, 8, 0.2), 375, 4926, [427, 383, 369, 361, 360, 331, 328]),
     ]
 
     @pytest.mark.parametrize("shape, nodes, propagations, incumbents", PINNED)
@@ -275,6 +288,44 @@ class TestSearchTree:
         assert report.nodes == nodes
         assert report.propagations == propagations
         assert [obj for _, obj in report.incumbent_trace] == incumbents
+
+    def test_relaxed_arcs_are_the_precedence_arcs(self, monkeypatch):
+        """Each propagation pass relaxes exactly the arcs precedence_arcs gives
+        for the node's decisions and the working interference order."""
+        instances = [
+            random_instance(shipments, ratio, bays, seed=707, ul=ul)
+            for (ul, bays, shipments, ratio), *_ in self.PINNED[:4]
+        ]
+        instances.append(wide_eligibility_instance(random.Random(8), shipments=4))
+        seen = {"passes": 0}
+        real_propagate = _Engine.propagate
+        real_relax = _Engine._relax
+        real_force_orders = _Engine._force_orders
+
+        def propagate(engine, node, *rest):
+            seen["node"], seen["order"] = node, node.order
+            return real_propagate(engine, node, *rest)
+
+        def force_orders(engine, facts, order, *rest):
+            seen["order"] = order  # the next pass relaxes what this one leaves
+            return real_force_orders(engine, facts, order, *rest)
+
+        def relax(engine, arcs, est):
+            node, ctx = seen["node"], engine.ctx
+            assert arcs == precedence_arcs(
+                ctx.instance, ctx.derived, node.yard, node.qc_of,
+                node.qc_prefix, node.yc_prefix, seen["order"],
+            )
+            seen["passes"] += 1
+            return real_relax(engine, arcs, est)
+
+        monkeypatch.setattr(_Engine, "propagate", propagate)
+        monkeypatch.setattr(_Engine, "_force_orders", force_orders)
+        monkeypatch.setattr(_Engine, "_relax", relax)
+        for instance in instances:
+            report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
+            assert report.status == "optimal"
+        assert seen["passes"] > 1500
 
 
 class TestCraneChoice:
