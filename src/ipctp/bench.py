@@ -57,34 +57,25 @@ def run_bench(
     records: list[RunRecord] = []
     for name, config_id, replicate, instance in items:
         for budget in budgets:
+            error = None
             try:
                 objective, status, wall, gap = runner(instance, budget)
-                records.append(
-                    RunRecord(
-                        name=name,
-                        config_id=config_id,
-                        replicate=replicate,
-                        budget=budget,
-                        objective=objective,
-                        status=status,
-                        wall_time=wall,
-                        gap_percent=gap,
-                    )
-                )
             except Exception as exc:  # per-instance failures stay local
-                records.append(
-                    RunRecord(
-                        name=name,
-                        config_id=config_id,
-                        replicate=replicate,
-                        budget=budget,
-                        objective=None,
-                        status="error",
-                        wall_time=0.0,
-                        gap_percent=None,
-                        error=f"{type(exc).__name__}: {exc}",
-                    )
+                objective, status, wall, gap = None, "error", 0.0, None
+                error = f"{type(exc).__name__}: {exc}"
+            records.append(
+                RunRecord(
+                    name=name,
+                    config_id=config_id,
+                    replicate=replicate,
+                    budget=budget,
+                    objective=objective,
+                    status=status,
+                    wall_time=wall,
+                    gap_percent=gap,
+                    error=error,
                 )
+            )
     return aggregate(records, budgets), records
 
 

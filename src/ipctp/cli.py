@@ -99,16 +99,21 @@ def _cmd_generate(args) -> int:
     return 0
 
 
+def _output(args, suffix: str) -> Path:
+    """The instance's stem plus ``suffix`` in ``--out-dir`` (created if
+    missing), else next to the instance."""
+    out_dir = Path(args.out_dir) if args.out_dir else Path(args.instance).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir / (Path(args.instance).stem + suffix)
+
+
 def _cmd_solve(args) -> int:
     instance = read_instance(args.instance)
     derived = build_derived(instance)
     report, solution = solve(instance, derived, SolveParams(time_limit=args.time_limit))
-    stem = Path(args.instance).stem
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.instance).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{stem}.report.json").write_text(canonical_dumps(report.to_payload()))
+    _output(args, ".report.json").write_text(canonical_dumps(report.to_payload()))
     if solution is not None:
-        write_solution(out_dir / f"{stem}.sol.json", solution)
+        write_solution(_output(args, ".sol.json"), solution)
         if args.gantt:
             print(gantt_mod.render_text(instance, solution), end="")
     print(
@@ -140,13 +145,11 @@ def _cmd_oracle(args) -> int:
     instance = read_instance(args.instance)
     derived = build_derived(instance)
     result = brute_force(instance, derived, limit=args.limit)
-    stem = Path(args.instance).stem
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.instance).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    write_solution(out_dir / f"{stem}.oracle.json", result.best_solution)
+    path = _output(args, ".oracle.json")
+    write_solution(path, result.best_solution)
     print(
         f"optimum={result.best_objective} enumerated={result.enumerated} "
-        f"solution={out_dir / (stem + '.oracle.json')}"
+        f"solution={path}"
     )
     return 0
 
@@ -155,13 +158,11 @@ def _cmd_export_mip(args) -> int:
     instance = read_instance(args.instance)
     derived = build_derived(instance)
     text, artifacts = export_lp(instance, derived)
-    stem = Path(args.instance).stem
-    out_dir = Path(args.out_dir) if args.out_dir else Path(args.instance).parent
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / f"{stem}.lp").write_text(text)
-    (out_dir / f"{stem}.mapping.json").write_text(mapping_to_json(artifacts))
+    lp_path = _output(args, ".lp")
+    lp_path.write_text(text)
+    _output(args, ".mapping.json").write_text(mapping_to_json(artifacts))
     print(
-        f"wrote {out_dir / (stem + '.lp')} "
+        f"wrote {lp_path} "
         f"({len(artifacts.rows)} rows, {len(artifacts.variables)} variables, "
         f"big_m={artifacts.big_m})"
     )

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from operator import attrgetter
 
+from .errors import MalformedSolution
 from .instance import Instance
 from .schedule import Solution
 
@@ -11,6 +12,7 @@ from .schedule import Solution
 def _rows(instance: Instance, solution: Solution):
     """(label, spans) per crane, quay cranes first; a span is (ship, start, end)."""
     rows: list[tuple[str, list[tuple[int, int, int]]]] = []
+    ship_ids = {s.id for s in instance.shipments}
     for kind, sequences, starts, duration in (
         ("QC", solution.qc_sequences, solution.qc_start, attrgetter("qc_time")),
         ("YC", solution.yc_sequences, solution.yc_start, attrgetter("yc_time")),
@@ -18,6 +20,10 @@ def _rows(instance: Instance, solution: Solution):
         for crane in sorted(sequences):
             spans = []
             for ship in sequences[crane]:
+                if ship not in ship_ids or ship not in starts:
+                    raise MalformedSolution(
+                        f"{kind} {crane}: shipment {ship} is unknown or has no start"
+                    )
                 start = starts[ship]
                 spans.append((ship, start, start + duration(instance.shipment(ship))))
             rows.append((f"{kind} {crane}", spans))

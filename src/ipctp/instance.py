@@ -111,6 +111,14 @@ class Instance:
             self, "_shipment_by_id", {s.id: s for s in self.shipments}
         )
         object.__setattr__(
+            self,
+            "_shipments_by_direction",
+            {
+                d: tuple(s for s in self.shipments if s.direction == d)
+                for d in (INBOUND, OUTBOUND)
+            },
+        )
+        object.__setattr__(
             self, "_location_by_id", {k.id: k for k in self.yard_locations}
         )
         object.__setattr__(
@@ -133,11 +141,11 @@ class Instance:
 
     @property
     def inbound_shipments(self) -> tuple[Shipment, ...]:
-        return tuple(s for s in self.shipments if s.is_inbound)
+        return self._shipments_by_direction[INBOUND]
 
     @property
     def outbound_shipments(self) -> tuple[Shipment, ...]:
-        return tuple(s for s in self.shipments if s.is_outbound)
+        return self._shipments_by_direction[OUTBOUND]
 
     @property
     def inbound_available_locations(self) -> tuple[YardLocation, ...]:

@@ -11,6 +11,7 @@ and a Solution to be injected as a point satisfying every row.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import permutations
 from typing import Mapping, NamedTuple
 
 from .errors import MalformedSolution
@@ -33,9 +34,11 @@ from .schedule import (
     YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND,
     Solution,
     active_interference,
+    locations,
     objective_of,
     qc_assignment_of,
     vessel_completions,
+    yard_timing_family,
 )
 
 COMPLETION_OUTBOUND = "completion_outbound"
@@ -264,14 +267,10 @@ class _Builder:
         if kind == "qc":
             return self.derived.qc_empty_travel[(i, j)], {}, QC_SEQUENCE_TIMING
         a, b = self.instance.shipment(i), self.instance.shipment(j)
-        if a.is_outbound and b.is_outbound:
+        family = yard_timing_family(a, b)
+        if family == YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND:
             travel = self.instance.tyc(a.fixed_location, b.fixed_location)
-            return travel, {}, YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND
-        family = (
-            YC_SEQUENCE_TIMING_AFTER_INBOUND
-            if a.is_inbound
-            else YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND
-        )
+            return travel, {}, family
         return 0, {self.sy(i, j): -1}, family
 
     # -- model ------------------------------------------------------------
@@ -611,19 +610,13 @@ def mip_point_from_solution(
             )
             set_var(f"qz_{a.id}_{b.id}", 1 if finished_before else 0)
 
-    location = dict(solution.yard_assignment)
-    for s in instance.outbound_shipments:
-        location[s.id] = s.fixed_location
-    available = sorted(k.id for k in instance.inbound_available_locations)
+    location = locations(instance, solution.yard_assignment)
+    available = {k.id for k in instance.inbound_available_locations}
     inbound = [s.id for s in ships if s.is_inbound]
-    for i in inbound:
-        for j in inbound:
-            if i == j:
-                continue
-            for k in available:
-                for l in available:
-                    if k != l and location[i] == k and location[j] == l:
-                        set_var(f"th_{i}_{k}_{j}_{l}", 1)
+    for i, j in permutations(inbound, 2):
+        k, l = location[i], location[j]
+        if k != l and k in available and l in available:
+            set_var(f"th_{i}_{k}_{j}_{l}", 1)
 
     for s in ships:
         set_var(f"sqc_{s.id}", solution.qc_start[s.id])

@@ -20,6 +20,7 @@ from .schedule import (
     Solution,
     active_interference,
     compute_schedule,
+    locations,
     validate,
 )
 
@@ -35,11 +36,8 @@ class OracleResult:
 
 def _yc_members(instance: Instance, yard_assignment: dict[int, int]) -> dict[int, list[int]]:
     members: dict[int, list[int]] = {c: [] for c in range(1, instance.yc_count + 1)}
-    for ship in sorted(instance.shipments, key=lambda s: s.id):
-        location = (
-            ship.fixed_location if ship.is_outbound else yard_assignment[ship.id]
-        )
-        members[instance.location(location).yc].append(ship.id)
+    for i, k in sorted(locations(instance, yard_assignment).items()):
+        members[instance.location(k).yc].append(i)
     return members
 
 
@@ -105,8 +103,7 @@ def brute_force(
     qc_ids = list(range(1, instance.qc_count + 1))
 
     enumerated = 0
-    best_objective: int | None = None
-    best_decisions: Decisions | None = None
+    best: Solution | None = None
 
     for chosen in permutations(available, len(inbound)):
         yard = dict(zip(inbound, chosen))
@@ -141,16 +138,15 @@ def brute_force(
                             solution = compute_schedule(instance, derived, decisions)
                         except CyclicOrdering:
                             continue
-                        if best_objective is None or solution.objective < best_objective:
-                            best_objective = solution.objective
-                            best_decisions = decisions
+                        if best is None or solution.objective < best.objective:
+                            best = solution
 
-    if best_decisions is None:
+    if best is None:
         raise NoFeasibleSolution("every decision combination was cyclic")
-    best = compute_schedule(instance, derived, best_decisions).with_status("optimal")
+    best = best.with_status("optimal")
     problems = validate(instance, derived, best)
     if problems:  # pragma: no cover - internal consistency guard
         raise IpctpError(f"oracle produced an invalid solution: {problems[0]}")
     return OracleResult(
-        best_objective=best_objective, best_solution=best, enumerated=enumerated
+        best_objective=best.objective, best_solution=best, enumerated=enumerated
     )

@@ -95,17 +95,44 @@ class Solution:
     yc_empty: Mapping[tuple[int, int], int] | None = None
     per_vessel_completion: Mapping[int, int] | None = None
 
-    def decisions(self) -> Decisions:
-        return Decisions(
-            yard_assignment=dict(self.yard_assignment),
-            qc_sequences={q: tuple(s) for q, s in self.qc_sequences.items()},
-            yc_sequences={c: tuple(s) for c, s in self.yc_sequences.items()},
-            interference_order=dict(self.interference_order),
-            qc_assignment=dict(self.qc_assignment),
-        )
-
     def with_status(self, status: str) -> "Solution":
         return replace(self, status=status)
+
+
+def locations(instance: Instance, yard_assignment: Mapping[int, int]) -> dict[int, int]:
+    """Each shipment's yard location: as assigned if inbound, fixed if outbound."""
+    location = dict(yard_assignment)
+    for s in instance.outbound_shipments:
+        location[s.id] = s.fixed_location
+    return location
+
+
+def yard_empty_travel(
+    instance: Instance,
+    yc_sequences: Mapping[int, tuple[int, ...]],
+    location: Mapping[int, int],
+) -> dict[tuple[int, int], int]:
+    """Each yard crane's empty travel between consecutive shipments.
+
+    Pairs of two outbound shipments are left out: their travel is fixed data.
+    """
+    empty: dict[tuple[int, int], int] = {}
+    for crane in sorted(yc_sequences):
+        sequence = yc_sequences[crane]
+        for a, b in zip(sequence, sequence[1:]):
+            if instance.shipment(a).is_outbound and instance.shipment(b).is_outbound:
+                continue
+            empty[a, b] = instance.tyc(location[a], location[b])
+    return empty
+
+
+def yard_timing_family(a: Shipment, b: Shipment) -> str:
+    """The family of a yard crane's timing constraint from a to b."""
+    if a.is_inbound:
+        return YC_SEQUENCE_TIMING_AFTER_INBOUND
+    if b.is_inbound:
+        return YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND
+    return YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND
 
 
 def active_interference(
@@ -277,10 +304,7 @@ def precedence_arcs(
     ships = sorted(instance.shipments, key=attrgetter("id"))
     ship_ids = [s.id for s in ships]
     task = {i: 2 * p for p, i in enumerate(ship_ids)}
-    location = dict(yard_assignment)
-    for s in ships:
-        if s.is_outbound:
-            location[s.id] = s.fixed_location
+    location = locations(instance, yard_assignment)
     arcs = transfer_arcs(instance, ships, yard_assignment)
     for kind, sequences, crane_count, crane_of in (
         (QUAY, qc_sequences, instance.qc_count, qc_assignment.get),
@@ -363,17 +387,7 @@ def compute_schedule(
         )
 
     ships = sorted(instance.shipments, key=attrgetter("id"))
-    location = dict(decisions.yard_assignment)
-    for s in instance.outbound_shipments:
-        location[s.id] = s.fixed_location
-    yc_empty: dict[tuple[int, int], int] = {}
-    for crane in sorted(decisions.yc_sequences):
-        sequence = decisions.yc_sequences[crane]
-        for a, b in zip(sequence, sequence[1:]):
-            if instance.shipment(a).is_outbound and instance.shipment(b).is_outbound:
-                continue
-            yc_empty[(a, b)] = instance.tyc(location[a], location[b])
-
+    location = locations(instance, decisions.yard_assignment)
     qc_start = {s.id: start[2 * p] for p, s in enumerate(ships)}
     yc_start = {s.id: start[2 * p + 1] for p, s in enumerate(ships)}
     per_vessel = _vessel_completions(instance, qc_start, yc_start)
@@ -387,7 +401,7 @@ def compute_schedule(
         yc_start=yc_start,
         objective=_weighted_sum(instance, per_vessel),
         yt_time={s.id: instance.tt(location[s.id]) for s in ships if s.is_inbound},
-        yc_empty=yc_empty,
+        yc_empty=yard_empty_travel(instance, decisions.yc_sequences, location),
         per_vessel_completion=per_vessel,
     )
 
@@ -437,29 +451,26 @@ def _structural_violations(
                 )
             )
 
-    qc_ids = set(range(1, instance.qc_count + 1))
-    for q in sorted(qc_ids - set(qc_sequences)):
-        out.append(Violation(QC_CHAIN_MISSING, (q,), "no sequence for quay crane"))
-    for q in sorted(set(qc_sequences) - qc_ids):
-        out.append(Violation(QC_CHAIN_UNKNOWN, (q,), "sequence for unknown quay crane"))
-    yc_ids = set(range(1, instance.yc_count + 1))
-    for c in sorted(yc_ids - set(yc_sequences)):
-        out.append(Violation(YC_CHAIN_MISSING, (c,), "no sequence for yard crane"))
-    for c in sorted(set(yc_sequences) - yc_ids):
-        out.append(Violation(YC_CHAIN_UNKNOWN, (c,), "sequence for unknown yard crane"))
-
-    for q in sorted(set(qc_sequences) & qc_ids):
-        for i in qc_sequences[q]:
-            if i not in ship_ids:
-                out.append(
-                    Violation(QC_CHAIN_CONSISTENCY, (q, i), "unknown shipment in sequence")
-                )
-    for c in sorted(set(yc_sequences) & yc_ids):
-        for i in yc_sequences[c]:
-            if i not in ship_ids:
-                out.append(
-                    Violation(YC_CHAIN_CONSISTENCY, (c, i), "unknown shipment in sequence")
-                )
+    # Crane-level problems of both kinds come before shipment-level ones.
+    unknown_ships: list[Violation] = []
+    for sequences, crane_count, noun, missing, unknown, consistency in (
+        (qc_sequences, instance.qc_count, "quay",
+         QC_CHAIN_MISSING, QC_CHAIN_UNKNOWN, QC_CHAIN_CONSISTENCY),
+        (yc_sequences, instance.yc_count, "yard",
+         YC_CHAIN_MISSING, YC_CHAIN_UNKNOWN, YC_CHAIN_CONSISTENCY),
+    ):
+        cranes = set(range(1, crane_count + 1))
+        for c in sorted(cranes - set(sequences)):
+            out.append(Violation(missing, (c,), f"no sequence for {noun} crane"))
+        for c in sorted(set(sequences) - cranes):
+            out.append(Violation(unknown, (c,), f"sequence for unknown {noun} crane"))
+        unknown_ships += [
+            Violation(consistency, (c, i), "unknown shipment in sequence")
+            for c in sorted(set(sequences) & cranes)
+            for i in sequences[c]
+            if i not in ship_ids
+        ]
+    out += unknown_ships
     if out:
         return out
 
@@ -494,10 +505,8 @@ def _structural_violations(
         out.append(Violation(QC_CHAIN_CONSISTENCY, (i,), "assignment for unknown id"))
 
     own_yc = {
-        s.id: instance.location(
-            s.fixed_location if s.is_outbound else yard_assignment[s.id]
-        ).yc
-        for s in instance.shipments
+        i: instance.location(k).yc
+        for i, k in locations(instance, yard_assignment).items()
     }
     for i in sorted(ship_ids):
         family = (
@@ -546,54 +555,36 @@ def validate(
         return structural + missing_starts
 
     out: list[Violation] = []
-    location = dict(solution.yard_assignment)
-    for s in instance.outbound_shipments:
-        location[s.id] = s.fixed_location
+    location = locations(instance, solution.yard_assignment)
 
     for i in sorted(s.id for s in instance.shipments):
         if solution.qc_start[i] < 0 or solution.yc_start[i] < 0:
             out.append(Violation(START_NEGATIVE, (i,), "negative start time"))
 
-    for q in sorted(solution.qc_sequences):
-        sequence = solution.qc_sequences[q]
-        for a, b in zip(sequence, sequence[1:]):
-            required = (
-                solution.qc_start[a]
-                + instance.shipment(a).qc_time
-                + derived.qc_empty_travel[(a, b)]
-            )
-            if solution.qc_start[b] < required:
-                out.append(
-                    Violation(
-                        QC_SEQUENCE_TIMING,
-                        (a, b, q),
-                        f"start {solution.qc_start[b]} < {required}",
-                    )
-                )
-
-    family_by_dirs = {
-        (True, True): YC_SEQUENCE_TIMING_AFTER_INBOUND,
-        (True, False): YC_SEQUENCE_TIMING_AFTER_INBOUND,
-        (False, True): YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND,
-        (False, False): YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND,
-    }
-    for c in sorted(solution.yc_sequences):
-        sequence = solution.yc_sequences[c]
-        for a, b in zip(sequence, sequence[1:]):
-            required = (
-                solution.yc_start[a]
-                + instance.shipment(a).yc_time
-                + instance.tyc(location[a], location[b])
-            )
-            if solution.yc_start[b] < required:
-                family = family_by_dirs[
-                    (instance.shipment(a).is_inbound, instance.shipment(b).is_inbound)
-                ]
-                out.append(
-                    Violation(
-                        family, (a, b, c), f"start {solution.yc_start[b]} < {required}"
-                    )
-                )
+    shipment = instance.shipment
+    for sequences, start, duration, travel, family in (
+        (
+            solution.qc_sequences,
+            solution.qc_start,
+            attrgetter("qc_time"),
+            lambda a, b: derived.qc_empty_travel[a, b],
+            lambda a, b: QC_SEQUENCE_TIMING,
+        ),
+        (
+            solution.yc_sequences,
+            solution.yc_start,
+            attrgetter("yc_time"),
+            lambda a, b: instance.tyc(location[a], location[b]),
+            lambda a, b: yard_timing_family(shipment(a), shipment(b)),
+        ),
+    ):
+        for c in sorted(sequences):
+            sequence = sequences[c]
+            for a, b in zip(sequence, sequence[1:]):
+                required = start[a] + duration(shipment(a)) + travel(a, b)
+                if start[b] < required:
+                    detail = f"start {start[b]} < {required}"
+                    out.append(Violation(family(a, b), (a, b, c), detail))
 
     for s in instance.shipments:
         if s.is_outbound:
@@ -632,16 +623,9 @@ def validate(
                 )
 
     if solution.yc_empty is not None:
-        expected_empty: dict[tuple[int, int], int] = {}
-        for c in sorted(solution.yc_sequences):
-            sequence = solution.yc_sequences[c]
-            for a, b in zip(sequence, sequence[1:]):
-                if (
-                    instance.shipment(a).is_outbound
-                    and instance.shipment(b).is_outbound
-                ):
-                    continue
-                expected_empty[(a, b)] = instance.tyc(location[a], location[b])
+        expected_empty = yard_empty_travel(instance, solution.yc_sequences, location)
+        # A stored pair may name shipments the instance lacks: not inbound.
+        inbound = {s.id for s in instance.inbound_shipments}
         empty_family = {
             (True, False): YC_EMPTY_VALUE_TO_OUTBOUND,
             (True, True): YC_EMPTY_VALUE_BETWEEN_INBOUND,
@@ -650,9 +634,7 @@ def validate(
         }
         for a, b in sorted(set(expected_empty) | set(solution.yc_empty)):
             if solution.yc_empty.get((a, b)) != expected_empty.get((a, b)):
-                family = empty_family[
-                    (instance.shipment(a).is_inbound, instance.shipment(b).is_inbound)
-                ]
+                family = empty_family[(a in inbound, b in inbound)]
                 out.append(
                     Violation(
                         family,

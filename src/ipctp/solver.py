@@ -238,7 +238,7 @@ class _Engine:
         self.deadline = time.monotonic() + params.time_limit
         self.started = time.monotonic()
         self.incumbent: Optional[int] = None
-        self.best_decisions: Optional[Decisions] = None
+        self.best: Optional[Solution] = None
         self.trace: list[tuple[float, int]] = []
         self.nodes = 0
         self.propagations = 0
@@ -530,11 +530,11 @@ class _Engine:
             qc_assignment=dict(node.qc_of),
         )
 
-    def _offer_incumbent(self, objective: int, decisions: Decisions) -> None:
-        if self.incumbent is None or objective < self.incumbent:
-            self.incumbent = objective
-            self.best_decisions = decisions
-            self.trace.append((time.monotonic() - self.started, objective))
+    def _offer_incumbent(self, solution: Solution) -> None:
+        if self.incumbent is None or solution.objective < self.incumbent:
+            self.incumbent = solution.objective
+            self.best = solution
+            self.trace.append((time.monotonic() - self.started, solution.objective))
 
     def _dfs(self, node: SearchNode, facts: _Facts, segments: _Segments) -> None:
         self.nodes += 1
@@ -557,7 +557,7 @@ class _Engine:
                 )
             except CyclicOrdering:
                 return
-            self._offer_incumbent(solution.objective, solution.decisions())
+            self._offer_incumbent(solution)
             return
         self.frontier_lbs.append(bound)
         try:
@@ -641,9 +641,10 @@ def solve(
         gap = 0.0
 
     solution = None
-    if engine.best_decisions is not None:
-        solution = compute_schedule(instance, derived, engine.best_decisions)
-        solution = solution.with_status("optimal" if status == "optimal" else "feasible")
+    if engine.best is not None:
+        solution = engine.best.with_status(
+            "optimal" if status == "optimal" else "feasible"
+        )
         problems = validate(instance, derived, solution)
         if problems:  # pragma: no cover - internal consistency guard
             raise IpctpError(f"solver produced an invalid solution: {problems[0]}")

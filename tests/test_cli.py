@@ -135,6 +135,26 @@ def test_gantt_text_and_svg(corpus, tmp_path, capsys):
     assert svg_file.read_text().startswith("<svg")
 
 
+@pytest.mark.parametrize("shape", ["unknown_shipment", "missing_start"])
+def test_gantt_of_a_malformed_solution_is_a_machine_readable_error(
+    corpus, tmp_path, capsys, shape
+):
+    instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
+    main(["solve", str(instance_file), "--time-limit", "30"])
+    capsys.readouterr()
+    payload = json.loads((corpus / f"{instance_file.stem}.sol.json").read_text())
+    if shape == "unknown_shipment":
+        payload["qc_sequences"]["1"].append(999)
+    else:
+        ship = next(i for seq in payload["qc_sequences"].values() for i in seq)
+        del payload["starts"]["yc"][str(ship)]
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(payload))
+    assert main(["gantt", str(instance_file), str(broken)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "MalformedSolution"
+
+
 def test_missing_file_is_a_machine_readable_error(tmp_path, capsys):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
     err = json.loads(capsys.readouterr().err)

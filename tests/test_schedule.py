@@ -1,7 +1,9 @@
 """Schedule construction, objective and validator behaviour."""
 
+import hashlib
 import random
 from dataclasses import replace
+from itertools import combinations, product
 
 import pytest
 
@@ -11,6 +13,7 @@ from ipctp.schedule import (
     Decisions,
     I_FIRST,
     J_FIRST,
+    YC_EMPTY_VALUE_FROM_OUTBOUND,
     active_interference,
     compute_schedule,
     objective_of,
@@ -369,3 +372,148 @@ class TestMinimality:
                     assert validate(instance, derived, mutated), (
                         f"decrementing {attr}[{ship.id}] stayed feasible"
                     )
+
+
+class TestValidate:
+    def test_stored_empty_travel_of_unknown_shipments_is_reported(self, mixed):
+        instance, derived = mixed
+        solution = compute_schedule(instance, derived, mixed_decisions())
+        stored = {**solution.yc_empty, (998, 999): 4}
+        violations = validate(instance, derived, replace(solution, yc_empty=stored))
+        assert [(v.family, v.ids, v.detail) for v in violations] == [
+            (YC_EMPTY_VALUE_FROM_OUTBOUND, (998, 999), "stored 4 != None")
+        ]
+
+
+def _mutate(kind, fields, instance, rng):
+    """Apply one mutation of the kind to the solution fields in place.
+
+    Returns False when the solution offers nothing to mutate.
+    """
+    ship_ids = sorted(s.id for s in instance.shipments)
+    sequences = fields[rng.choice(("qc_sequences", "yc_sequences"))]
+    cranes = sorted(sequences)
+    if not cranes and kind.endswith(("_sequence", "_shipment", "_crane", "_cranes")):
+        return False
+    if kind in ("decrement_start", "drop_start"):
+        starts = fields[rng.choice(("qc_start", "yc_start"))]
+        i = rng.choice(ship_ids)
+        if i not in starts:
+            return False
+        if kind == "drop_start":
+            del starts[i]
+        else:
+            starts[i] -= rng.randint(1, 5)
+    elif kind == "reverse_sequence":
+        long = [c for c in cranes if len(sequences[c]) > 1]
+        if not long:
+            return False
+        c = rng.choice(long)
+        sequences[c] = sequences[c][::-1]
+    elif kind == "append_shipment":
+        c = rng.choice(cranes)
+        sequences[c] += (rng.choice(ship_ids + [max(ship_ids) + 1]),)
+    elif kind == "drop_crane":
+        del sequences[rng.choice(cranes)]
+    elif kind == "add_crane":
+        sequences[max(cranes) + 1] = sequences[rng.choice(cranes)]
+    elif kind == "swap_cranes":
+        if len(cranes) < 2:
+            return False
+        a, b = rng.sample(cranes, 2)
+        sequences[a], sequences[b] = sequences[b], sequences[a]
+    elif kind in ("move_location", "drop_location"):
+        yard = fields["yard_assignment"]
+        if not yard:
+            return False
+        i = rng.choice(sorted(yard))
+        if kind == "drop_location":
+            del yard[i]
+        else:
+            places = [k.id for k in instance.yard_locations if k.id != yard[i]]
+            yard[i] = rng.choice(places + [999])
+    elif kind in ("flip_order", "drop_order"):
+        order = fields["interference_order"]
+        if not order:
+            return False
+        key = rng.choice(sorted(order))
+        if kind == "drop_order":
+            del order[key]
+        else:
+            order[key] = J_FIRST if order[key] == I_FIRST else I_FIRST
+    elif kind in ("corrupt_yt_time", "corrupt_yc_empty"):
+        stored = fields[kind[len("corrupt_"):]]
+        if not stored:
+            return False
+        key = rng.choice(sorted(stored))
+        stored[key] += rng.choice((-2, -1, 1, 3))
+    else:  # change_qc_assignment
+        assignment = fields["qc_assignment"]
+        i = rng.choice(ship_ids)
+        others = [q for q in range(1, instance.qc_count + 2) if q != assignment[i]]
+        assignment[i] = rng.choice(others)
+    return True
+
+
+MUTATIONS = (
+    "decrement_start",
+    "drop_start",
+    "reverse_sequence",
+    "append_shipment",
+    "drop_crane",
+    "add_crane",
+    "swap_cranes",
+    "move_location",
+    "drop_location",
+    "flip_order",
+    "drop_order",
+    "corrupt_yt_time",
+    "corrupt_yc_empty",
+    "change_qc_assignment",
+)
+
+
+class TestPinnedValidation:
+    """Every violation ``validate`` reports for seeded mutants of feasible
+    schedules, in order, pinned by sha256: a change to any family, id tuple,
+    detail text or their order shows here."""
+
+    # Recorded before the validator shared code with the schedule builder.
+    PINNED = (
+        "1bd45fe1ba5e81098432e539f80894f5c608f06ae6dc7ade7964f2c4e094c7dc",
+        7212,  # mutants
+        2520,  # mutants with two or more violations
+    )
+
+    MUTATED_FIELDS = (
+        "yard_assignment", "qc_assignment", "qc_sequences", "yc_sequences",
+        "interference_order", "qc_start", "yc_start", "yt_time", "yc_empty",
+    )
+
+    @classmethod
+    def report(cls):
+        """One violation list per applicable mutant, in generation order."""
+        lines = []
+        rng = random.Random(6006)
+        shapes = product((2, 3, 4, 5), (0.2, 0.5), (2, 3), (4, 6, 8), range(2))
+        for shipments, ratio, ul, bays, seed in shapes:
+            instance = random_instance(shipments, ratio, bays, seed=seed, ul=ul)
+            derived = build_derived(instance)
+            base = compute_schedule(
+                instance, derived, random_decisions(instance, derived, rng)
+            )
+            singles = [(kind,) for kind in MUTATIONS]
+            for combo in singles + list(combinations(MUTATIONS, 2)):
+                fields = {f: dict(getattr(base, f)) for f in cls.MUTATED_FIELDS}
+                if not all([_mutate(kind, fields, instance, rng) for kind in combo]):
+                    continue
+                violations = validate(instance, derived, replace(base, **fields))
+                lines.append([(v.family, list(v.ids), v.detail) for v in violations])
+        return lines
+
+    def test_violation_lists_are_pinned(self):
+        lines = self.report()
+        text = "\n".join(repr(line) for line in lines)
+        digest = hashlib.sha256(text.encode("ascii")).hexdigest()
+        several = sum(1 for line in lines if len(line) > 1)
+        assert (digest, len(lines), several) == self.PINNED
