@@ -9,7 +9,7 @@ from pathlib import Path
 
 from . import bench as bench_mod
 from . import gantt as gantt_mod
-from .errors import IpctpError
+from .errors import ConfigInvalid, IpctpError
 from .generator import (
     GRID_REPLICATES,
     GenConfig,
@@ -41,7 +41,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--ul-ratio", type=int, default=2)
     p.add_argument("--vessels", type=int, default=1)
     p.add_argument("--count", type=int, default=GRID_REPLICATES,
-                   help="replicates per configuration")
+                   help="replicates per configuration, with or without --grid")
 
     p = sub.add_parser("solve", help="branch-and-bound solve an instance file")
     p.add_argument("instance")
@@ -77,10 +77,12 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def _cmd_generate(args) -> int:
+    if args.count < 1:
+        raise ConfigInvalid("--count must be positive")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.grid:
-        entries = generate_grid(args.seed)
+        entries = generate_grid(args.seed, args.count)
     else:
         config = GenConfig(
             ul_ratio=args.ul_ratio,
@@ -88,7 +90,6 @@ def _cmd_generate(args) -> int:
             shipments=args.shipments,
             inbound_ratio=args.inbound_ratio,
             vessels=args.vessels,
-            instances_per_config=args.count,
         )
         entries = [grid_entry(args.seed, config, r) for r in range(args.count)]
     for entry in entries:

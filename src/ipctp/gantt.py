@@ -8,6 +8,9 @@ from .errors import MalformedSolution
 from .instance import Instance
 from .schedule import Solution
 
+# SVG pixels per time unit.
+SVG_SCALE = 4.0
+
 
 def _rows(instance: Instance, solution: Solution):
     """(label, spans) per crane, quay cranes first; a span is (ship, start, end)."""
@@ -39,13 +42,13 @@ def render_text(instance: Instance, solution: Solution) -> str:
     return "\n".join(lines) + "\n"
 
 
-def render_svg(instance: Instance, solution: Solution, scale: float = 4.0) -> str:
+def render_svg(instance: Instance, solution: Solution) -> str:
     rows = _rows(instance, solution)
     horizon = max(
         (end for _, spans in rows for _, _, end in spans), default=1
     )
     row_height, label_width, pad = 24, 60, 4
-    width = label_width + int(horizon * scale) + 2 * pad
+    width = label_width + int(horizon * SVG_SCALE) + 2 * pad
     height = len(rows) * row_height + 2 * pad
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">'
@@ -58,8 +61,8 @@ def render_svg(instance: Instance, solution: Solution, scale: float = 4.0) -> st
         )
         fill = "#4c78a8" if label.startswith("QC") else "#f58518"
         for ship, start, end in spans:
-            x = label_width + start * scale
-            w = max((end - start) * scale, 1)
+            x = label_width + start * SVG_SCALE
+            w = max((end - start) * SVG_SCALE, 1)
             parts.append(
                 f'<rect x="{x:.1f}" y="{y + 2}" width="{w:.1f}" '
                 f'height="{row_height - 6}" fill="{fill}" stroke="black"/>'

@@ -52,7 +52,6 @@ class GenConfig:
     inbound_ratio: float
     vessels: int = 1
     seed: int = 0
-    instances_per_config: int = GRID_REPLICATES
 
     def __post_init__(self) -> None:
         if self.bays < 2 or self.bays % 2 != 0:
@@ -65,8 +64,6 @@ class GenConfig:
             raise ConfigInvalid("inbound_ratio must lie in [0, 1]")
         if not 1 <= self.vessels <= self.bays:
             raise ConfigInvalid("vessels must lie in [1, bays]")
-        if self.instances_per_config < 1:
-            raise ConfigInvalid("instances_per_config must be positive")
 
     @property
     def qc_count(self) -> int:
@@ -252,6 +249,8 @@ def generate_grid(
     base_seed: int, instances_per_config: int = GRID_REPLICATES
 ) -> list[GridEntry]:
     """The full experimental corpus: every configuration times replicates."""
+    if instances_per_config < 1:
+        raise ConfigInvalid("instances_per_config must be positive")
     entries: list[GridEntry] = []
     for ul_ratio in GRID_UL_RATIOS:
         for bays in GRID_BAYS:
@@ -262,7 +261,6 @@ def generate_grid(
                         bays=bays,
                         shipments=shipments,
                         inbound_ratio=inbound_ratio,
-                        instances_per_config=instances_per_config,
                     )
                     for replicate in range(instances_per_config):
                         entries.append(grid_entry(base_seed, config, replicate))

@@ -275,42 +275,6 @@ class _Builder:
 
     # -- model ------------------------------------------------------------
 
-    def declare_variables(self) -> None:
-        instance = self.instance
-        for i in self.inbound:
-            for k in self.available:
-                self.x(i, k)
-            self.t(i)
-        for kind, c in self.chains:
-            for i in [self.dummy_start] + self.members[kind][c]:
-                self.out_of(kind, i, c)  # declares the arcs leaving i
-        for i in self.ship_ids:
-            for j in self.ship_ids:
-                if i != j:
-                    self.qz(i, j)
-        for i in self.inbound:
-            for j in self.inbound:
-                if i == j:
-                    continue
-                for k in self.available:
-                    for l in self.available:
-                        if k != l:
-                            self.theta(i, k, j, l)
-        for i in self.ship_ids:
-            self.sqc(i)
-            self.syc(i)
-        for i in self.ship_ids:
-            for j in self.ship_ids:
-                if i == j:
-                    continue
-                a = instance.shipment(i)
-                b = instance.shipment(j)
-                if a.is_outbound and b.is_outbound:
-                    continue
-                self.sy(i, j)
-        for vessel in instance.vessels:
-            self.cmax(vessel.id)
-
     def emit(self) -> None:
         instance = self.instance
         M = self.big_m
@@ -509,7 +473,6 @@ class _Builder:
                 )
 
     def build(self) -> MipArtifacts:
-        self.declare_variables()
         self.emit()
         counts = {family: 0 for family in ALL_FAMILIES}
         for row in self.rows:
@@ -591,6 +554,14 @@ def mip_point_from_solution(
             raise MalformedSolution(f"solution needs unknown variable {name}")
         point[name] = value
 
+    ships = sorted(instance.shipments, key=lambda s: s.id)
+    location = locations(instance, solution.yard_assignment)
+    for s in ships:
+        if s.id not in location:
+            raise MalformedSolution(f"inbound shipment {s.id} has no yard location")
+        if s.id not in solution.qc_start or s.id not in solution.yc_start:
+            raise MalformedSolution(f"shipment {s.id} has no start time")
+
     for i, k in solution.yard_assignment.items():
         set_var(f"x_{i}_{k}", 1)
     chains = {"qc": solution.qc_sequences, "yc": solution.yc_sequences}
@@ -600,7 +571,6 @@ def mip_point_from_solution(
             for a, b in zip(nodes, nodes[1:]):
                 set_var(f"{_CHAINS[kind].arc}_{a}_{b}_{c}", 1)
 
-    ships = sorted(instance.shipments, key=lambda s: s.id)
     for a in ships:
         for b in ships:
             if a.id == b.id:
@@ -610,7 +580,6 @@ def mip_point_from_solution(
             )
             set_var(f"qz_{a.id}_{b.id}", 1 if finished_before else 0)
 
-    location = locations(instance, solution.yard_assignment)
     available = {k.id for k in instance.inbound_available_locations}
     inbound = [s.id for s in ships if s.is_inbound]
     for i, j in permutations(inbound, 2):
@@ -635,18 +604,21 @@ def mip_point_from_solution(
     return point
 
 
-def check_point(
-    artifacts: MipArtifacts, point: Mapping[str, float], tolerance: float = 1e-6
-) -> list[str]:
+# How far a point may miss a row's right-hand side and still satisfy it:
+# points read from an external solver carry floating-point noise.
+POINT_TOLERANCE = 1e-6
+
+
+def check_point(artifacts: MipArtifacts, point: Mapping[str, float]) -> list[str]:
     """Names of rows the point violates (empty list: all rows satisfied)."""
     violated = []
     for row in artifacts.rows:
         value = sum(coef * point.get(name, 0) for name, coef in row.coeffs.items())
-        if row.sense == "<=" and value > row.rhs + tolerance:
+        if row.sense == "<=" and value > row.rhs + POINT_TOLERANCE:
             violated.append(row.name)
-        elif row.sense == ">=" and value < row.rhs - tolerance:
+        elif row.sense == ">=" and value < row.rhs - POINT_TOLERANCE:
             violated.append(row.name)
-        elif row.sense == "=" and abs(value - row.rhs) > tolerance:
+        elif row.sense == "=" and abs(value - row.rhs) > POINT_TOLERANCE:
             violated.append(row.name)
     return violated
 

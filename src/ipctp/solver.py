@@ -86,28 +86,35 @@ class SearchNode:
 _PREFIX_FIELD = ("qc_prefix", "yc_prefix")
 
 
+class _Crane(NamedTuple):
+    """One crane at a node: a unary resource, its tasks never overlap."""
+
+    kind: int
+    # Its shipments' tasks in id order, and their total duration.
+    tasks: list[int]
+    workload: int
+    # Its shipments that no sequence holds yet, in id order.
+    left: list[int]
+    # Its arcs as ``crane_arcs`` gives them.
+    arcs: list[Arc]
+
+
 class _Facts(NamedTuple):
     """What a node's decisions fix; propagation leaves all of it unchanged."""
 
     # Yard location of every shipment that has one.
     location: dict[int, int]
-    # Per kind (quay first), each crane's shipments in id order.
-    members: tuple[dict[int, list[int]], dict[int, list[int]]]
     # Shortest remaining chain after each task ends.
     tail: list[int]
     # Inbound locations no shipment holds yet, in id order.
     free: list[int]
     # Interference tuples the quay assignment selects.
     active: list[tuple[int, int, int, int]]
-
-
-class _Segments(NamedTuple):
-    """A node's arcs before its interference orders, cut as
-    ``precedence_arcs`` cuts them; propagation leaves them unchanged."""
-
+    # The arc between each shipment's two tasks, as ``transfer_arcs`` gives
+    # them.
     transfer: list[Arc]
-    # Per kind (quay first), each crane's arcs, by crane id.
-    cranes: tuple[dict[int, list[Arc]], dict[int, list[Arc]]]
+    # Every crane by (kind, id), quay cranes first and each kind by id.
+    cranes: dict[tuple[int, int], _Crane]
 
 
 class _Timeout(Exception):
@@ -129,6 +136,8 @@ class _Context:
         self.qc_ids = list(range(1, instance.qc_count + 1))
         self.yc_ids = list(range(1, instance.yc_count + 1))
         self.yc_at = {k.id: k.yc for k in instance.yard_locations}
+        self.crane_keys = [*((QUAY, q) for q in self.qc_ids),
+                           *((YARD, c) for c in self.yc_ids)]
         self.fixed_location = {s.id: s.fixed_location for s in ships if s.is_outbound}
         # Per kind (quay first), each shipment's task.
         self.task_of = (
@@ -180,14 +189,31 @@ class _Context:
             lct=(self.horizon,) * self.n_tasks,
         )
 
-    def facts(self, node: SearchNode) -> _Facts:
+    def facts(
+        self,
+        node: SearchNode,
+        parent: Optional[_Facts] = None,
+        touched: Optional[tuple[int, int]] = None,
+    ) -> _Facts:
+        """The node's facts.  A yard or quay child passes its parent's facts
+        and the crane its decision gave a shipment: only that crane's record
+        is rebuilt."""
         location = {**self.fixed_location, **node.yard}
-        members = ({q: [] for q in self.qc_ids}, {c: [] for c in self.yc_ids})
+        keys = self.crane_keys if parent is None else [touched]
+        members: dict[tuple[int, int], list[int]] = {key: [] for key in keys}
         for i in self.ship_ids:
-            if i in node.qc_of:
-                members[QUAY][node.qc_of[i]].append(i)
-            if i in location:
-                members[YARD][self.yc_at[location[i]]].append(i)
+            # A shipment without a crane of the kind yet has id None: no key.
+            yard_crane = self.yc_at.get(location.get(i))
+            for key in ((QUAY, node.qc_of.get(i)), (YARD, yard_crane)):
+                if key in members:
+                    members[key].append(i)
+        cranes = {} if parent is None else dict(parent.cranes)
+        for key, ships in members.items():
+            kind, crane = key
+            sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
+            tasks = [self.task_of[kind][i] for i in ships]
+            left = [i for i in ships if i not in sequence]
+            cranes[key] = self.crane(node, location, key, tasks, left)
         tail = list(self.tail)
         quay_task = self.task_of[QUAY]
         for i in self.inbound_ids:
@@ -196,40 +222,27 @@ class _Context:
             tail[quay_task[i]] = transfer + self.duration[quay_task[i] + 1]
         taken = set(node.yard.values())
         free = [k for k in self.available if k not in taken]
-        active = active_interference(self.derived, node.qc_of)
-        return _Facts(location, members, tail, free, active)
-
-    def crane_segment(
-        self, node: SearchNode, facts: _Facts, kind: int, crane: int
-    ) -> list[Arc]:
-        sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
-        unsequenced = [i for i in facts.members[kind][crane] if i not in sequence]
-        return crane_arcs(
-            self.instance, self.derived, self.task_of[QUAY], kind, sequence,
-            unsequenced, facts.location,
+        return _Facts(
+            location, tail, free, active_interference(self.derived, node.qc_of),
+            transfer_arcs(self.instance, self.ships, node.yard), cranes,
         )
 
-    def segments(self, node: SearchNode, facts: _Facts) -> _Segments:
-        return _Segments(
-            transfer_arcs(self.instance, self.ships, node.yard),
-            tuple(
-                {crane: self.crane_segment(node, facts, kind, crane) for crane in cranes}
-                for kind, cranes in enumerate(facts.members)
-            ),
-        )
-
-    def renew(
+    def crane(
         self,
-        segments: _Segments,
         node: SearchNode,
-        facts: _Facts,
-        kind: int,
-        crane: int,
-    ) -> _Segments:
-        """The segments with one crane's arcs rebuilt for the node."""
-        cranes = list(segments.cranes)
-        cranes[kind] = {**cranes[kind], crane: self.crane_segment(node, facts, kind, crane)}
-        return segments._replace(cranes=tuple(cranes))
+        location: dict[int, int],
+        key: tuple[int, int],
+        tasks: list[int],
+        left: list[int],
+    ) -> _Crane:
+        """The record of crane ``key`` at the node, from its tasks and its
+        shipments no sequence holds."""
+        kind, crane = key
+        arcs = crane_arcs(
+            self.instance, self.derived, self.task_of[QUAY], kind,
+            getattr(node, _PREFIX_FIELD[kind])[crane], left, location,
+        )
+        return _Crane(kind, tasks, sum(self.duration[t] for t in tasks), left, arcs)
 
 
 class _Engine:
@@ -248,9 +261,7 @@ class _Engine:
 
     # -- propagation -----------------------------------------------------
 
-    def propagate(
-        self, node: SearchNode, facts: _Facts, segments: _Segments
-    ) -> Optional[SearchNode]:
+    def propagate(self, node: SearchNode, facts: _Facts) -> Optional[SearchNode]:
         ctx = self.ctx
         est = list(node.est)
         lct = list(node.lct)
@@ -261,11 +272,10 @@ class _Engine:
             return None
 
         # The arcs precedence_arcs gives for the node and its working order:
-        # the segments, then the orders, each newly forced one appended.
-        arcs = list(segments.transfer)
-        for cranes in segments.cranes:
-            for segment in cranes.values():
-                arcs += segment
+        # its facts' arcs, then the orders, each newly forced one appended.
+        arcs = list(facts.transfer)
+        for crane in facts.cranes.values():
+            arcs += crane.arcs
         quay_task = ctx.task_of[QUAY]
         arcs += order_arcs(ctx.instance, ctx.derived, quay_task, order)
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
@@ -274,7 +284,7 @@ class _Engine:
             self._tighten_lct(facts.tail, arcs, est, lct)
             if any(map(gt, est, lct)):
                 return None
-            changed = self._pairwise(node, facts, est, lct)
+            changed = self._pairwise(facts, est, lct)
             if changed is None:
                 return None
             forced = self._force_orders(facts, order, est, lct)
@@ -335,31 +345,28 @@ class _Engine:
                 break
 
     def _pairwise(
-        self, node: SearchNode, facts: _Facts, est: list[int], lct: list[int]
+        self, facts: _Facts, est: list[int], lct: list[int]
     ) -> Optional[bool]:
         """Disjunctive reasoning between unsequenced tasks on one crane."""
         ctx = self.ctx
         duration = ctx.duration
         changed = False
-        for kind, cranes in enumerate(facts.members):
-            prefixes = getattr(node, _PREFIX_FIELD[kind])
-            task, travel = ctx.task_of[kind], ctx.travel[kind]
-            spot = facts.location if kind == YARD else ctx.itself
-            for crane, members in cranes.items():
-                left = [i for i in members if i not in prefixes[crane]]
-                for a, b in combinations(left, 2):
-                    ta, tb, sa, sb = task[a], task[b], spot[a], spot[b]
-                    a_done = est[ta] + duration[ta] + travel[sa, sb]
-                    b_done = est[tb] + duration[tb] + travel[sb, sa]
-                    a_first, b_first = a_done <= lct[tb], b_done <= lct[ta]
-                    if not a_first and not b_first:
-                        return None
-                    if a_first != b_first:  # one order left: push the second
-                        later, ready = (tb, a_done) if a_first else (ta, b_done)
-                        if ready > est[later]:
-                            est[later] = ready
-                            self.propagations += 1
-                            changed = True
+        for crane in facts.cranes.values():
+            task, travel = ctx.task_of[crane.kind], ctx.travel[crane.kind]
+            spot = facts.location if crane.kind == YARD else ctx.itself
+            for a, b in combinations(crane.left, 2):
+                ta, tb, sa, sb = task[a], task[b], spot[a], spot[b]
+                a_done = est[ta] + duration[ta] + travel[sa, sb]
+                b_done = est[tb] + duration[tb] + travel[sb, sa]
+                a_first, b_first = a_done <= lct[tb], b_done <= lct[ta]
+                if not a_first and not b_first:
+                    return None
+                if a_first != b_first:  # one order left: push the second
+                    later, ready = (tb, a_done) if a_first else (ta, b_done)
+                    if ready > est[later]:
+                        est[later] = ready
+                        self.propagations += 1
+                        changed = True
         return changed
 
     def _force_orders(
@@ -407,21 +414,17 @@ class _Engine:
         ctx = self.ctx
         vessel_lb = self._vessel_bounds(node.est, facts.tail)
         best = sum(ctx.weight[s] * lb for s, lb in vessel_lb.items())
-        for kind, cranes in enumerate(facts.members):
-            task = ctx.task_of[kind]
-            for members in cranes.values():
-                tasks = [task[i] for i in members]
-                if not tasks:
-                    continue
-                earliest = min(node.est[t] for t in tasks)
-                workload = sum(ctx.duration[t] for t in tasks)
-                candidate = min(
-                    ctx.weight[ctx.vessel_of_task[t]]
-                    * (earliest + workload + facts.tail[t])
-                    for t in tasks
-                )
-                if candidate > best:
-                    best = candidate
+        for crane in facts.cranes.values():
+            if not crane.tasks:
+                continue
+            earliest = min(node.est[t] for t in crane.tasks)
+            candidate = min(
+                ctx.weight[ctx.vessel_of_task[t]]
+                * (earliest + crane.workload + facts.tail[t])
+                for t in crane.tasks
+            )
+            if candidate > best:
+                best = candidate
         return best
 
     # -- branching --------------------------------------------------------
@@ -437,28 +440,18 @@ class _Engine:
         unassigned_qc = [i for i in ctx.ship_ids if i not in node.qc_of]
         if unassigned_qc:
             ship = min(unassigned_qc, key=lambda i: (len(ctx.eligible[i]), i))
-            task = ctx.task_of[QUAY]
-            load = {
-                q: sum(ctx.duration[task[i]] for i in members)
-                for q, members in facts.members[QUAY].items()
-            }
-            cranes = sorted(ctx.eligible[ship], key=lambda q: (load[q], q))
+            cranes = sorted(
+                ctx.eligible[ship], key=lambda q: (facts.cranes[QUAY, q].workload, q)
+            )
             return ("qc", ship, cranes)
 
-        pending: list[tuple[int, int, int, list[int]]] = []
-        for kind, cranes in enumerate(facts.members):
-            prefixes = getattr(node, _PREFIX_FIELD[kind])
-            task = ctx.task_of[kind]
-            for crane, members in cranes.items():
-                left = [i for i in members if i not in prefixes[crane]]
-                if left:
-                    load = sum(ctx.duration[task[i]] for i in members)
-                    pending.append((-load, kind, crane, left))
+        # The most loaded crane with shipments left to sequence; keys never tie.
+        pending = [(-c.workload, key) for key, c in facts.cranes.items() if c.left]
         if pending:
-            _, kind, crane, left = min(pending)  # (kind, crane) never ties
-            task = ctx.task_of[kind]
-            left.sort(key=lambda i: (node.est[task[i]], i))
-            return ("seq", kind, crane, left)
+            key = min(pending)[1]
+            task = ctx.task_of[key[0]]
+            left = sorted(facts.cranes[key].left, key=lambda i: (node.est[task[i]], i))
+            return ("seq", key, left)
 
         est = node.est
         free_orders: dict[tuple[int, int, int, int], str] = {}
@@ -479,47 +472,42 @@ class _Engine:
             return ("finalize", free_orders)
         return None
 
-    def _children(
-        self, node: SearchNode, facts: _Facts, segments: _Segments, decision
-    ):
-        """Each child with its facts and segments; a child rebuilds only the
-        ones its decision changes."""
+    def _children(self, node: SearchNode, facts: _Facts, decision):
+        """Each child with its facts; a child rebuilds only the crane record
+        its decision touches."""
         ctx = self.ctx
         kind = decision[0]
         if kind == "yard":
             _, ship, locations = decision
             for location in locations:
                 child = replace(node, yard={**node.yard, ship: location})
-                child_facts = ctx.facts(child)
-                # Other shipments' transfer arcs depend on the free locations.
-                transfer = transfer_arcs(ctx.instance, ctx.ships, child.yard)
-                yield child, child_facts, ctx.renew(
-                    segments._replace(transfer=transfer),
-                    child, child_facts, YARD, ctx.yc_at[location],
-                )
+                yield child, ctx.facts(child, facts, (YARD, ctx.yc_at[location]))
         elif kind == "qc":
             _, ship, cranes = decision
             for crane in cranes:
                 child = replace(node, qc_of={**node.qc_of, ship: crane})
-                child_facts = ctx.facts(child)
-                yield child, child_facts, ctx.renew(
-                    segments, child, child_facts, QUAY, crane
-                )
+                yield child, ctx.facts(child, facts, (QUAY, crane))
         elif kind == "seq":
-            _, crane_kind, crane, candidates = decision
+            _, key, candidates = decision
+            crane_kind, crane = key
+            record = facts.cranes[key]
             field_name = _PREFIX_FIELD[crane_kind]
             prefixes = getattr(node, field_name)
             for ship in candidates:
                 prefix = {**prefixes, crane: prefixes[crane] + (ship,)}
                 child = replace(node, **{field_name: prefix})
-                yield child, facts, ctx.renew(segments, child, facts, crane_kind, crane)
+                left = [i for i in record.left if i != ship]
+                cranes = {**facts.cranes, key: ctx.crane(
+                    child, facts.location, key, record.tasks, left
+                )}
+                yield child, facts._replace(cranes=cranes)
         elif kind == "order":
             _, key, directions = decision
             for direction in directions:
-                yield replace(node, order={**node.order, key: direction}), facts, segments
+                yield replace(node, order={**node.order, key: direction}), facts
         else:  # finalize: dominated directions are fixed in one child
             _, free_orders = decision
-            yield replace(node, order={**node.order, **free_orders}), facts, segments
+            yield replace(node, order={**node.order, **free_orders}), facts
 
     def _decisions_of(self, node: SearchNode) -> Decisions:
         return Decisions(
@@ -536,13 +524,13 @@ class _Engine:
             self.best = solution
             self.trace.append((time.monotonic() - self.started, solution.objective))
 
-    def _dfs(self, node: SearchNode, facts: _Facts, segments: _Segments) -> None:
+    def _dfs(self, node: SearchNode, facts: _Facts) -> None:
         self.nodes += 1
         if self.nodes % 64 == 0 and time.monotonic() > self.deadline:
             # Snapshot the open-subtree bound before the stack unwinds.
             self.interrupt_lb = min(self.frontier_lbs, default=None)
             raise _Timeout
-        tightened = self.propagate(node, facts, segments)
+        tightened = self.propagate(node, facts)
         if tightened is None:
             return
         node = tightened
@@ -561,7 +549,7 @@ class _Engine:
             return
         self.frontier_lbs.append(bound)
         try:
-            for child in self._children(node, facts, segments, decision):
+            for child in self._children(node, facts, decision):
                 self._dfs(*child)
         finally:
             self.frontier_lbs.pop()
@@ -577,8 +565,7 @@ def propagate(
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, SolveParams(time_limit=1e9))
     engine.incumbent = incumbent
-    facts = ctx.facts(node)
-    return engine.propagate(node, facts, ctx.segments(node, facts))
+    return engine.propagate(node, ctx.facts(node))
 
 
 def lower_bound(
@@ -614,7 +601,7 @@ def solve(
     facts = ctx.facts(root)
     engine.root_lb = engine.lower_bound(root, facts)
     try:
-        engine._dfs(root, facts, ctx.segments(root, facts))
+        engine._dfs(root, facts)
         completed = True
     except _Timeout:
         completed = False

@@ -241,6 +241,22 @@ def test_generate_matches_the_grid_for_one_configuration(tmp_path):
         assert written == instance_to_json(entry.instance)
 
 
+def test_generate_grid_honours_count(tmp_path):
+    assert main(["generate", "--grid", "--count", "1", "--out-dir", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert len(manifest["instances"]) == 60
+    assert {entry["replicate"] for entry in manifest["instances"]} == {0}
+
+
+@pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["single", "grid"])
+def test_generate_count_below_one_is_a_machine_readable_error(tmp_path, capsys, grid):
+    out = tmp_path / "out"
+    assert main(["generate", *grid, "--count", "0", "--out-dir", str(out)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigInvalid"
+    assert not out.exists()
+
+
 def test_solve_gantt_flag(corpus, capsys):
     instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
     assert main(["solve", str(instance_file), "--time-limit", "30", "--gantt"]) == 0

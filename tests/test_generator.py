@@ -60,6 +60,8 @@ class TestConfig:
             GenConfig(ul_ratio=2, bays=4, shipments=5, inbound_ratio=1.5)
         with pytest.raises(ConfigInvalid):
             GenConfig(ul_ratio=2, bays=4, shipments=5, inbound_ratio=0.2, vessels=9)
+        with pytest.raises(ConfigInvalid):
+            generate_grid(base_seed=5, instances_per_config=0)
 
 
 class TestDraws:

@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from dataclasses import replace as dc_replace
 
 import pytest
 
@@ -21,11 +22,12 @@ from ipctp.mip import (
     solution_from_values,
 )
 from ipctp.oracle import brute_force
-from ipctp.schedule import validate
+from ipctp.schedule import compute_schedule, validate
 from ipctp.solver import SolveParams, solve
 
 from conftest import (
     interference_pair_instance,
+    mixed_decisions,
     mixed_instance,
     random_instance,
     single_inbound_instance,
@@ -176,6 +178,20 @@ class TestInjection:
         values = {arc[(start, 3, 1)]: 1, arc[(3, 1, 1)]: 1, arc[(1, 3, 1)]: 1}
         with pytest.raises(MalformedSolution, match="does not terminate"):
             solution_from_values(instance, derived, artifacts, values)
+
+    @pytest.mark.parametrize("broken, message", [
+        ({"yard_assignment": {1: 1}}, "shipment 4 has no yard location"),
+        ({"qc_start": {}}, "shipment 1 has no start time"),
+    ], ids=["no_location", "no_start"])
+    def test_solution_lacking_a_location_or_start_is_malformed(self, broken, message):
+        instance = mixed_instance()
+        derived = build_derived(instance)
+        solution = dc_replace(
+            compute_schedule(instance, derived, mixed_decisions()), **broken
+        )
+        with pytest.raises(MalformedSolution, match=message):
+            mip_point_from_solution(instance, derived, build_mip(instance, derived),
+                                    solution)
 
 
 class TestExternalEngine:
