@@ -189,25 +189,15 @@ class _Context:
             lct=(self.horizon,) * self.n_tasks,
         )
 
-    def facts(
-        self,
-        node: SearchNode,
-        parent: Optional[_Facts] = None,
-        touched: Optional[tuple[int, int]] = None,
-    ) -> _Facts:
-        """The node's facts.  A yard or quay child passes its parent's facts
-        and the crane its decision gave a shipment: only that crane's record
-        is rebuilt."""
+    def facts(self, node: SearchNode) -> _Facts:
         location = {**self.fixed_location, **node.yard}
-        keys = self.crane_keys if parent is None else [touched]
-        members: dict[tuple[int, int], list[int]] = {key: [] for key in keys}
+        members: dict[tuple[int, int], list[int]] = {key: [] for key in self.crane_keys}
         for i in self.ship_ids:
-            # A shipment without a crane of the kind yet has id None: no key.
-            yard_crane = self.yc_at.get(location.get(i))
-            for key in ((QUAY, node.qc_of.get(i)), (YARD, yard_crane)):
-                if key in members:
-                    members[key].append(i)
-        cranes = {} if parent is None else dict(parent.cranes)
+            if i in node.qc_of:
+                members[QUAY, node.qc_of[i]].append(i)
+            if i in location:
+                members[YARD, self.yc_at[location[i]]].append(i)
+        cranes = {}
         for key, ships in members.items():
             kind, crane = key
             sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
@@ -473,20 +463,20 @@ class _Engine:
         return None
 
     def _children(self, node: SearchNode, facts: _Facts, decision):
-        """Each child with its facts; a child rebuilds only the crane record
-        its decision touches."""
+        """Each child with its facts; a sequencing child rebuilds only its
+        crane's record."""
         ctx = self.ctx
         kind = decision[0]
         if kind == "yard":
             _, ship, locations = decision
             for location in locations:
                 child = replace(node, yard={**node.yard, ship: location})
-                yield child, ctx.facts(child, facts, (YARD, ctx.yc_at[location]))
+                yield child, ctx.facts(child)
         elif kind == "qc":
             _, ship, cranes = decision
             for crane in cranes:
                 child = replace(node, qc_of={**node.qc_of, ship: crane})
-                yield child, ctx.facts(child, facts, (QUAY, crane))
+                yield child, ctx.facts(child)
         elif kind == "seq":
             _, key, candidates = decision
             crane_kind, crane = key
