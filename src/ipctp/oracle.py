@@ -18,8 +18,8 @@ from .schedule import (
     I_FIRST,
     J_FIRST,
     Solution,
+    _schedule,
     active_interference,
-    compute_schedule,
     locations,
     validate,
 )
@@ -134,8 +134,10 @@ def brute_force(
                             interference_order=order,
                             qc_assignment=qc_assignment,
                         )
-                        try:
-                            solution = compute_schedule(instance, derived, decisions)
+                        try:  # built sound here, so the structure goes unchecked
+                            solution = _schedule(
+                                instance, derived, decisions, qc_assignment, order
+                            )
                         except CyclicOrdering:
                             continue
                         if best is None or solution.objective < best.objective:

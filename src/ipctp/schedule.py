@@ -353,7 +353,19 @@ def compute_schedule(
         order[key] = decisions.interference_order.get(key)
         if order[key] not in (I_FIRST, J_FIRST):
             raise MalformedSolution(f"no ordering decided for interference {key}")
+    return _schedule(instance, derived, decisions, qc_assignment, order)
 
+
+def _schedule(
+    instance: Instance,
+    derived: DerivedTables,
+    decisions: Decisions,
+    qc_assignment: dict[int, int],
+    order: dict[tuple[int, int, int, int], str],
+) -> Solution:
+    """``compute_schedule`` for decisions known to be structurally sound,
+    with their quay assignment and the order of every active interference
+    tuple, and of no other."""
     n_tasks = 2 * len(instance.shipments)
     adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n_tasks)]
     indegree = [0] * n_tasks
