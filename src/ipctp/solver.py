@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from itertools import combinations
+from itertools import chain, combinations
 from operator import gt
 from typing import Mapping, NamedTuple, Optional
 
@@ -115,6 +115,10 @@ class _Facts(NamedTuple):
     transfer: list[Arc]
     # Every crane by (kind, id), quay cranes first and each kind by id.
     cranes: dict[tuple[int, int], _Crane]
+    # The other unary resources: each maximal set of assigned quay tasks
+    # that pairwise share a crane or an active interference tuple, in id
+    # order; a set equal to one crane's tasks is left to that crane.
+    cliques: list[list[int]]
 
 
 class _Timeout(Exception):
@@ -176,6 +180,8 @@ class _Context:
         self.weight = {v.id: v.weight for v in instance.vessels}
         self.min_tt = min(instance.yt_inbound_transfer.values(), default=0)
         self.horizon = default_big_m(instance, derived)
+        # The cliques of each quay assignment met so far.
+        self._cliques: dict[tuple[tuple[int, int], ...], list[list[int]]] = {}
 
     def root(self) -> SearchNode:
         return SearchNode(
@@ -215,7 +221,46 @@ class _Context:
         return _Facts(
             location, tail, free, active_interference(self.derived, node.qc_of),
             transfer_arcs(self.instance, self.ships, node.yard), cranes,
+            self.cliques(node.qc_of),
         )
+
+    def cliques(self, qc_of: Mapping[int, int]) -> list[list[int]]:
+        """The maximal cliques of the assigned quay tasks' conflict graph.
+
+        Two tasks conflict when they share a crane or an active interference
+        tuple: every interference time is positive, so neither may overlap
+        the other.  Bron-Kerbosch with pivoting, in id order, once per
+        quay assignment.
+        """
+        key = tuple(sorted(qc_of.items()))
+        if key in self._cliques:
+            return self._cliques[key]
+        ships = sorted(qc_of)
+        near = {i: {j for j in ships if j != i and qc_of[j] == qc_of[i]} for i in ships}
+        for i, j, _, _ in active_interference(self.derived, qc_of):
+            near[i].add(j)
+            near[j].add(i)
+        found: list[list[int]] = []
+
+        def extend(clique: list[int], candidates: set[int], excluded: set[int]) -> None:
+            if not candidates:
+                if not excluded:
+                    found.append(sorted(clique))
+                return
+            pivot = max(sorted(candidates | excluded),
+                        key=lambda u: len(near[u] & candidates))
+            for i in sorted(candidates - near[pivot]):
+                extend([*clique, i], candidates & near[i], excluded & near[i])
+                candidates = candidates - {i}
+                excluded = excluded | {i}
+
+        extend([], set(ships), set())
+        crane_members = [[i for i in ships if qc_of[i] == q] for q in self.qc_ids]
+        quay_task = self.task_of[QUAY]
+        cliques = [[quay_task[i] for i in clique] for clique in found
+                   if clique not in crane_members]
+        self._cliques[key] = cliques
+        return cliques
 
     def crane(
         self,
@@ -251,7 +296,11 @@ class _Engine:
 
     # -- propagation -----------------------------------------------------
 
-    def propagate(self, node: SearchNode, facts: _Facts) -> Optional[SearchNode]:
+    def propagate(
+        self, node: SearchNode, facts: _Facts
+    ) -> Optional[tuple[SearchNode, dict[int, int]]]:
+        """The node at its propagation fixpoint and its vessel bounds; None
+        means pruned."""
         ctx = self.ctx
         est = list(node.est)
         lct = list(node.lct)
@@ -271,7 +320,7 @@ class _Engine:
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
             if not self._relax(arcs, est):
                 return None
-            self._tighten_lct(facts.tail, arcs, est, lct)
+            vessel_lb = self._tighten_lct(facts.tail, arcs, est, lct)
             if any(map(gt, est, lct)):
                 return None
             changed = self._pairwise(facts, est, lct)
@@ -284,7 +333,9 @@ class _Engine:
                 break
             forced_order = {key: order[key] for key in forced}
             arcs += order_arcs(ctx.instance, ctx.derived, quay_task, forced_order)
-        return replace(node, order=order, est=tuple(est), lct=tuple(lct))
+        else:  # the cap ended the loop: est moved after the last bounds
+            vessel_lb = self._vessel_bounds(est, facts.tail)
+        return replace(node, order=order, est=tuple(est), lct=tuple(lct)), vessel_lb
 
     def _relax(self, arcs: list[tuple[int, int, int]], est: list[int]) -> bool:
         for round_no in range(self.ctx.n_tasks + 2):
@@ -305,7 +356,9 @@ class _Engine:
         arcs: list[tuple[int, int, int]],
         est: list[int],
         lct: list[int],
-    ) -> None:
+    ) -> dict[int, int]:
+        """Cap each task's latest start by the incumbent; returns the vessel
+        bounds of ``est`` that the caps came from."""
         ctx = self.ctx
         vessel_lb = self._vessel_bounds(est, tail)
         caps: dict[int, int] = {}
@@ -333,6 +386,7 @@ class _Engine:
                     self.propagations += 1
             if not changed:
                 break
+        return vessel_lb
 
     def _pairwise(
         self, facts: _Facts, est: list[int], lct: list[int]
@@ -400,21 +454,30 @@ class _Engine:
 
     # -- bounding ---------------------------------------------------------
 
-    def lower_bound(self, node: SearchNode, facts: _Facts) -> int:
+    def lower_bound(
+        self, node: SearchNode, facts: _Facts, vessel_lb: dict[int, int]
+    ) -> int:
+        """The best of the vessel bounds ``vessel_lb`` of ``node.est`` and,
+        per unary resource, the head-body-tail bound of each set of its tasks
+        that start no earlier than some head: the last of them to run ends
+        no earlier than that head plus their work, and its vessel then ends
+        no earlier than that plus its tail."""
         ctx = self.ctx
-        vessel_lb = self._vessel_bounds(node.est, facts.tail)
-        best = sum(ctx.weight[s] * lb for s, lb in vessel_lb.items())
-        for crane in facts.cranes.values():
-            if not crane.tasks:
-                continue
-            earliest = min(node.est[t] for t in crane.tasks)
-            candidate = min(
-                ctx.weight[ctx.vessel_of_task[t]]
-                * (earliest + crane.workload + facts.tail[t])
-                for t in crane.tasks
-            )
-            if candidate > best:
-                best = candidate
+        est, tail, duration = node.est, facts.tail, ctx.duration
+        vessel_of, weight = ctx.vessel_of_task, ctx.weight
+        best = sum(weight[s] * lb for s, lb in vessel_lb.items())
+        for tasks in chain((c.tasks for c in facts.cranes.values()), facts.cliques):
+            work = 0
+            least: dict[int, int] = {}  # per vessel, the least tail so far
+            for t in sorted(tasks, key=est.__getitem__, reverse=True):
+                work += duration[t]
+                vessel = vessel_of[t]
+                if vessel not in least or tail[t] < least[vessel]:
+                    least[vessel] = tail[t]
+                head = est[t] + work
+                candidate = min(weight[v] * (head + rest) for v, rest in least.items())
+                if candidate > best:
+                    best = candidate
         return best
 
     # -- branching --------------------------------------------------------
@@ -520,11 +583,11 @@ class _Engine:
             # Snapshot the open-subtree bound before the stack unwinds.
             self.interrupt_lb = min(self.frontier_lbs, default=None)
             raise _Timeout
-        tightened = self.propagate(node, facts)
-        if tightened is None:
+        propagated = self.propagate(node, facts)
+        if propagated is None:
             return
-        node = tightened
-        bound = self.lower_bound(node, facts)
+        node, vessel_lb = propagated
+        bound = self.lower_bound(node, facts, vessel_lb)
         if self.incumbent is not None and bound >= self.incumbent:
             return
         decision = self._next_decision(node, facts)
@@ -555,7 +618,8 @@ def propagate(
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, SolveParams(time_limit=1e9))
     engine.incumbent = incumbent
-    return engine.propagate(node, ctx.facts(node))
+    propagated = engine.propagate(node, ctx.facts(node))
+    return None if propagated is None else propagated[0]
 
 
 def lower_bound(
@@ -564,7 +628,8 @@ def lower_bound(
     """Admissible lower bound on any feasible completion of the node."""
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, SolveParams(time_limit=1e9))
-    return engine.lower_bound(node, ctx.facts(node))
+    facts = ctx.facts(node)
+    return engine.lower_bound(node, facts, engine._vessel_bounds(node.est, facts.tail))
 
 
 def root_node(instance: Instance, derived: DerivedTables) -> SearchNode:
@@ -589,7 +654,9 @@ def solve(
     engine = _Engine(ctx, params)
     root = ctx.root()
     facts = ctx.facts(root)
-    engine.root_lb = engine.lower_bound(root, facts)
+    engine.root_lb = engine.lower_bound(
+        root, facts, engine._vessel_bounds(root.est, facts.tail)
+    )
     try:
         engine._dfs(root, facts)
         completed = True

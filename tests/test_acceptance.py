@@ -34,7 +34,7 @@ from ipctp.schedule import (
     solution_to_json,
     validate,
 )
-from ipctp.solver import SolveParams, solve
+from ipctp.solver import SolveParams, lower_bound, propagate, root_node, solve
 
 from conftest import random_decisions
 from fixtures_violations import FIXTURES
@@ -112,6 +112,18 @@ def test_criterion_1_oracle_equivalence(solved_corpus):
         f"{len(solved_corpus)} instances (exact equality, "
         f"checked in {time.monotonic() - started:.0f}s after solving)"
     )
+
+
+def test_root_bound_is_admissible(solved_corpus):
+    """The root bound never exceeds the optimum, before or after propagation."""
+    over = []
+    for name, instance, derived, oracle, _, _ in solved_corpus:
+        root = root_node(instance, derived)
+        for node in (root, propagate(instance, derived, root)):
+            bound = lower_bound(instance, derived, node)
+            if bound > oracle.best_objective:
+                over.append((name, bound, oracle.best_objective))
+    assert not over, over[:5]
 
 
 def test_criterion_2_model_equivalence():

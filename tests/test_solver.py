@@ -7,8 +7,16 @@ from dataclasses import replace
 import pytest
 
 from ipctp.errors import IpctpError
-from ipctp.generator import GenConfig, derive_seed, generate
-from ipctp.instance import build_derived
+from ipctp.generator import GenConfig, derive_seed, generate, grid_entry
+from ipctp.instance import (
+    INBOUND,
+    INBOUND_AVAILABLE,
+    Instance,
+    Shipment,
+    Vessel,
+    YardLocation,
+    build_derived,
+)
 from ipctp.oracle import brute_force
 from ipctp.schedule import (
     Decisions,
@@ -160,6 +168,67 @@ class TestLowerBound:
         tightened = propagate(instance, derived, node)
         schedule = compute_schedule(instance, derived, decisions)
         assert lower_bound(instance, derived, tightened) == schedule.objective
+
+
+    def test_interfering_cranes_bound_as_one_resource(self):
+        # Shipment 1 on crane 1 and shipment 2 on crane 2 form an active
+        # interference tuple, so their quay tasks never overlap.
+        instance = interference_pair_instance()
+        derived = build_derived(instance)
+        node = replace(root_node(instance, derived), qc_of={1: 1, 2: 2})
+        ships = {s.id: s for s in instance.shipments}
+        # At the root every head is 0 and every tail the least transfer
+        # time plus the yard handling.
+        tail = {i: min(instance.yt_inbound_transfer.values()) + s.yc_time
+                for i, s in ships.items()}
+        per_crane = max(s.qc_time + tail[i] for i, s in ships.items())
+        clique = ships[1].qc_time + ships[2].qc_time + min(tail.values())
+        assert (per_crane, clique) == (14, 18)
+        assert lower_bound(instance, derived, node) == clique
+
+    def test_later_heads_outweigh_the_whole_crane(self):
+        # Three inbound shipments on one quay crane; the two long ones cannot
+        # start before 10, so one of them ends no earlier than 20, and its
+        # yard task (transfer 1, handling 1) no earlier than 22.
+        instance = Instance(
+            vessels=(Vessel(1, 1),),
+            shipments=tuple(
+                Shipment(id=i, vessel=1, direction=INBOUND, bay=i, containers=2,
+                         qc_time=qc_time, yc_time=1)
+                for i, qc_time in ((1, 1), (2, 5), (3, 5))
+            ),
+            total_bays=4,
+            qc_count=1,
+            yc_count=1,
+            yard_locations=tuple(
+                YardLocation(k, 1, 1, "C", INBOUND_AVAILABLE) for k in (1, 2, 3)
+            ),
+            safety_distance=1,
+            qc_unit_travel=3,
+            yc_travel=((0, 0, 0),) * 3,
+            yt_inbound_transfer={1: 1, 2: 1, 3: 1},
+        )
+        derived = build_derived(instance)
+        # Tasks 2p and 2p + 1 are the quay and yard tasks of shipment p + 1.
+        node = replace(root_node(instance, derived), est=(0, 0, 10, 0, 10, 0))
+        # The whole crane gives 0 + 11 + 2 = 13, one task alone 10 + 5 + 2.
+        assert lower_bound(instance, derived, node) == 10 + 5 + 5 + 2
+
+    # Optima that HiGHS proved on the exported LP of two grid instances
+    # (base seed 707); recorded once, no MILP solve runs here.
+    PROVEN = [
+        ((2, 8, 8, 0.5), 1, 353),
+        ((3, 8, 10, 0.5), 0, 396),
+    ]
+
+    @pytest.mark.parametrize("shape, replicate, optimum", PROVEN)
+    def test_timed_out_bound_is_below_a_proven_optimum(self, shape, replicate, optimum):
+        ul, bays, shipments, ratio = shape
+        config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments,
+                           inbound_ratio=ratio)
+        instance = grid_entry(707, config, replicate).instance
+        report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=0.5))
+        assert report.lower_bound <= optimum <= report.best_objective
 
 
 class TestSolve:
