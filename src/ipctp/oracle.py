@@ -135,9 +135,7 @@ def brute_force(
                             qc_assignment=qc_assignment,
                         )
                         try:  # built sound here, so the structure goes unchecked
-                            solution = _schedule(
-                                instance, derived, decisions, qc_assignment, order
-                            )
+                            solution = _schedule(instance, derived, decisions)
                         except CyclicOrdering:
                             continue
                         if best is None or solution.objective < best.objective:

@@ -353,19 +353,20 @@ def compute_schedule(
         order[key] = decisions.interference_order.get(key)
         if order[key] not in (I_FIRST, J_FIRST):
             raise MalformedSolution(f"no ordering decided for interference {key}")
-    return _schedule(instance, derived, decisions, qc_assignment, order)
+    return _schedule(
+        instance,
+        derived,
+        replace(decisions, qc_assignment=qc_assignment, interference_order=order),
+    )
 
 
 def _schedule(
-    instance: Instance,
-    derived: DerivedTables,
-    decisions: Decisions,
-    qc_assignment: dict[int, int],
-    order: dict[tuple[int, int, int, int], str],
+    instance: Instance, derived: DerivedTables, decisions: Decisions
 ) -> Solution:
-    """``compute_schedule`` for decisions known to be structurally sound,
-    with their quay assignment and the order of every active interference
-    tuple, and of no other."""
+    """``compute_schedule`` for structurally sound decisions that name their
+    quay assignment and order every active interference tuple and no other."""
+    qc_assignment = decisions.qc_assignment
+    order = decisions.interference_order
     n_tasks = 2 * len(instance.shipments)
     adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n_tasks)]
     indegree = [0] * n_tasks
