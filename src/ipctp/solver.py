@@ -475,9 +475,11 @@ class _Engine:
                 if vessel not in least or tail[t] < least[vessel]:
                     least[vessel] = tail[t]
                 head = est[t] + work
-                candidate = min(weight[v] * (head + rest) for v, rest in least.items())
-                if candidate > best:
-                    best = candidate
+                # The least over vessels is at most this task's own term.
+                if weight[vessel] * (head + least[vessel]) > best:
+                    best = max(best, min(
+                        weight[v] * (head + rest) for v, rest in least.items()
+                    ))
         return best
 
     # -- branching --------------------------------------------------------
