@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
+from operator import attrgetter
 from typing import Mapping
 
 from .errors import InstanceInvalid, NoEligibleCrane
@@ -95,37 +97,31 @@ class Instance:
     yt_inbound_transfer: Mapping[int, int]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vessels", tuple(self.vessels))
-        object.__setattr__(self, "shipments", tuple(self.shipments))
-        object.__setattr__(self, "yard_locations", tuple(self.yard_locations))
-        object.__setattr__(
-            self, "yc_travel", tuple(tuple(row) for row in self.yc_travel)
-        )
-        object.__setattr__(
-            self, "yt_inbound_transfer", dict(self.yt_inbound_transfer)
-        )
-        object.__setattr__(
-            self, "_vessel_by_id", {v.id: v for v in self.vessels}
-        )
-        object.__setattr__(
-            self, "_shipment_by_id", {s.id: s for s in self.shipments}
-        )
-        object.__setattr__(
-            self,
-            "_shipments_by_direction",
-            {
-                d: tuple(s for s in self.shipments if s.direction == d)
-                for d in (INBOUND, OUTBOUND)
-            },
-        )
-        object.__setattr__(
-            self, "_location_by_id", {k.id: k for k in self.yard_locations}
-        )
-        object.__setattr__(
-            self,
-            "_location_index",
-            {k.id: pos for pos, k in enumerate(self.yard_locations)},
-        )
+        put = partial(object.__setattr__, self)
+        put("vessels", tuple(self.vessels))
+        put("shipments", tuple(self.shipments))
+        put("yard_locations", tuple(self.yard_locations))
+        put("yc_travel", tuple(tuple(row) for row in self.yc_travel))
+        put("yt_inbound_transfer", dict(self.yt_inbound_transfer))
+        self._check_integers()
+        # Shipments are held in id order, whatever order they came in; every
+        # view below, and each layer that walks them, inherits that order.
+        ships = tuple(sorted(self.shipments, key=attrgetter("id")))
+        put("shipments", ships)
+        put("_vessel_by_id", {v.id: v for v in self.vessels})
+        put("_shipment_by_id", {s.id: s for s in ships})
+        put("_shipments_by_direction", {
+            d: tuple(s for s in ships if s.direction == d) for d in (INBOUND, OUTBOUND)
+        })
+        put("_shipments_by_vessel", {
+            v.id: tuple(s for s in ships if s.vessel == v.id) for v in self.vessels
+        })
+        put("_location_by_id", {k.id: k for k in self.yard_locations})
+        put("_location_index", {k.id: pos for pos, k in enumerate(self.yard_locations)})
+        put("_inbound_available", tuple(sorted(
+            (k for k in self.yard_locations if k.reserved_for == INBOUND_AVAILABLE),
+            key=attrgetter("id"),
+        )))
         self._check()
 
     # -- lookups -------------------------------------------------------
@@ -149,12 +145,11 @@ class Instance:
 
     @property
     def inbound_available_locations(self) -> tuple[YardLocation, ...]:
-        return tuple(
-            k for k in self.yard_locations if k.reserved_for == INBOUND_AVAILABLE
-        )
+        """The locations inbound shipments may take, in id order."""
+        return self._inbound_available
 
     def shipments_of_vessel(self, vessel_id: int) -> tuple[Shipment, ...]:
-        return tuple(s for s in self.shipments if s.vessel == vessel_id)
+        return self._shipments_by_vessel.get(vessel_id, ())
 
     def tyc(self, from_location: int, to_location: int) -> int:
         """Yard-crane travel time between two yard locations (by id)."""
@@ -168,7 +163,6 @@ class Instance:
     # -- validation ----------------------------------------------------
 
     def _check(self) -> None:
-        self._check_integers()
         if self.total_bays < 1:
             raise InstanceInvalid("total_bays must be positive")
         if self.qc_count < 1:
@@ -212,10 +206,7 @@ class Instance:
                 if self.yc_travel[a][b] != self.yc_travel[b][a]:
                     raise InstanceInvalid("yc_travel must be symmetric")
 
-        inbound_ids = {
-            k.id for k in self.yard_locations if k.reserved_for == INBOUND_AVAILABLE
-        }
-        if set(self.yt_inbound_transfer) != inbound_ids:
+        if set(self.yt_inbound_transfer) != {k.id for k in self._inbound_available}:
             raise InstanceInvalid(
                 "yt_inbound_transfer must cover exactly the inbound-available locations"
             )
@@ -377,15 +368,20 @@ def interference_time(
 class DerivedTables:
     """Precomputed eligibility, interference and quay-crane empty travel."""
 
-    eligible_qcs: Mapping[int, frozenset[int]]
+    # Each shipment's eligible quay cranes, in id order.
+    eligible_qcs: Mapping[int, tuple[int, ...]]
     interference_time: Mapping[tuple[int, int, int, int], int]
     interference_set: tuple[tuple[int, int, int, int], ...]
     qc_empty_travel: Mapping[tuple[int, int], int]
+    # The task numbering: each shipment's quay task is ``2 * rank``, where
+    # rank is its position by id, and its yard task the one after it.  Add a
+    # crane kind (QUAY = 0, YARD = 1 in ``schedule``) to get that kind's task.
+    quay_task: Mapping[int, int]
 
     def canonical_json(self) -> str:
         payload = {
             "eligible_qcs": {
-                str(i): sorted(qcs) for i, qcs in sorted(self.eligible_qcs.items())
+                str(i): list(qcs) for i, qcs in sorted(self.eligible_qcs.items())
             },
             "interference_time": [
                 [i, j, v, w, t]
@@ -401,21 +397,22 @@ class DerivedTables:
 
 def build_derived(instance: Instance) -> DerivedTables:
     """Populate every derived table; rejects instances with unreachable bays."""
+    ships = instance.shipments
     eligible = {
-        s.id: eligible_qcs(
+        s.id: tuple(sorted(eligible_qcs(
             s.bay, instance.total_bays, instance.qc_count, instance.safety_distance
-        )
-        for s in instance.shipments
+        )))
+        for s in ships
     }
 
+    # Keys come in sorted order: shipments and cranes are walked by id.
     interference: dict[tuple[int, int, int, int], int] = {}
-    ships = sorted(instance.shipments, key=lambda s: s.id)
     for a in ships:
         for b in ships:
             if a.id == b.id:
                 continue
-            for v in sorted(eligible[a.id]):
-                for w in sorted(eligible[b.id]):
+            for v in eligible[a.id]:
+                for w in eligible[b.id]:
                     t = bay_interference_time(
                         a.bay,
                         b.bay,
@@ -426,9 +423,7 @@ def build_derived(instance: Instance) -> DerivedTables:
                     )
                     if t > 0:
                         interference[(a.id, b.id, v, w)] = t
-    theta = tuple(
-        key for key in sorted(interference) if key[0] < key[1]
-    )
+    theta = tuple(key for key in interference if key[0] < key[1])
 
     qc_empty = {
         (a.id, b.id): instance.qc_unit_travel * abs(a.bay - b.bay)
@@ -441,6 +436,7 @@ def build_derived(instance: Instance) -> DerivedTables:
         interference_time=interference,
         interference_set=theta,
         qc_empty_travel=qc_empty,
+        quay_task={s.id: 2 * rank for rank, s in enumerate(ships)},
     )
 
 

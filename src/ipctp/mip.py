@@ -155,11 +155,10 @@ class _Builder:
         self.instance = instance
         self.derived = derived
         self.big_m = default_big_m(instance, derived)
-        self.ships = sorted(instance.shipments, key=lambda s: s.id)
-        self.ship_ids = [s.id for s in self.ships]
-        self.inbound = [s.id for s in self.ships if s.is_inbound]
-        self.outbound = [s.id for s in self.ships if s.is_outbound]
-        self.available = sorted(k.id for k in instance.inbound_available_locations)
+        self.ship_ids = [s.id for s in instance.shipments]
+        self.inbound = [s.id for s in instance.inbound_shipments]
+        self.outbound = [s.id for s in instance.outbound_shipments]
+        self.available = [k.id for k in instance.inbound_available_locations]
         self.dummy_start = 0
         self.dummy_end = max(self.ship_ids, default=0) + 1
         self.variables: dict[str, dict] = {}
@@ -168,14 +167,14 @@ class _Builder:
         # Per crane kind: each shipment's possible cranes, and each crane's
         # possible shipments in id order.
         self.cranes_of = {
-            "qc": {i: sorted(derived.eligible_qcs[i]) for i in self.ship_ids},
+            "qc": derived.eligible_qcs,
             "yc": {
                 s.id: (
                     inbound_ycs
                     if s.is_inbound
                     else [instance.location(s.fixed_location).yc]
                 )
-                for s in self.ships
+                for s in instance.shipments
             },
         }
         crane_count = {"qc": instance.qc_count, "yc": instance.yc_count}
@@ -554,7 +553,7 @@ def mip_point_from_solution(
             raise MalformedSolution(f"solution needs unknown variable {name}")
         point[name] = value
 
-    ships = sorted(instance.shipments, key=lambda s: s.id)
+    ships = instance.shipments
     location = locations(instance, solution.yard_assignment)
     for s in ships:
         if s.id not in location:
@@ -581,7 +580,7 @@ def mip_point_from_solution(
             set_var(f"qz_{a.id}_{b.id}", 1 if finished_before else 0)
 
     available = {k.id for k in instance.inbound_available_locations}
-    inbound = [s.id for s in ships if s.is_inbound]
+    inbound = [s.id for s in instance.inbound_shipments]
     for i, j in permutations(inbound, 2):
         k, l = location[i], location[j]
         if k != l and k in available and l in available:

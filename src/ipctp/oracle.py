@@ -35,9 +35,11 @@ class OracleResult:
 
 
 def _yc_members(instance: Instance, yard_assignment: dict[int, int]) -> dict[int, list[int]]:
+    """Each yard crane's shipments by id, cranes by id."""
     members: dict[int, list[int]] = {c: [] for c in range(1, instance.yc_count + 1)}
-    for i, k in sorted(locations(instance, yard_assignment).items()):
-        members[instance.location(k).yc].append(i)
+    location = locations(instance, yard_assignment)
+    for s in instance.shipments:
+        members[instance.location(location[s.id]).yc].append(s.id)
     return members
 
 
@@ -45,8 +47,8 @@ def estimate_combinations(
     instance: Instance, derived: DerivedTables, limit: int
 ) -> int:
     """Exact number of complete decision combinations, or BudgetExceeded."""
-    inbound = sorted(s.id for s in instance.inbound_shipments)
-    available = sorted(k.id for k in instance.inbound_available_locations)
+    inbound = [s.id for s in instance.inbound_shipments]
+    available = [k.id for k in instance.inbound_available_locations]
     yard_count = perm(len(available), len(inbound))
     if yard_count > limit:
         raise BudgetExceeded(
@@ -61,8 +63,8 @@ def estimate_combinations(
             factor *= factorial(len(crane_members))
         yard_side += factor
 
-    eligibility = [sorted(derived.eligible_qcs[s.id]) for s in
-                   sorted(instance.shipments, key=lambda s: s.id)]
+    ship_ids = [s.id for s in instance.shipments]
+    eligibility = [derived.eligible_qcs[i] for i in ship_ids]
     qc_count = 1
     for options in eligibility:
         qc_count *= len(options)
@@ -71,7 +73,6 @@ def estimate_combinations(
             f"{qc_count} crane assignments alone exceed the budget {limit}"
         )
 
-    ship_ids = sorted(s.id for s in instance.shipments)
     qc_side = 0
     for choice in product(*eligibility):
         assignment = dict(zip(ship_ids, choice))
@@ -96,10 +97,10 @@ def brute_force(
     """Prove the optimum by enumerating every complete decision combination."""
     estimate_combinations(instance, derived, limit)
 
-    inbound = sorted(s.id for s in instance.inbound_shipments)
-    available = sorted(k.id for k in instance.inbound_available_locations)
-    ship_ids = sorted(s.id for s in instance.shipments)
-    eligibility = [sorted(derived.eligible_qcs[i]) for i in ship_ids]
+    inbound = [s.id for s in instance.inbound_shipments]
+    available = [k.id for k in instance.inbound_available_locations]
+    ship_ids = [s.id for s in instance.shipments]
+    eligibility = [derived.eligible_qcs[i] for i in ship_ids]
     qc_ids = list(range(1, instance.qc_count + 1))
 
     enumerated = 0
@@ -108,10 +109,7 @@ def brute_force(
     for chosen in permutations(available, len(inbound)):
         yard = dict(zip(inbound, chosen))
         members = _yc_members(instance, yard)
-        yc_options = [
-            list(permutations(members[c])) for c in sorted(members)
-        ]
-        yc_keys = sorted(members)
+        yc_options = [list(permutations(ships)) for ships in members.values()]
 
         for choice in product(*eligibility):
             qc_assignment = dict(zip(ship_ids, choice))
@@ -130,7 +128,7 @@ def brute_force(
                         decisions = Decisions(
                             yard_assignment=yard,
                             qc_sequences=qc_sequences,
-                            yc_sequences=dict(zip(yc_keys, yc_combo)),
+                            yc_sequences=dict(zip(members, yc_combo)),
                             interference_order=order,
                             qc_assignment=qc_assignment,
                         )

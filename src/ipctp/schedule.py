@@ -177,26 +177,24 @@ def objective_of(instance: Instance, solution: Solution):
 
 # -- schedule construction ----------------------------------------------
 
-# Crane kinds; a shipment's task of a kind is ``2 * position + kind``, where
-# position is the shipment's rank by id.
+# Crane kinds; a shipment's task of a kind is its ``quay_task`` plus the kind.
 QUAY, YARD = 0, 1
 
 Arc = tuple[int, int, int]
 
 
 def transfer_arcs(
-    instance: Instance, ships: list[Shipment], yard_assignment: Mapping[int, int]
+    instance: Instance, derived: DerivedTables, yard_assignment: Mapping[int, int]
 ) -> list[Arc]:
     """The arc between the two tasks of each shipment, by id.
 
-    ``ships`` are the instance's shipments in id order.  An inbound
-    shipment without a location gets the smallest transfer time of a free
-    location.
+    An inbound shipment without a location gets the smallest transfer time
+    of a free location.
     """
     arcs: list[Arc] = []
     min_free = None
-    for p, s in enumerate(ships):
-        t = 2 * p
+    for s in instance.shipments:
+        t = derived.quay_task[s.id]
         if s.is_outbound:
             arcs.append((t + 1, t, s.yc_time + s.yt_outbound_time))
             continue
@@ -219,7 +217,6 @@ def transfer_arcs(
 def crane_arcs(
     instance: Instance,
     derived: DerivedTables,
-    task: Mapping[int, int],
     kind: int,
     sequence: tuple[int, ...],
     unsequenced: list[int],
@@ -236,7 +233,7 @@ def crane_arcs(
     pairs = zip(sequence, sequence[1:])
     if unsequenced:
         pairs = [*pairs, *((sequence[-1], u) for u in unsequenced)]
-    shipment = instance.shipment
+    shipment, task = instance.shipment, derived.quay_task
     if kind == QUAY:
         empty = derived.qc_empty_travel
         return [
@@ -252,11 +249,10 @@ def crane_arcs(
 def order_arcs(
     instance: Instance,
     derived: DerivedTables,
-    task: Mapping[int, int],
     interference_order: Mapping[tuple[int, int, int, int], str],
 ) -> list[Arc]:
     """One arc per interference order, in mapping order."""
-    shipment = instance.shipment
+    shipment, task = instance.shipment, derived.quay_task
     separation = derived.interference_time
     arcs: list[Arc] = []
     for key, direction in interference_order.items():
@@ -268,15 +264,17 @@ def order_arcs(
 
 
 def _unsequenced(
+    instance: Instance,
     sequences: Mapping[int, tuple[int, ...]],
-    ship_ids: list[int],
     crane_of: Callable[[int], int | None],
 ) -> dict[int, list[int]]:
-    """Per crane, the shipments ``crane_of`` puts on it that no sequence holds."""
+    """Per crane, the shipments ``crane_of`` puts on it that no sequence
+    holds, by id."""
     unsequenced: dict[int, list[int]] = {}
     sequenced = set().union(*sequences.values())
-    if len(sequenced) < len(ship_ids):
-        for i in ship_ids:
+    if len(sequenced) < len(instance.shipments):
+        for s in instance.shipments:
+            i = s.id
             crane = None if i in sequenced else crane_of(i)
             if crane is not None:
                 unsequenced.setdefault(crane, []).append(i)
@@ -294,18 +292,14 @@ def precedence_arcs(
 ) -> list[Arc]:
     """Precedence arcs ``(u, v, min_gap)`` induced by possibly partial decisions.
 
-    Task ``2p`` is the quay task and ``2p + 1`` the yard task of the p-th
-    shipment by id; every arc demands ``start[v] >= start[u] + min_gap``.
-    The arcs are the concatenation of fixed segments: ``transfer_arcs``;
-    ``crane_arcs`` of each quay crane, then of each yard crane, by id, where
-    a crane's unsequenced shipments are those it holds in no sequence; then
-    ``order_arcs``.
+    Tasks are numbered by ``derived.quay_task``; every arc demands
+    ``start[v] >= start[u] + min_gap``.  The arcs are the concatenation of
+    fixed segments: ``transfer_arcs``; ``crane_arcs`` of each quay crane,
+    then of each yard crane, by id, where a crane's unsequenced shipments
+    are those it holds in no sequence; then ``order_arcs``.
     """
-    ships = sorted(instance.shipments, key=attrgetter("id"))
-    ship_ids = [s.id for s in ships]
-    task = {i: 2 * p for p, i in enumerate(ship_ids)}
     location = locations(instance, yard_assignment)
-    arcs = transfer_arcs(instance, ships, yard_assignment)
+    arcs = transfer_arcs(instance, derived, yard_assignment)
     for kind, sequences, crane_count, crane_of in (
         (QUAY, qc_sequences, instance.qc_count, qc_assignment.get),
         (
@@ -315,15 +309,15 @@ def precedence_arcs(
             lambda i: instance.location(location[i]).yc if i in location else None,
         ),
     ):
-        unsequenced = _unsequenced(sequences, ship_ids, crane_of)
+        unsequenced = _unsequenced(instance, sequences, crane_of)
         for crane in range(1, crane_count + 1):
             sequence = sequences[crane]
             if len(sequence) > 1 or sequence and crane in unsequenced:  # has arcs
                 arcs += crane_arcs(
-                    instance, derived, task, kind, sequence,
+                    instance, derived, kind, sequence,
                     unsequenced.get(crane, []), location,
                 )
-    return arcs + order_arcs(instance, derived, task, interference_order)
+    return arcs + order_arcs(instance, derived, interference_order)
 
 
 def compute_schedule(
@@ -399,10 +393,9 @@ def _schedule(
             "interference orderings are incompatible with the crane sequences"
         )
 
-    ships = sorted(instance.shipments, key=attrgetter("id"))
     location = locations(instance, decisions.yard_assignment)
-    qc_start = {s.id: start[2 * p] for p, s in enumerate(ships)}
-    yc_start = {s.id: start[2 * p + 1] for p, s in enumerate(ships)}
+    qc_start = {i: start[t] for i, t in derived.quay_task.items()}
+    yc_start = {i: start[t + YARD] for i, t in derived.quay_task.items()}
     per_vessel = _vessel_completions(instance, qc_start, yc_start)
     return Solution(
         yard_assignment=dict(decisions.yard_assignment),
@@ -413,7 +406,9 @@ def _schedule(
         qc_start=qc_start,
         yc_start=yc_start,
         objective=_weighted_sum(instance, per_vessel),
-        yt_time={s.id: instance.tt(location[s.id]) for s in ships if s.is_inbound},
+        yt_time={
+            s.id: instance.tt(location[s.id]) for s in instance.inbound_shipments
+        },
         yc_empty=yard_empty_travel(instance, decisions.yc_sequences, location),
         per_vessel_completion=per_vessel,
     )
@@ -432,11 +427,12 @@ def _structural_violations(
 ) -> list[Violation]:
     out: list[Violation] = []
     ship_ids = {s.id for s in instance.shipments}
-    inbound_ids = {s.id for s in instance.shipments if s.is_inbound}
+    inbound_ids = {s.id for s in instance.inbound_shipments}
 
     # Stage A: id-level sanity.  Later stages assume these hold.
     inbound_available = {k.id for k in instance.inbound_available_locations}
-    for i in sorted(inbound_ids):
+    for s in instance.inbound_shipments:
+        i = s.id
         if i not in yard_assignment:
             out.append(
                 Violation(LOCATION_ASSIGNMENT, (i,), "inbound shipment has no location")
@@ -492,7 +488,8 @@ def _structural_violations(
     for q in sorted(qc_sequences):
         for i in qc_sequences[q]:
             qc_holder[i].append(q)
-    for i in sorted(ship_ids):
+    for s in instance.shipments:
+        i = s.id
         holders = qc_holder[i]
         if len(holders) != 1:
             out.append(
@@ -521,12 +518,9 @@ def _structural_violations(
         i: instance.location(k).yc
         for i, k in locations(instance, yard_assignment).items()
     }
-    for i in sorted(ship_ids):
-        family = (
-            YC_MEMBERSHIP_INBOUND
-            if instance.shipment(i).is_inbound
-            else YC_MEMBERSHIP_OUTBOUND
-        )
+    for s in instance.shipments:
+        i = s.id
+        family = YC_MEMBERSHIP_INBOUND if s.is_inbound else YC_MEMBERSHIP_OUTBOUND
         count = sum(1 for j in yc_sequences.get(own_yc[i], ()) if j == i)
         if count != 1:
             out.append(
@@ -560,9 +554,9 @@ def validate(
         solution.yc_sequences,
     )
     missing_starts = [
-        Violation(START_NEGATIVE, (i,), "missing start time")
-        for i in sorted(s.id for s in instance.shipments)
-        if i not in solution.qc_start or i not in solution.yc_start
+        Violation(START_NEGATIVE, (s.id,), "missing start time")
+        for s in instance.shipments
+        if s.id not in solution.qc_start or s.id not in solution.yc_start
     ]
     if structural or missing_starts:
         return structural + missing_starts
@@ -570,9 +564,9 @@ def validate(
     out: list[Violation] = []
     location = locations(instance, solution.yard_assignment)
 
-    for i in sorted(s.id for s in instance.shipments):
-        if solution.qc_start[i] < 0 or solution.yc_start[i] < 0:
-            out.append(Violation(START_NEGATIVE, (i,), "negative start time"))
+    for s in instance.shipments:
+        if solution.qc_start[s.id] < 0 or solution.yc_start[s.id] < 0:
+            out.append(Violation(START_NEGATIVE, (s.id,), "negative start time"))
 
     shipment = instance.shipment
     for sequences, start, duration, travel, family in (

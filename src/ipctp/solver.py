@@ -131,27 +131,24 @@ class _Context:
     def __init__(self, instance: Instance, derived: DerivedTables):
         self.instance = instance
         self.derived = derived
-        self.ships = ships = sorted(instance.shipments, key=lambda s: s.id)
+        ships = instance.shipments
         self.ship_ids = [s.id for s in ships]
         self.n_tasks = 2 * len(ships)
-        self.inbound_ids = [s.id for s in ships if s.is_inbound]
-        self.available = sorted(k.id for k in instance.inbound_available_locations)
-        self.eligible = {i: sorted(derived.eligible_qcs[i]) for i in self.ship_ids}
+        self.inbound_ids = [s.id for s in instance.inbound_shipments]
+        self.available = [k.id for k in instance.inbound_available_locations]
         self.qc_ids = list(range(1, instance.qc_count + 1))
         self.yc_ids = list(range(1, instance.yc_count + 1))
         self.yc_at = {k.id: k.yc for k in instance.yard_locations}
         self.crane_keys = [*((QUAY, q) for q in self.qc_ids),
                            *((YARD, c) for c in self.yc_ids)]
-        self.fixed_location = {s.id: s.fixed_location for s in ships if s.is_outbound}
-        # Per kind (quay first), each shipment's task.
-        self.task_of = (
-            {i: 2 * p for p, i in enumerate(self.ship_ids)},
-            {i: 2 * p + 1 for p, i in enumerate(self.ship_ids)},
-        )
+        self.fixed_location = {
+            s.id: s.fixed_location for s in instance.outbound_shipments
+        }
+        self.quay_task = quay_task = derived.quay_task
         # Per kind, a crane's empty travel between the spots of two shipments:
         # a shipment's spot is itself for quay cranes, its location for yard
         # cranes.
-        places = sorted({*self.fixed_location.values(), *self.available})
+        places = [*self.fixed_location.values(), *self.available]
         self.itself = {i: i for i in self.ship_ids}
         self.travel = (
             derived.qc_empty_travel,
@@ -162,7 +159,6 @@ class _Context:
         # Tails that no decision changes; an inbound quay task's depends on
         # its location and is filled in per node.
         self.tail = [0] * self.n_tasks
-        quay_task = self.task_of[QUAY]
         for s in ships:
             quay = quay_task[s.id]
             self.duration[quay], self.duration[quay + 1] = s.qc_time, s.yc_time
@@ -180,14 +176,15 @@ class _Context:
         self.weight = {v.id: v.weight for v in instance.vessels}
         self.min_tt = min(instance.yt_inbound_transfer.values(), default=0)
         self.horizon = default_big_m(instance, derived)
-        # The cliques of each quay assignment met so far.
-        self._cliques: dict[tuple[tuple[int, int], ...], list[list[int]]] = {}
+        # The cliques of each quay assignment met so far, keyed by every
+        # shipment's crane (None when unassigned) in id order.
+        self._cliques: dict[tuple[Optional[int], ...], list[list[int]]] = {}
 
     def root(self) -> SearchNode:
+        eligible = self.derived.eligible_qcs
         return SearchNode(
             yard={},
-            qc_of={i: self.eligible[i][0] for i in self.ship_ids
-                   if len(self.eligible[i]) == 1},
+            qc_of={i: eligible[i][0] for i in self.ship_ids if len(eligible[i]) == 1},
             qc_prefix={q: () for q in self.qc_ids},
             yc_prefix={c: () for c in self.yc_ids},
             order={},
@@ -207,11 +204,11 @@ class _Context:
         for key, ships in members.items():
             kind, crane = key
             sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
-            tasks = [self.task_of[kind][i] for i in ships]
+            tasks = [self.quay_task[i] + kind for i in ships]
             left = [i for i in ships if i not in sequence]
             cranes[key] = self.crane(node, location, key, tasks, left)
         tail = list(self.tail)
-        quay_task = self.task_of[QUAY]
+        quay_task = self.quay_task
         for i in self.inbound_ids:
             k = node.yard.get(i)
             transfer = self.instance.tt(k) if k is not None else self.min_tt
@@ -220,7 +217,7 @@ class _Context:
         free = [k for k in self.available if k not in taken]
         return _Facts(
             location, tail, free, active_interference(self.derived, node.qc_of),
-            transfer_arcs(self.instance, self.ships, node.yard), cranes,
+            transfer_arcs(self.instance, self.derived, node.yard), cranes,
             self.cliques(node.qc_of),
         )
 
@@ -232,32 +229,35 @@ class _Context:
         the other.  Bron-Kerbosch with pivoting, in id order, once per
         quay assignment.
         """
-        key = tuple(sorted(qc_of.items()))
+        key = tuple(qc_of.get(i) for i in self.ship_ids)
         if key in self._cliques:
             return self._cliques[key]
-        ships = sorted(qc_of)
+        ships = [i for i in self.ship_ids if i in qc_of]
+
+        def by_id(group) -> list[int]:
+            return [i for i in ships if i in group]
+
         near = {i: {j for j in ships if j != i and qc_of[j] == qc_of[i]} for i in ships}
         for i, j, _, _ in active_interference(self.derived, qc_of):
             near[i].add(j)
             near[j].add(i)
         found: list[list[int]] = []
 
-        def extend(clique: list[int], candidates: set[int], excluded: set[int]) -> None:
+        def extend(clique: set[int], candidates: set[int], excluded: set[int]) -> None:
             if not candidates:
                 if not excluded:
-                    found.append(sorted(clique))
+                    found.append(by_id(clique))
                 return
-            pivot = max(sorted(candidates | excluded),
+            pivot = max(by_id(candidates | excluded),
                         key=lambda u: len(near[u] & candidates))
-            for i in sorted(candidates - near[pivot]):
-                extend([*clique, i], candidates & near[i], excluded & near[i])
+            for i in by_id(candidates - near[pivot]):
+                extend(clique | {i}, candidates & near[i], excluded & near[i])
                 candidates = candidates - {i}
                 excluded = excluded | {i}
 
-        extend([], set(ships), set())
+        extend(set(), set(ships), set())
         crane_members = [[i for i in ships if qc_of[i] == q] for q in self.qc_ids]
-        quay_task = self.task_of[QUAY]
-        cliques = [[quay_task[i] for i in clique] for clique in found
+        cliques = [[self.quay_task[i] for i in clique] for clique in found
                    if clique not in crane_members]
         self._cliques[key] = cliques
         return cliques
@@ -274,7 +274,7 @@ class _Context:
         shipments no sequence holds."""
         kind, crane = key
         arcs = crane_arcs(
-            self.instance, self.derived, self.task_of[QUAY], kind,
+            self.instance, self.derived, kind,
             getattr(node, _PREFIX_FIELD[kind])[crane], left, location,
         )
         return _Crane(kind, tasks, sum(self.duration[t] for t in tasks), left, arcs)
@@ -290,9 +290,9 @@ class _Engine:
         self.trace: list[tuple[float, int]] = []
         self.nodes = 0
         self.propagations = 0
-        self.root_lb = 0
+        # The bounds of the nodes on the search path; the root's comes first.
         self.frontier_lbs: list[int] = []
-        self.interrupt_lb: Optional[int] = None
+        self.interrupt_lb = 0  # set when the search times out
 
     # -- propagation -----------------------------------------------------
 
@@ -315,8 +315,7 @@ class _Engine:
         arcs = list(facts.transfer)
         for crane in facts.cranes.values():
             arcs += crane.arcs
-        quay_task = ctx.task_of[QUAY]
-        arcs += order_arcs(ctx.instance, ctx.derived, quay_task, order)
+        arcs += order_arcs(ctx.instance, ctx.derived, order)
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
             if not self._relax(arcs, est):
                 return None
@@ -332,7 +331,7 @@ class _Engine:
             if not (changed or forced):
                 break
             forced_order = {key: order[key] for key in forced}
-            arcs += order_arcs(ctx.instance, ctx.derived, quay_task, forced_order)
+            arcs += order_arcs(ctx.instance, ctx.derived, forced_order)
         else:  # the cap ended the loop: est moved after the last bounds
             vessel_lb = self._vessel_bounds(est, facts.tail)
         return replace(node, order=order, est=tuple(est), lct=tuple(lct)), vessel_lb
@@ -395,11 +394,12 @@ class _Engine:
         ctx = self.ctx
         duration = ctx.duration
         changed = False
+        task = ctx.quay_task
         for crane in facts.cranes.values():
-            task, travel = ctx.task_of[crane.kind], ctx.travel[crane.kind]
-            spot = facts.location if crane.kind == YARD else ctx.itself
+            kind, travel = crane.kind, ctx.travel[crane.kind]
+            spot = facts.location if kind == YARD else ctx.itself
             for a, b in combinations(crane.left, 2):
-                ta, tb, sa, sb = task[a], task[b], spot[a], spot[b]
+                ta, tb, sa, sb = task[a] + kind, task[b] + kind, spot[a], spot[b]
                 a_done = est[ta] + duration[ta] + travel[sa, sb]
                 b_done = est[tb] + duration[tb] + travel[sb, sa]
                 a_first, b_first = a_done <= lct[tb], b_done <= lct[ta]
@@ -494,9 +494,10 @@ class _Engine:
 
         unassigned_qc = [i for i in ctx.ship_ids if i not in node.qc_of]
         if unassigned_qc:
-            ship = min(unassigned_qc, key=lambda i: (len(ctx.eligible[i]), i))
+            eligible = ctx.derived.eligible_qcs
+            ship = min(unassigned_qc, key=lambda i: (len(eligible[i]), i))
             cranes = sorted(
-                ctx.eligible[ship], key=lambda q: (facts.cranes[QUAY, q].workload, q)
+                eligible[ship], key=lambda q: (facts.cranes[QUAY, q].workload, q)
             )
             return ("qc", ship, cranes)
 
@@ -504,8 +505,10 @@ class _Engine:
         pending = [(-c.workload, key) for key, c in facts.cranes.items() if c.left]
         if pending:
             key = min(pending)[1]
-            task = ctx.task_of[key[0]]
-            left = sorted(facts.cranes[key].left, key=lambda i: (node.est[task[i]], i))
+            task, kind = ctx.quay_task, key[0]
+            left = sorted(
+                facts.cranes[key].left, key=lambda i: (node.est[task[i] + kind], i)
+            )
             return ("seq", key, left)
 
         est = node.est
@@ -582,8 +585,9 @@ class _Engine:
     def _dfs(self, node: SearchNode, facts: _Facts) -> None:
         self.nodes += 1
         if self.nodes % 64 == 0 and time.monotonic() > self.deadline:
-            # Snapshot the open-subtree bound before the stack unwinds.
-            self.interrupt_lb = min(self.frontier_lbs, default=None)
+            # Snapshot the open-subtree bound before the stack unwinds; past
+            # the root, the root's bound is always on the path.
+            self.interrupt_lb = min(self.frontier_lbs)
             raise _Timeout
         propagated = self.propagate(node, facts)
         if propagated is None:
@@ -655,12 +659,8 @@ def solve(
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, params)
     root = ctx.root()
-    facts = ctx.facts(root)
-    engine.root_lb = engine.lower_bound(
-        root, facts, engine._vessel_bounds(root.est, facts.tail)
-    )
     try:
-        engine._dfs(root, facts)
+        engine._dfs(root, ctx.facts(root))
         completed = True
     except _Timeout:
         completed = False
@@ -676,7 +676,7 @@ def solve(
             lb = best
     else:
         status = "feasible" if best is not None else "unknown"
-        lb = engine.root_lb if engine.interrupt_lb is None else engine.interrupt_lb
+        lb = engine.interrupt_lb
         if best is not None:
             lb = min(lb, best)
 

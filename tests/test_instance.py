@@ -1,5 +1,8 @@
 """Instance model: eligibility, distances, interference, derived tables, I/O."""
 
+import itertools
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,8 +23,10 @@ from ipctp.instance import (
     instance_to_json,
     interference_time,
 )
+from ipctp.schedule import solution_to_json
+from ipctp.solver import SolveParams, solve
 
-from conftest import mixed_instance, single_inbound_instance
+from conftest import mixed_instance, random_instance, single_inbound_instance
 
 
 class TestEligibleQcs:
@@ -324,3 +329,53 @@ class TestInstanceJson:
         payload["travel"]["tyc"][0][1] = payload["travel"]["tyc"][1][0] = 1.0
         with pytest.raises(InstanceInvalid, match="yc_travel entry must be an integer"):
             instance_from_json(json.dumps(payload))
+
+
+class TestShipmentOrder:
+    """Shipments may come in any order; an instance holds them by id, and
+    nothing downstream can tell in which order they came."""
+
+    @staticmethod
+    def originals():
+        return [mixed_instance(), random_instance(5, 0.5, 4, 707)]
+
+    @staticmethod
+    def reversed_copy(instance):
+        return replace(instance, shipments=instance.shipments[::-1])
+
+    def test_shipments_are_held_by_id(self):
+        for instance in self.originals():
+            ids = [s.id for s in self.reversed_copy(instance).shipments]
+            assert ids == sorted(ids)
+
+    def test_files_and_tables_are_byte_for_byte_equal(self):
+        for instance in self.originals():
+            shuffled = self.reversed_copy(instance)
+            assert instance_to_json(shuffled) == instance_to_json(instance)
+            assert (
+                build_derived(shuffled).canonical_json()
+                == build_derived(instance).canonical_json()
+            )
+
+    def test_solves_are_identical(self, monkeypatch):
+        def solved(instance):
+            # A clock that ticks once per reading makes the trace exact.
+            ticks = itertools.count()
+            monkeypatch.setattr("time.monotonic", lambda: float(next(ticks)))
+            report, solution = solve(
+                instance, build_derived(instance), SolveParams(time_limit=1e6)
+            )
+            return (
+                report.nodes, report.propagations, report.incumbent_trace,
+                solution_to_json(solution),
+            )
+
+        for instance in self.originals():
+            assert solved(self.reversed_copy(instance)) == solved(instance)
+
+    def test_non_integer_id_out_of_order_is_invalid(self):
+        instance = mixed_instance()
+        shipments = list(instance.shipments[::-1])
+        shipments[1] = replace(shipments[1], id="3")
+        with pytest.raises(InstanceInvalid, match="id must be an integer"):
+            replace(instance, shipments=tuple(shipments))
