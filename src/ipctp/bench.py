@@ -40,7 +40,10 @@ class BenchRow:
 
 
 def rpd_percent(short_objective: float, long_objective: float) -> float:
-    """Relative deviation of the short-budget objective from the long one."""
+    """Relative deviation of the short-budget objective from the long one;
+    zero when they are equal, as for two zero objectives."""
+    if short_objective == long_objective:
+        return 0.0
     return (short_objective - long_objective) * 100.0 / long_objective
 
 

@@ -377,6 +377,14 @@ class DerivedTables:
     # rank is its position by id, and its yard task the one after it.  Add a
     # crane kind (QUAY = 0, YARD = 1 in ``schedule``) to get that kind's task.
     quay_task: Mapping[int, int]
+    # Per interference tuple (i, j, v, w) of ``interference_set``: the arc
+    # ``(u, v, min_gap)`` that ordering i first adds, then the one that
+    # ordering j first adds.  Each runs from the first shipment's quay task
+    # to the second's and waits for the first's quay work plus the tuple's
+    # interference time.
+    separation_arcs: Mapping[
+        tuple[int, int, int, int], tuple[tuple[int, int, int], tuple[int, int, int]]
+    ]
 
     def canonical_json(self) -> str:
         payload = {
@@ -431,12 +439,22 @@ def build_derived(instance: Instance) -> DerivedTables:
         for b in ships
     }
 
+    quay_task = {s.id: 2 * rank for rank, s in enumerate(ships)}
+    separation = {}
+    for key in theta:
+        i, j = key[:2]
+        separation[key] = tuple(
+            (quay_task[a], quay_task[b], instance.shipment(a).qc_time + interference[key])
+            for a, b in ((i, j), (j, i))
+        )
+
     return DerivedTables(
         eligible_qcs=eligible,
         interference_time=interference,
         interference_set=theta,
         qc_empty_travel=qc_empty,
-        quay_task={s.id: 2 * rank for rank, s in enumerate(ships)},
+        quay_task=quay_task,
+        separation_arcs=separation,
     )
 
 

@@ -459,15 +459,16 @@ class _Builder:
             coeffs = {**on_v, **on_w, self.qz(i, j): -1, self.qz(j, i): -1}
             self.row(f"idj_{i}_{j}_{v}_{w}", coeffs, "<=", 1, INTERFERENCE_DISJUNCTION)
 
-            sep = self.derived.interference_time[key]
-            for a, b, crane_a, crane_b in ((i, j, v, w), (j, i, w, v)):
+            for (a, b, crane_a, crane_b), (_, _, gap) in zip(
+                ((i, j, v, w), (j, i, w, v)), self.derived.separation_arcs[key]
+            ):
                 coeffs = {self.sqc(a): 1, self.sqc(b): -1, self.qz(a, b): M}
                 coeffs.update(dict.fromkeys([*on_v, *on_w], M))
                 self.row(
                     f"isp_{a}_{b}_{crane_a}_{crane_b}",
                     coeffs,
                     "<=",
-                    3 * M - instance.shipment(a).qc_time - sep,
+                    3 * M - gap,
                     INTERFERENCE_SEPARATION,
                 )
 
@@ -547,6 +548,7 @@ def mip_point_from_solution(
 ) -> dict[str, int]:
     """Inject a feasible Solution as an assignment of every MIP variable."""
     point = {name: 0 for name in artifacts.variables}
+    names = _Builder(instance, derived)  # spells each variable's name
 
     def set_var(name: str, value: int) -> None:
         if name not in point:
@@ -562,13 +564,13 @@ def mip_point_from_solution(
             raise MalformedSolution(f"shipment {s.id} has no start time")
 
     for i, k in solution.yard_assignment.items():
-        set_var(f"x_{i}_{k}", 1)
+        set_var(names.x(i, k), 1)
     chains = {"qc": solution.qc_sequences, "yc": solution.yc_sequences}
     for kind, sequences in chains.items():
         for c in sorted(sequences):
             nodes = [artifacts.dummy_start, *sequences[c], artifacts.dummy_end]
             for a, b in zip(nodes, nodes[1:]):
-                set_var(f"{_CHAINS[kind].arc}_{a}_{b}_{c}", 1)
+                set_var(names.arc(kind, a, b, c), 1)
 
     for a in ships:
         for b in ships:
@@ -577,29 +579,29 @@ def mip_point_from_solution(
             finished_before = (
                 solution.qc_start[a.id] + a.qc_time <= solution.qc_start[b.id]
             )
-            set_var(f"qz_{a.id}_{b.id}", 1 if finished_before else 0)
+            set_var(names.qz(a.id, b.id), 1 if finished_before else 0)
 
     available = {k.id for k in instance.inbound_available_locations}
     inbound = [s.id for s in instance.inbound_shipments]
     for i, j in permutations(inbound, 2):
         k, l = location[i], location[j]
         if k != l and k in available and l in available:
-            set_var(f"th_{i}_{k}_{j}_{l}", 1)
+            set_var(names.theta(i, k, j, l), 1)
 
     for s in ships:
-        set_var(f"sqc_{s.id}", solution.qc_start[s.id])
-        set_var(f"syc_{s.id}", solution.yc_start[s.id])
+        set_var(names.sqc(s.id), solution.qc_start[s.id])
+        set_var(names.syc(s.id), solution.yc_start[s.id])
     for i in inbound:
-        set_var(f"t_{i}", instance.tt(location[i]))
+        set_var(names.t(i), instance.tt(location[i]))
     for a in ships:
         for b in ships:
             if a.id == b.id or (a.is_outbound and b.is_outbound):
                 continue
-            set_var(f"sy_{a.id}_{b.id}", instance.tyc(location[a.id], location[b.id]))
+            set_var(names.sy(a.id, b.id), instance.tyc(location[a.id], location[b.id]))
 
     per_vessel = vessel_completions(instance, solution)
     for vessel in instance.vessels:
-        set_var(f"cmax_{vessel.id}", vessel.weight * per_vessel[vessel.id])
+        set_var(names.cmax(vessel.id), vessel.weight * per_vessel[vessel.id])
     return point
 
 
@@ -629,6 +631,7 @@ def solution_from_values(
     values: Mapping[str, float],
 ) -> Solution:
     """Parse an external solver's variable values back into a Solution."""
+    names = _Builder(instance, derived)  # spells each variable's name
 
     def on(name: str) -> bool:
         return values.get(name, 0) > 0.5
@@ -664,18 +667,18 @@ def solution_from_values(
     qc_assignment = qc_assignment_of(qc_sequences)
 
     qc_start = {
-        s.id: int(round(values.get(f"sqc_{s.id}", 0))) for s in instance.shipments
+        s.id: int(round(values.get(names.sqc(s.id), 0))) for s in instance.shipments
     }
     yc_start = {
-        s.id: int(round(values.get(f"syc_{s.id}", 0))) for s in instance.shipments
+        s.id: int(round(values.get(names.syc(s.id), 0))) for s in instance.shipments
     }
 
     order: dict[tuple[int, int, int, int], str] = {}
     for key in active_interference(derived, qc_assignment):
         i, j, _, _ = key
-        if on(f"qz_{i}_{j}"):
+        if on(names.qz(i, j)):
             order[key] = I_FIRST
-        elif on(f"qz_{j}_{i}"):
+        elif on(names.qz(j, i)):
             order[key] = J_FIRST
         else:
             order[key] = I_FIRST if qc_start[i] <= qc_start[j] else J_FIRST

@@ -247,20 +247,15 @@ def crane_arcs(
 
 
 def order_arcs(
-    instance: Instance,
     derived: DerivedTables,
     interference_order: Mapping[tuple[int, int, int, int], str],
 ) -> list[Arc]:
     """One arc per interference order, in mapping order."""
-    shipment, task = instance.shipment, derived.quay_task
-    separation = derived.interference_time
-    arcs: list[Arc] = []
-    for key, direction in interference_order.items():
-        first, second = key[:2] if direction == I_FIRST else (key[1], key[0])
-        arcs.append(
-            (task[first], task[second], shipment(first).qc_time + separation[key])
-        )
-    return arcs
+    separation = derived.separation_arcs
+    return [
+        separation[key][direction != I_FIRST]
+        for key, direction in interference_order.items()
+    ]
 
 
 def _unsequenced(
@@ -317,7 +312,7 @@ def precedence_arcs(
                     instance, derived, kind, sequence,
                     unsequenced.get(crane, []), location,
                 )
-    return arcs + order_arcs(instance, derived, interference_order)
+    return arcs + order_arcs(derived, interference_order)
 
 
 def compute_schedule(

@@ -13,7 +13,7 @@ so runs are reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from itertools import chain, combinations
 from operator import gt
 from typing import Mapping, NamedTuple, Optional
@@ -57,16 +57,7 @@ class SolveReport:
     incumbent_trace: list[tuple[float, int]] = field(default_factory=list)
 
     def to_payload(self) -> dict:
-        return {
-            "best_objective": self.best_objective,
-            "lower_bound": self.lower_bound,
-            "gap_percent": self.gap_percent,
-            "status": self.status,
-            "nodes": self.nodes,
-            "propagations": self.propagations,
-            "wall_time": self.wall_time,
-            "incumbent_trace": [[t, obj] for t, obj in self.incumbent_trace],
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -165,14 +156,6 @@ class _Context:
             self.vessel_of_task[quay] = self.vessel_of_task[quay + 1] = s.vessel
             if s.is_outbound:
                 self.tail[quay + 1] = s.yt_outbound_time + s.qc_time
-        # Per interference tuple (i, j, v, w): the quay tasks of i and j and
-        # the least start-to-start gap with i first and with j first.
-        self.interference: dict[tuple[int, int, int, int], tuple[int, ...]] = {}
-        for key in derived.interference_set:
-            ti, tj = quay_task[key[0]], quay_task[key[1]]
-            delta = derived.interference_time[key]
-            gaps = (self.duration[ti] + delta, self.duration[tj] + delta)
-            self.interference[key] = (ti, tj, *gaps)
         self.weight = {v.id: v.weight for v in instance.vessels}
         self.min_tt = min(instance.yt_inbound_transfer.values(), default=0)
         self.horizon = default_big_m(instance, derived)
@@ -315,7 +298,7 @@ class _Engine:
         arcs = list(facts.transfer)
         for crane in facts.cranes.values():
             arcs += crane.arcs
-        arcs += order_arcs(ctx.instance, ctx.derived, order)
+        arcs += order_arcs(ctx.derived, order)
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
             if not self._relax(arcs, est):
                 return None
@@ -331,7 +314,7 @@ class _Engine:
             if not (changed or forced):
                 break
             forced_order = {key: order[key] for key in forced}
-            arcs += order_arcs(ctx.instance, ctx.derived, forced_order)
+            arcs += order_arcs(ctx.derived, forced_order)
         else:  # the cap ended the loop: est moved after the last bounds
             vessel_lb = self._vessel_bounds(est, facts.tail)
         return replace(node, order=order, est=tuple(est), lct=tuple(lct)), vessel_lb
@@ -424,12 +407,12 @@ class _Engine:
 
         Returns the tuples decided, in the order they were added to ``order``.
         """
-        interference = self.ctx.interference
+        separation = self.ctx.derived.separation_arcs
         forced = []
         for key in facts.active:
             if key in order:
                 continue
-            ti, tj, gap_i, gap_j = interference[key]
+            (ti, tj, gap_i), (_, _, gap_j) = separation[key]
             i_possible = est[ti] + gap_i <= lct[tj]
             j_possible = est[tj] + gap_j <= lct[ti]
             if not i_possible and not j_possible:
@@ -484,13 +467,17 @@ class _Engine:
 
     # -- branching --------------------------------------------------------
 
-    def _next_decision(self, node: SearchNode, facts: _Facts):
+    def _children(self, node: SearchNode, facts: _Facts):
+        """The node's children, each with its facts, in search order; None
+        once every decision is made.  A child is built only when the search
+        reaches it."""
         ctx = self.ctx
-        unassigned_yard = [i for i in ctx.inbound_ids if i not in node.yard]
-        if unassigned_yard:
+        ship = next((i for i in ctx.inbound_ids if i not in node.yard), None)
+        if ship is not None:  # identical domains, lowest id first
             free = sorted(facts.free, key=lambda k: (ctx.instance.tt(k), k))
-            ship = min(unassigned_yard)  # identical domains, lowest id first
-            return ("yard", ship, free)
+            return self._with_facts(
+                replace(node, yard={**node.yard, ship: k}) for k in free
+            )
 
         unassigned_qc = [i for i in ctx.ship_ids if i not in node.qc_of]
         if unassigned_qc:
@@ -499,24 +486,21 @@ class _Engine:
             cranes = sorted(
                 eligible[ship], key=lambda q: (facts.cranes[QUAY, q].workload, q)
             )
-            return ("qc", ship, cranes)
+            return self._with_facts(
+                replace(node, qc_of={**node.qc_of, ship: q}) for q in cranes
+            )
 
         # The most loaded crane with shipments left to sequence; keys never tie.
         pending = [(-c.workload, key) for key, c in facts.cranes.items() if c.left]
         if pending:
-            key = min(pending)[1]
-            task, kind = ctx.quay_task, key[0]
-            left = sorted(
-                facts.cranes[key].left, key=lambda i: (node.est[task[i] + kind], i)
-            )
-            return ("seq", key, left)
+            return self._sequenced(node, facts, min(pending)[1])
 
         est = node.est
         free_orders: dict[tuple[int, int, int, int], str] = {}
         for key in facts.active:
             if key in node.order:
                 continue
-            ti, tj, gap_i, gap_j = ctx.interference[key]
+            (ti, tj, gap_i), (_, _, gap_j) = ctx.derived.separation_arcs[key]
             if est[tj] >= est[ti] + gap_i:
                 free_orders[key] = I_FIRST
             elif est[ti] >= est[tj] + gap_j:
@@ -525,47 +509,40 @@ class _Engine:
                 directions = (
                     (I_FIRST, J_FIRST) if est[ti] <= est[tj] else (J_FIRST, I_FIRST)
                 )
-                return ("order", key, directions)
-        if free_orders:
-            return ("finalize", free_orders)
+                return (
+                    (replace(node, order={**node.order, key: d}), facts)
+                    for d in directions
+                )
+        if free_orders:  # dominated directions are fixed in one child
+            return [(replace(node, order={**node.order, **free_orders}), facts)]
         return None
 
-    def _children(self, node: SearchNode, facts: _Facts, decision):
-        """Each child with its facts; a sequencing child rebuilds only its
-        crane's record."""
+    def _with_facts(self, children):
+        """Each of ``children`` with its facts built in full."""
+        for child in children:
+            yield child, self.ctx.facts(child)
+
+    def _sequenced(self, node: SearchNode, facts: _Facts, key: tuple[int, int]):
+        """The children that append one shipment to crane ``key``'s sequence.
+
+        A child carries its parent's crane records and rebuilds only this
+        crane's: building its facts in full gives the same trees but makes a
+        node about 1.6 to 1.8 times as costly.
+        """
         ctx = self.ctx
-        kind = decision[0]
-        if kind == "yard":
-            _, ship, locations = decision
-            for location in locations:
-                child = replace(node, yard={**node.yard, ship: location})
-                yield child, ctx.facts(child)
-        elif kind == "qc":
-            _, ship, cranes = decision
-            for crane in cranes:
-                child = replace(node, qc_of={**node.qc_of, ship: crane})
-                yield child, ctx.facts(child)
-        elif kind == "seq":
-            _, key, candidates = decision
-            crane_kind, crane = key
-            record = facts.cranes[key]
-            field_name = _PREFIX_FIELD[crane_kind]
-            prefixes = getattr(node, field_name)
-            for ship in candidates:
-                prefix = {**prefixes, crane: prefixes[crane] + (ship,)}
-                child = replace(node, **{field_name: prefix})
-                left = [i for i in record.left if i != ship]
-                cranes = {**facts.cranes, key: ctx.crane(
-                    child, facts.location, key, record.tasks, left
-                )}
-                yield child, facts._replace(cranes=cranes)
-        elif kind == "order":
-            _, key, directions = decision
-            for direction in directions:
-                yield replace(node, order={**node.order, key: direction}), facts
-        else:  # finalize: dominated directions are fixed in one child
-            _, free_orders = decision
-            yield replace(node, order={**node.order, **free_orders}), facts
+        kind, crane = key
+        record = facts.cranes[key]
+        field_name = _PREFIX_FIELD[kind]
+        prefixes = getattr(node, field_name)
+        task = ctx.quay_task
+        for ship in sorted(record.left, key=lambda i: (node.est[task[i] + kind], i)):
+            prefix = {**prefixes, crane: prefixes[crane] + (ship,)}
+            child = replace(node, **{field_name: prefix})
+            left = [i for i in record.left if i != ship]
+            cranes = {**facts.cranes, key: ctx.crane(
+                child, facts.location, key, record.tasks, left
+            )}
+            yield child, facts._replace(cranes=cranes)
 
     def _decisions_of(self, node: SearchNode) -> Decisions:
         return Decisions(
@@ -596,8 +573,8 @@ class _Engine:
         bound = self.lower_bound(node, facts, vessel_lb)
         if self.incumbent is not None and bound >= self.incumbent:
             return
-        decision = self._next_decision(node, facts)
-        if decision is None:
+        children = self._children(node, facts)
+        if children is None:
             try:
                 solution = compute_schedule(
                     self.ctx.instance, self.ctx.derived, self._decisions_of(node)
@@ -608,7 +585,7 @@ class _Engine:
             return
         self.frontier_lbs.append(bound)
         try:
-            for child in self._children(node, facts, decision):
+            for child in children:
                 self._dfs(*child)
         finally:
             self.frontier_lbs.pop()

@@ -23,6 +23,10 @@ class TestRpd:
         # Identical objectives whatever the budget: deviation is zero.
         assert rpd_percent(320, 320) == 0.0
 
+    def test_two_zero_objectives(self):
+        # An instance without shipments solves to zero under both budgets.
+        assert rpd_percent(0, 0) == 0.0
+
 
 def _record(name, config, budget, objective, status="optimal", wall=1.0, gap=0.0):
     return RunRecord(

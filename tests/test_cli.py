@@ -120,6 +120,17 @@ def test_bench_over_manifest(corpus, tmp_path, capsys):
     assert len(runs) == 4  # two instances, two budgets
 
 
+def test_bench_on_an_instance_without_shipments(tmp_path, capsys):
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({
+        "vessels": [{"id": 1, "weight": 1}], "shipments": [], "yard_locations": [],
+        "geometry": {"B_T": 2, "QC_T": 1, "yc_count": 1, "delta": 1, "s_qc": 3},
+        "travel": {"tyc": [], "tt": []},
+    }))
+    assert main(["bench", str(empty), "--budgets", "1,2"]) == 0
+    assert "empty" in capsys.readouterr().out
+
+
 def test_gantt_text_and_svg(corpus, tmp_path, capsys):
     instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
     main(["solve", str(instance_file), "--time-limit", "30"])

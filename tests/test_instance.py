@@ -23,10 +23,15 @@ from ipctp.instance import (
     instance_to_json,
     interference_time,
 )
-from ipctp.schedule import solution_to_json
+from ipctp.schedule import J_FIRST, order_arcs, solution_to_json
 from ipctp.solver import SolveParams, solve
 
-from conftest import mixed_instance, random_instance, single_inbound_instance
+from conftest import (
+    interference_pair_instance,
+    mixed_instance,
+    random_instance,
+    single_inbound_instance,
+)
 
 
 class TestEligibleQcs:
@@ -195,6 +200,37 @@ class TestBuildDerived:
         first = build_derived(mixed_instance()).canonical_json()
         second = build_derived(mixed_instance()).canonical_json()
         assert first == second
+
+
+class TestSeparationArcs:
+    def test_pair_table(self):
+        derived = build_derived(interference_pair_instance())
+        assert derived.separation_arcs == {
+            (1, 2, 1, 2): ((0, 2, 13), (2, 0, 15)),
+            (1, 2, 2, 1): ((0, 2, 7), (2, 0, 9)),
+        }
+
+    def test_order_arcs_look_the_arc_up(self):
+        derived = build_derived(interference_pair_instance())
+        assert order_arcs(derived, {(1, 2, 1, 2): J_FIRST}) == [(2, 0, 15)]
+
+    @pytest.mark.parametrize("shape", [
+        (5, 0.5, 4, 3), (6, 0.5, 6, 3), (8, 0.2, 8, 2), (10, 0.5, 8, 3),
+    ])
+    def test_each_arc_waits_for_the_first_quay_task(self, shape):
+        shipments, ratio, bays, ul = shape
+        instance = random_instance(shipments, ratio, bays, 707, ul=ul)
+        derived = build_derived(instance)
+        assert derived.interference_set
+        assert list(derived.separation_arcs) == list(derived.interference_set)
+        task = derived.quay_task
+        for key, arcs in derived.separation_arcs.items():
+            i, j = key[:2]
+            for (u, v, gap), (first, second) in zip(arcs, ((i, j), (j, i))):
+                assert (u, v) == (task[first], task[second])
+                assert gap == (
+                    instance.shipment(first).qc_time + derived.interference_time[key]
+                )
 
 
 class TestInstanceValidation:
