@@ -205,6 +205,24 @@ class Instance:
                     raise InstanceInvalid("yc_travel times must be nonnegative")
                 if self.yc_travel[a][b] != self.yc_travel[b][a]:
                     raise InstanceInvalid("yc_travel must be symmetric")
+        # A yard crane moves only between its own locations, and the solver's
+        # crane arcs take the direct move as the quickest: no detour through
+        # a third location of the crane may beat it.
+        spots_of: dict[int, list[int]] = {}
+        for pos, k in enumerate(self.yard_locations):
+            spots_of.setdefault(k.yc, []).append(pos)
+        for spots in spots_of.values():
+            for m in spots:
+                via = self.yc_travel[m]
+                for a in spots:
+                    row, leg = self.yc_travel[a], via[a]
+                    for b in spots:
+                        if row[b] > leg + via[b]:
+                            ids = [self.yard_locations[p].id for p in (a, b, m)]
+                            raise InstanceInvalid(
+                                "yc_travel from location {} to {} exceeds the "
+                                "detour through {}".format(*ids)
+                            )
 
         if set(self.yt_inbound_transfer) != {k.id for k in self._inbound_available}:
             raise InstanceInvalid(

@@ -31,6 +31,7 @@ from .schedule import (
     active_interference,
     compute_schedule,
     crane_arcs,
+    locations,
     order_arcs,
     transfer_arcs,
     validate,
@@ -95,9 +96,10 @@ class _Facts(NamedTuple):
 
     # Yard location of every shipment that has one.
     location: dict[int, int]
-    # Shortest remaining chain after each task ends.
+    # Shortest remaining chain after each task ends: a transfer and the
+    # second task for a shipment's first task, 0 for every other task.
     tail: list[int]
-    # Inbound locations no shipment holds yet, in id order.
+    # Inbound locations no shipment holds yet, by (transfer time, id).
     free: list[int]
     # Interference tuples the quay assignment selects.
     active: list[tuple[int, int, int, int]]
@@ -126,20 +128,20 @@ class _Context:
         self.ship_ids = [s.id for s in ships]
         self.n_tasks = 2 * len(ships)
         self.inbound_ids = [s.id for s in instance.inbound_shipments]
-        self.available = [k.id for k in instance.inbound_available_locations]
+        self.available = sorted(
+            (k.id for k in instance.inbound_available_locations),
+            key=lambda k: (instance.tt(k), k),
+        )
         self.qc_ids = list(range(1, instance.qc_count + 1))
         self.yc_ids = list(range(1, instance.yc_count + 1))
         self.yc_at = {k.id: k.yc for k in instance.yard_locations}
         self.crane_keys = [*((QUAY, q) for q in self.qc_ids),
                            *((YARD, c) for c in self.yc_ids)]
-        self.fixed_location = {
-            s.id: s.fixed_location for s in instance.outbound_shipments
-        }
         self.quay_task = quay_task = derived.quay_task
         # Per kind, a crane's empty travel between the spots of two shipments:
         # a shipment's spot is itself for quay cranes, its location for yard
         # cranes.
-        places = [*self.fixed_location.values(), *self.available]
+        places = [k.id for k in instance.yard_locations]
         self.itself = {i: i for i in self.ship_ids}
         self.travel = (
             derived.qc_empty_travel,
@@ -147,21 +149,15 @@ class _Context:
         )
         self.duration = [0] * self.n_tasks
         self.vessel_of_task = [0] * self.n_tasks
-        # Tails that no decision changes; an inbound quay task's depends on
-        # its location and is filled in per node.
-        self.tail = [0] * self.n_tasks
         for s in ships:
             quay = quay_task[s.id]
             self.duration[quay], self.duration[quay + 1] = s.qc_time, s.yc_time
             self.vessel_of_task[quay] = self.vessel_of_task[quay + 1] = s.vessel
-            if s.is_outbound:
-                self.tail[quay + 1] = s.yt_outbound_time + s.qc_time
         self.weight = {v.id: v.weight for v in instance.vessels}
-        self.min_tt = min(instance.yt_inbound_transfer.values(), default=0)
         self.horizon = default_big_m(instance, derived)
-        # The cliques of each quay assignment met so far, keyed by every
-        # shipment's crane (None when unassigned) in id order.
-        self._cliques: dict[tuple[Optional[int], ...], list[list[int]]] = {}
+        # The active tuples and cliques of each quay assignment met so far,
+        # keyed by every shipment's crane (None when unassigned) in id order.
+        self._quay: dict[tuple[Optional[int], ...], tuple[list, list[list[int]]]] = {}
 
     def root(self) -> SearchNode:
         eligible = self.derived.eligible_qcs
@@ -176,7 +172,7 @@ class _Context:
         )
 
     def facts(self, node: SearchNode) -> _Facts:
-        location = {**self.fixed_location, **node.yard}
+        location = locations(self.instance, node.yard)
         members: dict[tuple[int, int], list[int]] = {key: [] for key in self.crane_keys}
         for i in self.ship_ids:
             if i in node.qc_of:
@@ -189,23 +185,26 @@ class _Context:
             sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
             tasks = [self.quay_task[i] + kind for i in ships]
             left = [i for i in ships if i not in sequence]
-            cranes[key] = self.crane(node, location, key, tasks, left)
-        tail = list(self.tail)
-        quay_task = self.quay_task
-        for i in self.inbound_ids:
-            k = node.yard.get(i)
-            transfer = self.instance.tt(k) if k is not None else self.min_tt
-            tail[quay_task[i]] = transfer + self.duration[quay_task[i] + 1]
+            cranes[key] = _Crane(
+                kind, tasks, sum(self.duration[t] for t in tasks), left,
+                crane_arcs(self.instance, self.derived, kind, sequence, left, location),
+            )
+        transfer = transfer_arcs(self.instance, self.derived, node.yard)
+        # A shipment's first task is followed by its transfer arc's wait,
+        # less its own duration, then its second task.
+        tail = [0] * self.n_tasks
+        for u, v, weight in transfer:
+            tail[u] = weight - self.duration[u] + self.duration[v]
         taken = set(node.yard.values())
         free = [k for k in self.available if k not in taken]
-        return _Facts(
-            location, tail, free, active_interference(self.derived, node.qc_of),
-            transfer_arcs(self.instance, self.derived, node.yard), cranes,
-            self.cliques(node.qc_of),
-        )
+        active, cliques = self.quay(node.qc_of)
+        return _Facts(location, tail, free, active, transfer, cranes, cliques)
 
-    def cliques(self, qc_of: Mapping[int, int]) -> list[list[int]]:
-        """The maximal cliques of the assigned quay tasks' conflict graph.
+    def quay(
+        self, qc_of: Mapping[int, int]
+    ) -> tuple[list[tuple[int, int, int, int]], list[list[int]]]:
+        """The interference tuples a quay assignment selects, and the
+        maximal cliques of its assigned quay tasks' conflict graph.
 
         Two tasks conflict when they share a crane or an active interference
         tuple: every interference time is positive, so neither may overlap
@@ -213,15 +212,16 @@ class _Context:
         quay assignment.
         """
         key = tuple(qc_of.get(i) for i in self.ship_ids)
-        if key in self._cliques:
-            return self._cliques[key]
+        if key in self._quay:
+            return self._quay[key]
+        active = active_interference(self.derived, qc_of)
         ships = [i for i in self.ship_ids if i in qc_of]
 
         def by_id(group) -> list[int]:
             return [i for i in ships if i in group]
 
         near = {i: {j for j in ships if j != i and qc_of[j] == qc_of[i]} for i in ships}
-        for i, j, _, _ in active_interference(self.derived, qc_of):
+        for i, j, _, _ in active:
             near[i].add(j)
             near[j].add(i)
         found: list[list[int]] = []
@@ -242,25 +242,8 @@ class _Context:
         crane_members = [[i for i in ships if qc_of[i] == q] for q in self.qc_ids]
         cliques = [[self.quay_task[i] for i in clique] for clique in found
                    if clique not in crane_members]
-        self._cliques[key] = cliques
-        return cliques
-
-    def crane(
-        self,
-        node: SearchNode,
-        location: dict[int, int],
-        key: tuple[int, int],
-        tasks: list[int],
-        left: list[int],
-    ) -> _Crane:
-        """The record of crane ``key`` at the node, from its tasks and its
-        shipments no sequence holds."""
-        kind, crane = key
-        arcs = crane_arcs(
-            self.instance, self.derived, kind,
-            getattr(node, _PREFIX_FIELD[kind])[crane], left, location,
-        )
-        return _Crane(kind, tasks, sum(self.duration[t] for t in tasks), left, arcs)
+        self._quay[key] = active, cliques
+        return active, cliques
 
 
 class _Engine:
@@ -289,8 +272,7 @@ class _Engine:
         lct = list(node.lct)
         order = dict(node.order)
 
-        unassigned = sum(1 for i in ctx.inbound_ids if i not in node.yard)
-        if unassigned > len(facts.free):
+        if len(ctx.inbound_ids) - len(node.yard) > len(facts.free):
             return None
 
         # The arcs precedence_arcs gives for the node and its working order:
@@ -474,9 +456,8 @@ class _Engine:
         ctx = self.ctx
         ship = next((i for i in ctx.inbound_ids if i not in node.yard), None)
         if ship is not None:  # identical domains, lowest id first
-            free = sorted(facts.free, key=lambda k: (ctx.instance.tt(k), k))
             return self._with_facts(
-                replace(node, yard={**node.yard, ship: k}) for k in free
+                replace(node, yard={**node.yard, ship: k}) for k in facts.free
             )
 
         unassigned_qc = [i for i in ctx.ship_ids if i not in node.qc_of]
@@ -536,12 +517,13 @@ class _Engine:
         prefixes = getattr(node, field_name)
         task = ctx.quay_task
         for ship in sorted(record.left, key=lambda i: (node.est[task[i] + kind], i)):
-            prefix = {**prefixes, crane: prefixes[crane] + (ship,)}
-            child = replace(node, **{field_name: prefix})
+            sequence = prefixes[crane] + (ship,)
+            child = replace(node, **{field_name: {**prefixes, crane: sequence}})
             left = [i for i in record.left if i != ship]
-            cranes = {**facts.cranes, key: ctx.crane(
-                child, facts.location, key, record.tasks, left
-            )}
+            arcs = crane_arcs(
+                ctx.instance, ctx.derived, kind, sequence, left, facts.location
+            )
+            cranes = {**facts.cranes, key: record._replace(left=left, arcs=arcs)}
             yield child, facts._replace(cranes=cranes)
 
     def _decisions_of(self, node: SearchNode) -> Decisions:

@@ -129,6 +129,30 @@ def interference_pair_decisions(order: str = I_FIRST) -> Decisions:
     )
 
 
+def detour_payload() -> dict:
+    """An instance file whose yard travel breaks the triangle inequality.
+
+    Three outbound shipments share one crane of each kind; every time is 1
+    and quay travel is free.  Locations 2 and 3 are 2 apart, but 0 through
+    location 1, so the yard crane's best order is 2, 1, 3 (objective 4).
+    """
+    return {
+        "vessels": [{"id": 1, "weight": 1}],
+        "shipments": [
+            {"id": i, "vessel": 1, "direction": OUTBOUND, "bay": 1, "containers": 1,
+             "qc_time": 1, "yc_time": 1, "fixed_location": i, "yt_outbound_time": 0}
+            for i in (1, 2, 3)
+        ],
+        "yard_locations": [
+            {"id": k, "yc": 1, "block_group": 1, "field": "A",
+             "reserved_for": OUTBOUND_FIXED}
+            for k in (1, 2, 3)
+        ],
+        "geometry": {"B_T": 1, "QC_T": 1, "yc_count": 1, "delta": 1, "s_qc": 0},
+        "travel": {"tyc": [[0, 0, 0], [0, 0, 2], [0, 2, 0]], "tt": [0, 0, 0]},
+    }
+
+
 def mixed_instance() -> Instance:
     """Four shipments, two cranes of each kind, a rich interference set."""
     return Instance(

@@ -17,7 +17,7 @@ from ipctp.instance import (
 from ipctp.mip import default_big_m
 from ipctp.schedule import compute_schedule, read_solution
 
-from conftest import mixed_decisions, mixed_instance
+from conftest import detour_payload, mixed_decisions, mixed_instance
 
 
 @pytest.fixture
@@ -178,6 +178,17 @@ def test_malformed_json_is_a_machine_readable_error(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "JSONDecodeError"
+
+
+def test_detour_quicker_than_direct_travel_is_a_machine_readable_error(
+    tmp_path, capsys
+):
+    path = tmp_path / "detour.json"
+    path.write_text(json.dumps(detour_payload()))
+    assert main(["solve", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InstanceInvalid"
+    assert "detour" in err["message"]
 
 
 def test_directory_as_instance_is_a_machine_readable_error(tmp_path, capsys):

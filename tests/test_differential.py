@@ -1,0 +1,126 @@
+"""Solver, oracle, validator and bound against each other on drawn instances.
+
+The draws reach what the generator never makes: several weighted vessels,
+safety distances 0 to 2, free quay travel, a choice of quay crane and
+inbound-only or outbound-only mixes.  Yard travel is drawn at random and
+then closed under shortest paths, so it is metric as every instance must be.
+"""
+
+from dataclasses import replace
+
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from ipctp.errors import BudgetExceeded
+from ipctp.instance import (
+    INBOUND,
+    INBOUND_AVAILABLE,
+    OUTBOUND,
+    OUTBOUND_FIXED,
+    Instance,
+    Shipment,
+    Vessel,
+    YardLocation,
+    build_derived,
+)
+from ipctp.oracle import brute_force, estimate_combinations
+from ipctp.schedule import validate
+from ipctp.solver import SolveParams, lower_bound, propagate, root_node, solve
+
+# Draws with more complete decision combinations are skipped: the oracle
+# enumerates every one of them.
+COMBINATIONS = 20_000
+
+
+@st.composite
+def instances(draw) -> Instance:
+    count = draw(st.integers(1, 4))
+    mix = draw(st.sampled_from(("inbound", "outbound", "mixed")))
+    if mix == "mixed":
+        directions = draw(st.lists(st.sampled_from((INBOUND, OUTBOUND)),
+                                   min_size=count, max_size=count))
+    else:
+        directions = [INBOUND if mix == "inbound" else OUTBOUND] * count
+    vessels = tuple(
+        Vessel(v, draw(st.integers(1, 3))) for v in range(1, draw(st.integers(1, 2)) + 1)
+    )
+    qc_count = draw(st.integers(1, 2))
+    safety = draw(st.integers(0, 2))
+    # Two cranes leave no bay without one when there are twice the spacing.
+    total_bays = draw(st.integers(max(1, 2 * (safety + 1) * (qc_count - 1)), 8))
+    yc_count = draw(st.integers(1, 2))
+
+    inbound = directions.count(INBOUND)
+    free = inbound + draw(st.integers(0, 2)) if inbound else 0
+    locations = [
+        YardLocation(k, draw(st.integers(1, yc_count)), 1, "C", INBOUND_AVAILABLE)
+        for k in range(1, free + 1)
+    ]
+    shipments = []
+    for i, direction in enumerate(directions, start=1):
+        body = dict(
+            id=i,
+            vessel=draw(st.integers(1, len(vessels))),
+            direction=direction,
+            bay=draw(st.integers(1, total_bays)),
+            containers=1,
+            qc_time=draw(st.integers(1, 6)),
+            yc_time=draw(st.integers(1, 6)),
+        )
+        if direction == OUTBOUND:
+            k = len(locations) + 1
+            locations.append(
+                YardLocation(k, draw(st.integers(1, yc_count)), 1, "A", OUTBOUND_FIXED)
+            )
+            body.update(fixed_location=k, yt_outbound_time=draw(st.integers(0, 5)))
+        shipments.append(Shipment(**body))
+
+    size = len(locations)
+    travel = [[0] * size for _ in range(size)]
+    for a in range(size):
+        for b in range(a + 1, size):
+            travel[a][b] = travel[b][a] = draw(st.integers(0, 6))
+    for m in range(size):  # Floyd-Warshall: the shortest-path closure
+        for a in range(size):
+            for b in range(size):
+                travel[a][b] = min(travel[a][b], travel[a][m] + travel[m][b])
+    return Instance(
+        vessels=vessels,
+        shipments=tuple(shipments),
+        total_bays=total_bays,
+        qc_count=qc_count,
+        yc_count=yc_count,
+        yard_locations=tuple(locations),
+        safety_distance=safety,
+        qc_unit_travel=draw(st.integers(0, 3)),
+        yc_travel=tuple(map(tuple, travel)),
+        yt_inbound_transfer={
+            k.id: draw(st.integers(0, 5))
+            for k in locations if k.reserved_for == INBOUND_AVAILABLE
+        },
+    )
+
+
+@given(instance=instances())
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+def test_solver_oracle_and_bounds_agree(instance):
+    derived = build_derived(instance)
+    try:
+        estimate_combinations(instance, derived, COMBINATIONS)
+    except BudgetExceeded:
+        assume(False)
+    oracle = brute_force(instance, derived)
+    optimum = oracle.best_objective
+    report, solution = solve(instance, derived, SolveParams(time_limit=60))
+    assert (report.status, report.best_objective) == ("optimal", optimum)
+    assert validate(instance, derived, solution) == []
+
+    # The root's bound, then the bound of each node on the way to the
+    # oracle's yard assignment, stays at or below the optimum.
+    root = root_node(instance, derived)
+    yard = oracle.best_solution.yard_assignment
+    for placed in range(len(yard) + 1):
+        prefix = {i: yard[i] for i in sorted(yard)[:placed]}
+        node = propagate(instance, derived, replace(root, yard=prefix))
+        assert node is not None
+        assert lower_bound(instance, derived, node) <= optimum

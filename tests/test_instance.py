@@ -20,6 +20,7 @@ from ipctp.instance import (
     crane_min_distance,
     eligible_qcs,
     instance_from_json,
+    instance_from_payload,
     instance_to_json,
     interference_time,
 )
@@ -27,6 +28,7 @@ from ipctp.schedule import J_FIRST, order_arcs, solution_to_json
 from ipctp.solver import SolveParams, solve
 
 from conftest import (
+    detour_payload,
     interference_pair_instance,
     mixed_instance,
     random_instance,
@@ -325,6 +327,18 @@ class TestInstanceValidation:
                 ) + ((1, 0),),
                 yt_inbound_transfer=base.yt_inbound_transfer,
             )
+
+    def test_detour_quicker_than_direct_travel_rejected(self):
+        # Location 1 lies between 2 and 3; the solver's crane arcs would
+        # miss the detour and prove 5 where 4 is the optimum.
+        with pytest.raises(InstanceInvalid, match="from location 2 to 3 exceeds"):
+            instance_from_payload(detour_payload())
+
+    def test_detour_through_another_crane_is_allowed(self):
+        payload = detour_payload()
+        payload["geometry"]["yc_count"] = 2
+        payload["yard_locations"][0]["yc"] = 2
+        assert instance_from_payload(payload).yc_travel[1][2] == 2
 
 
 class TestInstanceJson:

@@ -214,6 +214,36 @@ class TestLowerBound:
         # The whole crane gives 0 + 11 + 2 = 13, one task alone 10 + 5 + 2.
         assert lower_bound(instance, derived, node) == 10 + 5 + 5 + 2
 
+    def test_unplaced_tails_take_the_least_free_transfer(self):
+        # Shipment 1 holds location 1 (transfer 1); shipments 2 and 3 can
+        # only take locations 2 and 3 (transfer 9), each on its own yard crane.
+        instance = Instance(
+            vessels=(Vessel(1, 1),),
+            shipments=tuple(
+                Shipment(id=i, vessel=1, direction=INBOUND, bay=1, containers=2,
+                         qc_time=4, yc_time=3)
+                for i in (1, 2, 3)
+            ),
+            total_bays=4,
+            qc_count=1,
+            yc_count=3,
+            yard_locations=tuple(
+                YardLocation(k, k, 1, "C", INBOUND_AVAILABLE) for k in (1, 2, 3)
+            ),
+            safety_distance=1,
+            qc_unit_travel=3,
+            yc_travel=((0, 0, 0),) * 3,
+            yt_inbound_transfer={1: 1, 2: 9, 3: 9},
+        )
+        derived = build_derived(instance)
+        node = replace(
+            root_node(instance, derived), yard={1: 1}, est=(0, 0, 10, 0, 10, 0)
+        )
+        # Shipments 2 and 3 start no earlier than 10, so the later ends its
+        # quay task at 18 and its yard task no earlier than 18 + 9 + 3: this
+        # node's optimum.
+        assert lower_bound(instance, derived, node) == 30
+
     # Optima that HiGHS proved on the exported LP of two grid instances
     # (base seed 707); recorded once, no MILP solve runs here.
     PROVEN = [
