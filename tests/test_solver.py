@@ -372,11 +372,11 @@ class TestSearchTree:
     # third tree re-recorded when the bound took in interference cliques and
     # per-task heads and tails (1,099 nodes and 5,668 propagations before).
     PINNED = [
-        ((3, 4, 5, 0.5), 124, 1080, [360, 348, 346, 340, 334, 328]),
-        ((2, 6, 5, 0.5), 63, 557, [331, 330]),
-        ((2, 4, 6, 0.5), 467, 2350, [406, 403, 381, 373, 347, 333]),
-        ((2, 6, 6, 0.5), 108, 1058, [465, 454, 372, 347, 299, 287]),
-        ((3, 6, 8, 0.5), 99, 1639, [525, 509, 459, 418, 402]),
+        ((3, 4, 5, 0.5), 124, 1073, [360, 348, 346, 340, 334, 328]),
+        ((2, 6, 5, 0.5), 63, 553, [331, 330]),
+        ((2, 4, 6, 0.5), 467, 2346, [406, 403, 381, 373, 347, 333]),
+        ((2, 6, 6, 0.5), 108, 1054, [465, 454, 372, 347, 299, 287]),
+        ((3, 6, 8, 0.5), 99, 1630, [525, 509, 459, 418, 402]),
         ((2, 8, 8, 0.2), 375, 4926, [427, 383, 369, 361, 360, 331, 328]),
     ]
 
