@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
+from itertools import chain, product
 from operator import attrgetter
 from typing import Mapping
 
@@ -208,21 +208,18 @@ class Instance:
         # A yard crane moves only between its own locations, and the solver's
         # crane arcs take the direct move as the quickest: no detour through
         # a third location of the crane may beat it.
-        spots_of: dict[int, list[int]] = {}
-        for pos, k in enumerate(self.yard_locations):
-            spots_of.setdefault(k.yc, []).append(pos)
-        for spots in spots_of.values():
-            for m in spots:
-                via = self.yc_travel[m]
-                for a in spots:
-                    row, leg = self.yc_travel[a], via[a]
-                    for b in spots:
-                        if row[b] > leg + via[b]:
-                            ids = [self.yard_locations[p].id for p in (a, b, m)]
-                            raise InstanceInvalid(
-                                "yc_travel from location {} to {} exceeds the "
-                                "detour through {}".format(*ids)
-                            )
+        travel = self.yc_travel
+        for crane in range(1, self.yc_count + 1):
+            spots = [p for p, k in enumerate(self.yard_locations) if k.yc == crane]
+            for a, m in product(spots, repeat=2):
+                row, via = travel[a], travel[m]
+                for b in spots:
+                    if row[b] > row[m] + via[b]:
+                        a, b, m = (self.yard_locations[p].id for p in (a, b, m))
+                        raise InstanceInvalid(
+                            f"yc_travel from location {a} to {b} exceeds the "
+                            f"detour through {m}"
+                        )
 
         if set(self.yt_inbound_transfer) != {k.id for k in self._inbound_available}:
             raise InstanceInvalid(
