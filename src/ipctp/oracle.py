@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial, perm
+from math import factorial, perm, prod
 
 from .errors import BudgetExceeded, CyclicOrdering, IpctpError, NoFeasibleSolution
 from .instance import DerivedTables, Instance
@@ -34,56 +34,58 @@ class OracleResult:
     enumerated: int
 
 
-def _yc_members(instance: Instance, yard_assignment: dict[int, int]) -> dict[int, list[int]]:
-    """Each yard crane's shipments by id, cranes by id."""
-    members: dict[int, list[int]] = {c: [] for c in range(1, instance.yc_count + 1)}
-    location = locations(instance, yard_assignment)
-    for s in instance.shipments:
-        members[instance.location(location[s.id]).yc].append(s.id)
-    return members
+def _yard_choices(instance: Instance):
+    """Each yard assignment, with each yard crane's shipments by id."""
+    inbound = [s.id for s in instance.inbound_shipments]
+    available = [k.id for k in instance.inbound_available_locations]
+    for chosen in permutations(available, len(inbound)):
+        yard = dict(zip(inbound, chosen))
+        members: dict[int, list[int]] = {c: [] for c in range(1, instance.yc_count + 1)}
+        location = locations(instance, yard)
+        for s in instance.shipments:
+            members[instance.location(location[s.id]).yc].append(s.id)
+        yield yard, members
+
+
+def _quay_choices(instance: Instance, derived: DerivedTables):
+    """Each quay assignment, with each quay crane's shipments by id and the
+    interference tuples it makes active."""
+    ship_ids = [s.id for s in instance.shipments]
+    for choice in product(*(derived.eligible_qcs[i] for i in ship_ids)):
+        assignment = dict(zip(ship_ids, choice))
+        buckets: dict[int, list[int]] = {q: [] for q in range(1, instance.qc_count + 1)}
+        for ship, crane in assignment.items():
+            buckets[crane].append(ship)
+        yield assignment, buckets, active_interference(derived, assignment)
+
+
+def _orderings(groups: dict[int, list[int]]) -> int:
+    """How many ways each crane's shipments can be sequenced, all cranes together."""
+    return prod(factorial(len(members)) for members in groups.values())
 
 
 def estimate_combinations(
     instance: Instance, derived: DerivedTables, limit: int
 ) -> int:
     """Exact number of complete decision combinations, or BudgetExceeded."""
-    inbound = [s.id for s in instance.inbound_shipments]
-    available = [k.id for k in instance.inbound_available_locations]
-    yard_count = perm(len(available), len(inbound))
+    yard_count = perm(
+        len(instance.inbound_available_locations), len(instance.inbound_shipments)
+    )
     if yard_count > limit:
         raise BudgetExceeded(
             f"{yard_count} yard assignments alone exceed the budget {limit}"
         )
+    yard_side = sum(_orderings(members) for _, members in _yard_choices(instance))
 
-    yard_side = 0
-    for chosen in permutations(available, len(inbound)):
-        members = _yc_members(instance, dict(zip(inbound, chosen)))
-        factor = 1
-        for crane_members in members.values():
-            factor *= factorial(len(crane_members))
-        yard_side += factor
-
-    ship_ids = [s.id for s in instance.shipments]
-    eligibility = [derived.eligible_qcs[i] for i in ship_ids]
-    qc_count = 1
-    for options in eligibility:
-        qc_count *= len(options)
+    qc_count = prod(len(options) for options in derived.eligible_qcs.values())
     if qc_count > limit:
         raise BudgetExceeded(
             f"{qc_count} crane assignments alone exceed the budget {limit}"
         )
-
-    qc_side = 0
-    for choice in product(*eligibility):
-        assignment = dict(zip(ship_ids, choice))
-        buckets: dict[int, int] = {}
-        for crane in choice:
-            buckets[crane] = buckets.get(crane, 0) + 1
-        factor = 1
-        for size in buckets.values():
-            factor *= factorial(size)
-        factor *= 2 ** len(active_interference(derived, assignment))
-        qc_side += factor
+    qc_side = sum(
+        _orderings(buckets) * 2 ** len(active)
+        for _, buckets, active in _quay_choices(instance, derived)
+    )
 
     total = yard_side * qc_side
     if total > limit:
@@ -97,28 +99,19 @@ def brute_force(
     """Prove the optimum by enumerating every complete decision combination."""
     estimate_combinations(instance, derived, limit)
 
-    inbound = [s.id for s in instance.inbound_shipments]
-    available = [k.id for k in instance.inbound_available_locations]
-    ship_ids = [s.id for s in instance.shipments]
-    eligibility = [derived.eligible_qcs[i] for i in ship_ids]
+    quay_side = [
+        (assignment, [list(permutations(b)) for b in buckets.values()], active)
+        for assignment, buckets, active in _quay_choices(instance, derived)
+    ]
     qc_ids = list(range(1, instance.qc_count + 1))
 
     enumerated = 0
     best: Solution | None = None
 
-    for chosen in permutations(available, len(inbound)):
-        yard = dict(zip(inbound, chosen))
-        members = _yc_members(instance, yard)
+    for yard, members in _yard_choices(instance):
         yc_options = [list(permutations(ships)) for ships in members.values()]
 
-        for choice in product(*eligibility):
-            qc_assignment = dict(zip(ship_ids, choice))
-            buckets: dict[int, list[int]] = {q: [] for q in qc_ids}
-            for ship, crane in zip(ship_ids, choice):
-                buckets[crane].append(ship)
-            active = active_interference(derived, qc_assignment)
-
-            qc_options = [list(permutations(buckets[q])) for q in qc_ids]
+        for qc_assignment, qc_options, active in quay_side:
             for qc_combo in product(*qc_options):
                 qc_sequences = dict(zip(qc_ids, qc_combo))
                 for directions in product((I_FIRST, J_FIRST), repeat=len(active)):
@@ -139,8 +132,14 @@ def brute_force(
                         if best is None or solution.objective < best.objective:
                             best = solution
 
+    # Every sequence in id order with every tuple i_first is acyclic, so no
+    # best means no combination at all: too few locations for the inbound.
     if best is None:
-        raise NoFeasibleSolution("every decision combination was cyclic")
+        raise NoFeasibleSolution(
+            f"no decision combination: {len(instance.inbound_shipments)} inbound "
+            f"shipment(s) exceed {len(instance.inbound_available_locations)} "
+            "inbound-available location(s)"
+        )
     best = best.with_status("optimal")
     problems = validate(instance, derived, best)
     if problems:  # pragma: no cover - internal consistency guard

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -85,6 +86,15 @@ def single_inbound_instance(tt: int = 5, locations: int = 1) -> Instance:
         yc_travel=travel,
         yt_inbound_transfer={k: tt + 2 * (k - 1) for k in range(1, locations + 1)},
     )
+
+
+def overfull_yard_instance() -> Instance:
+    """Two inbound shipments but a single inbound-available location: no
+    yard assignment exists, so the decision space is empty."""
+    base = single_inbound_instance()
+    second = Shipment(id=2, vessel=1, direction=INBOUND, bay=2, containers=2,
+                      qc_time=6, yc_time=6)
+    return replace(base, shipments=(*base.shipments, second))
 
 
 def interference_pair_instance() -> Instance:

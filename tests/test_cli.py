@@ -17,7 +17,12 @@ from ipctp.instance import (
 from ipctp.mip import default_big_m
 from ipctp.schedule import compute_schedule, read_solution
 
-from conftest import detour_payload, mixed_decisions, mixed_instance
+from conftest import (
+    detour_payload,
+    mixed_decisions,
+    mixed_instance,
+    overfull_yard_instance,
+)
 
 
 @pytest.fixture
@@ -189,6 +194,35 @@ def test_detour_quicker_than_direct_travel_is_a_machine_readable_error(
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "InstanceInvalid"
     assert "detour" in err["message"]
+
+
+def test_empty_decision_space(tmp_path, capsys):
+    path = tmp_path / "overfull.json"
+    write_instance(path, overfull_yard_instance())
+    message = (
+        "no decision combination: 2 inbound shipment(s) exceed 1 "
+        "inbound-available location(s)"
+    )
+    assert main(["oracle", str(path)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "NoFeasibleSolution", "message": message,
+    }
+
+    assert main(["solve", str(path), "--time-limit", "5"]) == 1
+    assert "status=infeasible" in capsys.readouterr().out
+    report = json.loads((tmp_path / "overfull.report.json").read_text())
+    assert report["status"] == "infeasible"
+    assert report["best_objective"] is None and report["lower_bound"] is None
+    assert not (tmp_path / "overfull.sol.json").exists()
+
+
+def test_empty_instance_file_is_a_machine_readable_error(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vessels": []}))
+    assert main(["solve", str(path)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "InstanceInvalid"
+    assert err["message"].startswith("malformed instance file")
 
 
 def test_directory_as_instance_is_a_machine_readable_error(tmp_path, capsys):

@@ -1,16 +1,23 @@
 """Brute-force oracle: exactness, budget guard, structural properties."""
 
 import random
+import re
 from dataclasses import replace
 
 import pytest
 
-from ipctp.errors import BudgetExceeded
+from ipctp.errors import BudgetExceeded, NoFeasibleSolution
 from ipctp.instance import INBOUND_AVAILABLE, Instance, build_derived
 from ipctp.oracle import brute_force, estimate_combinations
 from ipctp.schedule import compute_schedule, validate
+from ipctp.solver import SolveParams, solve
 
-from conftest import random_decisions, random_instance, single_inbound_instance
+from conftest import (
+    overfull_yard_instance,
+    random_decisions,
+    random_instance,
+    single_inbound_instance,
+)
 
 
 class TestBruteForce:
@@ -110,3 +117,31 @@ class TestBruteForce:
                 restricted, build_derived(restricted)
             ).best_objective
             assert restricted_best >= baseline
+
+
+class TestEmptyDecisionSpace:
+    """With more inbound shipments than inbound-available locations there is
+    no yard assignment, so nothing is enumerated and nothing is solved."""
+
+    MESSAGE = (
+        "no decision combination: 2 inbound shipment(s) exceed 1 "
+        "inbound-available location(s)"
+    )
+
+    def test_oracle_names_both_counts(self):
+        instance = overfull_yard_instance()
+        derived = build_derived(instance)
+        assert estimate_combinations(instance, derived, limit=10) == 0
+        with pytest.raises(NoFeasibleSolution, match=re.escape(self.MESSAGE)):
+            brute_force(instance, derived)
+
+    def test_solver_reports_infeasible_without_a_bound(self):
+        instance = overfull_yard_instance()
+        report, solution = solve(
+            instance, build_derived(instance), SolveParams(time_limit=5)
+        )
+        assert report.status == "infeasible"
+        assert report.best_objective is None
+        assert report.lower_bound is None
+        assert report.gap_percent is None
+        assert solution is None
