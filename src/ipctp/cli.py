@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -130,15 +131,7 @@ def _cmd_validate(args) -> int:
     derived = build_derived(instance)
     solution = read_solution(args.solution)
     violations = validate(instance, derived, solution)
-    print(
-        canonical_dumps(
-            [
-                {"family": v.family, "ids": list(v.ids), "detail": v.detail}
-                for v in violations
-            ]
-        ),
-        end="",
-    )
+    print(canonical_dumps([asdict(v) for v in violations]), end="")
     return 0 if not violations else 1
 
 

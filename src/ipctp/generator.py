@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .errors import ConfigInvalid
 from .instance import (
@@ -130,21 +130,23 @@ def generate(config: GenConfig) -> Instance:
     def vessel_of_bay(bay: int) -> int:
         return (bay - 1) * config.vessels // config.bays + 1
 
-    body = []
+    # Outbound shipments get their fixed location and travel time below.
+    drawn = []
     for ship_id in ship_ids:
         bay = rng.randint(1, config.bays)
         containers = draw_container_count(rng)
         qc_rate = draw_qc_rate(rng)
         yc_rate = draw_yc_rate(rng)
-        body.append(
-            {
-                "id": ship_id,
-                "bay": bay,
-                "containers": containers,
-                "qc_time": qc_rate * containers,
-                "yc_time": yc_rate * containers,
-                "vessel": vessel_of_bay(bay),
-            }
+        drawn.append(
+            Shipment(
+                id=ship_id,
+                vessel=vessel_of_bay(bay),
+                direction=INBOUND if ship_id in inbound_ids else OUTBOUND,
+                bay=bay,
+                containers=containers,
+                qc_time=qc_rate * containers,
+                yc_time=yc_rate * containers,
+            )
         )
 
     available_count = config.ul_ratio * inbound_count
@@ -170,11 +172,9 @@ def generate(config: GenConfig) -> Instance:
 
     shipments = []
     next_location = available_count + 1
-    for entry in body:
-        if entry["id"] in inbound_ids:
-            shipments.append(
-                Shipment(direction=INBOUND, **entry)
-            )
+    for ship in drawn:
+        if ship.is_inbound:
+            shipments.append(ship)
             continue
         area = rng.randrange(YC_COUNT)
         group = rng.randint(1, 2)
@@ -190,11 +190,10 @@ def generate(config: GenConfig) -> Instance:
         )
         placements.append((area, group))
         shipments.append(
-            Shipment(
-                direction=OUTBOUND,
+            replace(
+                ship,
                 fixed_location=next_location,
                 yt_outbound_time=draw_transfer_time(rng, field),
-                **entry,
             )
         )
         next_location += 1
@@ -274,11 +273,7 @@ def manifest_payload(base_seed: int, entries: list[GridEntry]) -> dict:
             {
                 "file": entry.name + ".json",
                 "config": {
-                    "ul_ratio": entry.config.ul_ratio,
-                    "bays": entry.config.bays,
-                    "shipments": entry.config.shipments,
-                    "inbound_ratio": entry.config.inbound_ratio,
-                    "vessels": entry.config.vessels,
+                    k: v for k, v in asdict(entry.config).items() if k != "seed"
                 },
                 "replicate": entry.replicate,
                 "seed": entry.config.seed,

@@ -8,7 +8,7 @@ computation (schedules, bounds, the exported MIP) is exact.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from itertools import chain, product
 from operator import attrgetter
@@ -482,37 +482,13 @@ def instance_to_payload(instance: Instance) -> dict:
         instance.yt_inbound_transfer.get(k.id, 0) for k in instance.yard_locations
     ]
     return {
-        "vessels": [{"id": v.id, "weight": v.weight} for v in instance.vessels],
+        "vessels": [asdict(v) for v in instance.vessels],
+        # An inbound shipment's outbound-only fields are None and left out.
         "shipments": [
-            {
-                "id": s.id,
-                "vessel": s.vessel,
-                "direction": s.direction,
-                "bay": s.bay,
-                "containers": s.containers,
-                "qc_time": s.qc_time,
-                "yc_time": s.yc_time,
-                **(
-                    {
-                        "fixed_location": s.fixed_location,
-                        "yt_outbound_time": s.yt_outbound_time,
-                    }
-                    if s.is_outbound
-                    else {}
-                ),
-            }
+            {name: value for name, value in asdict(s).items() if value is not None}
             for s in instance.shipments
         ],
-        "yard_locations": [
-            {
-                "id": k.id,
-                "yc": k.yc,
-                "block_group": k.block_group,
-                "field": k.field,
-                "reserved_for": k.reserved_for,
-            }
-            for k in instance.yard_locations
-        ],
+        "yard_locations": [asdict(k) for k in instance.yard_locations],
         "geometry": {
             "B_T": instance.total_bays,
             "QC_T": instance.qc_count,
