@@ -1,6 +1,8 @@
 """Instance model: eligibility, distances, interference, derived tables, I/O."""
 
 import itertools
+import json
+import re
 from dataclasses import replace
 
 import pytest
@@ -339,6 +341,106 @@ class TestInstanceValidation:
         payload["geometry"]["yc_count"] = 2
         payload["yard_locations"][0]["yc"] = 2
         assert instance_from_payload(payload).yc_travel[1][2] == 2
+
+
+_DROP = object()
+
+
+def _edited(*path, value):
+    """Read mixed_instance's file with the entry at ``path`` set to ``value``
+    (or removed, for ``_DROP``)."""
+
+    def build():
+        payload = json.loads(instance_to_json(mixed_instance()))
+        *parents, last = path
+        entry = payload
+        for key in parents:
+            entry = entry[key]
+        if value is _DROP:
+            del entry[last]
+        else:
+            entry[last] = value
+        return instance_from_payload(payload)
+
+    return build
+
+
+# Shipments 2 and 3 are outbound, to locations 4 and 5; locations 1 to 3
+# are inbound-available.
+_REJECTIONS = {
+    "no_bays": (_edited("geometry", "B_T", value=0), "total_bays must be positive"),
+    "no_quay_cranes": (_edited("geometry", "QC_T", value=0),
+                       "qc_count must be positive"),
+    "no_yard_cranes": (_edited("geometry", "yc_count", value=0),
+                       "yc_count must be positive"),
+    "negative_safety": (_edited("geometry", "delta", value=-1),
+                        "safety_distance must be nonnegative"),
+    "negative_quay_travel": (_edited("geometry", "s_qc", value=-1),
+                             "qc_unit_travel must be nonnegative"),
+    "duplicate_vessel": (
+        _edited("vessels", value=[{"id": 1, "weight": 1}, {"id": 1, "weight": 2}]),
+        "duplicate vessel ids",
+    ),
+    "duplicate_location": (_edited("yard_locations", 1, "id", value=1),
+                           "duplicate yard location ids"),
+    "duplicate_shipment": (_edited("shipments", 1, "id", value=1),
+                           "duplicate shipment ids"),
+    "unknown_yard_crane": (_edited("yard_locations", 0, "yc", value=9),
+                           "location 1: unknown yard crane 9"),
+    "unknown_field": (_edited("yard_locations", 0, "field", value="Z"),
+                      "location 1: unknown field 'Z'"),
+    "unknown_reservation": (_edited("yard_locations", 0, "reserved_for", value="x"),
+                            "location 1: unknown reservation 'x'"),
+    "travel_not_square": (_edited("travel", "tyc", value=[[0]]),
+                          "yc_travel must be square over yard_locations"),
+    "travel_diagonal": (_edited("travel", "tyc", 0, 0, value=1),
+                        "yc_travel diagonal must be zero"),
+    "negative_travel_entry": (_edited("travel", "tyc", 0, 1, value=-1),
+                              "yc_travel times must be nonnegative"),
+    "negative_transfer": (_edited("travel", "tt", 0, value=-1),
+                          "transfer time to location 1 is negative"),
+    "unknown_vessel": (_edited("shipments", 0, "vessel", value=9),
+                       "shipment 1: unknown vessel 9"),
+    "unknown_direction": (_edited("shipments", 0, "direction", value="sideways"),
+                          "shipment 1: unknown direction"),
+    "no_containers": (_edited("shipments", 0, "containers", value=0),
+                      "shipment 1: containers must be positive"),
+    "no_handling_time": (_edited("shipments", 0, "yc_time", value=0),
+                         "shipment 1: handling times must be positive"),
+    "outbound_without_location": (
+        _edited("shipments", 1, "fixed_location", value=_DROP),
+        "shipment 2: outbound shipments need location and travel",
+    ),
+    "negative_outbound_travel": (_edited("shipments", 1, "yt_outbound_time", value=-1),
+                                 "shipment 2: negative travel time"),
+    "unknown_outbound_location": (_edited("shipments", 1, "fixed_location", value=99),
+                                  "shipment 2: unknown location 99"),
+    "inbound_location_for_outbound": (
+        _edited("shipments", 1, "fixed_location", value=1),
+        "shipment 2: location 1 is not outbound-reserved",
+    ),
+    "location_fixed_twice": (_edited("shipments", 2, "fixed_location", value=4),
+                             "location 4 fixed for two outbound shipments"),
+    # The reader builds the transfer table from ``tt``, so only a direct
+    # construction can leave a location out.
+    "transfer_coverage": (
+        lambda: replace(mixed_instance(), yt_inbound_transfer={1: 5, 2: 6}),
+        "yt_inbound_transfer must cover exactly the inbound-available locations",
+    ),
+}
+
+
+class TestInputBoundary:
+    @pytest.mark.parametrize(
+        "build, message", _REJECTIONS.values(), ids=_REJECTIONS.keys()
+    )
+    def test_each_rejection_names_its_cause(self, build, message):
+        with pytest.raises(InstanceInvalid, match=re.escape(message)):
+            build()
+
+    def test_eligibility_needs_a_quay_crane(self):
+        with pytest.raises(InstanceInvalid, match="qc_count must be positive"):
+            eligible_qcs(1, 4, 0, 1)
 
 
 class TestInstanceJson:

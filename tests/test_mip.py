@@ -7,7 +7,8 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from ipctp.errors import MalformedSolution
-from ipctp.instance import build_derived
+from ipctp.generator import GenConfig, derive_seed, generate
+from ipctp.instance import Vessel, build_derived
 from ipctp.mip import (
     INTERFERENCE_DISJUNCTION,
     LOCATION_ASSIGNMENT,
@@ -25,6 +26,7 @@ from ipctp.oracle import brute_force
 from ipctp.schedule import compute_schedule, validate
 from ipctp.solver import SolveParams, solve
 
+from fixtures_violations import FIXTURES
 from conftest import (
     interference_pair_instance,
     mixed_decisions,
@@ -194,10 +196,58 @@ class TestInjection:
                                     solution)
 
 
+class TestCheckPointFlagsTheCatalogue:
+    """Each catalogue solution whose fault the model sees breaks rows of the
+    validator's family; an overlap breaks the interference disjunction."""
+
+    EXPECTED = {name: {family} for name, family, _ in FIXTURES if name in (
+        "capacity_two_inbound_share_location",
+        "yc_missing_inbound_membership",
+        "yc_missing_outbound_membership",
+        "qc_consecutive_too_close",
+        "yc_inbound_pair_too_close",
+        "yc_inbound_to_outbound_too_close",
+        "yc_outbound_to_inbound_too_close",
+        "yc_outbound_pair_too_close",
+        "outbound_precedence_broken",
+        "inbound_precedence_broken",
+        "interference_gap_too_small",
+    )}
+    EXPECTED["interference_overlapping_tasks"] = {INTERFERENCE_DISJUNCTION}
+    BUILDERS = {name: builder for name, _, builder in FIXTURES}
+
+    @pytest.mark.parametrize("name", sorted(EXPECTED))
+    def test_violated_rows_are_of_the_fixture_family(self, name):
+        instance, derived, solution = self.BUILDERS[name]()
+        artifacts = build_mip(instance, derived)
+        point = mip_point_from_solution(instance, derived, artifacts, solution)
+        violated = set(check_point(artifacts, point))
+        families = {row.family for row in artifacts.rows if row.name in violated}
+        assert families == self.EXPECTED[name]
+
+
 class TestExternalEngine:
     def test_lp_text_round_trip_reaches_oracle_optimum(self):
         for seed in range(3):
             instance = random_instance(3, 0.5, 4, seed=100 + seed)
+            derived = build_derived(instance)
+            text, artifacts = export_lp(instance, derived)
+            oracle = brute_force(instance, derived)
+            objective, values = solve_lp_text(text)
+            assert abs(objective - oracle.best_objective) < 1e-6
+            parsed = solution_from_values(instance, derived, artifacts, values)
+            assert validate(instance, derived, parsed) == []
+            assert parsed.objective == oracle.best_objective
+
+
+    def test_weighted_two_vessel_round_trip(self):
+        config = GenConfig(ul_ratio=2, bays=6, shipments=3, inbound_ratio=0.5,
+                           vessels=2)
+        for seed in range(4):
+            instance = dc_replace(
+                generate(dc_replace(config, seed=derive_seed(33, config, seed))),
+                vessels=(Vessel(1, 2), Vessel(2, 3)),
+            )
             derived = build_derived(instance)
             text, artifacts = export_lp(instance, derived)
             oracle = brute_force(instance, derived)
