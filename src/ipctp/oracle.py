@@ -61,7 +61,7 @@ def _quay_choices(instance: Instance, derived: DerivedTables):
 
 def _orderings(groups: dict[int, list[int]]) -> int:
     """How many ways each crane's shipments can be sequenced, all cranes together."""
-    return prod(factorial(len(members)) for members in groups.values())
+    return prod(map(factorial, map(len, groups.values())))
 
 
 def estimate_combinations(
