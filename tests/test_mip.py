@@ -26,7 +26,6 @@ from ipctp.oracle import brute_force
 from ipctp.schedule import compute_schedule, validate
 from ipctp.solver import SolveParams, solve
 
-from fixtures_violations import FIXTURES
 from conftest import (
     interference_pair_instance,
     mixed_decisions,
@@ -35,6 +34,7 @@ from conftest import (
     single_inbound_instance,
     wide_eligibility_instance,
 )
+from fixtures_violations import FIXTURES
 from milp_backend import solve_lp_text
 
 
@@ -239,8 +239,9 @@ class TestExternalEngine:
             assert validate(instance, derived, parsed) == []
             assert parsed.objective == oracle.best_objective
 
-
     def test_weighted_two_vessel_round_trip(self):
+        # The generator weighs every vessel 1; each vessel's completion rows
+        # must leave out the other vessel's shipments.
         config = GenConfig(ul_ratio=2, bays=6, shipments=3, inbound_ratio=0.5,
                            vessels=2)
         for seed in range(4):
