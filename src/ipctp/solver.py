@@ -91,6 +91,18 @@ class _Crane(NamedTuple):
     arcs: list[Arc]
 
 
+class _Clique(NamedTuple):
+    """Assigned quay tasks that pairwise share a crane or an active
+    interference tuple: a unary resource that spans several quay cranes."""
+
+    # Its tasks in id order.
+    tasks: list[int]
+    # Each task's quay crane.
+    crane: dict[int, int]
+    # The least interference time over its active tuples.
+    separation: int
+
+
 class _Facts(NamedTuple):
     """What a node's decisions fix; propagation leaves all of it unchanged."""
 
@@ -108,10 +120,9 @@ class _Facts(NamedTuple):
     transfer: list[Arc]
     # Every crane by (kind, id), quay cranes first and each kind by id.
     cranes: dict[tuple[int, int], _Crane]
-    # The other unary resources: each maximal set of assigned quay tasks
-    # that pairwise share a crane or an active interference tuple, in id
-    # order; a set equal to one crane's tasks is left to that crane.
-    cliques: list[list[int]]
+    # The other unary resources: each maximal clique of assigned quay tasks,
+    # in id order; a set equal to one crane's tasks is left to that crane.
+    cliques: list[_Clique]
 
 
 class _Timeout(Exception):
@@ -149,15 +160,18 @@ class _Context:
         )
         self.duration = [0] * self.n_tasks
         self.vessel_of_task = [0] * self.n_tasks
+        # A quay task's bay; 0 for yard tasks.
+        self.bay = [0] * self.n_tasks
         for s in ships:
             quay = quay_task[s.id]
             self.duration[quay], self.duration[quay + 1] = s.qc_time, s.yc_time
             self.vessel_of_task[quay] = self.vessel_of_task[quay + 1] = s.vessel
+            self.bay[quay] = s.bay
         self.weight = {v.id: v.weight for v in instance.vessels}
         self.horizon = default_big_m(instance, derived)
         # The active tuples and cliques of each quay assignment met so far,
         # keyed by every shipment's crane (None when unassigned) in id order.
-        self._quay: dict[tuple[Optional[int], ...], tuple[list, list[list[int]]]] = {}
+        self._quay: dict[tuple[Optional[int], ...], tuple[list, list[_Clique]]] = {}
 
     def root(self) -> SearchNode:
         eligible = self.derived.eligible_qcs
@@ -202,14 +216,14 @@ class _Context:
 
     def quay(
         self, qc_of: Mapping[int, int]
-    ) -> tuple[list[tuple[int, int, int, int]], list[list[int]]]:
+    ) -> tuple[list[tuple[int, int, int, int]], list[_Clique]]:
         """The interference tuples a quay assignment selects, and the
         maximal cliques of its assigned quay tasks' conflict graph.
 
         Two tasks conflict when they share a crane or an active interference
         tuple: every interference time is positive, so neither may overlap
         the other.  Bron-Kerbosch with pivoting, in id order, once per
-        quay assignment.
+        quay assignment; so is each clique's least separation.
         """
         key = tuple(qc_of.get(i) for i in self.ship_ids)
         if key in self._quay:
@@ -240,8 +254,17 @@ class _Context:
 
         extend(set(), set(ships), set())
         crane_members = [[i for i in ships if qc_of[i] == q] for q in self.qc_ids]
-        cliques = [[self.quay_task[i] for i in clique] for clique in found
-                   if clique not in crane_members]
+        interference = self.derived.interference_time
+        task = self.quay_task
+        cliques = [
+            _Clique(
+                [task[i] for i in clique],
+                {task[i]: qc_of[i] for i in clique},
+                min(interference[t] for t in active
+                    if t[0] in clique and t[1] in clique),
+            )
+            for clique in found if clique not in crane_members
+        ]
         self._quay[key] = active, cliques
         return active, cliques
 
@@ -425,17 +448,58 @@ class _Engine:
         """The best of the vessel bounds ``vessel_lb`` of ``node.est`` and,
         per unary resource, the head-body-tail bound of each set of its tasks
         that start no earlier than some head: the last of them to run ends
-        no earlier than that head plus their work, and its vessel then ends
-        no earlier than that plus its tail."""
+        no earlier than that head plus their work and the transitions
+        between them, and its vessel then ends no earlier than that plus its
+        tail.
+
+        The transitions stay admissible because every task of the set starts
+        no earlier than the head, whatever order they run in:
+
+        - Any two tasks of a clique on different cranes form an active
+          tuple, so whichever starts second waits for the first one's end
+          plus the tuple's separation, even if other tasks run between them.
+          A set over c cranes changes crane at least c - 1 times, each
+          costing at least the clique's least separation.
+        - A quay crane that visits a set of bays travels at least their
+          span, ``qc_unit_travel`` per bay.
+
+        Yard cranes get no transition term: tried as the least travel
+        between the set's locations, it proved no more instances and made
+        each node more costly."""
         ctx = self.ctx
         est, tail, duration = node.est, facts.tail, ctx.duration
-        vessel_of, weight = ctx.vessel_of_task, ctx.weight
+        vessel_of, weight, bay = ctx.vessel_of_task, ctx.weight, ctx.bay
         best = sum(weight[s] * lb for s, lb in vessel_lb.items())
-        for tasks in chain((c.tasks for c in facts.cranes.values()), facts.cliques):
+        unit = ctx.instance.qc_unit_travel
+        # Per resource: its tasks, each task's crane (None for a crane) and
+        # the cost of one transition.
+        resources = chain(
+            ((c.tasks, None, unit if c.kind == QUAY else 0)
+             for c in facts.cranes.values()),
+            facts.cliques,
+        )
+        for tasks, crane, step in resources:
             work = 0
             least: dict[int, int] = {}  # per vessel, the least tail so far
+            low = high = None  # a quay crane's walked bays
+            seen: set[int] = set()  # a clique's walked cranes
             for t in sorted(tasks, key=est.__getitem__, reverse=True):
                 work += duration[t]
+                if not step:
+                    pass
+                elif crane is None:
+                    if low is None:
+                        low = high = bay[t]
+                    elif bay[t] < low:
+                        work += step * (low - bay[t])
+                        low = bay[t]
+                    elif bay[t] > high:
+                        work += step * (bay[t] - high)
+                        high = bay[t]
+                elif crane[t] not in seen:
+                    if seen:
+                        work += step
+                    seen.add(crane[t])
                 vessel = vessel_of[t]
                 if vessel not in least or tail[t] < least[vessel]:
                     least[vessel] = tail[t]
