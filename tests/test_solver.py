@@ -172,7 +172,8 @@ class TestLowerBound:
 
     def test_interfering_cranes_bound_as_one_resource(self):
         # Shipment 1 on crane 1 and shipment 2 on crane 2 form an active
-        # interference tuple, so their quay tasks never overlap.
+        # interference tuple, so their quay tasks never overlap and the
+        # second waits for the first plus the tuple's separation.
         instance = interference_pair_instance()
         derived = build_derived(instance)
         node = replace(root_node(instance, derived), qc_of={1: 1, 2: 2})
@@ -182,14 +183,18 @@ class TestLowerBound:
         tail = {i: min(instance.yt_inbound_transfer.values()) + s.yc_time
                 for i, s in ships.items()}
         per_crane = max(s.qc_time + tail[i] for i, s in ships.items())
-        clique = ships[1].qc_time + ships[2].qc_time + min(tail.values())
-        assert (per_crane, clique) == (14, 18)
+        separation = derived.interference_time[1, 2, 1, 2]
+        clique = (ships[1].qc_time + ships[2].qc_time + separation
+                  + min(tail.values()))
+        assert (per_crane, clique) == (14, 27)
+        # 27 is also this node's optimum: the bound is tight.
         assert lower_bound(instance, derived, node) == clique
 
     def test_later_heads_outweigh_the_whole_crane(self):
         # Three inbound shipments on one quay crane; the two long ones cannot
-        # start before 10, so one of them ends no earlier than 20, and its
-        # yard task (transfer 1, handling 1) no earlier than 22.
+        # start before 10, and their bays lie one apart (travel 3), so one
+        # of them ends no earlier than 23, and its yard task (transfer 1,
+        # handling 1) no earlier than 25.
         instance = Instance(
             vessels=(Vessel(1, 1),),
             shipments=tuple(
@@ -211,8 +216,9 @@ class TestLowerBound:
         derived = build_derived(instance)
         # Tasks 2p and 2p + 1 are the quay and yard tasks of shipment p + 1.
         node = replace(root_node(instance, derived), est=(0, 0, 10, 0, 10, 0))
-        # The whole crane gives 0 + 11 + 2 = 13, one task alone 10 + 5 + 2.
-        assert lower_bound(instance, derived, node) == 10 + 5 + 5 + 2
+        # The whole crane gives 0 + 11 + 2 * 3 + 2 = 19, one task alone
+        # 10 + 5 + 2.
+        assert lower_bound(instance, derived, node) == 10 + 5 + 3 + 5 + 2
 
     def test_unplaced_tails_take_the_least_free_transfer(self):
         # Shipment 1 holds location 1 (transfer 1); shipments 2 and 3 can
@@ -370,14 +376,17 @@ class TestSearchTree:
     # (ul, bays, shipments, inbound ratio) sub-seeded from 707, replicate 0;
     # nodes, propagations and incumbent objectives as first recorded; the
     # third tree re-recorded when the bound took in interference cliques and
-    # per-task heads and tails (1,099 nodes and 5,668 propagations before).
+    # per-task heads and tails (1,099 nodes and 5,668 propagations before),
+    # the sixth when it took in quay-crane travel and interference
+    # separations (375 nodes and 4,926 propagations before).
     PINNED = [
         ((3, 4, 5, 0.5), 124, 1073, [360, 348, 346, 340, 334, 328]),
         ((2, 6, 5, 0.5), 63, 553, [331, 330]),
         ((2, 4, 6, 0.5), 467, 2346, [406, 403, 381, 373, 347, 333]),
         ((2, 6, 6, 0.5), 108, 1054, [465, 454, 372, 347, 299, 287]),
         ((3, 6, 8, 0.5), 99, 1630, [525, 509, 459, 418, 402]),
-        ((2, 8, 8, 0.2), 375, 4926, [427, 383, 369, 361, 360, 331, 328]),
+        ((2, 8, 8, 0.2), 133, 1755, [427, 383, 369, 361, 360, 331, 328]),
+        ((3, 4, 6, 0.5), 98, 935, [355, 335, 333]),
     ]
 
     @pytest.mark.parametrize("shape, nodes, propagations, incumbents", PINNED)
