@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations, product
-from math import factorial, perm, prod
+from math import comb, factorial, perm, prod
 
 from .errors import BudgetExceeded, CyclicOrdering, IpctpError, NoFeasibleSolution
 from .instance import DerivedTables, Instance
@@ -64,6 +64,37 @@ def _orderings(groups: dict[int, list[int]]) -> int:
     return prod(map(factorial, map(len, groups.values())))
 
 
+def _yard_orderings(instance: Instance) -> int:
+    """``_orderings`` of each yard assignment's cranes, summed over every
+    assignment ``_yard_choices`` walks, without walking them.
+
+    Split the n inbound shipments over the yard cranes as n_c each.  That
+    split is n! / prod(n_c!) choices of shipments, and a crane with
+    ``free_c`` inbound-available locations and ``fixed_c`` outbound
+    shipments places its n_c in perm(free_c, n_c) ways and sequences its
+    shipments in (fixed_c + n_c)!.  Cranes are added one at a time, the
+    multinomial as one binomial per crane.
+    """
+    free = {c: 0 for c in range(1, instance.yc_count + 1)}
+    for k in instance.inbound_available_locations:
+        free[k.yc] += 1
+    fixed = dict.fromkeys(free, 0)
+    for s in instance.outbound_shipments:
+        fixed[instance.location(s.fixed_location).yc] += 1
+    n = len(instance.inbound_shipments)
+    ways = {0: 1}  # per number of inbound shipments placed so far
+    for c in free:
+        grown: dict[int, int] = {}
+        for placed, count in ways.items():
+            for n_c in range(min(free[c], n - placed) + 1):
+                grown[placed + n_c] = grown.get(placed + n_c, 0) + (
+                    count * comb(placed + n_c, n_c) * perm(free[c], n_c)
+                    * factorial(fixed[c] + n_c)
+                )
+        ways = grown
+    return ways.get(n, 0)
+
+
 def estimate_combinations(
     instance: Instance, derived: DerivedTables, limit: int
 ) -> int:
@@ -75,7 +106,7 @@ def estimate_combinations(
         raise BudgetExceeded(
             f"{yard_count} yard assignments alone exceed the budget {limit}"
         )
-    yard_side = sum(_orderings(members) for _, members in _yard_choices(instance))
+    yard_side = _yard_orderings(instance)
 
     qc_count = prod(len(options) for options in derived.eligible_qcs.values())
     if qc_count > limit:

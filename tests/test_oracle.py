@@ -2,13 +2,22 @@
 
 import random
 import re
+from math import perm
 from dataclasses import replace
 
 import pytest
 
+from ipctp import oracle
 from ipctp.errors import BudgetExceeded, NoFeasibleSolution
+from ipctp.generator import GenConfig, generate_grid, grid_entry
 from ipctp.instance import INBOUND_AVAILABLE, Instance, build_derived
-from ipctp.oracle import brute_force, estimate_combinations
+from ipctp.oracle import (
+    _orderings,
+    _yard_choices,
+    _yard_orderings,
+    brute_force,
+    estimate_combinations,
+)
 from ipctp.schedule import compute_schedule, validate
 from ipctp.solver import SolveParams, solve
 
@@ -38,6 +47,35 @@ class TestBruteForce:
         estimate = estimate_combinations(instance, derived, limit=10_000_000)
         result = brute_force(instance, derived, limit=10_000_000)
         assert result.enumerated == estimate
+
+    def test_yard_side_count_matches_its_walk(self):
+        # Every grid configuration whose yard assignments are few enough to
+        # walk, plus one with more inbound shipments than locations.
+        instances = [
+            entry.instance for entry in generate_grid(707, 1)
+            if perm(len(entry.instance.inbound_available_locations),
+                    len(entry.instance.inbound_shipments)) <= 2_000
+        ]
+        instances.append(overfull_yard_instance())
+        assert len(instances) > 20
+        for instance in instances:
+            walked = sum(_orderings(members) for _, members in _yard_choices(instance))
+            assert _yard_orderings(instance) == walked
+
+    def test_large_yard_side_is_refused_without_a_walk(self, monkeypatch):
+        # 518,918,400 yard assignments, under the limit; walking them would
+        # take the better part of an hour.
+        instance = grid_entry(707, GenConfig(ul_ratio=2, bays=4, shipments=15,
+                                             inbound_ratio=0.5), 0).instance
+        derived = build_derived(instance)
+
+        def no_walk(_):
+            raise AssertionError("the yard assignments were walked")
+
+        monkeypatch.setattr(oracle, "_yard_choices", no_walk)
+        assert _yard_orderings(instance) == 4_034_482_421_760
+        with pytest.raises(BudgetExceeded, match="combinations exceed the budget"):
+            estimate_combinations(instance, derived, 10**9)
 
     def test_budget_guard(self):
         instance = random_instance(5, 0.5, 8, seed=5, ul=3)
