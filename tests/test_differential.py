@@ -24,8 +24,15 @@ from ipctp.instance import (
     build_derived,
 )
 from ipctp.oracle import brute_force, estimate_combinations
-from ipctp.schedule import validate
-from ipctp.solver import SolveParams, lower_bound, propagate, root_node, solve
+from ipctp.schedule import Solution, validate
+from ipctp.solver import (
+    SearchNode,
+    SolveParams,
+    lower_bound,
+    propagate,
+    root_node,
+    solve,
+)
 
 # Draws with more complete decision combinations are skipped: the oracle
 # enumerates every one of them.
@@ -115,12 +122,31 @@ def test_solver_oracle_and_bounds_agree(instance):
     assert (report.status, report.best_objective) == ("optimal", optimum)
     assert validate(instance, derived, solution) == []
 
-    # The root's bound, then the bound of each node on the way to the
-    # oracle's yard assignment, stays at or below the optimum.
-    root = root_node(instance, derived)
-    yard = oracle.best_solution.yard_assignment
-    for placed in range(len(yard) + 1):
-        prefix = {i: yard[i] for i in sorted(yard)[:placed]}
-        node = propagate(instance, derived, replace(root, yard=prefix))
-        assert node is not None
-        assert lower_bound(instance, derived, node) <= optimum
+    # No node on the way to the oracle's solution is pruned without an
+    # incumbent, and none has a bound above the optimum.
+    for node in oracle_path(root_node(instance, derived), oracle.best_solution):
+        propagated = propagate(instance, derived, node)
+        assert propagated is not None
+        assert lower_bound(instance, derived, propagated) <= optimum
+
+
+def oracle_path(root: SearchNode, best: Solution):
+    """The root, then the nodes that add the decisions of ``best`` to it:
+    its yard locations one shipment at a time, then its quay cranes, then
+    each crane's sequence one shipment at a time."""
+    node = root
+    yield node
+    for i, k in sorted(best.yard_assignment.items()):
+        node = replace(node, yard={**node.yard, i: k})
+        yield node
+    for i, q in sorted(best.qc_assignment.items()):
+        if i not in node.qc_of:
+            node = replace(node, qc_of={**node.qc_of, i: q})
+            yield node
+    for field, sequences in (("qc_prefix", best.qc_sequences),
+                             ("yc_prefix", best.yc_sequences)):
+        for crane, sequence in sorted(sequences.items()):
+            for end in range(1, len(sequence) + 1):
+                prefixes = getattr(node, field)
+                node = replace(node, **{field: {**prefixes, crane: sequence[:end]}})
+                yield node

@@ -220,6 +220,49 @@ class TestLowerBound:
         # 10 + 5 + 2.
         assert lower_bound(instance, derived, node) == 10 + 5 + 3 + 5 + 2
 
+    @staticmethod
+    def two_inbound(bays, qc_count, qc_times) -> Instance:
+        """Two inbound shipments, each with its own location and yard crane
+        (transfer 1, handling 2), at ``bays`` of a four-bay vessel."""
+        return Instance(
+            vessels=(Vessel(1, 1),),
+            shipments=tuple(
+                Shipment(id=i, vessel=1, direction=INBOUND, bay=bay, containers=2,
+                         qc_time=qc_time, yc_time=2)
+                for i, bay, qc_time in zip((1, 2), bays, qc_times)
+            ),
+            total_bays=4,
+            qc_count=qc_count,
+            yc_count=2,
+            yard_locations=tuple(
+                YardLocation(k, k, 1, "C", INBOUND_AVAILABLE) for k in (1, 2)
+            ),
+            safety_distance=1,
+            qc_unit_travel=3,
+            yc_travel=((0, 0), (0, 0)),
+            yt_inbound_transfer={1: 1, 2: 1},
+        )
+
+    def test_the_clique_bound_charges_the_separation(self):
+        # Bays 2 and 3 are each reachable by one crane only, and the cranes
+        # must keep two bays apart: whichever shipment goes second waits one
+        # bay of travel, 3, after the first ends.
+        instance = self.two_inbound(bays=(2, 3), qc_count=2, qc_times=(4, 6))
+        derived = build_derived(instance)
+        assert derived.eligible_qcs == {1: (1,), 2: (2,)}
+        assert derived.interference_time[1, 2, 1, 2] == 3
+        optimum = brute_force(instance, derived).best_objective
+        bound = lower_bound(instance, derived, root_node(instance, derived))
+        assert bound == 4 + 6 + 3 + 1 + 2 == optimum
+
+    def test_the_crane_bound_charges_its_bay_span(self):
+        # One crane serves bays 1 and 3: it travels two bays, 6, between them.
+        instance = self.two_inbound(bays=(1, 3), qc_count=1, qc_times=(4, 6))
+        derived = build_derived(instance)
+        optimum = brute_force(instance, derived).best_objective
+        bound = lower_bound(instance, derived, root_node(instance, derived))
+        assert bound == 4 + 6 + 2 * 3 + 1 + 2 == optimum
+
     def test_unplaced_tails_take_the_least_free_transfer(self):
         # Shipment 1 holds location 1 (transfer 1); shipments 2 and 3 can
         # only take locations 2 and 3 (transfer 9), each on its own yard crane.
