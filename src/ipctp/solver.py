@@ -479,31 +479,22 @@ class _Engine:
             facts.cliques,
         )
         for tasks, crane, step in resources:
-            work = 0
+            work = moves = 0
             least: dict[int, int] = {}  # per vessel, the least tail so far
-            low = high = None  # a quay crane's walked bays
-            seen: set[int] = set()  # a clique's walked cranes
+            seen: set[int] = set()  # a quay crane's bays, a clique's cranes
             for t in sorted(tasks, key=est.__getitem__, reverse=True):
                 work += duration[t]
-                if not step:
-                    pass
-                elif crane is None:
-                    if low is None:
-                        low = high = bay[t]
-                    elif bay[t] < low:
-                        work += step * (low - bay[t])
-                        low = bay[t]
-                    elif bay[t] > high:
-                        work += step * (bay[t] - high)
-                        high = bay[t]
-                elif crane[t] not in seen:
-                    if seen:
-                        work += step
-                    seen.add(crane[t])
+                if step:
+                    if crane is None:
+                        seen.add(bay[t])
+                        moves = max(seen) - min(seen)
+                    else:
+                        seen.add(crane[t])
+                        moves = len(seen) - 1
                 vessel = vessel_of[t]
                 if vessel not in least or tail[t] < least[vessel]:
                     least[vessel] = tail[t]
-                head = est[t] + work
+                head = est[t] + work + step * moves
                 # The least over vessels is at most this task's own term.
                 if weight[vessel] * (head + least[vessel]) > best:
                     best = max(best, min(
