@@ -75,7 +75,7 @@ def _yard_orderings(instance: Instance) -> int:
     shipments in (fixed_c + n_c)!.  Cranes are added one at a time, the
     multinomial as one binomial per crane.
     """
-    free = {c: 0 for c in range(1, instance.yc_count + 1)}
+    free = dict.fromkeys(range(1, instance.yc_count + 1), 0)
     for k in instance.inbound_available_locations:
         free[k.yc] += 1
     fixed = dict.fromkeys(free, 0)

@@ -2,8 +2,8 @@
 
 import random
 import re
-from math import perm
 from dataclasses import replace
+from math import perm
 
 import pytest
 
