@@ -10,6 +10,7 @@ and a Solution to be injected as a point satisfying every row.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Mapping, NamedTuple
@@ -105,8 +106,7 @@ _CHAINS = {
 }
 
 
-@dataclass(frozen=True)
-class Row:
+class Row(NamedTuple):
     name: str
     coeffs: Mapping[str, int]
     sense: str  # "<=", ">=", "="
@@ -136,13 +136,10 @@ class MipArtifacts:
 
 def default_big_m(instance: Instance, derived: DerivedTables) -> int:
     """A provably sufficient scheduling horizon used as the big-M constant."""
+    inbound_transfer = max(instance.yt_inbound_transfer.values(), default=0)
     total = 0
     for s in instance.shipments:
-        transfer = (
-            s.yt_outbound_time
-            if s.is_outbound
-            else max(instance.yt_inbound_transfer.values(), default=0)
-        )
+        transfer = s.yt_outbound_time if s.is_outbound else inbound_transfer
         total += s.qc_time + s.yc_time + transfer
     eqc_max = instance.qc_unit_travel * (instance.total_bays - 1)
     eyc_max = max((max(row) for row in instance.yc_travel), default=0)
@@ -229,15 +226,18 @@ class _Builder:
         return self.var(f"qz_{i}_{j}", "qc_ordering", True, before=i, after=j)
 
     def theta(self, i: int, k: int, j: int, l: int) -> str:
-        return self.var(
-            f"th_{i}_{k}_{j}_{l}",
-            "pair_placement",
-            True,
-            shipment_a=i,
-            location_a=k,
-            shipment_b=j,
-            location_b=l,
-        )
+        # Registered without var(): the model names over a million of these.
+        name = f"th_{i}_{k}_{j}_{l}"
+        if name not in self.variables:
+            self.variables[name] = {
+                "kind": "pair_placement",
+                "binary": True,
+                "shipment_a": i,
+                "location_a": k,
+                "shipment_b": j,
+                "location_b": l,
+            }
+        return name
 
     def sqc(self, i: int) -> str:
         return self.var(f"sqc_{i}", "qc_start", False, shipment=i)
@@ -255,7 +255,8 @@ class _Builder:
         return self.var(f"cmax_{s}", "vessel_completion", False, vessel=s)
 
     def row(self, name, coeffs, sense, rhs, family) -> None:
-        self.rows.append(Row(name, dict(coeffs), sense, rhs, family))
+        """Adds a row; it keeps coeffs, which the caller must not touch again."""
+        self.rows.append(Row(name, coeffs, sense, rhs, family))
 
     def empty_travel(self, kind: str, i: int, j: int) -> tuple[int, dict, str]:
         """A crane's empty travel from i to j in the timing row of arc i -> j.
@@ -279,26 +280,25 @@ class _Builder:
         M = self.big_m
 
         for vessel in instance.vessels:
-            for i in self.outbound:
-                if instance.shipment(i).vessel != vessel.id:
-                    continue
-                self.row(
-                    f"cmo_{vessel.id}_{i}",
-                    {self.cmax(vessel.id): 1, self.sqc(i): -vessel.weight},
-                    ">=",
-                    vessel.weight * instance.shipment(i).qc_time,
-                    COMPLETION_OUTBOUND,
-                )
-            for i in self.inbound:
-                if instance.shipment(i).vessel != vessel.id:
-                    continue
-                self.row(
-                    f"cmi_{vessel.id}_{i}",
-                    {self.cmax(vessel.id): 1, self.syc(i): -vessel.weight},
-                    ">=",
-                    vessel.weight * instance.shipment(i).yc_time,
-                    COMPLETION_INBOUND,
-                )
+            ships = instance.shipments_of_vessel(vessel.id)
+            for s in ships:
+                if s.is_outbound:
+                    self.row(
+                        f"cmo_{vessel.id}_{s.id}",
+                        {self.cmax(vessel.id): 1, self.sqc(s.id): -vessel.weight},
+                        ">=",
+                        vessel.weight * s.qc_time,
+                        COMPLETION_OUTBOUND,
+                    )
+            for s in ships:
+                if s.is_inbound:
+                    self.row(
+                        f"cmi_{vessel.id}_{s.id}",
+                        {self.cmax(vessel.id): 1, self.syc(s.id): -vessel.weight},
+                        ">=",
+                        vessel.weight * s.yc_time,
+                        COMPLETION_INBOUND,
+                    )
 
         for k in self.available:
             self.row(
@@ -362,12 +362,11 @@ class _Builder:
                 for m in self.available:
                     coeffs[self.x(i, m)] = -instance.tyc(m, target)
                 self.row(f"sy_uo_{i}_{j}", coeffs, "=", 0, YC_EMPTY_TO_OUTBOUND)
-        for i in self.inbound:
-            x_i = {k: self.x(i, k) for k in self.available}
-            for j in self.inbound:
+        x_of = {i: {k: self.x(i, k) for k in self.available} for i in self.inbound}
+        for i, x_i in x_of.items():
+            for j, x_j in x_of.items():
                 if i == j:
                     continue
-                x_j = {l: self.x(j, l) for l in self.available}
                 # Each pair variable is named once for the three row kinds.
                 pairs = [
                     (k, l, self.theta(i, k, j, l))
@@ -494,31 +493,46 @@ def build_mip(instance: Instance, derived: DerivedTables) -> MipArtifacts:
 
 
 def _format_terms(coeffs: Mapping[str, int]) -> list[str]:
-    terms = []
-    for pos, (name, coef) in enumerate(sorted(coeffs.items())):
-        if coef == 0:
-            continue
-        sign = "-" if coef < 0 else "+"
-        magnitude = abs(coef)
-        body = name if magnitude == 1 else f"{magnitude} {name}"
-        if pos == 0 and sign == "+":
-            terms.append(body)
-        else:
-            terms.append(f"{sign} {body}")
-    return terms or ["0 " + next(iter(sorted(coeffs)), "zero")]
+    items = sorted(coeffs.items())
+    terms = [
+        (f"+ {name}" if coef == 1 else f"+ {coef} {name}")
+        if coef > 0
+        else (f"- {name}" if coef == -1 else f"- {-coef} {name}")
+        for name, coef in items
+        if coef
+    ]
+    if not terms:
+        return ["0 " + (items[0][0] if items else "zero")]
+    if items[0][1] > 0:
+        terms[0] = terms[0][2:]
+    return terms
 
 
 def render_lp(artifacts: MipArtifacts) -> str:
+    """The model as CPLEX LP text, one byte sequence per model.
+
+    Each row's terms come in name order as ``+ name``, ``- name``,
+    ``+ k name`` or ``- k name``; zero coefficients are left out.  The
+    first term drops its ``+ `` only when it is the first name in order,
+    so after a leading zero the next term keeps it.  A row or objective
+    with no nonzero term reads ``0 <first name>``, or ``0 zero`` when it
+    has no names at all.  A row is `` name: terms sense rhs`` with 8 terms
+    per line; further lines start with three spaces and the last carries
+    the sense and right-hand side.  ``Binaries`` lists the binary
+    variables in name order, 10 per line, and the text ends ``End``.
+    """
     lines = ["\\ integrated terminal scheduling model", "Minimize"]
     lines.append(" obj: " + " ".join(_format_terms(artifacts.objective)))
     lines.append("Subject To")
-    for row in artifacts.rows:
-        terms = _format_terms(row.coeffs)
-        body = f" {row.name}: "
-        chunks = [body + " ".join(terms[:8])]
+    for name, coeffs, sense, rhs, _ in artifacts.rows:
+        terms = _format_terms(coeffs)
+        if len(terms) <= 8:
+            lines.append(f" {name}: {' '.join(terms)} {sense} {rhs}")
+            continue
+        chunks = [f" {name}: " + " ".join(terms[:8])]
         for start in range(8, len(terms), 8):
             chunks.append("   " + " ".join(terms[start : start + 8]))
-        chunks[-1] += f" {row.sense} {row.rhs}"
+        chunks[-1] += f" {sense} {rhs}"
         lines.extend(chunks)
     binaries = sorted(
         name for name, info in artifacts.variables.items() if info["binary"]
@@ -611,16 +625,22 @@ POINT_TOLERANCE = 1e-6
 
 
 def check_point(artifacts: MipArtifacts, point: Mapping[str, float]) -> list[str]:
-    """Names of rows the point violates (empty list: all rows satisfied)."""
+    """Names of rows the point violates (empty list: all rows satisfied).
+
+    A row counts as satisfied only when its comparison holds, so a NaN
+    value violates every row it appears in.
+    """
     violated = []
-    for row in artifacts.rows:
-        value = sum(coef * point.get(name, 0) for name, coef in row.coeffs.items())
-        if row.sense == "<=" and value > row.rhs + POINT_TOLERANCE:
-            violated.append(row.name)
-        elif row.sense == ">=" and value < row.rhs - POINT_TOLERANCE:
-            violated.append(row.name)
-        elif row.sense == "=" and abs(value - row.rhs) > POINT_TOLERANCE:
-            violated.append(row.name)
+    for name, coeffs, sense, rhs, _ in artifacts.rows:
+        value = sum(coef * point.get(var, 0) for var, coef in coeffs.items())
+        if sense == "<=":
+            holds = value <= rhs + POINT_TOLERANCE
+        elif sense == ">=":
+            holds = value >= rhs - POINT_TOLERANCE
+        else:
+            holds = abs(value - rhs) <= POINT_TOLERANCE
+        if not holds:
+            violated.append(name)
     return violated
 
 
@@ -666,12 +686,14 @@ def solution_from_values(
 
     qc_assignment = qc_assignment_of(qc_sequences)
 
-    qc_start = {
-        s.id: int(round(values.get(names.sqc(s.id), 0))) for s in instance.shipments
-    }
-    yc_start = {
-        s.id: int(round(values.get(names.syc(s.id), 0))) for s in instance.shipments
-    }
+    def start(name: str) -> int:
+        value = values.get(name, 0)
+        if not math.isfinite(value):
+            raise MalformedSolution(f"start time {name} is not finite: {value}")
+        return int(round(value))
+
+    qc_start = {s.id: start(names.sqc(s.id)) for s in instance.shipments}
+    yc_start = {s.id: start(names.syc(s.id)) for s in instance.shipments}
 
     order: dict[tuple[int, int, int, int], str] = {}
     for key in active_interference(derived, qc_assignment):

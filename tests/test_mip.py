@@ -1,25 +1,32 @@
 """LP export: row structure, injection feasibility, round trips, determinism."""
 
 import hashlib
+import math
 import random
 from dataclasses import replace as dc_replace
 
 import pytest
 
 from ipctp.errors import MalformedSolution
-from ipctp.generator import GenConfig, derive_seed, generate
+from ipctp.generator import GenConfig, derive_seed, generate, grid_entry
 from ipctp.instance import Vessel, build_derived
 from ipctp.mip import (
     INTERFERENCE_DISJUNCTION,
+    INTERFERENCE_SEPARATION,
     LOCATION_ASSIGNMENT,
     LOCATION_CAPACITY,
+    QC_DISJUNCTION,
+    YC_EMPTY_BETWEEN_INBOUND,
     YC_EMPTY_LINEARIZATION,
+    MipArtifacts,
+    Row,
     build_mip,
     check_point,
     default_big_m,
     export_lp,
     mapping_to_json,
     mip_point_from_solution,
+    render_lp,
     solution_from_values,
 )
 from ipctp.oracle import brute_force
@@ -76,6 +83,78 @@ class TestRowStructure:
         second, artifacts_b = export_lp(instance, derived)
         assert first == second
         assert mapping_to_json(artifacts_a) == mapping_to_json(artifacts_b)
+
+    def test_counts_in_closed_form(self):
+        # s8 with three inbound shipments: larger than any pinned instance.
+        config = GenConfig(ul_ratio=3, bays=4, shipments=8, inbound_ratio=0.5)
+        entry = grid_entry(707, config, 0)
+        assert entry.name == "ipctp_u3_b4_s8_r50_0"
+        instance = entry.instance
+        derived = build_derived(instance)
+        artifacts = build_mip(instance, derived)
+        n = len(instance.shipments)
+        n_in = len(instance.inbound_shipments)
+        a = len(instance.inbound_available_locations)
+        pairs = len(derived.interference_set)
+        assert n_in >= 3 and a >= 3 and pairs > 0
+        counts = artifacts.row_counts
+        assert counts[YC_EMPTY_LINEARIZATION] == 2 * n_in * (n_in - 1) * a * (a - 1)
+        assert counts[YC_EMPTY_BETWEEN_INBOUND] == n_in * (n_in - 1)
+        assert counts[QC_DISJUNCTION] == n * (n - 1)
+        assert counts[INTERFERENCE_DISJUNCTION] == pairs
+        assert counts[INTERFERENCE_SEPARATION] == 2 * pairs
+        placements = [
+            info for info in artifacts.variables.values()
+            if info["kind"] == "pair_placement"
+        ]
+        assert len(placements) == n_in * (n_in - 1) * a * (a - 1)
+
+
+class TestRenderFormat:
+    """The byte format of ``render_lp`` on a hand-built model.
+
+    No pinned instance has a row whose first sorted coefficient is zero, an
+    all-zero row or a row wider than eight terms with unit coefficients, so
+    these rules are fixed here.
+    """
+
+    def test_exact_text(self):
+        binaries = {f"b_{n:02d}": {"kind": "test", "binary": True} for n in range(1, 12)}
+        wide = {f"y_{n:02d}": 1 for n in range(1, 18)}
+        artifacts = MipArtifacts(
+            variables={**binaries, "c": {"kind": "test", "binary": False}},
+            rows=(
+                Row("lead_zero", {"c": -1, "a": 0, "b": 2}, "<=", 4, "test"),
+                Row("all_zero", {"b": 0, "a": 0}, "=", 0, "test"),
+                Row("empty", {}, "=", 0, "test"),
+                Row("signs", {"d": -4, "c": 3, "b": -1, "a": 1}, ">=", -2, "test"),
+                Row("lead_negative", {"b": 1, "a": -3}, "<=", 0, "test"),
+                Row("wide", wide, "<=", 1, "test"),
+            ),
+            objective={},
+            big_m=10,
+            dummy_start=0,
+            dummy_end=1,
+            row_counts={"test": 6},
+        )
+        assert render_lp(artifacts) == (
+            "\\ integrated terminal scheduling model\n"
+            "Minimize\n"
+            " obj: 0 zero\n"
+            "Subject To\n"
+            " lead_zero: + 2 b - c <= 4\n"
+            " all_zero: 0 a = 0\n"
+            " empty: 0 zero = 0\n"
+            " signs: a - b + 3 c - 4 d >= -2\n"
+            " lead_negative: - 3 a + b <= 0\n"
+            " wide: y_01 + y_02 + y_03 + y_04 + y_05 + y_06 + y_07 + y_08\n"
+            "   + y_09 + y_10 + y_11 + y_12 + y_13 + y_14 + y_15 + y_16\n"
+            "   + y_17 <= 1\n"
+            "Binaries\n"
+            " b_01 b_02 b_03 b_04 b_05 b_06 b_07 b_08 b_09 b_10\n"
+            " b_11\n"
+            "End\n"
+        )
 
 
 class TestPinnedExport:
@@ -181,6 +260,19 @@ class TestInjection:
         with pytest.raises(MalformedSolution, match="does not terminate"):
             solution_from_values(instance, derived, artifacts, values)
 
+    @pytest.mark.parametrize("name, value", [
+        ("sqc_1", math.nan), ("syc_2", math.inf), ("sqc_3", -math.inf),
+    ])
+    def test_non_finite_start_is_rejected(self, name, value):
+        instance = mixed_instance()
+        derived = build_derived(instance)
+        artifacts = build_mip(instance, derived)
+        solution = compute_schedule(instance, derived, mixed_decisions())
+        point = mip_point_from_solution(instance, derived, artifacts, solution)
+        point[name] = value
+        with pytest.raises(MalformedSolution, match=f"{name} is not finite"):
+            solution_from_values(instance, derived, artifacts, point)
+
     @pytest.mark.parametrize("broken, message", [
         ({"yard_assignment": {1: 1}}, "shipment 4 has no yard location"),
         ({"qc_start": {}}, "shipment 1 has no start time"),
@@ -194,6 +286,33 @@ class TestInjection:
         with pytest.raises(MalformedSolution, match=message):
             mip_point_from_solution(instance, derived, build_mip(instance, derived),
                                     solution)
+
+
+class TestCheckPointNonFinite:
+    """Every comparison with NaN is false, so a row holds only when its
+    comparison does; a NaN value breaks exactly the rows it appears in."""
+
+    def setup_method(self):
+        self.instance = mixed_instance()
+        derived = build_derived(self.instance)
+        self.artifacts = build_mip(self.instance, derived)
+        solution = compute_schedule(self.instance, derived, mixed_decisions())
+        self.point = mip_point_from_solution(
+            self.instance, derived, self.artifacts, solution
+        )
+
+    def test_one_nan_breaks_the_rows_it_appears_in(self):
+        assert check_point(self.artifacts, self.point) == []
+        self.point["sqc_1"] = math.nan
+        expected = [row.name for row in self.artifacts.rows if "sqc_1" in row.coeffs]
+        assert expected
+        assert check_point(self.artifacts, self.point) == expected
+
+    def test_all_nan_breaks_every_row(self):
+        point = {name: math.nan for name in self.artifacts.variables}
+        assert check_point(self.artifacts, point) == [
+            row.name for row in self.artifacts.rows
+        ]
 
 
 class TestCheckPointFlagsTheCatalogue:
