@@ -226,7 +226,8 @@ class _Builder:
         return self.var(f"qz_{i}_{j}", "qc_ordering", True, before=i, after=j)
 
     def theta(self, i: int, k: int, j: int, l: int) -> str:
-        # Registered without var(): the model names over a million of these.
+        # Registered without var()'s keyword packing: on s15-s20 models these
+        # are 96% of the variables.
         name = f"th_{i}_{k}_{j}_{l}"
         if name not in self.variables:
             self.variables[name] = {
@@ -495,9 +496,10 @@ def build_mip(instance: Instance, derived: DerivedTables) -> MipArtifacts:
 def _format_terms(coeffs: Mapping[str, int]) -> list[str]:
     items = sorted(coeffs.items())
     terms = [
-        (f"+ {name}" if coef == 1 else f"+ {coef} {name}")
-        if coef > 0
-        else (f"- {name}" if coef == -1 else f"- {-coef} {name}")
+        f"+ {name}" if coef == 1
+        else f"- {name}" if coef == -1
+        else f"+ {coef} {name}" if coef > 0
+        else f"- {-coef} {name}"
         for name, coef in items
         if coef
     ]
