@@ -656,7 +656,10 @@ def solution_from_values(
     names = _Builder(instance, derived)  # spells each variable's name
 
     def on(name: str) -> bool:
-        return values.get(name, 0) > 0.5
+        value = values.get(name, 0)
+        if not math.isfinite(value):
+            raise MalformedSolution(f"binary {name} is not finite: {value}")
+        return value > 0.5
 
     yard: dict[int, int] = {}
     for name, info in artifacts.variables.items():

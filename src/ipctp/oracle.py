@@ -3,6 +3,9 @@
 The oracle enumerates every complete decision combination without any
 symmetry reduction so that its verdicts are trivially auditable; it exists
 as ground truth for the branch-and-bound solver and the exported MIP.
+Each precedence-arc segment is built once, at the loop level it depends
+on, and each combination is scored from its start times alone; only the
+winner is built into a ``Solution`` and validated.
 """
 
 from __future__ import annotations
@@ -14,13 +17,19 @@ from math import comb, factorial, perm, prod
 from .errors import BudgetExceeded, CyclicOrdering, IpctpError, NoFeasibleSolution
 from .instance import DerivedTables, Instance
 from .schedule import (
+    QUAY,
+    YARD,
     Decisions,
     I_FIRST,
     J_FIRST,
     Solution,
+    _longest_paths,
     _schedule,
     active_interference,
+    crane_arcs,
     locations,
+    order_arcs,
+    transfer_arcs,
     validate,
 )
 
@@ -124,57 +133,105 @@ def estimate_combinations(
     return total
 
 
+def _completion_table(
+    instance: Instance, derived: DerivedTables
+) -> list[tuple[int, list[tuple[int, int]]]]:
+    """Per vessel with shipments, its weight and, per shipment, the task that
+    ends its handling with that task's duration (yard side in, quay side out)."""
+    table = []
+    for v in instance.vessels:
+        ends = [
+            (derived.quay_task[s.id] + YARD, s.yc_time) if s.is_inbound
+            else (derived.quay_task[s.id], s.qc_time)
+            for s in instance.shipments_of_vessel(v.id)
+        ]
+        if ends:
+            table.append((v.weight, ends))
+    return table
+
+
 def brute_force(
     instance: Instance, derived: DerivedTables, limit: int = DEFAULT_LIMIT
 ) -> OracleResult:
-    """Prove the optimum by enumerating every complete decision combination."""
+    """Prove the optimum by enumerating every complete decision combination.
+
+    The first combination in enumeration order with the least objective wins.
+    """
     estimate_combinations(instance, derived, limit)
 
+    def sequenced(kind, ships, location):
+        """Each sequence of the crane's shipments, with its arcs."""
+        return [
+            (seq, crane_arcs(instance, derived, kind, seq, [], location))
+            for seq in permutations(ships)
+        ]
+
     quay_side = [
-        (assignment, [list(permutations(b)) for b in buckets.values()], active)
+        (assignment, [sequenced(QUAY, b, {}) for b in buckets.values()], active)
         for assignment, buckets, active in _quay_choices(instance, derived)
     ]
     qc_ids = list(range(1, instance.qc_count + 1))
+    n_tasks = 2 * len(instance.shipments)
+    table = _completion_table(instance, derived)
 
     enumerated = 0
-    best: Solution | None = None
+    best_score = None
+    best_decisions = None
 
     for yard, members in _yard_choices(instance):
-        yc_options = [list(permutations(ships)) for ships in members.values()]
+        location = locations(instance, yard)
+        transfer = transfer_arcs(instance, derived, yard)
+        yc_options = [sequenced(YARD, ships, location) for ships in members.values()]
 
         for qc_assignment, qc_options, active in quay_side:
             for qc_combo in product(*qc_options):
-                qc_sequences = dict(zip(qc_ids, qc_combo))
+                quay_arcs = transfer + [a for _, seg in qc_combo for a in seg]
                 for directions in product((I_FIRST, J_FIRST), repeat=len(active)):
                     order = dict(zip(active, directions))
+                    fixed = quay_arcs + order_arcs(derived, order)
                     for yc_combo in product(*yc_options):
                         enumerated += 1
-                        decisions = Decisions(
-                            yard_assignment=yard,
-                            qc_sequences=qc_sequences,
-                            yc_sequences=dict(zip(members, yc_combo)),
-                            interference_order=order,
-                            qc_assignment=qc_assignment,
-                        )
-                        try:  # built sound here, so the structure goes unchecked
-                            solution = _schedule(instance, derived, decisions)
+                        arcs = fixed + [a for _, seg in yc_combo for a in seg]
+                        try:
+                            start = _longest_paths(n_tasks, arcs)
                         except CyclicOrdering:
                             continue
-                        if best is None or solution.objective < best.objective:
-                            best = solution
+                        score = sum(
+                            weight * max(start[t] + d for t, d in ends)
+                            for weight, ends in table
+                        )
+                        if best_score is None or score < best_score:
+                            best_score = score
+                            best_decisions = (
+                                yard, qc_assignment, qc_combo, order, members, yc_combo
+                            )
 
     # Every sequence in id order with every tuple i_first is acyclic, so no
     # best means no combination at all: too few locations for the inbound.
-    if best is None:
+    if best_decisions is None:
         raise NoFeasibleSolution(
             f"no decision combination: {len(instance.inbound_shipments)} inbound "
             f"shipment(s) exceed {len(instance.inbound_available_locations)} "
             "inbound-available location(s)"
         )
-    best = best.with_status("optimal")
+    yard, qc_assignment, qc_combo, order, members, yc_combo = best_decisions
+    decisions = Decisions(
+        yard_assignment=yard,
+        qc_sequences=dict(zip(qc_ids, (seq for seq, _ in qc_combo))),
+        yc_sequences=dict(zip(members, (seq for seq, _ in yc_combo))),
+        interference_order=order,
+        qc_assignment=qc_assignment,
+    )
+    # Built sound here, so the structure goes unchecked.
+    best = _schedule(instance, derived, decisions).with_status("optimal")
     problems = validate(instance, derived, best)
     if problems:  # pragma: no cover - internal consistency guard
         raise IpctpError(f"oracle produced an invalid solution: {problems[0]}")
+    if best.objective != best_score:
+        raise IpctpError(
+            f"oracle scored {best_score} but built a solution of objective "
+            f"{best.objective}"
+        )
     return OracleResult(
         best_objective=best.objective, best_solution=best, enumerated=enumerated
     )

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import CyclicOrdering, MalformedSolution
 from .instance import DerivedTables, Instance, Shipment, canonical_dumps, is_integer
@@ -349,25 +349,14 @@ def compute_schedule(
     )
 
 
-def _schedule(
-    instance: Instance, derived: DerivedTables, decisions: Decisions
-) -> Solution:
-    """``compute_schedule`` for structurally sound decisions that name their
-    quay assignment and order every active interference tuple and no other."""
-    qc_assignment = decisions.qc_assignment
-    order = decisions.interference_order
-    n_tasks = 2 * len(instance.shipments)
-    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(n_tasks)]
+def _longest_paths(n_tasks: int, arcs: Iterable[Arc]) -> list[int]:
+    """Each task's longest path from time zero through the arcs, in any order.
+
+    Raises CyclicOrdering when the arcs close a cycle.
+    """
+    adjacency: list[list[Arc]] = [[] for _ in range(n_tasks)]
     indegree = [0] * n_tasks
-    for arc in precedence_arcs(
-        instance,
-        derived,
-        decisions.yard_assignment,
-        qc_assignment,
-        decisions.qc_sequences,
-        decisions.yc_sequences,
-        order,
-    ):
+    for arc in arcs:
         adjacency[arc[0]].append(arc)
         indegree[arc[1]] += 1
 
@@ -387,6 +376,28 @@ def _schedule(
         raise CyclicOrdering(
             "interference orderings are incompatible with the crane sequences"
         )
+    return start
+
+
+def _schedule(
+    instance: Instance, derived: DerivedTables, decisions: Decisions
+) -> Solution:
+    """``compute_schedule`` for structurally sound decisions that name their
+    quay assignment and order every active interference tuple and no other."""
+    qc_assignment = decisions.qc_assignment
+    order = decisions.interference_order
+    start = _longest_paths(
+        2 * len(instance.shipments),
+        precedence_arcs(
+            instance,
+            derived,
+            decisions.yard_assignment,
+            qc_assignment,
+            decisions.qc_sequences,
+            decisions.yc_sequences,
+            order,
+        ),
+    )
 
     location = locations(instance, decisions.yard_assignment)
     qc_start = {i: start[t] for i, t in derived.quay_task.items()}

@@ -273,6 +273,21 @@ class TestInjection:
         with pytest.raises(MalformedSolution, match=f"{name} is not finite"):
             solution_from_values(instance, derived, artifacts, point)
 
+    # A NaN compares false with 0.5, so it once read as an unchosen binary:
+    # a NaN x_1_1 parsed to yard assignment {4: 2} without an error.
+    @pytest.mark.parametrize("name, value", [
+        ("x_1_1", math.nan), ("z_0_3_1", math.inf), ("v_3_1_1", -math.inf),
+    ])
+    def test_non_finite_binary_is_rejected(self, name, value):
+        instance = mixed_instance()
+        derived = build_derived(instance)
+        artifacts = build_mip(instance, derived)
+        solution = compute_schedule(instance, derived, mixed_decisions())
+        point = mip_point_from_solution(instance, derived, artifacts, solution)
+        point[name] = value
+        with pytest.raises(MalformedSolution, match=f"binary {name} is not finite"):
+            solution_from_values(instance, derived, artifacts, point)
+
     @pytest.mark.parametrize("broken, message", [
         ({"yard_assignment": {1: 1}}, "shipment 4 has no yard location"),
         ({"qc_start": {}}, "shipment 1 has no start time"),

@@ -3,22 +3,31 @@
 import random
 import re
 from dataclasses import replace
+from itertools import permutations, product
 from math import perm
 
 import pytest
 
 from ipctp import oracle
-from ipctp.errors import BudgetExceeded, NoFeasibleSolution
-from ipctp.generator import GenConfig, generate_grid, grid_entry
-from ipctp.instance import INBOUND_AVAILABLE, Instance, build_derived
+from ipctp.errors import BudgetExceeded, CyclicOrdering, IpctpError, NoFeasibleSolution
+from ipctp.generator import GenConfig, derive_seed, generate, generate_grid, grid_entry
+from ipctp.instance import INBOUND_AVAILABLE, Instance, Vessel, build_derived
 from ipctp.oracle import (
     _orderings,
+    _quay_choices,
     _yard_choices,
     _yard_orderings,
     brute_force,
     estimate_combinations,
 )
-from ipctp.schedule import compute_schedule, validate
+from ipctp.schedule import (
+    Decisions,
+    I_FIRST,
+    J_FIRST,
+    compute_schedule,
+    solution_to_json,
+    validate,
+)
 from ipctp.solver import SolveParams, solve
 
 from conftest import (
@@ -26,7 +35,68 @@ from conftest import (
     random_decisions,
     random_instance,
     single_inbound_instance,
+    wide_eligibility_instance,
 )
+
+
+def plain_enumeration(instance, derived):
+    """The oracle as a plain loop: ``compute_schedule`` on every combination,
+    in the oracle's order; the first least objective wins.
+
+    Returns the combinations enumerated, how many were cyclic, and the best
+    solution.
+    """
+    quay_side = [
+        (assignment, [list(permutations(b)) for b in buckets.values()], active)
+        for assignment, buckets, active in _quay_choices(instance, derived)
+    ]
+    enumerated = cyclic = 0
+    best = None
+    for yard, members in _yard_choices(instance):
+        yc_options = [list(permutations(ships)) for ships in members.values()]
+        for qc_assignment, qc_options, active in quay_side:
+            for qc_combo in product(*qc_options):
+                for directions in product((I_FIRST, J_FIRST), repeat=len(active)):
+                    for yc_combo in product(*yc_options):
+                        enumerated += 1
+                        decisions = Decisions(
+                            yard_assignment=yard,
+                            qc_sequences=dict(enumerate(qc_combo, start=1)),
+                            yc_sequences=dict(zip(members, yc_combo)),
+                            interference_order=dict(zip(active, directions)),
+                            qc_assignment=qc_assignment,
+                        )
+                        try:
+                            solution = compute_schedule(instance, derived, decisions)
+                        except CyclicOrdering:
+                            cyclic += 1
+                            continue
+                        if best is None or solution.objective < best.objective:
+                            best = solution
+    return enumerated, cyclic, best.with_status("optimal")
+
+
+def reference_instances() -> list[Instance]:
+    """Small instances of every kind the oracle's segments must cover."""
+    instances = [
+        random_instance(shipments, ratio, bays, seed)
+        for shipments, ratio, bays, seed in (
+            (3, 0.5, 4, 1), (3, 0.2, 6, 2), (4, 0.5, 4, 3),
+            (4, 0.2, 8, 4), (3, 0.5, 8, 5), (4, 0.5, 6, 6),
+        )
+    ]
+    config = GenConfig(ul_ratio=2, bays=6, shipments=3, inbound_ratio=0.5, vessels=2)
+    for rep in range(4):
+        instances.append(replace(
+            generate(replace(config, seed=derive_seed(33, config, rep))),
+            vessels=(Vessel(1, 2), Vessel(2, 3)),
+        ))
+    rng = random.Random(808)
+    for _ in range(4):
+        wide = wide_eligibility_instance(rng, shipments=3)
+        instances += [wide, replace(wide, safety_distance=0),
+                      replace(wide, safety_distance=2)]
+    return instances
 
 
 class TestBruteForce:
@@ -155,6 +225,33 @@ class TestBruteForce:
                 restricted, build_derived(restricted)
             ).best_objective
             assert restricted_best >= baseline
+
+
+class TestAgainstPlainEnumeration:
+    def test_same_count_objective_and_solution(self):
+        cyclic_total = crane_choices = 0
+        for instance in reference_instances():
+            derived = build_derived(instance)
+            enumerated, cyclic, expected = plain_enumeration(instance, derived)
+            result = brute_force(instance, derived)
+            assert result.enumerated == enumerated
+            assert result.best_objective == expected.objective
+            assert solution_to_json(result.best_solution) == solution_to_json(expected)
+            cyclic_total += cyclic
+            crane_choices += any(len(e) > 1 for e in derived.eligible_qcs.values())
+        assert cyclic_total > 0
+        assert crane_choices > 0
+
+    def test_score_that_disagrees_with_the_built_solution_raises(self, monkeypatch):
+        table = oracle._completion_table
+
+        def heavier(instance, derived):
+            return [(weight + 1, ends) for weight, ends in table(instance, derived)]
+
+        monkeypatch.setattr(oracle, "_completion_table", heavier)
+        instance = random_instance(3, 0.5, 4, seed=1)
+        with pytest.raises(IpctpError, match="oracle scored"):
+            brute_force(instance, build_derived(instance))
 
 
 class TestEmptyDecisionSpace:

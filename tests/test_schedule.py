@@ -14,6 +14,7 @@ from ipctp.schedule import (
     I_FIRST,
     J_FIRST,
     YC_EMPTY_VALUE_FROM_OUTBOUND,
+    _longest_paths,
     active_interference,
     compute_schedule,
     objective_of,
@@ -151,6 +152,23 @@ class TestComputeSchedule:
             for i in (1, 2):
                 assert with_arc.qc_start[i] >= relaxed["qc"][i]
                 assert with_arc.yc_start[i] >= relaxed["yc"][i]
+
+
+class TestLongestPaths:
+    # 0 -> 1 -> 3 and 0 -> 2 -> 3; task 4 has no arc.
+    DIAMOND = [(0, 1, 2), (0, 2, 5), (1, 3, 4), (2, 3, 3)]
+
+    def test_diamond_takes_the_longer_branch_in_any_arc_order(self):
+        expected = [0, 2, 5, 8, 0]
+        assert _longest_paths(5, self.DIAMOND) == expected
+        rng = random.Random(5)
+        for _ in range(5):
+            arcs = rng.sample(self.DIAMOND, len(self.DIAMOND))
+            assert _longest_paths(5, arcs) == expected
+
+    def test_two_cycle_is_cyclic(self):
+        with pytest.raises(CyclicOrdering):
+            _longest_paths(3, [(0, 1, 1), (1, 0, 1)])
 
 
 class TestObjective:
