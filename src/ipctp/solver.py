@@ -5,7 +5,9 @@ assignment, then rank-based sequencing on the most loaded crane, then the
 interference disjunctions (branched lazily, only when both sides are
 assigned and their time windows still overlap).  Every node keeps earliest
 and latest start windows that only tighten along a branch; an admissible
-lower bound prunes against the incumbent.  All arithmetic is exact integer
+lower bound prunes against the incumbent.  A sequencing child is never
+built when its shipment cannot go first: the two-task not-first rule of
+disjunctive scheduling.  All arithmetic is exact integer
 arithmetic, tie-breaking is by lowest id and the search is single-threaded,
 so runs are reproducible.
 """
@@ -13,7 +15,7 @@ so runs are reproducible.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from itertools import chain, combinations
 from operator import gt
 from typing import Mapping, NamedTuple, Optional
@@ -54,6 +56,13 @@ class SolveReport:
     status: str
     nodes: int
     propagations: int
+    # Prunes by cause: propagation found no window, the bound reached the
+    # incumbent, a leaf's orders were cyclic; and the sequencing children
+    # never built because their shipment could not go first.
+    infeasible: int
+    bounded: int
+    cyclic: int
+    not_first: int
     wall_time: float
     incumbent_trace: list[tuple[float, int]] = field(default_factory=list)
 
@@ -193,26 +202,42 @@ class _Context:
                 members[QUAY, node.qc_of[i]].append(i)
             if i in location:
                 members[YARD, self.yc_at[location[i]]].append(i)
-        cranes = {}
-        for key, ships in members.items():
-            kind, crane = key
-            sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
-            tasks = [self.quay_task[i] + kind for i in ships]
-            left = [i for i in ships if i not in sequence]
-            cranes[key] = _Crane(
-                kind, tasks, sum(self.duration[t] for t in tasks), left,
-                crane_arcs(self.instance, self.derived, kind, sequence, left, location),
-            )
+        cranes = {
+            key: self.crane(node, key, ships, location)
+            for key, ships in members.items()
+        }
         transfer = transfer_arcs(self.instance, self.derived, node.yard)
-        # A shipment's first task is followed by its transfer arc's wait,
-        # less its own duration, then its second task.
-        tail = [0] * self.n_tasks
-        for u, v, weight in transfer:
-            tail[u] = weight - self.duration[u] + self.duration[v]
         taken = set(node.yard.values())
         free = [k for k in self.available if k not in taken]
         active, cliques = self.quay(node.qc_of)
-        return _Facts(location, tail, free, active, transfer, cranes, cliques)
+        return _Facts(
+            location, self.tail(transfer), free, active, transfer, cranes, cliques
+        )
+
+    def crane(
+        self,
+        node: SearchNode,
+        key: tuple[int, int],
+        ships: list[int],
+        location: Mapping[int, int],
+    ) -> _Crane:
+        """The record of crane ``key`` serving ``ships``, given in id order."""
+        kind, crane = key
+        sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
+        tasks = [self.quay_task[i] + kind for i in ships]
+        left = [i for i in ships if i not in sequence]
+        return _Crane(
+            kind, tasks, sum(self.duration[t] for t in tasks), left,
+            crane_arcs(self.instance, self.derived, kind, sequence, left, location),
+        )
+
+    def tail(self, transfer: list[Arc]) -> list[int]:
+        """Each task's tail: a shipment's first task is followed by its
+        transfer arc's wait, less its own duration, then its second task."""
+        tail = [0] * self.n_tasks
+        for u, v, weight in transfer:
+            tail[u] = weight - self.duration[u] + self.duration[v]
+        return tail
 
     def quay(
         self, qc_of: Mapping[int, int]
@@ -279,6 +304,7 @@ class _Engine:
         self.trace: list[tuple[float, int]] = []
         self.nodes = 0
         self.propagations = 0
+        self.infeasible = self.bounded = self.cyclic = self.not_first = 0
         # The bounds of the nodes on the search path; the root's comes first.
         self.frontier_lbs: list[int] = []
         self.interrupt_lb = 0  # set when the search times out
@@ -322,7 +348,10 @@ class _Engine:
             arcs += order_arcs(ctx.derived, forced_order)
         else:  # the cap ended the loop: est moved after the last bounds
             vessel_lb = self._vessel_bounds(est, facts.tail)
-        return replace(node, order=order, est=tuple(est), lct=tuple(lct)), vessel_lb
+        return SearchNode(
+            node.yard, node.qc_of, node.qc_prefix, node.yc_prefix, order,
+            tuple(est), tuple(lct),
+        ), vessel_lb
 
     def _relax(self, arcs: list[tuple[int, int, int]], est: list[int]) -> bool:
         for round_no in range(self.ctx.n_tasks + 2):
@@ -384,6 +413,8 @@ class _Engine:
         changed = False
         task = ctx.quay_task
         for crane in facts.cranes.values():
+            if len(crane.left) < 2:
+                continue
             kind, travel = crane.kind, ctx.travel[crane.kind]
             spot = facts.location if kind == YARD else ctx.itself
             for a, b in combinations(crane.left, 2):
@@ -432,7 +463,7 @@ class _Engine:
 
     def _vessel_bounds(self, est: list[int], tail: list[int]) -> dict[int, int]:
         ctx = self.ctx
-        bounds = {v.id: 0 for v in ctx.instance.vessels}
+        bounds = dict.fromkeys(ctx.weight, 0)
         for start, duration, rest, vessel_id in zip(
             est, ctx.duration, tail, ctx.vessel_of_task
         ):
@@ -465,7 +496,10 @@ class _Engine:
 
         Yard cranes get no transition term: tried as the least travel
         between the set's locations, it proved no more instances and made
-        each node more costly."""
+        each node more costly.
+
+        A resource with one task is skipped: its term is that task's
+        ``est + duration + tail``, which its vessel's bound already holds."""
         ctx = self.ctx
         est, tail, duration = node.est, facts.tail, ctx.duration
         vessel_of, weight, bay = ctx.vessel_of_task, ctx.weight, ctx.bay
@@ -479,6 +513,8 @@ class _Engine:
             facts.cliques,
         )
         for tasks, crane, step in resources:
+            if len(tasks) < 2:
+                continue
             work = moves = 0
             least: dict[int, int] = {}  # per vessel, the least tail so far
             seen: set[int] = set()  # a quay crane's bays, a clique's cranes
@@ -511,9 +547,7 @@ class _Engine:
         ctx = self.ctx
         ship = next((i for i in ctx.inbound_ids if i not in node.yard), None)
         if ship is not None:  # identical domains, lowest id first
-            return self._with_facts(
-                replace(node, yard={**node.yard, ship: k}) for k in facts.free
-            )
+            return self._placed(node, facts, ship)
 
         unassigned_qc = [i for i in ctx.ship_ids if i not in node.qc_of]
         if unassigned_qc:
@@ -523,7 +557,9 @@ class _Engine:
                 eligible[ship], key=lambda q: (facts.cranes[QUAY, q].workload, q)
             )
             return self._with_facts(
-                replace(node, qc_of={**node.qc_of, ship: q}) for q in cranes
+                SearchNode(node.yard, {**node.qc_of, ship: q}, node.qc_prefix,
+                           node.yc_prefix, node.order, node.est, node.lct)
+                for q in cranes
             )
 
         # The most loaded crane with shipments left to sequence; keys never tie.
@@ -546,17 +582,51 @@ class _Engine:
                     (I_FIRST, J_FIRST) if est[ti] <= est[tj] else (J_FIRST, I_FIRST)
                 )
                 return (
-                    (replace(node, order={**node.order, key: d}), facts)
+                    (self._ordered(node, {**node.order, key: d}), facts)
                     for d in directions
                 )
         if free_orders:  # dominated directions are fixed in one child
-            return [(replace(node, order={**node.order, **free_orders}), facts)]
+            return [(self._ordered(node, {**node.order, **free_orders}), facts)]
         return None
+
+    @staticmethod
+    def _ordered(node: SearchNode, order: dict) -> SearchNode:
+        return SearchNode(node.yard, node.qc_of, node.qc_prefix, node.yc_prefix,
+                          order, node.est, node.lct)
 
     def _with_facts(self, children):
         """Each of ``children`` with its facts built in full."""
         for child in children:
             yield child, self.ctx.facts(child)
+
+    def _placed(self, node: SearchNode, facts: _Facts, ship: int):
+        """The children that give inbound shipment ``ship`` each free
+        location, in (transfer time, id) order.
+
+        A child carries its parent's facts and rebuilds only what a location
+        changes: the location map, the free locations, the transfer arcs and
+        tails (the least free transfer time may move) and the record of the
+        location's yard crane.  The quay assignment, and so the active tuples
+        and cliques, stay as they are.
+        """
+        ctx = self.ctx
+        for k in facts.free:
+            yard = {**node.yard, ship: k}
+            child = SearchNode(yard, node.qc_of, node.qc_prefix, node.yc_prefix,
+                               node.order, node.est, node.lct)
+            location = {**facts.location, ship: k}
+            crane = ctx.yc_at[k]
+            members = sorted(i for i, l in location.items() if ctx.yc_at[l] == crane)
+            key = (YARD, crane)
+            cranes = {**facts.cranes, key: ctx.crane(child, key, members, location)}
+            transfer = transfer_arcs(ctx.instance, ctx.derived, yard)
+            yield child, facts._replace(
+                location=location,
+                tail=ctx.tail(transfer),
+                free=[l for l in facts.free if l != k],
+                transfer=transfer,
+                cranes=cranes,
+            )
 
     def _sequenced(self, node: SearchNode, facts: _Facts, key: tuple[int, int]):
         """The children that append one shipment to crane ``key``'s sequence.
@@ -564,16 +634,35 @@ class _Engine:
         A child carries its parent's crane records and rebuilds only this
         crane's: building its facts in full gives the same trees but makes a
         node about 1.6 to 1.8 times as costly.
+
+        A shipment that cannot go first gets no child (the not-first rule):
+        when it cannot end and travel to some other shipment left on the
+        crane before that one's latest start, the arc its child adds lifts
+        that start above its latest one.  The child's windows only tighten
+        from the parent's, even under a better incumbent, so its propagation
+        would return None.
         """
         ctx = self.ctx
         kind, crane = key
         record = facts.cranes[key]
-        field_name = _PREFIX_FIELD[kind]
-        prefixes = getattr(node, field_name)
-        task = ctx.quay_task
-        for ship in sorted(record.left, key=lambda i: (node.est[task[i] + kind], i)):
+        prefixes = getattr(node, _PREFIX_FIELD[kind])
+        task, duration, travel = ctx.quay_task, ctx.duration, ctx.travel[kind]
+        spot = facts.location if kind == YARD else ctx.itself
+        est, lct = node.est, node.lct
+        for ship in sorted(record.left, key=lambda i: (est[task[i] + kind], i)):
+            t = task[ship] + kind
+            done, at = est[t] + duration[t], spot[ship]
+            if any(done + travel[at, spot[u]] > lct[task[u] + kind]
+                   for u in record.left if u != ship):
+                self.not_first += 1
+                continue
             sequence = prefixes[crane] + (ship,)
-            child = replace(node, **{field_name: {**prefixes, crane: sequence}})
+            chosen = {**prefixes, crane: sequence}
+            qc_prefix, yc_prefix = (
+                (chosen, node.yc_prefix) if kind == QUAY else (node.qc_prefix, chosen)
+            )
+            child = SearchNode(node.yard, node.qc_of, qc_prefix, yc_prefix,
+                               node.order, est, lct)
             left = [i for i in record.left if i != ship]
             arcs = crane_arcs(
                 ctx.instance, ctx.derived, kind, sequence, left, facts.location
@@ -605,10 +694,12 @@ class _Engine:
             raise _Timeout
         propagated = self.propagate(node, facts)
         if propagated is None:
+            self.infeasible += 1
             return
         node, vessel_lb = propagated
         bound = self.lower_bound(node, facts, vessel_lb)
         if self.incumbent is not None and bound >= self.incumbent:
+            self.bounded += 1
             return
         children = self._children(node, facts)
         if children is None:
@@ -617,6 +708,7 @@ class _Engine:
                     self.ctx.instance, self.ctx.derived, self._decisions_of(node)
                 )
             except CyclicOrdering:
+                self.cyclic += 1
                 return
             self._offer_incumbent(solution)
             return
@@ -716,6 +808,10 @@ def solve(
         status=status,
         nodes=engine.nodes,
         propagations=engine.propagations,
+        infeasible=engine.infeasible,
+        bounded=engine.bounded,
+        cyclic=engine.cyclic,
+        not_first=engine.not_first,
         wall_time=wall,
         incumbent_trace=list(engine.trace),
     )

@@ -68,7 +68,8 @@ def test_solve_validate_oracle_flow(corpus, capsys):
     report = json.loads(report_file.read_text())
     assert set(report) == {
         "best_objective", "lower_bound", "gap_percent", "status",
-        "nodes", "propagations", "wall_time", "incumbent_trace",
+        "nodes", "propagations", "infeasible", "bounded", "cyclic", "not_first",
+        "wall_time", "incumbent_trace",
     }
 
     assert main(["validate", str(instance_file), str(solution_file)]) == 0

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from ipctp.errors import IpctpError
+from ipctp.errors import BudgetExceeded, IpctpError
 from ipctp.generator import GenConfig, derive_seed, generate, grid_entry
 from ipctp.instance import (
     INBOUND,
@@ -17,17 +17,21 @@ from ipctp.instance import (
     YardLocation,
     build_derived,
 )
-from ipctp.oracle import brute_force
+from ipctp.oracle import brute_force, estimate_combinations
 from ipctp.schedule import (
+    YARD,
     Decisions,
     I_FIRST,
     J_FIRST,
     compute_schedule,
+    crane_arcs,
     precedence_arcs,
     solution_to_json,
     validate,
 )
+import ipctp.solver
 from ipctp.solver import (
+    _PREFIX_FIELD,
     SearchNode,
     SolveParams,
     _Engine,
@@ -45,6 +49,28 @@ from conftest import (
     single_outbound_instance,
     wide_eligibility_instance,
 )
+
+
+class TickingClock:
+    """A stand-in for the ``time`` module whose clock advances by one on
+    every reading, so a time limit counts clock readings."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self) -> float:
+        self.now += 1
+        return self.now
+
+
+def weighted_two_vessel_instances(count: int) -> list[Instance]:
+    """Six-shipment grid draws with two vessels weighted 2 and 3."""
+    config = GenConfig(ul_ratio=2, bays=6, shipments=6, inbound_ratio=0.5, vessels=2)
+    return [
+        replace(generate(replace(config, seed=derive_seed(33, config, rep))),
+                vessels=(Vessel(1, 2), Vessel(2, 3)))
+        for rep in range(count)
+    ]
 
 
 class TestPropagate:
@@ -309,6 +335,41 @@ class TestLowerBound:
         report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=0.5))
         assert report.lower_bound <= optimum <= report.best_objective
 
+    def test_timed_out_bounds_are_admissible_at_tiny_limits(self, monkeypatch):
+        # The clock is read at every 64th node, so a smaller tree never times
+        # out; most s4/s5 draws are that small, so draw until 24 have.
+        monkeypatch.setattr(ipctp.solver, "time", TickingClock())
+        rng = random.Random(2024)
+        timeouts = draws = 0
+        while timeouts < 24:
+            draws += 1
+            assert draws < 400
+            config = GenConfig(
+                ul_ratio=rng.choice((2, 3)), bays=rng.choice((4, 6, 8)),
+                shipments=rng.choice((4, 5)), inbound_ratio=0.5,
+                vessels=rng.choice((1, 2)), seed=rng.getrandbits(32),
+            )
+            instance = generate(config)
+            if config.vessels == 2:
+                instance = replace(instance, vessels=(
+                    Vessel(1, rng.randint(1, 3)), Vessel(2, rng.randint(1, 3))))
+            derived = build_derived(instance)
+            try:  # the oracle enumerates every combination
+                estimate_combinations(instance, derived, 10_000)
+            except BudgetExceeded:
+                continue
+            optimum = None
+            for limit in (1, 2, 4):
+                report, _ = solve(instance, derived, SolveParams(time_limit=limit))
+                if report.status == "optimal":
+                    break
+                timeouts += 1
+                if optimum is None:
+                    optimum = brute_force(instance, derived).best_objective
+                assert report.lower_bound <= optimum
+                if report.best_objective is not None:
+                    assert optimum <= report.best_objective
+
 
 class TestSolve:
     def test_single_shipment_proven_fast(self):
@@ -450,6 +511,7 @@ class TestSearchTree:
             for (ul, bays, shipments, ratio), *_ in self.PINNED
         ]
         instances.append(wide_eligibility_instance(random.Random(8), shipments=4))
+        instances += weighted_two_vessel_instances(2)
         seen = {"passes": 0}
         real_propagate = _Engine.propagate
         real_relax = _Engine._relax
@@ -479,6 +541,123 @@ class TestSearchTree:
             report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
             assert report.status == "optimal"
         assert seen["passes"] > 1500
+
+
+def every_sequencing_child(engine, node, facts, key):
+    """Every child that appends one shipment to crane ``key``'s sequence,
+    built as the solver built them before it rejected shipments that
+    cannot go first: the reference for the not-first rule."""
+    ctx = engine.ctx
+    kind, crane = key
+    record = facts.cranes[key]
+    field_name = _PREFIX_FIELD[kind]
+    prefixes = getattr(node, field_name)
+    task = ctx.quay_task
+    for ship in sorted(record.left, key=lambda i: (node.est[task[i] + kind], i)):
+        sequence = prefixes[crane] + (ship,)
+        child = replace(node, **{field_name: {**prefixes, crane: sequence}})
+        left = [i for i in record.left if i != ship]
+        arcs = crane_arcs(ctx.instance, ctx.derived, kind, sequence, left, facts.location)
+        cranes = {**facts.cranes, key: record._replace(left=left, arcs=arcs)}
+        yield child, facts._replace(cranes=cranes)
+
+
+def search_instances() -> list[Instance]:
+    """The pinned trees' instances, crane choices and weighted vessels."""
+    rng = random.Random(8)
+    return [
+        *(random_instance(shipments, ratio, bays, seed=707, ul=ul)
+          for (ul, bays, shipments, ratio), *_ in TestSearchTree.PINNED),
+        *(wide_eligibility_instance(rng, shipments=5) for _ in range(3)),
+        *weighted_two_vessel_instances(4),
+    ]
+
+
+class TestNotFirst:
+    """Sequencing children whose shipment cannot go first are never built;
+    the rule removes only children that propagation would prune."""
+
+    @staticmethod
+    def surviving_nodes(monkeypatch, instance, sequenced):
+        """The solve's report and, in search order, each node that survives
+        propagation, with its bound."""
+        survivors = []
+        real_bound = _Engine.lower_bound
+
+        def lower_bound(engine, node, facts, vessel_lb):
+            bound = real_bound(engine, node, facts, vessel_lb)
+            survivors.append((node, bound))
+            return bound
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Engine, "lower_bound", lower_bound)
+            patch.setattr(_Engine, "_sequenced", sequenced)
+            report, _ = solve(instance, build_derived(instance),
+                              SolveParams(time_limit=60))
+        assert report.status == "optimal"
+        return report, survivors
+
+    def test_only_dead_children_are_skipped(self, monkeypatch):
+        real_sequenced = _Engine._sequenced
+        skipped_total = 0
+
+        def checked(engine, node, facts, key):
+            nonlocal skipped_total
+            before = engine.not_first
+            built = list(real_sequenced(engine, node, facts, key))
+            every = list(every_sequencing_child(engine, node, facts, key))
+            kept = [child for child, _ in built]
+            # The kept children, with their facts, come in the reference order.
+            assert built == [(c, f) for c, f in every if c in kept]
+            skipped = [(c, f) for c, f in every if c not in kept]
+            assert len(skipped) == engine.not_first - before
+            # Each skipped child dies in propagation under the incumbent of
+            # this moment; a later, better one only tightens its windows.
+            propagations = engine.propagations
+            for child, child_facts in skipped:
+                assert engine.propagate(child, child_facts) is None
+            engine.propagations = propagations
+            skipped_total += len(skipped)
+            yield from built
+
+        for instance in search_instances():
+            reference, expected = self.surviving_nodes(
+                monkeypatch, instance, every_sequencing_child)
+            report, survivors = self.surviving_nodes(monkeypatch, instance, checked)
+            assert survivors == expected
+            assert report.nodes + report.not_first == reference.nodes
+            assert reference.not_first == 0
+            assert report.incumbent_trace and [
+                obj for _, obj in report.incumbent_trace
+            ] == [obj for _, obj in reference.incumbent_trace]
+        assert skipped_total > 100
+
+
+class TestYardFacts:
+    def test_yard_children_facts_match_a_full_build(self, monkeypatch):
+        """A yard child's facts, derived from its parent's, equal the ones
+        built from scratch, field by field."""
+        real_placed = _Engine._placed
+        children = 0
+
+        def placed(engine, node, facts, ship):
+            nonlocal children
+            for child, child_facts in real_placed(engine, node, facts, ship):
+                full = engine.ctx.facts(child)
+                for name in full._fields:
+                    assert getattr(child_facts, name) == getattr(full, name), name
+                children += 1
+                yield child, child_facts
+
+        monkeypatch.setattr(_Engine, "_placed", placed)
+        instances = search_instances() + [
+            random_instance(shipments, 0.5, bays, seed=seed)
+            for shipments, bays, seed in ((3, 4, 1), (4, 6, 2), (5, 8, 3), (5, 4, 4))
+        ]
+        for instance in instances:
+            report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
+            assert report.status == "optimal"
+        assert children > 200
 
 
 class TestCraneChoice:
