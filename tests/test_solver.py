@@ -478,29 +478,39 @@ class TestSearchTree:
     branching that alters any node shows here, even when the optimum holds."""
 
     # (ul, bays, shipments, inbound ratio) sub-seeded from 707, replicate 0;
-    # nodes, propagations and incumbent objectives as first recorded; the
-    # third tree re-recorded when the bound took in interference cliques and
-    # per-task heads and tails (1,099 nodes and 5,668 propagations before),
-    # the sixth when it took in quay-crane travel and interference
-    # separations (375 nodes and 4,926 propagations before).
+    # nodes, propagations, sequencing children not built and incumbent
+    # objectives as first recorded; the third tree re-recorded when the
+    # bound took in interference cliques and per-task heads and tails (1,099
+    # nodes and 5,668 propagations before), the sixth when it took in
+    # quay-crane travel and interference separations (375 nodes and 4,926
+    # propagations before), and every tree but the second when sequencing
+    # children that cannot go first stopped being built: each tree's nodes
+    # before were its nodes plus its not-first count (propagations before:
+    # 1,073, 2,346, 1,054, 1,630, 1,755 and 935).
     PINNED = [
-        ((3, 4, 5, 0.5), 124, 1073, [360, 348, 346, 340, 334, 328]),
-        ((2, 6, 5, 0.5), 63, 553, [331, 330]),
-        ((2, 4, 6, 0.5), 467, 2346, [406, 403, 381, 373, 347, 333]),
-        ((2, 6, 6, 0.5), 108, 1054, [465, 454, 372, 347, 299, 287]),
-        ((3, 6, 8, 0.5), 99, 1630, [525, 509, 459, 418, 402]),
-        ((2, 8, 8, 0.2), 133, 1755, [427, 383, 369, 361, 360, 331, 328]),
-        ((3, 4, 6, 0.5), 98, 935, [355, 335, 333]),
+        ((3, 4, 5, 0.5), 110, 849, 14, [360, 348, 346, 340, 334, 328]),
+        ((2, 6, 5, 0.5), 63, 553, 0, [331, 330]),
+        ((2, 4, 6, 0.5), 339, 1667, 128, [406, 403, 381, 373, 347, 333]),
+        ((2, 6, 6, 0.5), 99, 660, 9, [465, 454, 372, 347, 299, 287]),
+        ((3, 6, 8, 0.5), 95, 1538, 4, [525, 509, 459, 418, 402]),
+        ((2, 8, 8, 0.2), 123, 1438, 10, [427, 383, 369, 361, 360, 331, 328]),
+        ((3, 4, 6, 0.5), 89, 776, 9, [355, 335, 333]),
     ]
 
-    @pytest.mark.parametrize("shape, nodes, propagations, incumbents", PINNED)
-    def test_tree_is_pinned(self, shape, nodes, propagations, incumbents):
+    # Named by shape, so that re-recording a tree keeps its test's name.
+    @pytest.mark.parametrize(
+        "shape, nodes, propagations, not_first, incumbents", PINNED,
+        ids=[f"u{ul}_b{bays}_s{ships}_r{round(100 * ratio)}"
+             for (ul, bays, ships, ratio), *_ in PINNED],
+    )
+    def test_tree_is_pinned(self, shape, nodes, propagations, not_first, incumbents):
         ul, bays, shipments, ratio = shape
         instance = random_instance(shipments, ratio, bays, seed=707, ul=ul)
         report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
         assert report.status == "optimal"
         assert report.nodes == nodes
         assert report.propagations == propagations
+        assert report.not_first == not_first
         assert [obj for _, obj in report.incumbent_trace] == incumbents
 
     def test_relaxed_arcs_are_the_precedence_arcs(self, monkeypatch):
