@@ -7,9 +7,9 @@ assigned and their time windows still overlap).  Every node keeps earliest
 and latest start windows that only tighten along a branch; an admissible
 lower bound prunes against the incumbent.  A sequencing child is never
 built when its shipment cannot go first: the two-task not-first rule of
-disjunctive scheduling.  All arithmetic is exact integer
-arithmetic, tie-breaking is by lowest id and the search is single-threaded,
-so runs are reproducible.
+disjunctive scheduling.  All arithmetic is exact integer arithmetic,
+tie-breaking is by lowest id and the search is single-threaded, so runs
+are reproducible.
 """
 
 from __future__ import annotations
