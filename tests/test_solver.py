@@ -19,7 +19,6 @@ from ipctp.instance import (
 )
 from ipctp.oracle import brute_force, estimate_combinations
 from ipctp.schedule import (
-    YARD,
     Decisions,
     I_FIRST,
     J_FIRST,
