@@ -206,24 +206,10 @@ def _cmd_bench(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "bench.txt").write_text(text)
         (out_dir / "bench.csv").write_text(bench_mod.rows_to_csv(rows))
-        (out_dir / "runs.json").write_text(
-            canonical_dumps(
-                [
-                    {
-                        "name": r.name,
-                        "config": r.config_id,
-                        "replicate": r.replicate,
-                        "budget": r.budget,
-                        "objective": r.objective,
-                        "status": r.status,
-                        "wall_time": r.wall_time,
-                        "gap_percent": r.gap_percent,
-                        "error": r.error,
-                    }
-                    for r in records
-                ]
-            )
-        )
+        runs = [asdict(r) for r in records]
+        for run in runs:
+            run["config"] = run.pop("config_id")
+        (out_dir / "runs.json").write_text(canonical_dumps(runs))
     return 0
 
 

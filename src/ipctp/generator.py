@@ -70,9 +70,11 @@ class GenConfig:
         return self.bays // 2
 
     def id_string(self) -> str:
+        """The config's name; the vessel count shows only when it is not 1."""
+        vessels = f"_v{self.vessels}" if self.vessels != 1 else ""
         return (
             f"u{self.ul_ratio}_b{self.bays}_s{self.shipments}"
-            f"_r{int(round(self.inbound_ratio * 100))}"
+            f"_r{int(round(self.inbound_ratio * 100))}{vessels}"
         )
 
 

@@ -519,11 +519,19 @@ def instance_from_payload(payload: Mapping) -> Instance:
             for k in payload["yard_locations"]
         )
         tt_vector = travel["tt"]
-        transfer = {
-            k.id: tt_vector[pos]
-            for pos, k in enumerate(locations)
-            if k.reserved_for == INBOUND_AVAILABLE
-        }
+        if len(tt_vector) != len(locations):
+            raise InstanceInvalid(
+                f"travel.tt has {len(tt_vector)} entries for "
+                f"{len(locations)} yard locations"
+            )
+        transfer = {}
+        for k, value in zip(locations, tt_vector):
+            if k.reserved_for == INBOUND_AVAILABLE:
+                transfer[k.id] = value
+            elif not is_integer(value):  # an unused slot is still a number
+                raise InstanceInvalid(
+                    f"transfer time must be an integer, got {value!r}"
+                )
         return Instance(
             vessels=tuple(
                 Vessel(id=v["id"], weight=v["weight"]) for v in payload["vessels"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from itertools import permutations, product
 from math import comb, factorial, perm, prod
 
-from .errors import BudgetExceeded, CyclicOrdering, IpctpError, NoFeasibleSolution
+from .errors import BudgetExceeded, IpctpError, NoFeasibleSolution
 from .instance import DerivedTables, Instance
 from .schedule import (
     QUAY,
@@ -23,14 +23,16 @@ from .schedule import (
     I_FIRST,
     J_FIRST,
     Solution,
-    _longest_paths,
     _schedule,
     active_interference,
     crane_arcs,
+    crane_members,
     locations,
     order_arcs,
+    relax,
     transfer_arcs,
     validate,
+    yard_cranes,
 )
 
 DEFAULT_LIMIT = 1_000_000
@@ -49,11 +51,8 @@ def _yard_choices(instance: Instance):
     available = [k.id for k in instance.inbound_available_locations]
     for chosen in permutations(available, len(inbound)):
         yard = dict(zip(inbound, chosen))
-        members: dict[int, list[int]] = {c: [] for c in range(1, instance.yc_count + 1)}
-        location = locations(instance, yard)
-        for s in instance.shipments:
-            members[instance.location(location[s.id]).yc].append(s.id)
-        yield yard, members
+        crane_of = yard_cranes(instance, locations(instance, yard))
+        yield yard, crane_members(instance, YARD, crane_of)
 
 
 def _quay_choices(instance: Instance, derived: DerivedTables):
@@ -62,10 +61,8 @@ def _quay_choices(instance: Instance, derived: DerivedTables):
     ship_ids = [s.id for s in instance.shipments]
     for choice in product(*(derived.eligible_qcs[i] for i in ship_ids)):
         assignment = dict(zip(ship_ids, choice))
-        buckets: dict[int, list[int]] = {q: [] for q in range(1, instance.qc_count + 1)}
-        for ship, crane in assignment.items():
-            buckets[crane].append(ship)
-        yield assignment, buckets, active_interference(derived, assignment)
+        yield (assignment, crane_members(instance, QUAY, assignment),
+               active_interference(derived, assignment))
 
 
 def _orderings(groups: dict[int, list[int]]) -> int:
@@ -192,9 +189,8 @@ def brute_force(
                     for yc_combo in product(*yc_options):
                         enumerated += 1
                         arcs = fixed + [a for _, seg in yc_combo for a in seg]
-                        try:
-                            start = _longest_paths(n_tasks, arcs)
-                        except CyclicOrdering:
+                        start = [0] * n_tasks
+                        if not relax(arcs, start)[0]:  # cyclic
                             continue
                         score = sum(
                             weight * max(start[t] + d for t, d in ends)

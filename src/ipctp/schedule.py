@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 from operator import attrgetter
-from typing import Callable, Iterable, Mapping
+from typing import Mapping
 
 from .errors import CyclicOrdering, MalformedSolution
 from .instance import DerivedTables, Instance, Shipment, canonical_dumps, is_integer
@@ -258,22 +258,23 @@ def order_arcs(
     ]
 
 
-def _unsequenced(
-    instance: Instance,
-    sequences: Mapping[int, tuple[int, ...]],
-    crane_of: Callable[[int], int | None],
+def yard_cranes(instance: Instance, location: Mapping[int, int]) -> dict[int, int]:
+    """The yard crane of each shipment that has a location."""
+    return {i: instance.location(k).yc for i, k in location.items()}
+
+
+def crane_members(
+    instance: Instance, kind: int, crane_of: Mapping[int, int]
 ) -> dict[int, list[int]]:
-    """Per crane, the shipments ``crane_of`` puts on it that no sequence
-    holds, by id."""
-    unsequenced: dict[int, list[int]] = {}
-    sequenced = set().union(*sequences.values())
-    if len(sequenced) < len(instance.shipments):
-        for s in instance.shipments:
-            i = s.id
-            crane = None if i in sequenced else crane_of(i)
-            if crane is not None:
-                unsequenced.setdefault(crane, []).append(i)
-    return unsequenced
+    """Each crane of the kind by id, with the shipments ``crane_of`` puts on
+    it by id."""
+    count = instance.qc_count if kind == QUAY else instance.yc_count
+    members: dict[int, list[int]] = {c: [] for c in range(1, count + 1)}
+    for s in instance.shipments:
+        crane = crane_of.get(s.id)
+        if crane is not None:
+            members[crane].append(s.id)
+    return members
 
 
 def precedence_arcs(
@@ -291,27 +292,20 @@ def precedence_arcs(
     ``start[v] >= start[u] + min_gap``.  The arcs are the concatenation of
     fixed segments: ``transfer_arcs``; ``crane_arcs`` of each quay crane,
     then of each yard crane, by id, where a crane's unsequenced shipments
-    are those it holds in no sequence; then ``order_arcs``.
+    are those of its ``crane_members`` that its sequence does not hold;
+    then ``order_arcs``.
     """
     location = locations(instance, yard_assignment)
     arcs = transfer_arcs(instance, derived, yard_assignment)
-    for kind, sequences, crane_count, crane_of in (
-        (QUAY, qc_sequences, instance.qc_count, qc_assignment.get),
-        (
-            YARD,
-            yc_sequences,
-            instance.yc_count,
-            lambda i: instance.location(location[i]).yc if i in location else None,
-        ),
+    for kind, sequences, crane_of in (
+        (QUAY, qc_sequences, qc_assignment),
+        (YARD, yc_sequences, yard_cranes(instance, location)),
     ):
-        unsequenced = _unsequenced(instance, sequences, crane_of)
-        for crane in range(1, crane_count + 1):
+        for crane, ships in crane_members(instance, kind, crane_of).items():
             sequence = sequences[crane]
-            if len(sequence) > 1 or sequence and crane in unsequenced:  # has arcs
-                arcs += crane_arcs(
-                    instance, derived, kind, sequence,
-                    unsequenced.get(crane, []), location,
-                )
+            left = [i for i in ships if i not in sequence]
+            if len(sequence) > 1 or sequence and left:  # has arcs
+                arcs += crane_arcs(instance, derived, kind, sequence, left, location)
     return arcs + order_arcs(derived, interference_order)
 
 
@@ -349,30 +343,38 @@ def compute_schedule(
     )
 
 
-def _longest_paths(n_tasks: int, arcs: Iterable[Arc]) -> list[int]:
+def relax(arcs: list[Arc], start: list[int]) -> tuple[bool, int]:
+    """Raise ``start`` in place until every arc ``(u, v, w)`` holds
+    ``start[v] >= start[u] + w``, walking the arcs pass by pass.
+
+    Returns whether it settled and how many times a start was raised.  It
+    gives up after ``len(start) + 2`` passes: a longest path has fewer arcs
+    than there are tasks, so only a positive cycle survives that many.
+    """
+    raises = 0
+    for _ in range(len(start) + 2):
+        changed = False
+        for u, v, weight in arcs:
+            candidate = start[u] + weight
+            if candidate > start[v]:
+                start[v] = candidate
+                changed = True
+                raises += 1
+        if not changed:
+            return True, raises
+    return False, raises
+
+
+def _longest_paths(n_tasks: int, arcs: list[Arc]) -> list[int]:
     """Each task's longest path from time zero through the arcs, in any order.
 
-    Raises CyclicOrdering when the arcs close a cycle.
+    Raises CyclicOrdering when the arcs close a cycle.  Every model arc
+    weighs at least 1 (a positive handling time plus a travel, transfer or
+    interference time that is not negative), so every cycle is positive
+    and ``relax`` never settles on one.
     """
-    adjacency: list[list[Arc]] = [[] for _ in range(n_tasks)]
-    indegree = [0] * n_tasks
-    for arc in arcs:
-        adjacency[arc[0]].append(arc)
-        indegree[arc[1]] += 1
-
     start = [0] * n_tasks
-    stack = [node for node in range(n_tasks) if indegree[node] == 0]
-    processed = 0
-    while stack:
-        u = stack.pop()
-        processed += 1
-        for _, v, weight in adjacency[u]:
-            if start[u] + weight > start[v]:
-                start[v] = start[u] + weight
-            indegree[v] -= 1
-            if indegree[v] == 0:
-                stack.append(v)
-    if processed < n_tasks:
+    if not relax(arcs, start)[0]:
         raise CyclicOrdering(
             "interference orderings are incompatible with the crane sequences"
         )
@@ -520,10 +522,7 @@ def _structural_violations(
     for i in sorted(set(qc_assignment) - ship_ids):
         out.append(Violation(QC_CHAIN_CONSISTENCY, (i,), "assignment for unknown id"))
 
-    own_yc = {
-        i: instance.location(k).yc
-        for i, k in locations(instance, yard_assignment).items()
-    }
+    own_yc = yard_cranes(instance, locations(instance, yard_assignment))
     for s in instance.shipments:
         i = s.id
         family = YC_MEMBERSHIP_INBOUND if s.is_inbound else YC_MEMBERSHIP_OUTBOUND

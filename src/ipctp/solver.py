@@ -33,10 +33,13 @@ from .schedule import (
     active_interference,
     compute_schedule,
     crane_arcs,
+    crane_members,
     locations,
     order_arcs,
+    relax,
     transfer_arcs,
     validate,
+    yard_cranes,
 )
 from .errors import CyclicOrdering, IpctpError
 
@@ -155,8 +158,6 @@ class _Context:
         self.qc_ids = list(range(1, instance.qc_count + 1))
         self.yc_ids = list(range(1, instance.yc_count + 1))
         self.yc_at = {k.id: k.yc for k in instance.yard_locations}
-        self.crane_keys = [*((QUAY, q) for q in self.qc_ids),
-                           *((YARD, c) for c in self.yc_ids)]
         self.quay_task = quay_task = derived.quay_task
         # Per kind, a crane's empty travel between the spots of two shipments:
         # a shipment's spot is itself for quay cranes, its location for yard
@@ -196,15 +197,12 @@ class _Context:
 
     def facts(self, node: SearchNode) -> _Facts:
         location = locations(self.instance, node.yard)
-        members: dict[tuple[int, int], list[int]] = {key: [] for key in self.crane_keys}
-        for i in self.ship_ids:
-            if i in node.qc_of:
-                members[QUAY, node.qc_of[i]].append(i)
-            if i in location:
-                members[YARD, self.yc_at[location[i]]].append(i)
         cranes = {
-            key: self.crane(node, key, ships, location)
-            for key, ships in members.items()
+            (kind, crane): self.crane(node, (kind, crane), ships, location)
+            for kind, crane_of in (
+                (QUAY, node.qc_of), (YARD, yard_cranes(self.instance, location))
+            )
+            for crane, ships in crane_members(self.instance, kind, crane_of).items()
         }
         transfer = transfer_arcs(self.instance, self.derived, node.yard)
         taken = set(node.yard.values())
@@ -278,7 +276,7 @@ class _Context:
                 excluded = excluded | {i}
 
         extend(set(), set(ships), set())
-        crane_members = [[i for i in ships if qc_of[i] == q] for q in self.qc_ids]
+        own = crane_members(self.instance, QUAY, qc_of).values()
         interference = self.derived.interference_time
         task = self.quay_task
         cliques = [
@@ -288,7 +286,7 @@ class _Context:
                 min(interference[t] for t in active
                     if t[0] in clique and t[1] in clique),
             )
-            for clique in found if clique not in crane_members
+            for clique in found if clique not in own
         ]
         self._quay[key] = active, cliques
         return active, cliques
@@ -353,18 +351,12 @@ class _Engine:
             tuple(est), tuple(lct),
         ), vessel_lb
 
-    def _relax(self, arcs: list[tuple[int, int, int]], est: list[int]) -> bool:
-        for round_no in range(self.ctx.n_tasks + 2):
-            changed = False
-            for u, v, weight in arcs:
-                candidate = est[u] + weight
-                if candidate > est[v]:
-                    est[v] = candidate
-                    changed = True
-                    self.propagations += 1
-            if not changed:
-                return True
-        return False  # positive cycle
+    def _relax(self, arcs: list[Arc], est: list[int]) -> bool:
+        """``relax``, counting its raises as propagations; False means a
+        positive cycle."""
+        settled, raises = relax(arcs, est)
+        self.propagations += raises
+        return settled
 
     def _tighten_lct(
         self,

@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from ipctp.cli import main
+from ipctp import bench as bench_mod
+from ipctp.cli import _bench_items, main
 from ipctp.gantt import render_svg, render_text
 from ipctp.generator import generate_grid
 from ipctp.instance import (
@@ -124,6 +125,50 @@ def test_bench_over_manifest(corpus, tmp_path, capsys):
     assert (out_dir / "runs.json").exists()
     runs = json.loads((out_dir / "runs.json").read_text())
     assert len(runs) == 4  # two instances, two budgets
+
+
+def test_bench_runs_json_holds_every_record_field(corpus, tmp_path, monkeypatch):
+    monkeypatch.setattr(
+        bench_mod, "_default_runner",
+        lambda instance, budget: (40 + int(budget), "feasible", budget / 2, 12.5),
+    )
+    out_dir = tmp_path / "bench"
+    assert main([
+        "bench", str(corpus), "--budgets", "5,10", "--out-dir", str(out_dir),
+    ]) == 0
+    runs = json.loads((out_dir / "runs.json").read_text())
+    assert runs == [
+        {"name": f"ipctp_u2_b4_s3_r50_{replicate}.json", "config": "u2_b4_s3_r50",
+         "replicate": replicate, "budget": budget, "objective": 40 + int(budget),
+         "status": "feasible", "wall_time": budget / 2, "gap_percent": 12.5,
+         "error": None}
+        for replicate in (0, 1)
+        for budget in (5.0, 10.0)
+    ]
+
+
+def test_bench_keeps_vessel_counts_apart(tmp_path, monkeypatch):
+    """Configs that differ only in vessel count get one row each."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    entries = []
+    for vessels in ("1", "2"):
+        part = tmp_path / f"v{vessels}"
+        assert main([
+            "generate", "--out-dir", str(part), "--shipments", "3", "--bays", "4",
+            "--vessels", vessels, "--count", "1",
+        ]) == 0
+        manifest = json.loads((part / "manifest.json").read_text())
+        for entry in manifest["instances"]:
+            (corpus / entry["file"]).write_text((part / entry["file"]).read_text())
+            entries.append(entry)
+    (corpus / "manifest.json").write_text(json.dumps({**manifest, "instances": entries}))
+    monkeypatch.setattr(
+        bench_mod, "_default_runner", lambda instance, budget: (1, "optimal", 0.0, 0.0)
+    )
+    rows, _ = bench_mod.run_bench(_bench_items([str(corpus)]), budgets=(1.0, 2.0))
+    assert [row.config_id for row in rows] == ["u2_b4_s3_r20", "u2_b4_s3_r20_v2"]
+    assert [row.replicates for row in rows] == [1, 1]
 
 
 def test_bench_on_an_instance_without_shipments(tmp_path, capsys):

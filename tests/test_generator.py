@@ -20,6 +20,7 @@ from ipctp.generator import (
     draw_yc_rate,
     generate,
     generate_grid,
+    grid_entry,
 )
 from ipctp.instance import INBOUND_AVAILABLE, build_derived, instance_to_json
 
@@ -172,6 +173,13 @@ class TestDeterminism:
         base = GenConfig(ul_ratio=2, bays=6, shipments=8, inbound_ratio=0.5, seed=77)
         other = GenConfig(ul_ratio=2, bays=6, shipments=8, inbound_ratio=0.5, seed=78)
         assert instance_to_json(generate(base)) != instance_to_json(generate(other))
+
+    def test_vessel_count_shows_in_the_name_unless_one(self):
+        one = grid_entry(0, GenConfig(2, 4, 5, 0.2), 0)
+        two = grid_entry(0, GenConfig(2, 4, 5, 0.2, vessels=2), 0)
+        assert one.name == "ipctp_u2_b4_s5_r20_0"
+        assert two.name == "ipctp_u2_b4_s5_r20_v2_0"
+        assert one.config.seed != two.config.seed
 
     def test_seed_derivation_is_stable(self):
         config = GenConfig(ul_ratio=2, bays=6, shipments=8, inbound_ratio=0.5)

@@ -399,6 +399,12 @@ _REJECTIONS = {
                               "yc_travel times must be nonnegative"),
     "negative_transfer": (_edited("travel", "tt", 0, value=-1),
                           "transfer time to location 1 is negative"),
+    "transfer_too_short": (_edited("travel", "tt", value=[5, 6, 9]),
+                           "travel.tt has 3 entries for 5 yard locations"),
+    "transfer_too_long": (_edited("travel", "tt", value=[5, 6, 9, 0, 0, 99, 100]),
+                          "travel.tt has 7 entries for 5 yard locations"),
+    "transfer_unused_slot": (_edited("travel", "tt", value=[5, 6, 9, "junk", None]),
+                             "transfer time must be an integer, got 'junk'"),
     "unknown_vessel": (_edited("shipments", 0, "vessel", value=9),
                        "shipment 1: unknown vessel 9"),
     "unknown_direction": (_edited("shipments", 0, "direction", value="sideways"),

@@ -18,6 +18,7 @@ from ipctp.schedule import (
     active_interference,
     compute_schedule,
     objective_of,
+    relax,
     solution_from_json,
     solution_to_json,
     validate,
@@ -169,6 +170,59 @@ class TestLongestPaths:
     def test_two_cycle_is_cyclic(self):
         with pytest.raises(CyclicOrdering):
             _longest_paths(3, [(0, 1, 1), (1, 0, 1)])
+
+
+class TestRelax:
+    """``relax`` against a reference that shares no code with it."""
+
+    @staticmethod
+    def reference(n_tasks, arcs):
+        """Longest paths from time zero by memoised depth-first search over
+        each task's incoming arcs."""
+        into = [[] for _ in range(n_tasks)]
+        for u, v, weight in arcs:
+            into[v].append((u, weight))
+        memo = {}
+
+        def longest(v):
+            if v not in memo:
+                memo[v] = max((longest(u) + w for u, w in into[v]), default=0)
+            return memo[v]
+
+        return [longest(v) for v in range(n_tasks)]
+
+    def test_random_dags_match_the_reference(self):
+        rng = random.Random(17)
+        for _ in range(300):
+            n = rng.randint(2, 12)
+            rank = rng.sample(range(n), n)  # a hidden topological order
+            arcs = [
+                (rank[a], rank[b], rng.randint(1, 9))
+                for a, b in combinations(range(n), 2)
+                if rng.random() < 0.4
+            ]
+            rng.shuffle(arcs)
+            start = [0] * n
+            settled, raises = relax(arcs, start)
+            assert settled
+            assert start == self.reference(n, arcs)
+            assert raises >= sum(1 for t in start if t > 0)
+
+    def test_two_cycle_gives_up_after_every_pass(self):
+        # Three tasks, so five passes, each raising both tasks once.
+        assert relax([(0, 1, 1), (1, 0, 1)], [0, 0, 0]) == (False, 10)
+
+    def test_diamond_counts_each_raise(self):
+        diamond = TestLongestPaths.DIAMOND
+        # In arc order, task 3 is raised twice in the first pass.
+        start = [0] * 5
+        assert relax(diamond, start) == (True, 4)
+        assert start == [0, 2, 5, 8, 0]
+        # Reversed, the arcs into 3 come before those that raise 1 and 2:
+        # 3 is raised twice in the first pass and once more in the second.
+        start = [0] * 5
+        assert relax(diamond[::-1], start) == (True, 5)
+        assert start == [0, 2, 5, 8, 0]
 
 
 class TestObjective:
