@@ -94,27 +94,28 @@ def _mean(values: Sequence[float]) -> Optional[float]:
 def aggregate(
     records: Sequence[RunRecord], budgets: tuple[float, float]
 ) -> list[BenchRow]:
-    """Per-configuration means over the long-budget runs plus RPD vs short."""
+    """Per-configuration means over the long-budget runs plus RPD vs short.
+
+    ``records`` come as ``run_bench`` gives them: each item's runs, one per
+    budget, next to each other.  Items are told apart by their place, not
+    their name: two corpora may hold files of the same name."""
     short_budget, long_budget = budgets
-    by_config: dict[str, dict[str, dict[float, RunRecord]]] = {}
-    for record in records:
-        by_config.setdefault(record.config_id, {}).setdefault(record.name, {})[
-            record.budget
-        ] = record
+    by_config: dict[str, list[dict[float, RunRecord]]] = {}
+    for k in range(0, len(records), len(budgets)):
+        runs = {r.budget: r for r in records[k:k + len(budgets)]}
+        by_config.setdefault(records[k].config_id, []).append(runs)
 
     rows: list[BenchRow] = []
     for config_id in sorted(by_config):
-        runs = by_config[config_id]
-        long_runs = [
-            runs[name][long_budget] for name in sorted(runs) if long_budget in runs[name]
-        ]
+        items = by_config[config_id]
+        long_runs = [runs[long_budget] for runs in items if long_budget in runs]
         objectives = [r.objective for r in long_runs if r.objective is not None]
         walls = [r.wall_time for r in long_runs if r.error is None]
         gaps = [r.gap_percent for r in long_runs if r.gap_percent is not None]
         rpds = []
-        for name in sorted(runs):
-            short = runs[name].get(short_budget)
-            long = runs[name].get(long_budget)
+        for runs in items:
+            short = runs.get(short_budget)
+            long = runs.get(long_budget)
             if (
                 short is not None
                 and long is not None

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import asdict, dataclass, field
-from itertools import chain, combinations
+from itertools import combinations
 from operator import gt
 from typing import Mapping, NamedTuple, Optional
 
@@ -90,29 +90,26 @@ class SearchNode:
 _PREFIX_FIELD = ("qc_prefix", "yc_prefix")
 
 
-class _Crane(NamedTuple):
-    """One crane at a node: a unary resource, its tasks never overlap."""
+class _Resource(NamedTuple):
+    """A unary resource: its tasks never overlap.  Either one crane at a
+    node, or a clique of assigned quay tasks that pairwise share a crane or
+    an active interference tuple, which spans several quay cranes."""
 
-    kind: int
-    # Its shipments' tasks in id order, and their total duration.
+    # QUAY or YARD for a crane, None for a clique.
+    kind: Optional[int]
+    # Its tasks in id order, and their total duration.
     tasks: list[int]
     workload: int
-    # Its shipments that no sequence holds yet, in id order.
+    # A crane's shipments that no sequence holds yet, in id order, and its
+    # arcs as ``crane_arcs`` gives them; a clique has neither.
     left: list[int]
-    # Its arcs as ``crane_arcs`` gives them.
     arcs: list[Arc]
-
-
-class _Clique(NamedTuple):
-    """Assigned quay tasks that pairwise share a crane or an active
-    interference tuple: a unary resource that spans several quay cranes."""
-
-    # Its tasks in id order.
-    tasks: list[int]
-    # Each task's quay crane.
-    crane: dict[int, int]
-    # The least interference time over its active tuples.
-    separation: int
+    # The least cost of one unit of transition, and the place of each task
+    # it is counted in: a quay crane's ``qc_unit_travel`` per bay of its
+    # tasks' span, a clique's least interference time per change of quay
+    # crane.  A yard crane has step 0 and no places.
+    step: int
+    place: Optional[dict[int, int]]
 
 
 class _Facts(NamedTuple):
@@ -130,11 +127,10 @@ class _Facts(NamedTuple):
     # The arc between each shipment's two tasks, as ``transfer_arcs`` gives
     # them.
     transfer: list[Arc]
-    # Every crane by (kind, id), quay cranes first and each kind by id.
-    cranes: dict[tuple[int, int], _Crane]
-    # The other unary resources: each maximal clique of assigned quay tasks,
-    # in id order; a set equal to one crane's tasks is left to that crane.
-    cliques: list[_Clique]
+    # Every unary resource: each crane by (kind, id), quay cranes first and
+    # each kind by id; then each maximal clique of assigned quay tasks by its
+    # rank in id order, a set equal to one crane's tasks left to that crane.
+    resources: dict[tuple[int, int] | int, _Resource]
 
 
 class _Timeout(Exception):
@@ -142,7 +138,8 @@ class _Timeout(Exception):
 
 
 class _Context:
-    """Immutable per-instance data shared by every node."""
+    """Per-instance data shared by every node, and a cache of each quay
+    assignment's active tuples and cliques."""
 
     def __init__(self, instance: Instance, derived: DerivedTables):
         self.instance = instance
@@ -170,18 +167,15 @@ class _Context:
         )
         self.duration = [0] * self.n_tasks
         self.vessel_of_task = [0] * self.n_tasks
-        # A quay task's bay; 0 for yard tasks.
-        self.bay = [0] * self.n_tasks
         for s in ships:
             quay = quay_task[s.id]
             self.duration[quay], self.duration[quay + 1] = s.qc_time, s.yc_time
             self.vessel_of_task[quay] = self.vessel_of_task[quay + 1] = s.vessel
-            self.bay[quay] = s.bay
         self.weight = {v.id: v.weight for v in instance.vessels}
         self.horizon = default_big_m(instance, derived)
         # The active tuples and cliques of each quay assignment met so far,
         # keyed by every shipment's crane (None when unassigned) in id order.
-        self._quay: dict[tuple[Optional[int], ...], tuple[list, list[_Clique]]] = {}
+        self._quay: dict[tuple, tuple[list, dict[int, _Resource]]] = {}
 
     def root(self) -> SearchNode:
         eligible = self.derived.eligible_qcs
@@ -197,7 +191,7 @@ class _Context:
 
     def facts(self, node: SearchNode) -> _Facts:
         location = locations(self.instance, node.yard)
-        cranes = {
+        resources = {
             (kind, crane): self.crane(node, (kind, crane), ships, location)
             for kind, crane_of in (
                 (QUAY, node.qc_of), (YARD, yard_cranes(self.instance, location))
@@ -208,9 +202,8 @@ class _Context:
         taken = set(node.yard.values())
         free = [k for k in self.available if k not in taken]
         active, cliques = self.quay(node.qc_of)
-        return _Facts(
-            location, self.tail(transfer), free, active, transfer, cranes, cliques
-        )
+        resources.update(cliques)
+        return _Facts(location, self.tail(transfer), free, active, transfer, resources)
 
     def crane(
         self,
@@ -218,15 +211,20 @@ class _Context:
         key: tuple[int, int],
         ships: list[int],
         location: Mapping[int, int],
-    ) -> _Crane:
+    ) -> _Resource:
         """The record of crane ``key`` serving ``ships``, given in id order."""
         kind, crane = key
         sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
         tasks = [self.quay_task[i] + kind for i in ships]
         left = [i for i in ships if i not in sequence]
-        return _Crane(
+        step, place = 0, None
+        if kind == QUAY:
+            step = self.instance.qc_unit_travel
+            place = {t: self.instance.shipment(i).bay for i, t in zip(ships, tasks)}
+        return _Resource(
             kind, tasks, sum(self.duration[t] for t in tasks), left,
             crane_arcs(self.instance, self.derived, kind, sequence, left, location),
+            step, place,
         )
 
     def tail(self, transfer: list[Arc]) -> list[int]:
@@ -239,14 +237,15 @@ class _Context:
 
     def quay(
         self, qc_of: Mapping[int, int]
-    ) -> tuple[list[tuple[int, int, int, int]], list[_Clique]]:
+    ) -> tuple[list[tuple[int, int, int, int]], dict[int, _Resource]]:
         """The interference tuples a quay assignment selects, and the
-        maximal cliques of its assigned quay tasks' conflict graph.
+        records of the maximal cliques of its assigned quay tasks' conflict
+        graph by rank, less those equal to one crane's tasks.
 
         Two tasks conflict when they share a crane or an active interference
         tuple: every interference time is positive, so neither may overlap
         the other.  Bron-Kerbosch with pivoting, in id order, once per
-        quay assignment; so is each clique's least separation.
+        quay assignment; so is each clique's least interference time.
         """
         key = tuple(qc_of.get(i) for i in self.ship_ids)
         if key in self._quay:
@@ -279,15 +278,16 @@ class _Context:
         own = crane_members(self.instance, QUAY, qc_of).values()
         interference = self.derived.interference_time
         task = self.quay_task
-        cliques = [
-            _Clique(
-                [task[i] for i in clique],
-                {task[i]: qc_of[i] for i in clique},
+        cliques = {
+            rank: _Resource(
+                None, [task[i] for i in clique],
+                sum(self.duration[task[i]] for i in clique), [], [],
                 min(interference[t] for t in active
                     if t[0] in clique and t[1] in clique),
+                {task[i]: qc_of[i] for i in clique},
             )
-            for clique in found if clique not in own
-        ]
+            for rank, clique in enumerate(c for c in found if c not in own)
+        }
         self._quay[key] = active, cliques
         return active, cliques
 
@@ -325,8 +325,8 @@ class _Engine:
         # The arcs precedence_arcs gives for the node and its working order:
         # its facts' arcs, then the orders, each newly forced one appended.
         arcs = list(facts.transfer)
-        for crane in facts.cranes.values():
-            arcs += crane.arcs
+        for resource in facts.resources.values():
+            arcs += resource.arcs
         arcs += order_arcs(ctx.derived, order)
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
             if not self._relax(arcs, est):
@@ -404,12 +404,12 @@ class _Engine:
         duration = ctx.duration
         changed = False
         task = ctx.quay_task
-        for crane in facts.cranes.values():
-            if len(crane.left) < 2:
+        for resource in facts.resources.values():
+            if len(resource.left) < 2:
                 continue
-            kind, travel = crane.kind, ctx.travel[crane.kind]
+            kind, travel = resource.kind, ctx.travel[resource.kind]
             spot = facts.location if kind == YARD else ctx.itself
-            for a, b in combinations(crane.left, 2):
+            for a, b in combinations(resource.left, 2):
                 ta, tb, sa, sb = task[a] + kind, task[b] + kind, spot[a], spot[b]
                 a_done = est[ta] + duration[ta] + travel[sa, sb]
                 b_done = est[tb] + duration[tb] + travel[sb, sa]
@@ -482,7 +482,7 @@ class _Engine:
           tuple, so whichever starts second waits for the first one's end
           plus the tuple's separation, even if other tasks run between them.
           A set over c cranes changes crane at least c - 1 times, each
-          costing at least the clique's least separation.
+          costing at least the clique's least interference time.
         - A quay crane that visits a set of bays travels at least their
           span, ``qc_unit_travel`` per bay.
 
@@ -494,17 +494,9 @@ class _Engine:
         ``est + duration + tail``, which its vessel's bound already holds."""
         ctx = self.ctx
         est, tail, duration = node.est, facts.tail, ctx.duration
-        vessel_of, weight, bay = ctx.vessel_of_task, ctx.weight, ctx.bay
+        vessel_of, weight = ctx.vessel_of_task, ctx.weight
         best = sum(weight[s] * lb for s, lb in vessel_lb.items())
-        unit = ctx.instance.qc_unit_travel
-        # Per resource: its tasks, each task's crane (None for a crane) and
-        # the cost of one transition.
-        resources = chain(
-            ((c.tasks, None, unit if c.kind == QUAY else 0)
-             for c in facts.cranes.values()),
-            facts.cliques,
-        )
-        for tasks, crane, step in resources:
+        for kind, tasks, _, _, _, step, place in facts.resources.values():
             if len(tasks) < 2:
                 continue
             work = moves = 0
@@ -513,12 +505,8 @@ class _Engine:
             for t in sorted(tasks, key=est.__getitem__, reverse=True):
                 work += duration[t]
                 if step:
-                    if crane is None:
-                        seen.add(bay[t])
-                        moves = max(seen) - min(seen)
-                    else:
-                        seen.add(crane[t])
-                        moves = len(seen) - 1
+                    seen.add(place[t])
+                    moves = max(seen) - min(seen) if kind == QUAY else len(seen) - 1
                 vessel = vessel_of[t]
                 if vessel not in least or tail[t] < least[vessel]:
                     least[vessel] = tail[t]
@@ -546,7 +534,7 @@ class _Engine:
             eligible = ctx.derived.eligible_qcs
             ship = min(unassigned_qc, key=lambda i: (len(eligible[i]), i))
             cranes = sorted(
-                eligible[ship], key=lambda q: (facts.cranes[QUAY, q].workload, q)
+                eligible[ship], key=lambda q: (facts.resources[QUAY, q].workload, q)
             )
             return self._with_facts(
                 SearchNode(node.yard, {**node.qc_of, ship: q}, node.qc_prefix,
@@ -554,8 +542,9 @@ class _Engine:
                 for q in cranes
             )
 
-        # The most loaded crane with shipments left to sequence; keys never tie.
-        pending = [(-c.workload, key) for key, c in facts.cranes.items() if c.left]
+        # The most loaded crane with shipments left to sequence; keys never
+        # tie, and a clique has none left, so its key meets no crane's.
+        pending = [(-r.workload, key) for key, r in facts.resources.items() if r.left]
         if pending:
             return self._sequenced(node, facts, min(pending)[1])
 
@@ -610,20 +599,21 @@ class _Engine:
             crane = ctx.yc_at[k]
             members = sorted(i for i, l in location.items() if ctx.yc_at[l] == crane)
             key = (YARD, crane)
-            cranes = {**facts.cranes, key: ctx.crane(child, key, members, location)}
+            record = ctx.crane(child, key, members, location)
+            resources = {**facts.resources, key: record}
             transfer = transfer_arcs(ctx.instance, ctx.derived, yard)
             yield child, facts._replace(
                 location=location,
                 tail=ctx.tail(transfer),
                 free=[l for l in facts.free if l != k],
                 transfer=transfer,
-                cranes=cranes,
+                resources=resources,
             )
 
     def _sequenced(self, node: SearchNode, facts: _Facts, key: tuple[int, int]):
         """The children that append one shipment to crane ``key``'s sequence.
 
-        A child carries its parent's crane records and rebuilds only this
+        A child carries its parent's resource records and rebuilds only this
         crane's: building its facts in full gives the same trees but makes a
         node about 1.6 to 1.8 times as costly.
 
@@ -636,7 +626,7 @@ class _Engine:
         """
         ctx = self.ctx
         kind, crane = key
-        record = facts.cranes[key]
+        record = facts.resources[key]
         prefixes = getattr(node, _PREFIX_FIELD[kind])
         task, duration, travel = ctx.quay_task, ctx.duration, ctx.travel[kind]
         spot = facts.location if kind == YARD else ctx.itself
@@ -659,8 +649,8 @@ class _Engine:
             arcs = crane_arcs(
                 ctx.instance, ctx.derived, kind, sequence, left, facts.location
             )
-            cranes = {**facts.cranes, key: record._replace(left=left, arcs=arcs)}
-            yield child, facts._replace(cranes=cranes)
+            resources = {**facts.resources, key: record._replace(left=left, arcs=arcs)}
+            yield child, facts._replace(resources=resources)
 
     def _decisions_of(self, node: SearchNode) -> Decisions:
         return Decisions(

@@ -147,6 +147,47 @@ def test_bench_runs_json_holds_every_record_field(corpus, tmp_path, monkeypatch)
     ]
 
 
+def test_bench_keeps_instances_of_the_same_name_apart(tmp_path, monkeypatch):
+    """Two corpora generated with different seeds share their file names;
+    every instance still counts once in the row."""
+    corpora = []
+    for seed in ("9", "10"):
+        out = tmp_path / f"seed{seed}"
+        assert main([
+            "generate", "--out-dir", str(out), "--seed", seed, "--shipments", "3",
+            "--bays", "4", "--inbound-ratio", "0.5", "--count", "2",
+        ]) == 0
+        corpora.append(out)
+    names = [sorted(p.name for p in c.glob("ipctp_*.json")) for c in corpora]
+    assert names[0] == names[1]
+
+    def work(instance):
+        return sum(s.qc_time + s.yc_time for s in instance.shipments)
+
+    # The short budget's objective is 10 above the long one's.
+    monkeypatch.setattr(
+        bench_mod, "_default_runner",
+        lambda instance, budget: (work(instance) + (10 if budget == 5.0 else 0),
+                                  "optimal", 1.0, 0.0),
+    )
+    out_dir = tmp_path / "bench"
+    assert main([
+        "bench", *map(str, corpora), "--budgets", "5,10", "--out-dir", str(out_dir),
+    ]) == 0
+    works = [work(read_instance(c / name)) for c, batch in zip(corpora, names)
+             for name in batch]
+    assert len(set(works)) > 1
+    config, obj, _, _, rpd, optimal, infeasible = (
+        (out_dir / "bench.csv").read_text().splitlines()[1].split(",")
+    )
+    assert config == "u2_b4_s3_r50"
+    # The table holds four decimals.
+    assert float(obj) == pytest.approx(sum(works) / 4, abs=1e-4)
+    assert float(rpd) == pytest.approx(sum(1000 / w for w in works) / 4, abs=1e-4)
+    assert (optimal, infeasible) == ("4", "0")
+    assert len(json.loads((out_dir / "runs.json").read_text())) == 8
+
+
 def test_bench_keeps_vessel_counts_apart(tmp_path, monkeypatch):
     """Configs that differ only in vessel count get one row each."""
     corpus = tmp_path / "corpus"

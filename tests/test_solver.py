@@ -2,7 +2,9 @@
 
 import random
 import time
-from dataclasses import replace
+from collections import Counter
+from dataclasses import fields, replace
+from itertools import combinations, product
 
 import pytest
 
@@ -19,11 +21,13 @@ from ipctp.instance import (
 )
 from ipctp.oracle import brute_force, estimate_combinations
 from ipctp.schedule import (
+    QUAY,
     Decisions,
     I_FIRST,
     J_FIRST,
     compute_schedule,
     crane_arcs,
+    crane_members,
     precedence_arcs,
     solution_to_json,
     validate,
@@ -33,7 +37,9 @@ from ipctp.solver import (
     _PREFIX_FIELD,
     SearchNode,
     SolveParams,
+    _Context,
     _Engine,
+    _Resource,
     lower_bound,
     propagate,
     root_node,
@@ -561,7 +567,7 @@ def every_sequencing_child(engine, node, facts, key):
     cannot go first: the reference for the not-first rule."""
     ctx = engine.ctx
     kind, crane = key
-    record = facts.cranes[key]
+    record = facts.resources[key]
     field_name = _PREFIX_FIELD[kind]
     prefixes = getattr(node, field_name)
     task = ctx.quay_task
@@ -570,8 +576,8 @@ def every_sequencing_child(engine, node, facts, key):
         child = replace(node, **{field_name: {**prefixes, crane: sequence}})
         left = [i for i in record.left if i != ship]
         arcs = crane_arcs(ctx.instance, ctx.derived, kind, sequence, left, facts.location)
-        cranes = {**facts.cranes, key: record._replace(left=left, arcs=arcs)}
-        yield child, facts._replace(cranes=cranes)
+        resources = {**facts.resources, key: record._replace(left=left, arcs=arcs)}
+        yield child, facts._replace(resources=resources)
 
 
 def search_instances() -> list[Instance]:
@@ -645,23 +651,31 @@ class TestNotFirst:
         assert skipped_total > 100
 
 
-class TestYardFacts:
-    def test_yard_children_facts_match_a_full_build(self, monkeypatch):
-        """A yard child's facts, derived from its parent's, equal the ones
-        built from scratch, field by field."""
-        real_placed = _Engine._placed
-        children = 0
+class TestChildFacts:
+    def test_children_facts_match_a_full_build(self, monkeypatch):
+        """Every child's facts equal the ones built from scratch, field by
+        field and resource by resource in the same order: yard and
+        sequencing children derive theirs from the parent's, quay children
+        build theirs and order children carry the parent's."""
+        real_children = _Engine._children
+        made = Counter()
 
-        def placed(engine, node, facts, ship):
-            nonlocal children
-            for child, child_facts in real_placed(engine, node, facts, ship):
+        def checked(engine, node, children):
+            for child, child_facts in children:
                 full = engine.ctx.facts(child)
                 for name in full._fields:
                     assert getattr(child_facts, name) == getattr(full, name), name
-                children += 1
+                assert list(child_facts.resources) == list(full.resources)
+                decided = next(f.name for f in fields(SearchNode)
+                               if getattr(child, f.name) != getattr(node, f.name))
+                made[decided] += 1
                 yield child, child_facts
 
-        monkeypatch.setattr(_Engine, "_placed", placed)
+        def children(engine, node, facts):
+            built = real_children(engine, node, facts)
+            return None if built is None else checked(engine, node, built)
+
+        monkeypatch.setattr(_Engine, "_children", children)
         instances = search_instances() + [
             random_instance(shipments, 0.5, bays, seed=seed)
             for shipments, bays, seed in ((3, 4, 1), (4, 6, 2), (5, 8, 3), (5, 4, 4))
@@ -669,7 +683,60 @@ class TestYardFacts:
         for instance in instances:
             report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
             assert report.status == "optimal"
-        assert children > 200
+        assert made["yard"] > 500 and made["qc_of"] > 50 and made["order"] > 50
+        assert made["qc_prefix"] + made["yc_prefix"] > 1000
+
+
+class TestCliques:
+    def test_cliques_are_the_maximal_cliques_of_the_conflict_graph(self):
+        """Each quay assignment's clique records hold exactly the maximal
+        sets of shipments whose quay tasks pairwise share a crane or an
+        active interference tuple, found here by enumerating every subset,
+        less the sets equal to one crane's shipments."""
+        rng = random.Random(18)
+        assignments = 0
+        for draw in range(300):
+            instance = wide_eligibility_instance(rng, shipments=2 + draw % 5)
+            derived = build_derived(instance)
+            ctx = _Context(instance, derived)
+            ships, task = ctx.ship_ids, derived.quay_task
+            for cranes in product(*(derived.eligible_qcs[i] for i in ships)):
+                qc_of = dict(zip(ships, cranes))
+                # Each pair's interference time: 0 on one crane, None when
+                # the two do not conflict.  Ids come in order, so each pair
+                # is (lower id, higher id), as in the interference tuples.
+                gap = {
+                    (i, j): 0 if qc_of[i] == qc_of[j]
+                    else derived.interference_time.get((i, j, qc_of[i], qc_of[j]))
+                    for i, j in combinations(ships, 2)
+                }
+                groups = [
+                    set(group) for size in range(1, len(ships) + 1)
+                    for group in combinations(ships, size)
+                    if all(gap[pair] is not None for pair in combinations(group, 2))
+                ]
+                own = crane_members(instance, QUAY, qc_of).values()
+                expected = sorted(
+                    sorted(group) for group in groups
+                    if not any(group < other for other in groups)
+                    and sorted(group) not in own
+                )
+                _, cliques = ctx.quay(qc_of)
+                assert list(cliques) == list(range(len(cliques)))
+                found = []
+                for record in cliques.values():
+                    members = [i for i in ships if task[i] in record.tasks]
+                    assert record == _Resource(
+                        None, [task[i] for i in members],
+                        sum(instance.shipment(i).qc_time for i in members), [], [],
+                        min(gap[pair] for pair in combinations(members, 2)
+                            if qc_of[pair[0]] != qc_of[pair[1]]),
+                        {task[i]: qc_of[i] for i in members},
+                    )
+                    found.append(members)
+                assert sorted(found) == expected
+                assignments += 1
+        assert assignments > 1500
 
 
 class TestCraneChoice:
