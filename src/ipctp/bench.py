@@ -98,31 +98,31 @@ def aggregate(
 
     ``records`` come as ``run_bench`` gives them: each item's runs, one per
     budget, next to each other.  Items are told apart by their place, not
-    their name: two corpora may hold files of the same name."""
+    their name: two corpora may hold files of the same name.  So are an
+    item's runs: its short run is the first at the short budget and its
+    long run the last at the long one, which keeps both when the budgets
+    are equal."""
     short_budget, long_budget = budgets
-    by_config: dict[str, list[dict[float, RunRecord]]] = {}
+    by_config: dict[str, list[tuple[Optional[RunRecord], Optional[RunRecord]]]] = {}
     for k in range(0, len(records), len(budgets)):
-        runs = {r.budget: r for r in records[k:k + len(budgets)]}
-        by_config.setdefault(records[k].config_id, []).append(runs)
+        runs = records[k:k + len(budgets)]
+        short = next((r for r in runs if r.budget == short_budget), None)
+        long = next((r for r in reversed(runs) if r.budget == long_budget), None)
+        by_config.setdefault(records[k].config_id, []).append((short, long))
 
     rows: list[BenchRow] = []
     for config_id in sorted(by_config):
         items = by_config[config_id]
-        long_runs = [runs[long_budget] for runs in items if long_budget in runs]
+        long_runs = [long for _, long in items if long is not None]
         objectives = [r.objective for r in long_runs if r.objective is not None]
         walls = [r.wall_time for r in long_runs if r.error is None]
         gaps = [r.gap_percent for r in long_runs if r.gap_percent is not None]
-        rpds = []
-        for runs in items:
-            short = runs.get(short_budget)
-            long = runs.get(long_budget)
-            if (
-                short is not None
-                and long is not None
-                and short.objective is not None
-                and long.objective is not None
-            ):
-                rpds.append(rpd_percent(short.objective, long.objective))
+        rpds = [
+            rpd_percent(short.objective, long.objective)
+            for short, long in items
+            if short is not None and long is not None
+            and short.objective is not None and long.objective is not None
+        ]
         rows.append(
             BenchRow(
                 config_id=config_id,

@@ -168,7 +168,7 @@ def _bench_items(paths: list[str]):
     for raw in paths:
         path = Path(raw)
         if path.is_dir():
-            manifest = json.loads((path / "manifest.json").read_text())
+            manifest = json.loads((path / "manifest.json").read_text("utf-8"))
             try:
                 entries = [
                     (e["file"], path / e["file"],
@@ -239,7 +239,11 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (IpctpError, json.JSONDecodeError) as exc:
+    # A file that is not UTF-8, or JSON nested too deep for the parser's
+    # recursion, is a read error like malformed JSON.
+    except (
+        IpctpError, json.JSONDecodeError, UnicodeDecodeError, RecursionError
+    ) as exc:
         print(
             json.dumps({"error": type(exc).__name__, "message": str(exc)}),
             file=sys.stderr,

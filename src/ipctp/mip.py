@@ -35,6 +35,7 @@ from .schedule import (
     YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND,
     Solution,
     active_interference,
+    default_big_m,
     locations,
     objective_of,
     qc_assignment_of,
@@ -132,19 +133,6 @@ class MipArtifacts:
             "dummy_end": self.dummy_end,
             "row_families": dict(sorted(self.row_counts.items())),
         }
-
-
-def default_big_m(instance: Instance, derived: DerivedTables) -> int:
-    """A provably sufficient scheduling horizon used as the big-M constant."""
-    inbound_transfer = max(instance.yt_inbound_transfer.values(), default=0)
-    total = 0
-    for s in instance.shipments:
-        transfer = s.yt_outbound_time if s.is_outbound else inbound_transfer
-        total += s.qc_time + s.yc_time + transfer
-    eqc_max = instance.qc_unit_travel * (instance.total_bays - 1)
-    eyc_max = max((max(row) for row in instance.yc_travel), default=0)
-    delta_max = max(derived.interference_time.values(), default=0)
-    return total + len(instance.shipments) * (eqc_max + eyc_max + delta_max) + 1
 
 
 class _Builder:

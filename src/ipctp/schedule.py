@@ -309,6 +309,20 @@ def precedence_arcs(
     return arcs + order_arcs(derived, interference_order)
 
 
+def default_big_m(instance: Instance, derived: DerivedTables) -> int:
+    """A provably sufficient horizon of the precedence graph: the MIP's
+    big-M constant and every task's latest start at the solver's root."""
+    inbound_transfer = max(instance.yt_inbound_transfer.values(), default=0)
+    total = 0
+    for s in instance.shipments:
+        transfer = s.yt_outbound_time if s.is_outbound else inbound_transfer
+        total += s.qc_time + s.yc_time + transfer
+    eqc_max = instance.qc_unit_travel * (instance.total_bays - 1)
+    eyc_max = max((max(row) for row in instance.yc_travel), default=0)
+    delta_max = max(derived.interference_time.values(), default=0)
+    return total + len(instance.shipments) * (eqc_max + eyc_max + delta_max) + 1
+
+
 def compute_schedule(
     instance: Instance, derived: DerivedTables, decisions: Decisions
 ) -> Solution:

@@ -18,10 +18,9 @@ import time
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
 from operator import gt
-from typing import Mapping, NamedTuple, Optional
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 from .instance import DerivedTables, Instance
-from .mip import default_big_m
 from .schedule import (
     QUAY,
     YARD,
@@ -34,6 +33,7 @@ from .schedule import (
     compute_schedule,
     crane_arcs,
     crane_members,
+    default_big_m,
     locations,
     order_arcs,
     relax,
@@ -131,10 +131,6 @@ class _Facts(NamedTuple):
     # each kind by id; then each maximal clique of assigned quay tasks by its
     # rank in id order, a set equal to one crane's tasks left to that crane.
     resources: dict[tuple[int, int] | int, _Resource]
-
-
-class _Timeout(Exception):
-    pass
 
 
 class _Context:
@@ -303,9 +299,6 @@ class _Engine:
         self.nodes = 0
         self.propagations = 0
         self.infeasible = self.bounded = self.cyclic = self.not_first = 0
-        # The bounds of the nodes on the search path; the root's comes first.
-        self.frontier_lbs: list[int] = []
-        self.interrupt_lb = 0  # set when the search times out
 
     # -- propagation -----------------------------------------------------
 
@@ -667,39 +660,52 @@ class _Engine:
             self.best = solution
             self.trace.append((time.monotonic() - self.started, solution.objective))
 
-    def _dfs(self, node: SearchNode, facts: _Facts) -> None:
-        self.nodes += 1
-        if self.nodes % 64 == 0 and time.monotonic() > self.deadline:
-            # Snapshot the open-subtree bound before the stack unwinds; past
-            # the root, the root's bound is always on the path.
-            self.interrupt_lb = min(self.frontier_lbs)
-            raise _Timeout
+    def _search(self, node: SearchNode, facts: _Facts) -> Optional[int]:
+        """Depth-first search from ``node`` on an explicit stack: an entry per
+        expanded node on the current path, holding its bound and the children
+        it has left.  A child is built only when the loop draws it.
+
+        Returns None once the tree is exhausted.  On timeout it returns the
+        least bound of the open subtrees: every one hangs below an entry."""
+        stack: list[tuple[int, Iterator[tuple[SearchNode, _Facts]]]] = []
+        while True:
+            self.nodes += 1
+            if self.nodes % 64 == 0 and time.monotonic() > self.deadline:
+                # Past the root, the root's entry is always on the stack.
+                return min(bound for bound, _ in stack)
+            entry = self._expand(node, facts)
+            if entry is not None:
+                stack.append(entry)
+            while stack and (child := next(stack[-1][1], None)) is None:
+                stack.pop()
+            if not stack:
+                return None
+            node, facts = child
+
+    def _expand(self, node: SearchNode, facts: _Facts):
+        """The node's stack entry, its bound and its children; None when it
+        is pruned or a leaf, which is scheduled and offered as incumbent."""
         propagated = self.propagate(node, facts)
         if propagated is None:
             self.infeasible += 1
-            return
+            return None
         node, vessel_lb = propagated
         bound = self.lower_bound(node, facts, vessel_lb)
         if self.incumbent is not None and bound >= self.incumbent:
             self.bounded += 1
-            return
+            return None
         children = self._children(node, facts)
-        if children is None:
-            try:
-                solution = compute_schedule(
-                    self.ctx.instance, self.ctx.derived, self._decisions_of(node)
-                )
-            except CyclicOrdering:
-                self.cyclic += 1
-                return
-            self._offer_incumbent(solution)
-            return
-        self.frontier_lbs.append(bound)
+        if children is not None:
+            return bound, iter(children)
         try:
-            for child in children:
-                self._dfs(*child)
-        finally:
-            self.frontier_lbs.pop()
+            solution = compute_schedule(
+                self.ctx.instance, self.ctx.derived, self._decisions_of(node)
+            )
+        except CyclicOrdering:
+            self.cyclic += 1
+            return None
+        self._offer_incumbent(solution)
+        return None
 
 
 def propagate(
@@ -747,26 +753,16 @@ def solve(
     ctx = _Context(instance, derived)
     engine = _Engine(ctx, params)
     root = ctx.root()
-    try:
-        engine._dfs(root, ctx.facts(root))
-        completed = True
-    except _Timeout:
-        completed = False
+    open_lb = engine._search(root, ctx.facts(root))
 
     wall = time.monotonic() - engine.started
     best = engine.incumbent
-    if completed:
-        if best is None:
-            status = "infeasible"
-            lb: Optional[int] = None
-        else:
-            status = "optimal"
-            lb = best
+    lb: Optional[int] = best
+    if open_lb is None:
+        status = "infeasible" if best is None else "optimal"
     else:
         status = "feasible" if best is not None else "unknown"
-        lb = engine.interrupt_lb
-        if best is not None:
-            lb = min(lb, best)
+        lb = open_lb if best is None else min(open_lb, best)
 
     gap = None
     if best is not None and lb is not None and best > 0:

@@ -188,6 +188,25 @@ def test_bench_keeps_instances_of_the_same_name_apart(tmp_path, monkeypatch):
     assert len(json.loads((out_dir / "runs.json").read_text())) == 8
 
 
+def test_bench_with_equal_budgets_keeps_both_runs(corpus, tmp_path, monkeypatch):
+    """An item's first run is its short one and its second its long one,
+    even when both budgets are the same."""
+    objectives = iter([101, 102] * 2)
+    monkeypatch.setattr(
+        bench_mod, "_default_runner",
+        lambda instance, budget: (next(objectives), "feasible", 1.0, 1.0),
+    )
+    out_dir = tmp_path / "bench"
+    assert main([
+        "bench", str(corpus), "--budgets", "5,5", "--out-dir", str(out_dir),
+    ]) == 0
+    _, obj, _, _, rpd, _, _ = (
+        (out_dir / "bench.csv").read_text().splitlines()[1].split(",")
+    )
+    assert float(obj) == 102.0
+    assert float(rpd) == pytest.approx((101 - 102) * 100 / 102, abs=1e-4)
+
+
 def test_bench_keeps_vessel_counts_apart(tmp_path, monkeypatch):
     """Configs that differ only in vessel count get one row each."""
     corpus = tmp_path / "corpus"
@@ -270,6 +289,29 @@ def test_malformed_json_is_a_machine_readable_error(tmp_path, capsys):
     assert main(["solve", str(bad)]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "JSONDecodeError"
+
+
+@pytest.mark.parametrize("command", ["solve", "validate", "bench"])
+@pytest.mark.parametrize("content, error", [
+    (b"\xff{}", "UnicodeDecodeError"),
+    (b"[" * 200_000, "RecursionError"),
+], ids=["not_utf8", "nested"])
+def test_undecodable_file_is_a_machine_readable_error(
+    corpus, tmp_path, capsys, command, content, error
+):
+    """A file that is not UTF-8, or nests deeper than the parser can, read
+    as the instance, the solution or the manifest."""
+    instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
+    bad = corpus / "manifest.json" if command == "bench" else tmp_path / "bad.json"
+    bad.write_bytes(content)
+    args = {
+        "solve": ["solve", str(bad)],
+        "validate": ["validate", str(instance_file), str(bad)],
+        "bench": ["bench", str(corpus), "--budgets", "1,2"],
+    }[command]
+    assert main(args) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == error
 
 
 def test_detour_quicker_than_direct_travel_is_a_machine_readable_error(

@@ -125,6 +125,21 @@ class TestInterferenceTime:
         instance = single_inbound_instance()
         assert interference_time(instance, 1, 1, 1, 1) == 0
 
+    def test_distinct_shipments_match_the_derived_table(self):
+        for instance in (mixed_instance(), random_instance(6, 0.5, 8, seed=4, ul=3)):
+            derived = build_derived(instance)
+            eligible = derived.eligible_qcs
+            ships = [s.id for s in instance.shipments]
+            pairs = [(i, j) for i in ships for j in ships if i < j]
+            assert any(interference_time(instance, i, j, v, w) > 0
+                       for i, j in pairs for v in eligible[i] for w in eligible[j])
+            for i, j in pairs:
+                for v in eligible[i]:
+                    for w in eligible[j]:
+                        assert interference_time(instance, i, j, v, w) == (
+                            derived.interference_time.get((i, j, v, w), 0)
+                        )
+
     @given(
         bay_i=st.integers(1, 12),
         bay_j=st.integers(1, 12),

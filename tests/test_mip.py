@@ -30,7 +30,7 @@ from ipctp.mip import (
     solution_from_values,
 )
 from ipctp.oracle import brute_force
-from ipctp.schedule import compute_schedule, validate
+from ipctp.schedule import J_FIRST, compute_schedule, validate
 from ipctp.solver import SolveParams, solve
 
 from conftest import (
@@ -288,10 +288,12 @@ class TestInjection:
         with pytest.raises(MalformedSolution, match=f"binary {name} is not finite"):
             solution_from_values(instance, derived, artifacts, point)
 
+    # Location 4 is outbound shipment 2's, so no variable places 1 there.
     @pytest.mark.parametrize("broken, message", [
         ({"yard_assignment": {1: 1}}, "shipment 4 has no yard location"),
         ({"qc_start": {}}, "shipment 1 has no start time"),
-    ], ids=["no_location", "no_start"])
+        ({"yard_assignment": {1: 4, 4: 2}}, "solution needs unknown variable x_1_4"),
+    ], ids=["no_location", "no_start", "outbound_location"])
     def test_solution_lacking_a_location_or_start_is_malformed(self, broken, message):
         instance = mixed_instance()
         derived = build_derived(instance)
@@ -301,6 +303,20 @@ class TestInjection:
         with pytest.raises(MalformedSolution, match=message):
             mip_point_from_solution(instance, derived, build_mip(instance, derived),
                                     solution)
+
+    def test_tuple_with_neither_order_binary_on_is_ordered_by_start(self):
+        instance = mixed_instance()
+        derived = build_derived(instance)
+        artifacts = build_mip(instance, derived)
+        solution = compute_schedule(instance, derived, mixed_decisions())
+        point = mip_point_from_solution(instance, derived, artifacts, solution)
+        # Tuple (1, 2, 1, 2) is decided j first: shipment 2 starts first.
+        assert point["qz_2_1"] == 1
+        point["qz_1_2"] = point["qz_2_1"] = 0
+        parsed = solution_from_values(instance, derived, artifacts, point)
+        assert parsed.interference_order == {(1, 2, 1, 2): J_FIRST}
+        assert parsed.objective == solution.objective
+        assert validate(instance, derived, parsed) == []
 
 
 class TestCheckPointNonFinite:

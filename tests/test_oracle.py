@@ -153,6 +153,14 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force(instance, derived, limit=10)
 
+    def test_crane_assignments_alone_can_exceed_the_budget(self):
+        instance = wide_eligibility_instance(random.Random(15), 5)
+        derived = build_derived(instance)
+        with pytest.raises(
+            BudgetExceeded, match="32 crane assignments alone exceed the budget 12"
+        ):
+            estimate_combinations(instance, derived, 12)
+
     def test_dominates_every_random_solution(self):
         rng = random.Random(77)
         instance = random_instance(4, 0.5, 6, seed=11)

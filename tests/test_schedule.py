@@ -456,6 +456,19 @@ class TestValidate:
             (YC_EMPTY_VALUE_FROM_OUTBOUND, (998, 999), "stored 4 != None")
         ]
 
+    @pytest.mark.parametrize("field, entry, detail", [
+        ("yard_assignment", {2: 1}, "assignment for non-inbound id"),
+        ("qc_assignment", {99: 1}, "assignment for unknown id"),
+    ], ids=["outbound_shipment", "unknown_shipment"])
+    def test_assignments_of_unexpected_ids_are_reported(self, mixed, field, entry,
+                                                        detail):
+        instance, derived = mixed
+        solution = compute_schedule(instance, derived, mixed_decisions())
+        broken = replace(solution, **{field: {**getattr(solution, field), **entry}})
+        ids = next(iter(entry))
+        assert (ids,) in [v.ids for v in validate(instance, derived, broken)
+                          if v.detail == detail]
+
 
 def _mutate(kind, fields, instance, rng):
     """Apply one mutation of the kind to the solution fields in place.

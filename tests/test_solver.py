@@ -1,6 +1,7 @@
 """Branch-and-bound solver: propagation, bounds, optimality, anytime contract."""
 
 import random
+import sys
 import time
 from collections import Counter
 from dataclasses import fields, replace
@@ -433,6 +434,25 @@ class TestSolve:
             assert validate(instance, derived, solution) == []
             assert report.lower_bound <= report.best_objective
             assert report.gap_percent is not None and report.gap_percent > 0
+
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
+        # 60 shipments put the first leaf more than 100 levels down; the
+        # search must keep its incumbent rather than raise RecursionError.
+        instance = generate(GenConfig(ul_ratio=2, bays=8, shipments=60,
+                                      inbound_ratio=0.2, seed=5))
+        derived = build_derived(instance)
+        depth, frame = 0, sys._getframe()
+        while frame is not None:
+            depth, frame = depth + 1, frame.f_back
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            report, solution = solve(instance, derived, SolveParams(time_limit=2))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert report.status in ("feasible", "optimal")
+        assert validate(instance, derived, solution) == []
+        assert report.lower_bound <= report.best_objective
 
     def test_nan_time_limit_is_rejected(self):
         # No clock reading exceeds NaN, so such a solve would never time out.
