@@ -23,8 +23,8 @@ from .schedule import (
     I_FIRST,
     J_FIRST,
     Solution,
-    _schedule,
     active_interference,
+    compute_schedule,
     crane_arcs,
     crane_members,
     locations,
@@ -218,8 +218,7 @@ def brute_force(
         interference_order=order,
         qc_assignment=qc_assignment,
     )
-    # Built sound here, so the structure goes unchecked.
-    best = _schedule(instance, derived, decisions).with_status("optimal")
+    best = compute_schedule(instance, derived, decisions).with_status("optimal")
     problems = validate(instance, derived, best)
     if problems:  # pragma: no cover - internal consistency guard
         raise IpctpError(f"oracle produced an invalid solution: {problems[0]}")

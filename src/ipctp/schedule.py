@@ -350,10 +350,37 @@ def compute_schedule(
         order[key] = decisions.interference_order.get(key)
         if order[key] not in (I_FIRST, J_FIRST):
             raise MalformedSolution(f"no ordering decided for interference {key}")
-    return _schedule(
-        instance,
-        derived,
-        replace(decisions, qc_assignment=qc_assignment, interference_order=order),
+    start = _longest_paths(
+        2 * len(instance.shipments),
+        precedence_arcs(
+            instance,
+            derived,
+            decisions.yard_assignment,
+            qc_assignment,
+            decisions.qc_sequences,
+            decisions.yc_sequences,
+            order,
+        ),
+    )
+
+    location = locations(instance, decisions.yard_assignment)
+    qc_start = {i: start[t] for i, t in derived.quay_task.items()}
+    yc_start = {i: start[t + YARD] for i, t in derived.quay_task.items()}
+    per_vessel = _vessel_completions(instance, qc_start, yc_start)
+    return Solution(
+        yard_assignment=dict(decisions.yard_assignment),
+        qc_assignment=qc_assignment,
+        qc_sequences={q: tuple(s) for q, s in decisions.qc_sequences.items()},
+        yc_sequences={c: tuple(s) for c, s in decisions.yc_sequences.items()},
+        interference_order=order,
+        qc_start=qc_start,
+        yc_start=yc_start,
+        objective=_weighted_sum(instance, per_vessel),
+        yt_time={
+            s.id: instance.tt(location[s.id]) for s in instance.inbound_shipments
+        },
+        yc_empty=yard_empty_travel(instance, decisions.yc_sequences, location),
+        per_vessel_completion=per_vessel,
     )
 
 
@@ -393,47 +420,6 @@ def _longest_paths(n_tasks: int, arcs: list[Arc]) -> list[int]:
             "interference orderings are incompatible with the crane sequences"
         )
     return start
-
-
-def _schedule(
-    instance: Instance, derived: DerivedTables, decisions: Decisions
-) -> Solution:
-    """``compute_schedule`` for structurally sound decisions that name their
-    quay assignment and order every active interference tuple and no other."""
-    qc_assignment = decisions.qc_assignment
-    order = decisions.interference_order
-    start = _longest_paths(
-        2 * len(instance.shipments),
-        precedence_arcs(
-            instance,
-            derived,
-            decisions.yard_assignment,
-            qc_assignment,
-            decisions.qc_sequences,
-            decisions.yc_sequences,
-            order,
-        ),
-    )
-
-    location = locations(instance, decisions.yard_assignment)
-    qc_start = {i: start[t] for i, t in derived.quay_task.items()}
-    yc_start = {i: start[t + YARD] for i, t in derived.quay_task.items()}
-    per_vessel = _vessel_completions(instance, qc_start, yc_start)
-    return Solution(
-        yard_assignment=dict(decisions.yard_assignment),
-        qc_assignment=qc_assignment,
-        qc_sequences={q: tuple(s) for q, s in decisions.qc_sequences.items()},
-        yc_sequences={c: tuple(s) for c, s in decisions.yc_sequences.items()},
-        interference_order=order,
-        qc_start=qc_start,
-        yc_start=yc_start,
-        objective=_weighted_sum(instance, per_vessel),
-        yt_time={
-            s.id: instance.tt(location[s.id]) for s in instance.inbound_shipments
-        },
-        yc_empty=yard_empty_travel(instance, decisions.yc_sequences, location),
-        per_vessel_completion=per_vessel,
-    )
 
 
 # -- validation ----------------------------------------------------------

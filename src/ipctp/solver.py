@@ -14,6 +14,7 @@ are reproducible.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from itertools import combinations
@@ -133,11 +134,14 @@ class _Facts(NamedTuple):
     resources: dict[tuple[int, int] | int, _Resource]
 
 
-class _Context:
-    """Per-instance data shared by every node, and a cache of each quay
-    assignment's active tuples and cliques."""
+class _Engine:
+    """One search over one instance: the tables every node shares, a cache
+    of each quay assignment's active tuples and cliques, and the search's
+    clock, incumbent and counters."""
 
-    def __init__(self, instance: Instance, derived: DerivedTables):
+    def __init__(
+        self, instance: Instance, derived: DerivedTables, time_limit: float = math.inf
+    ):
         self.instance = instance
         self.derived = derived
         ships = instance.shipments
@@ -172,6 +176,15 @@ class _Context:
         # The active tuples and cliques of each quay assignment met so far,
         # keyed by every shipment's crane (None when unassigned) in id order.
         self._quay: dict[tuple, tuple[list, dict[int, _Resource]]] = {}
+        # Read once the tables are built, so wall time leaves them out.
+        self.deadline = time.monotonic() + time_limit
+        self.started = time.monotonic()
+        self.incumbent: Optional[int] = None
+        self.best: Optional[Solution] = None
+        self.trace: list[tuple[float, int]] = []
+        self.nodes = 0
+        self.propagations = 0
+        self.infeasible = self.bounded = self.cyclic = self.not_first = 0
 
     def root(self) -> SearchNode:
         eligible = self.derived.eligible_qcs
@@ -287,19 +300,6 @@ class _Context:
         self._quay[key] = active, cliques
         return active, cliques
 
-
-class _Engine:
-    def __init__(self, ctx: _Context, params: SolveParams):
-        self.ctx = ctx
-        self.deadline = time.monotonic() + params.time_limit
-        self.started = time.monotonic()
-        self.incumbent: Optional[int] = None
-        self.best: Optional[Solution] = None
-        self.trace: list[tuple[float, int]] = []
-        self.nodes = 0
-        self.propagations = 0
-        self.infeasible = self.bounded = self.cyclic = self.not_first = 0
-
     # -- propagation -----------------------------------------------------
 
     def propagate(
@@ -307,12 +307,11 @@ class _Engine:
     ) -> Optional[tuple[SearchNode, dict[int, int]]]:
         """The node at its propagation fixpoint and its vessel bounds; None
         means pruned."""
-        ctx = self.ctx
         est = list(node.est)
         lct = list(node.lct)
         order = dict(node.order)
 
-        if len(ctx.inbound_ids) - len(node.yard) > len(facts.free):
+        if len(self.inbound_ids) - len(node.yard) > len(facts.free):
             return None
 
         # The arcs precedence_arcs gives for the node and its working order:
@@ -320,7 +319,7 @@ class _Engine:
         arcs = list(facts.transfer)
         for resource in facts.resources.values():
             arcs += resource.arcs
-        arcs += order_arcs(ctx.derived, order)
+        arcs += order_arcs(self.derived, order)
         for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
             if not self._relax(arcs, est):
                 return None
@@ -336,7 +335,7 @@ class _Engine:
             if not (changed or forced):
                 break
             forced_order = {key: order[key] for key in forced}
-            arcs += order_arcs(ctx.derived, forced_order)
+            arcs += order_arcs(self.derived, forced_order)
         else:  # the cap ended the loop: est moved after the last bounds
             vessel_lb = self._vessel_bounds(est, facts.tail)
         return SearchNode(
@@ -360,24 +359,23 @@ class _Engine:
     ) -> dict[int, int]:
         """Cap each task's latest start by the incumbent; returns the vessel
         bounds of ``est`` that the caps came from."""
-        ctx = self.ctx
         vessel_lb = self._vessel_bounds(est, tail)
         caps: dict[int, int] = {}
-        total = sum(ctx.weight[s] * lb for s, lb in vessel_lb.items())
+        total = sum(self.weight[s] * lb for s, lb in vessel_lb.items())
         for vessel_id, lb in vessel_lb.items():
             if self.incumbent is None:
-                caps[vessel_id] = ctx.horizon
+                caps[vessel_id] = self.horizon
             else:
-                others = total - ctx.weight[vessel_id] * lb
-                caps[vessel_id] = (self.incumbent - 1 - others) // ctx.weight[vessel_id]
+                others = total - self.weight[vessel_id] * lb
+                caps[vessel_id] = (self.incumbent - 1 - others) // self.weight[vessel_id]
         for task, (vessel_id, duration, rest) in enumerate(
-            zip(ctx.vessel_of_task, ctx.duration, tail)
+            zip(self.vessel_of_task, self.duration, tail)
         ):
             deadline = caps[vessel_id] - duration - rest
             if deadline < lct[task]:
                 lct[task] = deadline
                 self.propagations += 1
-        for _ in range(ctx.n_tasks + 2):
+        for _ in range(self.n_tasks + 2):
             changed = False
             for u, v, weight in arcs:
                 candidate = lct[v] - weight
@@ -393,15 +391,14 @@ class _Engine:
         self, facts: _Facts, est: list[int], lct: list[int]
     ) -> Optional[bool]:
         """Disjunctive reasoning between unsequenced tasks on one crane."""
-        ctx = self.ctx
-        duration = ctx.duration
+        duration = self.duration
         changed = False
-        task = ctx.quay_task
+        task = self.quay_task
         for resource in facts.resources.values():
             if len(resource.left) < 2:
                 continue
-            kind, travel = resource.kind, ctx.travel[resource.kind]
-            spot = facts.location if kind == YARD else ctx.itself
+            kind, travel = resource.kind, self.travel[resource.kind]
+            spot = facts.location if kind == YARD else self.itself
             for a, b in combinations(resource.left, 2):
                 ta, tb, sa, sb = task[a] + kind, task[b] + kind, spot[a], spot[b]
                 a_done = est[ta] + duration[ta] + travel[sa, sb]
@@ -428,7 +425,7 @@ class _Engine:
 
         Returns the tuples decided, in the order they were added to ``order``.
         """
-        separation = self.ctx.derived.separation_arcs
+        separation = self.derived.separation_arcs
         forced = []
         for key in facts.active:
             if key in order:
@@ -447,10 +444,9 @@ class _Engine:
         return forced
 
     def _vessel_bounds(self, est: list[int], tail: list[int]) -> dict[int, int]:
-        ctx = self.ctx
-        bounds = dict.fromkeys(ctx.weight, 0)
+        bounds = dict.fromkeys(self.weight, 0)
         for start, duration, rest, vessel_id in zip(
-            est, ctx.duration, tail, ctx.vessel_of_task
+            est, self.duration, tail, self.vessel_of_task
         ):
             if start + duration + rest > bounds[vessel_id]:
                 bounds[vessel_id] = start + duration + rest
@@ -485,9 +481,8 @@ class _Engine:
 
         A resource with one task is skipped: its term is that task's
         ``est + duration + tail``, which its vessel's bound already holds."""
-        ctx = self.ctx
-        est, tail, duration = node.est, facts.tail, ctx.duration
-        vessel_of, weight = ctx.vessel_of_task, ctx.weight
+        est, tail, duration = node.est, facts.tail, self.duration
+        vessel_of, weight = self.vessel_of_task, self.weight
         best = sum(weight[s] * lb for s, lb in vessel_lb.items())
         for kind, tasks, _, _, _, step, place in facts.resources.values():
             if len(tasks) < 2:
@@ -517,14 +512,13 @@ class _Engine:
         """The node's children, each with its facts, in search order; None
         once every decision is made.  A child is built only when the search
         reaches it."""
-        ctx = self.ctx
-        ship = next((i for i in ctx.inbound_ids if i not in node.yard), None)
+        ship = next((i for i in self.inbound_ids if i not in node.yard), None)
         if ship is not None:  # identical domains, lowest id first
             return self._placed(node, facts, ship)
 
-        unassigned_qc = [i for i in ctx.ship_ids if i not in node.qc_of]
+        unassigned_qc = [i for i in self.ship_ids if i not in node.qc_of]
         if unassigned_qc:
-            eligible = ctx.derived.eligible_qcs
+            eligible = self.derived.eligible_qcs
             ship = min(unassigned_qc, key=lambda i: (len(eligible[i]), i))
             cranes = sorted(
                 eligible[ship], key=lambda q: (facts.resources[QUAY, q].workload, q)
@@ -546,7 +540,7 @@ class _Engine:
         for key in facts.active:
             if key in node.order:
                 continue
-            (ti, tj, gap_i), (_, _, gap_j) = ctx.derived.separation_arcs[key]
+            (ti, tj, gap_i), (_, _, gap_j) = self.derived.separation_arcs[key]
             if est[tj] >= est[ti] + gap_i:
                 free_orders[key] = I_FIRST
             elif est[ti] >= est[tj] + gap_j:
@@ -571,7 +565,7 @@ class _Engine:
     def _with_facts(self, children):
         """Each of ``children`` with its facts built in full."""
         for child in children:
-            yield child, self.ctx.facts(child)
+            yield child, self.facts(child)
 
     def _placed(self, node: SearchNode, facts: _Facts, ship: int):
         """The children that give inbound shipment ``ship`` each free
@@ -583,21 +577,20 @@ class _Engine:
         location's yard crane.  The quay assignment, and so the active tuples
         and cliques, stay as they are.
         """
-        ctx = self.ctx
         for k in facts.free:
             yard = {**node.yard, ship: k}
             child = SearchNode(yard, node.qc_of, node.qc_prefix, node.yc_prefix,
                                node.order, node.est, node.lct)
             location = {**facts.location, ship: k}
-            crane = ctx.yc_at[k]
-            members = sorted(i for i, l in location.items() if ctx.yc_at[l] == crane)
+            crane = self.yc_at[k]
+            members = sorted(i for i, l in location.items() if self.yc_at[l] == crane)
             key = (YARD, crane)
-            record = ctx.crane(child, key, members, location)
+            record = self.crane(child, key, members, location)
             resources = {**facts.resources, key: record}
-            transfer = transfer_arcs(ctx.instance, ctx.derived, yard)
+            transfer = transfer_arcs(self.instance, self.derived, yard)
             yield child, facts._replace(
                 location=location,
-                tail=ctx.tail(transfer),
+                tail=self.tail(transfer),
                 free=[l for l in facts.free if l != k],
                 transfer=transfer,
                 resources=resources,
@@ -617,12 +610,11 @@ class _Engine:
         from the parent's, even under a better incumbent, so its propagation
         would return None.
         """
-        ctx = self.ctx
         kind, crane = key
         record = facts.resources[key]
         prefixes = getattr(node, _PREFIX_FIELD[kind])
-        task, duration, travel = ctx.quay_task, ctx.duration, ctx.travel[kind]
-        spot = facts.location if kind == YARD else ctx.itself
+        task, duration, travel = self.quay_task, self.duration, self.travel[kind]
+        spot = facts.location if kind == YARD else self.itself
         est, lct = node.est, node.lct
         for ship in sorted(record.left, key=lambda i: (est[task[i] + kind], i)):
             t = task[ship] + kind
@@ -640,7 +632,7 @@ class _Engine:
                                node.order, est, lct)
             left = [i for i in record.left if i != ship]
             arcs = crane_arcs(
-                ctx.instance, ctx.derived, kind, sequence, left, facts.location
+                self.instance, self.derived, kind, sequence, left, facts.location
             )
             resources = {**facts.resources, key: record._replace(left=left, arcs=arcs)}
             yield child, facts._replace(resources=resources)
@@ -648,8 +640,8 @@ class _Engine:
     def _decisions_of(self, node: SearchNode) -> Decisions:
         return Decisions(
             yard_assignment=dict(node.yard),
-            qc_sequences={q: tuple(node.qc_prefix[q]) for q in self.ctx.qc_ids},
-            yc_sequences={c: tuple(node.yc_prefix[c]) for c in self.ctx.yc_ids},
+            qc_sequences={q: tuple(node.qc_prefix[q]) for q in self.qc_ids},
+            yc_sequences={c: tuple(node.yc_prefix[c]) for c in self.yc_ids},
             interference_order=dict(node.order),
             qc_assignment=dict(node.qc_of),
         )
@@ -699,7 +691,7 @@ class _Engine:
             return bound, iter(children)
         try:
             solution = compute_schedule(
-                self.ctx.instance, self.ctx.derived, self._decisions_of(node)
+                self.instance, self.derived, self._decisions_of(node)
             )
         except CyclicOrdering:
             self.cyclic += 1
@@ -715,10 +707,9 @@ def propagate(
     incumbent: Optional[int] = None,
 ) -> Optional[SearchNode]:
     """Tighten a node's windows to their fixpoint; None means pruned."""
-    ctx = _Context(instance, derived)
-    engine = _Engine(ctx, SolveParams(time_limit=1e9))
+    engine = _Engine(instance, derived)
     engine.incumbent = incumbent
-    propagated = engine.propagate(node, ctx.facts(node))
+    propagated = engine.propagate(node, engine.facts(node))
     return None if propagated is None else propagated[0]
 
 
@@ -726,14 +717,13 @@ def lower_bound(
     instance: Instance, derived: DerivedTables, node: SearchNode
 ) -> int:
     """Admissible lower bound on any feasible completion of the node."""
-    ctx = _Context(instance, derived)
-    engine = _Engine(ctx, SolveParams(time_limit=1e9))
-    facts = ctx.facts(node)
+    engine = _Engine(instance, derived)
+    facts = engine.facts(node)
     return engine.lower_bound(node, facts, engine._vessel_bounds(node.est, facts.tail))
 
 
 def root_node(instance: Instance, derived: DerivedTables) -> SearchNode:
-    return _Context(instance, derived).root()
+    return _Engine(instance, derived).root()
 
 
 def solve(
@@ -750,10 +740,9 @@ def solve(
         raise IpctpError("time_limit must be positive")
     if params.workers != 1:
         raise IpctpError("workers must be 1: solves are single-threaded")
-    ctx = _Context(instance, derived)
-    engine = _Engine(ctx, params)
-    root = ctx.root()
-    open_lb = engine._search(root, ctx.facts(root))
+    engine = _Engine(instance, derived, params.time_limit)
+    root = engine.root()
+    open_lb = engine._search(root, engine.facts(root))
 
     wall = time.monotonic() - engine.started
     best = engine.incumbent

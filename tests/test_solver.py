@@ -38,7 +38,6 @@ from ipctp.solver import (
     _PREFIX_FIELD,
     SearchNode,
     SolveParams,
-    _Context,
     _Engine,
     _Resource,
     lower_bound,
@@ -564,9 +563,9 @@ class TestSearchTree:
             return real_force_orders(engine, facts, order, *rest)
 
         def relax(engine, arcs, est):
-            node, ctx = seen["node"], engine.ctx
+            node = seen["node"]
             assert arcs == precedence_arcs(
-                ctx.instance, ctx.derived, node.yard, node.qc_of,
+                engine.instance, engine.derived, node.yard, node.qc_of,
                 node.qc_prefix, node.yc_prefix, seen["order"],
             )
             seen["passes"] += 1
@@ -585,17 +584,17 @@ def every_sequencing_child(engine, node, facts, key):
     """Every child that appends one shipment to crane ``key``'s sequence,
     built as the solver built them before it rejected shipments that
     cannot go first: the reference for the not-first rule."""
-    ctx = engine.ctx
     kind, crane = key
     record = facts.resources[key]
     field_name = _PREFIX_FIELD[kind]
     prefixes = getattr(node, field_name)
-    task = ctx.quay_task
+    task = engine.quay_task
     for ship in sorted(record.left, key=lambda i: (node.est[task[i] + kind], i)):
         sequence = prefixes[crane] + (ship,)
         child = replace(node, **{field_name: {**prefixes, crane: sequence}})
         left = [i for i in record.left if i != ship]
-        arcs = crane_arcs(ctx.instance, ctx.derived, kind, sequence, left, facts.location)
+        arcs = crane_arcs(engine.instance, engine.derived, kind, sequence, left,
+                          facts.location)
         resources = {**facts.resources, key: record._replace(left=left, arcs=arcs)}
         yield child, facts._replace(resources=resources)
 
@@ -682,7 +681,7 @@ class TestChildFacts:
 
         def checked(engine, node, children):
             for child, child_facts in children:
-                full = engine.ctx.facts(child)
+                full = engine.facts(child)
                 for name in full._fields:
                     assert getattr(child_facts, name) == getattr(full, name), name
                 assert list(child_facts.resources) == list(full.resources)
@@ -718,8 +717,8 @@ class TestCliques:
         for draw in range(300):
             instance = wide_eligibility_instance(rng, shipments=2 + draw % 5)
             derived = build_derived(instance)
-            ctx = _Context(instance, derived)
-            ships, task = ctx.ship_ids, derived.quay_task
+            engine = _Engine(instance, derived)
+            ships, task = engine.ship_ids, derived.quay_task
             for cranes in product(*(derived.eligible_qcs[i] for i in ships)):
                 qc_of = dict(zip(ships, cranes))
                 # Each pair's interference time: 0 on one crane, None when
@@ -741,7 +740,7 @@ class TestCliques:
                     if not any(group < other for other in groups)
                     and sorted(group) not in own
                 )
-                _, cliques = ctx.quay(qc_of)
+                _, cliques = engine.quay(qc_of)
                 assert list(cliques) == list(range(len(cliques)))
                 found = []
                 for record in cliques.values():
