@@ -662,8 +662,9 @@ class _Engine:
         stack: list[tuple[int, Iterator[tuple[SearchNode, _Facts]]]] = []
         while True:
             self.nodes += 1
-            if self.nodes % 64 == 0 and time.monotonic() > self.deadline:
-                # Past the root, the root's entry is always on the stack.
+            # Every node past the root reads the clock; the root's entry is
+            # then always on the stack.
+            if stack and time.monotonic() > self.deadline:
                 return min(bound for bound, _ in stack)
             entry = self._expand(node, facts)
             if entry is not None:

@@ -341,10 +341,11 @@ class TestLowerBound:
         assert report.lower_bound <= optimum <= report.best_objective
 
     def test_timed_out_bounds_are_admissible_at_tiny_limits(self, monkeypatch):
-        # The clock is read at every 64th node, so a smaller tree never times
-        # out; most s4/s5 draws are that small, so draw until 24 have.  The
-        # reported bound is capped by the incumbent, so the draws go on until
-        # a dozen timeouts also hold an incumbent above the optimum.
+        # The clock is read at every node past the root, so a tree of fewer
+        # nodes than the limit has ticks never times out; most s4/s5 draws
+        # are that small, so draw until 24 have.  The reported bound is
+        # capped by the incumbent, so the draws go on until a dozen timeouts
+        # also hold an incumbent above the optimum.
         monkeypatch.setattr(ipctp.solver, "time", TickingClock())
         rng = random.Random(2024)
         timeouts = above = draws = 0
@@ -366,7 +367,7 @@ class TestLowerBound:
             except BudgetExceeded:
                 continue
             optimum = None
-            for limit in (1, 2, 4):
+            for limit in (16, 32, 64):
                 report, _ = solve(instance, derived, SolveParams(time_limit=limit))
                 if report.status == "optimal":
                     break
@@ -376,7 +377,8 @@ class TestLowerBound:
                 assert report.lower_bound <= optimum
                 if report.best_objective is not None:
                     assert optimum <= report.best_objective
-                above += report.best_objective != optimum
+                best = report.best_objective
+                above += best is not None and best > optimum
 
 
 class TestSolve:
@@ -433,6 +435,19 @@ class TestSolve:
             assert validate(instance, derived, solution) == []
             assert report.lower_bound <= report.best_objective
             assert report.gap_percent is not None and report.gap_percent > 0
+
+    @pytest.mark.parametrize("limit", [1, 10, 40])
+    def test_a_timed_out_search_stops_within_two_nodes_of_its_limit(
+        self, monkeypatch, limit
+    ):
+        # TestSearchTree's 339-node tree.  The ticking clock is read at every
+        # node past the root and at each new incumbent, so a limit of that
+        # many ticks leaves the search at most one node past it.
+        instance = random_instance(6, 0.5, 4, seed=707, ul=2)
+        monkeypatch.setattr(ipctp.solver, "time", TickingClock())
+        report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=limit))
+        assert report.status != "optimal"
+        assert report.nodes <= limit + 2
 
     def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
         # 60 shipments put the first leaf more than 100 levels down; the
