@@ -33,7 +33,6 @@ GRID_REPLICATES = 5
 CONTAINER_RANGE = (4, 40)
 QC_RATE_RANGE = (2, 4)
 YC_RATE_RANGE = (2, 5)
-TRANSFER_RANGE = (5, 10)
 FIELD_TRANSFER_RANGE = {"C": (5, 7), "B": (6, 8), "A": (8, 10)}
 FIELD_RANK = {"C": 0, "B": 1, "A": 2}
 

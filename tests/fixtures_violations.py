@@ -29,7 +29,6 @@ from ipctp.schedule import (
     INTERFERENCE_ORDER_MISSING,
     INTERFERENCE_OVERLAP,
     INTERFERENCE_SEPARATION,
-    J_FIRST,
     LOCATION_ASSIGNMENT,
     LOCATION_CAPACITY,
     OUTBOUND_PRECEDENCE,

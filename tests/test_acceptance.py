@@ -28,7 +28,6 @@ from ipctp.mip import export_lp, mip_point_from_solution, check_point, solution_
 from ipctp.oracle import brute_force
 from ipctp.schedule import (
     I_FIRST,
-    J_FIRST,
     compute_schedule,
     objective_of,
     solution_to_json,

@@ -1,7 +1,6 @@
 """End-to-end command-line flows on temporary directories."""
 
 import json
-from pathlib import Path
 
 import pytest
 

@@ -22,7 +22,7 @@ from ipctp.generator import (
     generate_grid,
     grid_entry,
 )
-from ipctp.instance import INBOUND_AVAILABLE, build_derived, instance_to_json
+from ipctp.instance import build_derived, instance_to_json
 
 
 class TestConfig:

@@ -15,7 +15,6 @@ from ipctp.schedule import (
     J_FIRST,
     YC_EMPTY_VALUE_FROM_OUTBOUND,
     _longest_paths,
-    active_interference,
     compute_schedule,
     objective_of,
     relax,

@@ -23,7 +23,6 @@ from ipctp.instance import (
 from ipctp.oracle import brute_force, estimate_combinations
 from ipctp.schedule import (
     QUAY,
-    Decisions,
     I_FIRST,
     J_FIRST,
     compute_schedule,
