@@ -7,9 +7,21 @@ assigned and their time windows still overlap).  Every node keeps earliest
 and latest start windows that only tighten along a branch; an admissible
 lower bound prunes against the incumbent.  A sequencing child is never
 built when its shipment cannot go first: the two-task not-first rule of
-disjunctive scheduling.  All arithmetic is exact integer arithmetic,
-tie-breaking is by lowest id and the search is single-threaded, so runs
-are reproducible.
+disjunctive scheduling.
+
+Nor is a yard child built for a dominated location.  Location a dominates
+inbound location b when both are on one yard crane, a comes first by
+(transfer time, id) and no trip of that crane from a to another location
+is longer than from b; a twin has b's transfer time and trips as well.  A
+location gets no child when a free twin of lower id exists, or when the
+free dominators of used locations outnumber the inbound shipments left to
+place (the hole rule).  Both rules are exact: moving a shipment to a free
+dominator lowers no arc weight and strictly lowers the rank sum of the used
+locations, so some optimal solution escapes them.  They act in branching
+only: the public ``propagate`` accepts any location.
+
+All arithmetic is exact integer arithmetic, tie-breaking is by lowest id
+and the search is single-threaded, so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -61,12 +73,14 @@ class SolveReport:
     nodes: int
     propagations: int
     # Prunes by cause: propagation found no window, the bound reached the
-    # incumbent, a leaf's orders were cyclic; and the sequencing children
-    # never built because their shipment could not go first.
+    # incumbent, a leaf's orders were cyclic; the sequencing children never
+    # built because their shipment could not go first, and the yard children
+    # never built because their location is dominated.
     infeasible: int
     bounded: int
     cyclic: int
     not_first: int
+    dominated: int
     wall_time: float
     incumbent_trace: list[tuple[float, int]] = field(default_factory=list)
 
@@ -155,6 +169,7 @@ class _Engine:
         self.qc_ids = list(range(1, instance.qc_count + 1))
         self.yc_ids = list(range(1, instance.yc_count + 1))
         self.yc_at = {k.id: k.yc for k in instance.yard_locations}
+        self.dominators, self.twins = self._dominance()
         self.quay_task = quay_task = derived.quay_task
         # Per kind, a crane's empty travel between the spots of two shipments:
         # a shipment's spot is itself for quay cranes, its location for yard
@@ -185,6 +200,49 @@ class _Engine:
         self.nodes = 0
         self.propagations = 0
         self.infeasible = self.bounded = self.cyclic = self.not_first = 0
+        self.dominated = 0
+
+    def _dominance(
+        self,
+    ) -> tuple[dict[int, frozenset[int]], dict[int, tuple[int, ...]]]:
+        """Each inbound location's dominators, and its twins of lower id.
+
+        Location a dominates inbound location b when a is on b's yard crane,
+        ``(tt(a), a) < (tt(b), b)`` and ``tyc(a, x) <= tyc(b, x)`` for every
+        other location x of that crane.  A dominator is a twin when it has
+        b's transfer time and b's travel to every such x.
+
+        Each location's row holds its travel to every location of its crane.
+        With its own entry raised above every travel time, b's row compares
+        with a's by ``map(gt, ...)`` with neither own entry counting: a's is
+        0, b's is the raised one.
+        """
+        instance, travel = self.instance, self.instance.yc_travel
+        top = 1 + max(map(max, travel), default=0)
+        position, columns = {}, {c: [] for c in self.yc_ids}
+        for p, k in enumerate(instance.yard_locations):
+            position[k.id] = p
+            columns[k.yc].append(p)
+        row, raised = {}, {}
+        for k in self.available:
+            own = position[k]
+            row[k] = [travel[own][q] for q in columns[self.yc_at[k]]]
+            raised[k] = [top if q == own else t
+                         for q, t in zip(columns[self.yc_at[k]], row[k])]
+        # Each crane's inbound locations so far, by (transfer time, id).
+        ranked: dict[int, list[int]] = {c: [] for c in self.yc_ids}
+        dominators: dict[int, frozenset[int]] = {}
+        twins: dict[int, tuple[int, ...]] = {}
+        for b in self.available:
+            better = [a for a in ranked[self.yc_at[b]]
+                      if not any(map(gt, row[a], raised[b]))]
+            dominators[b] = frozenset(better)
+            twins[b] = tuple(
+                a for a in better if instance.tt(a) == instance.tt(b)
+                and not any(map(gt, row[b], raised[a]))
+            )
+            ranked[self.yc_at[b]].append(b)
+        return dominators, twins
 
     def root(self) -> SearchNode:
         eligible = self.derived.eligible_qcs
@@ -576,8 +634,34 @@ class _Engine:
         tails (the least free transfer time may move) and the record of the
         location's yard crane.  The quay assignment, and so the active tuples
         and cliques, stay as they are.
+
+        A location gets no child, counted in ``dominated``, when a free twin
+        of lower id exists, or when the free locations that dominate some
+        used location would outnumber the inbound shipments still unplaced
+        after the child (the hole rule): some dominator of a used location
+        then stays free in every completion.
+
+        Both rules keep an optimal solution.  Moving a shipment from b to a
+        free dominator a lowers no arc weight's bound: its transfer and its
+        yard crane's trips to and from it stay or fall, so no start moves
+        later.  The move also strictly lowers the sum of the used locations'
+        ranks in (transfer time, id) order.  Swapping the shipments of two
+        twins changes no arc at all.  So take, among the optimal solutions
+        with the least rank sum, the one whose locations in shipment id
+        order come first.  No used location of it has a free dominator; and
+        a twin of lower id, free when a shipment is placed, would either stay
+        free, a dominator of a used location, or take a later shipment, which
+        a swap would place first.  Neither rule cuts that solution.
         """
+        free = set(facts.free)
+        holes = {a for b in node.yard.values() for a in self.dominators[b] if a in free}
+        left = len(self.inbound_ids) - len(node.yard) - 1
         for k in facts.free:
+            if any(t in free for t in self.twins[k]) or len(
+                holes.union(self.dominators[k] & free) - {k}
+            ) > left:
+                self.dominated += 1
+                continue
             yard = {**node.yard, ship: k}
             child = SearchNode(yard, node.qc_of, node.qc_prefix, node.yc_prefix,
                                node.order, node.est, node.lct)
@@ -780,6 +864,7 @@ def solve(
         bounded=engine.bounded,
         cyclic=engine.cyclic,
         not_first=engine.not_first,
+        dominated=engine.dominated,
         wall_time=wall,
         incumbent_trace=list(engine.trace),
     )

@@ -69,7 +69,7 @@ def test_solve_validate_oracle_flow(corpus, capsys):
     assert set(report) == {
         "best_objective", "lower_bound", "gap_percent", "status",
         "nodes", "propagations", "infeasible", "bounded", "cyclic", "not_first",
-        "wall_time", "incumbent_trace",
+        "dominated", "wall_time", "incumbent_trace",
     }
 
     assert main(["validate", str(instance_file), str(solution_file)]) == 0

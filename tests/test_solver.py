@@ -14,6 +14,8 @@ from ipctp.generator import GenConfig, derive_seed, generate, grid_entry
 from ipctp.instance import (
     INBOUND,
     INBOUND_AVAILABLE,
+    OUTBOUND,
+    OUTBOUND_FIXED,
     Instance,
     Shipment,
     Vessel,
@@ -682,6 +684,202 @@ class TestNotFirst:
                 obj for _, obj in report.incumbent_trace
             ] == [obj for _, obj in reference.incumbent_trace]
         assert skipped_total > 100
+
+
+def yard_instance(transfer, travel, inbound, outbound=(), cranes=None) -> Instance:
+    """One quay crane.  Locations 1..n are inbound-available with the
+    ``transfer`` times, then one fixed location per outbound shipment;
+    ``travel`` is over all of them in id order, and ``cranes`` gives each
+    one's yard crane (all crane 1 by default).  Shipments are given as
+    ``(qc_time, yc_time)``, outbound ones with their trip to the quay."""
+    count = len(transfer)
+    cranes = cranes or [1] * len(travel)
+    locations = [YardLocation(k, cranes[k - 1], 1, "C", INBOUND_AVAILABLE)
+                 for k in range(1, count + 1)]
+    shipments = [Shipment(i, 1, INBOUND, i, 1, qc, yc)
+                 for i, (qc, yc) in enumerate(inbound, start=1)]
+    for k, (qc, yc, trip) in enumerate(outbound, start=count + 1):
+        locations.append(YardLocation(k, cranes[k - 1], 2, "A", OUTBOUND_FIXED))
+        i = len(shipments) + 1
+        shipments.append(Shipment(i, 1, OUTBOUND, i, 1, qc, yc,
+                                  fixed_location=k, yt_outbound_time=trip))
+    return Instance(
+        vessels=(Vessel(1, 1),),
+        shipments=tuple(shipments),
+        total_bays=len(shipments),
+        qc_count=1,
+        yc_count=max(cranes),
+        yard_locations=tuple(locations),
+        safety_distance=0,
+        qc_unit_travel=0,
+        yc_travel=travel,
+        yt_inbound_transfer=dict(enumerate(transfer, start=1)),
+    )
+
+
+def line_instance(rng: random.Random, inbound: int, outbound: int,
+                  locations: int) -> Instance:
+    """Two yard cranes, each with its locations on a line at positions 0 to
+    3, so trips are distances; transfer times 4 to 6 tie often."""
+    spots = [(rng.randint(1, 2), rng.randint(0, 3))
+             for _ in range(locations + outbound)]
+    travel = tuple(
+        tuple(abs(pa - pb) if ca == cb else 9 for cb, pb in spots)
+        for ca, pa in spots
+    )
+    return yard_instance(
+        [rng.randint(4, 6) for _ in range(locations)], travel,
+        inbound=[(rng.randint(1, 6), rng.randint(1, 6)) for _ in range(inbound)],
+        outbound=[(rng.randint(1, 6), rng.randint(1, 6), rng.randint(0, 3))
+                  for _ in range(outbound)],
+        cranes=[crane for crane, _ in spots],
+    )
+
+
+def dominance_by_definition(instance: Instance):
+    """Each inbound location's dominators and its twins of lower id, read
+    off ``instance.tt`` and ``instance.tyc`` pair by pair."""
+    crane = {k.id: k.yc for k in instance.yard_locations}
+    inbound = [k.id for k in instance.inbound_available_locations]
+    tt, tyc = instance.tt, instance.tyc
+    dominators, twins = {}, {}
+    for b in inbound:
+        dominators[b] = frozenset(
+            a for a in inbound
+            if crane[a] == crane[b] and (tt(a), a) < (tt(b), b)
+            and all(tyc(a, x) <= tyc(b, x) for x in crane
+                    if crane[x] == crane[b] and x not in (a, b))
+        )
+        twins[b] = tuple(sorted(
+            a for a in dominators[b]
+            if tt(a) == tt(b) and all(tyc(a, x) == tyc(b, x) for x in crane
+                                      if crane[x] == crane[b] and x not in (a, b))
+        ))
+    return dominators, twins
+
+
+class TestDominance:
+    """Yard children are never built for dominated locations, and the
+    optimum survives."""
+
+    @staticmethod
+    def built_yards(monkeypatch, instance):
+        """The solve's report and solution, and the yard assignment of each
+        yard child built, in search order."""
+        built = []
+        real_placed = _Engine._placed
+
+        def placed(engine, node, facts, ship):
+            for child, child_facts in real_placed(engine, node, facts, ship):
+                built.append(dict(child.yard))
+                yield child, child_facts
+
+        with monkeypatch.context() as patch:
+            patch.setattr(_Engine, "_placed", placed)
+            report, solution = solve(instance, build_derived(instance),
+                                     SolveParams(time_limit=60))
+        assert report.status == "optimal"
+        return report, solution, built
+
+    def test_only_the_lowest_id_twin_is_branched(self, monkeypatch):
+        # Three locations with one transfer time and one trip to every
+        # other location: each is the others' twin.
+        instance = yard_instance(
+            (5, 5, 5),
+            ((0, 1, 1, 2), (1, 0, 1, 2), (1, 1, 0, 2), (2, 2, 2, 0)),
+            inbound=[(4, 3), (3, 5)], outbound=[(4, 4, 2)],
+        )
+        engine = _Engine(instance, build_derived(instance))
+        assert engine.twins == {1: (), 2: (1,), 3: (1, 2)}
+        assert engine.dominators == {
+            1: frozenset(), 2: frozenset({1}), 3: frozenset({1, 2})
+        }
+        report, solution, built = self.built_yards(monkeypatch, instance)
+        # Shipment 1 goes to location 1 only, shipment 2 to location 2 only:
+        # 2 and 3 at the root and 3 below it are skipped.
+        assert built == [{1: 1}, {1: 1, 2: 2}]
+        assert report.dominated == 3
+        oracle = brute_force(instance, build_derived(instance))
+        assert report.best_objective == oracle.best_objective
+        assert solution.yard_assignment == {1: 1, 2: 2}
+
+    def test_a_shorter_transfer_with_a_longer_trip_does_not_dominate(
+        self, monkeypatch
+    ):
+        # Location 1 has the shorter transfer (3 against 5), but its yard
+        # crane's trip to the outbound location 3 is 6 against 1.
+        instance = yard_instance(
+            (3, 5), ((0, 5, 6), (5, 0, 1), (6, 1, 0)),
+            inbound=[(4, 4)], outbound=[(4, 4, 2)],
+        )
+        engine = _Engine(instance, build_derived(instance))
+        assert engine.dominators == {1: frozenset(), 2: frozenset()}
+        report, solution, built = self.built_yards(monkeypatch, instance)
+        assert built == [{1: 1}, {1: 2}]
+        assert report.dominated == 0
+        # The optimum takes the location with the longer transfer.
+        oracle = brute_force(instance, build_derived(instance))
+        assert oracle.best_solution.yard_assignment == {1: 2}
+        assert (report.best_objective, solution.yard_assignment) == (
+            oracle.best_objective, {1: 2}
+        )
+
+    def test_a_child_that_fills_a_hole_is_built(self, monkeypatch):
+        # Location 1 dominates location 2.  The optimum leaves it to the
+        # second shipment, whose long yard task needs the short transfer.
+        instance = yard_instance((3, 8), ((0, 1), (1, 0)),
+                                 inbound=[(2, 2), (2, 10)])
+        report, solution, built = self.built_yards(monkeypatch, instance)
+        assert built == [{1: 1}, {1: 1, 2: 2}, {1: 2}, {1: 2, 2: 1}]
+        assert report.dominated == 0
+        oracle = brute_force(instance, build_derived(instance))
+        assert (report.best_objective, solution.yard_assignment) == (
+            oracle.best_objective, {1: 2, 2: 1}
+        )
+
+    def test_solve_matches_the_oracle_and_the_rule_fires(self):
+        dominated = checked = 0
+        for seed in range(12):
+            for shipments, ul in product((3, 4, 5), (2, 3)):
+                ratio = 1.0 if seed % 3 == 0 else 0.5
+                instance = random_instance(shipments, ratio, 4, seed=seed, ul=ul)
+                derived = build_derived(instance)
+                try:  # the oracle enumerates every combination
+                    estimate_combinations(instance, derived, 20_000)
+                except BudgetExceeded:
+                    continue
+                report, _ = solve(instance, derived, SolveParams(time_limit=60))
+                optimum = brute_force(instance, derived).best_objective
+                assert (report.status, report.best_objective) == ("optimal", optimum)
+                dominated += report.dominated
+                checked += 1
+        for seed in range(40):
+            rng = random.Random(seed)
+            instance = line_instance(rng, inbound=rng.randint(2, 3),
+                                     outbound=rng.randint(0, 2), locations=5)
+            derived = build_derived(instance)
+            try:
+                estimate_combinations(instance, derived, 20_000)
+            except BudgetExceeded:
+                continue
+            report, _ = solve(instance, derived, SolveParams(time_limit=60))
+            optimum = brute_force(instance, derived).best_objective
+            assert (report.status, report.best_objective) == ("optimal", optimum)
+            dominated += report.dominated
+            checked += 1
+        assert checked > 60 and dominated > 0
+
+    def test_table_matches_the_definition(self):
+        for instance in (
+            random_instance(40, 0.5, 8, seed=707, ul=3),
+            line_instance(random.Random(22), inbound=6, outbound=6, locations=14),
+        ):
+            engine = _Engine(instance, build_derived(instance))
+            dominators, twins = dominance_by_definition(instance)
+            assert engine.dominators == dominators
+            assert engine.twins == twins
+            # Some dominators are not twins, and some are.
+            assert sum(map(len, dominators.values())) > sum(map(len, twins.values())) > 0
 
 
 class TestChildFacts:
