@@ -535,9 +535,9 @@ class TestSearchTree:
         ((2, 6, 5, 0.5), 63, 553, 0, [331, 330]),
         ((2, 4, 6, 0.5), 339, 1667, 128, [406, 403, 381, 373, 347, 333]),
         ((2, 6, 6, 0.5), 99, 660, 9, [465, 454, 372, 347, 299, 287]),
-        ((3, 6, 8, 0.5), 95, 1538, 4, [525, 509, 459, 418, 402]),
+        ((3, 6, 8, 0.5), 90, 1423, 4, [525, 509, 459, 418, 402]),
         ((2, 8, 8, 0.2), 123, 1438, 10, [427, 383, 369, 361, 360, 331, 328]),
-        ((3, 4, 6, 0.5), 89, 776, 9, [355, 335, 333]),
+        ((3, 4, 6, 0.5), 84, 703, 9, [355, 335, 333]),
     ]
 
     # Named by shape, so that re-recording a tree keeps its test's name.
