@@ -151,7 +151,12 @@ class _Facts(NamedTuple):
 class _Engine:
     """One search over one instance: the tables every node shares, a cache
     of each quay assignment's active tuples and cliques, and the search's
-    clock, incumbent and counters."""
+    clock, incumbent and counters.
+
+    Keep an engine to at most 29 attributes, and derive what can be
+    derived: past that, CPython 3.11 no longer keeps them inline, and each
+    ``self.`` read in propagation takes its slower, dict-based path.
+    """
 
     def __init__(
         self, instance: Instance, derived: DerivedTables, time_limit: float = math.inf
@@ -160,14 +165,11 @@ class _Engine:
         self.derived = derived
         ships = instance.shipments
         self.ship_ids = [s.id for s in ships]
-        self.n_tasks = 2 * len(ships)
         self.inbound_ids = [s.id for s in instance.inbound_shipments]
         self.available = sorted(
             (k.id for k in instance.inbound_available_locations),
             key=lambda k: (instance.tt(k), k),
         )
-        self.qc_ids = list(range(1, instance.qc_count + 1))
-        self.yc_ids = list(range(1, instance.yc_count + 1))
         self.yc_at = {k.id: k.yc for k in instance.yard_locations}
         self.dominators, self.twins = self._dominance()
         self.quay_task = quay_task = derived.quay_task
@@ -180,8 +182,9 @@ class _Engine:
             derived.qc_empty_travel,
             {(k, l): instance.tyc(k, l) for k in places for l in places},
         )
-        self.duration = [0] * self.n_tasks
-        self.vessel_of_task = [0] * self.n_tasks
+        n_tasks = 2 * len(ships)
+        self.duration = [0] * n_tasks
+        self.vessel_of_task = [0] * n_tasks
         for s in ships:
             quay = quay_task[s.id]
             self.duration[quay], self.duration[quay + 1] = s.qc_time, s.yc_time
@@ -219,7 +222,8 @@ class _Engine:
         """
         instance, travel = self.instance, self.instance.yc_travel
         top = 1 + max(map(max, travel), default=0)
-        position, columns = {}, {c: [] for c in self.yc_ids}
+        cranes = range(1, instance.yc_count + 1)
+        position, columns = {}, {c: [] for c in cranes}
         for p, k in enumerate(instance.yard_locations):
             position[k.id] = p
             columns[k.yc].append(p)
@@ -230,7 +234,7 @@ class _Engine:
             raised[k] = [top if q == own else t
                          for q, t in zip(columns[self.yc_at[k]], row[k])]
         # Each crane's inbound locations so far, by (transfer time, id).
-        ranked: dict[int, list[int]] = {c: [] for c in self.yc_ids}
+        ranked: dict[int, list[int]] = {c: [] for c in cranes}
         dominators: dict[int, frozenset[int]] = {}
         twins: dict[int, tuple[int, ...]] = {}
         for b in self.available:
@@ -246,14 +250,15 @@ class _Engine:
 
     def root(self) -> SearchNode:
         eligible = self.derived.eligible_qcs
+        n_tasks = len(self.duration)
         return SearchNode(
             yard={},
             qc_of={i: eligible[i][0] for i in self.ship_ids if len(eligible[i]) == 1},
-            qc_prefix={q: () for q in self.qc_ids},
-            yc_prefix={c: () for c in self.yc_ids},
+            qc_prefix=dict.fromkeys(range(1, self.instance.qc_count + 1), ()),
+            yc_prefix=dict.fromkeys(range(1, self.instance.yc_count + 1), ()),
             order={},
-            est=(0,) * self.n_tasks,
-            lct=(self.horizon,) * self.n_tasks,
+            est=(0,) * n_tasks,
+            lct=(self.horizon,) * n_tasks,
         )
 
     def facts(self, node: SearchNode) -> _Facts:
@@ -297,7 +302,7 @@ class _Engine:
     def tail(self, transfer: list[Arc]) -> list[int]:
         """Each task's tail: a shipment's first task is followed by its
         transfer arc's wait, less its own duration, then its second task."""
-        tail = [0] * self.n_tasks
+        tail = [0] * len(self.duration)
         for u, v, weight in transfer:
             tail[u] = weight - self.duration[u] + self.duration[v]
         return tail
@@ -433,7 +438,7 @@ class _Engine:
             if deadline < lct[task]:
                 lct[task] = deadline
                 self.propagations += 1
-        for _ in range(self.n_tasks + 2):
+        for _ in range(len(lct) + 2):
             changed = False
             for u, v, weight in arcs:
                 candidate = lct[v] - weight
@@ -724,8 +729,8 @@ class _Engine:
     def _decisions_of(self, node: SearchNode) -> Decisions:
         return Decisions(
             yard_assignment=dict(node.yard),
-            qc_sequences={q: tuple(node.qc_prefix[q]) for q in self.qc_ids},
-            yc_sequences={c: tuple(node.yc_prefix[c]) for c in self.yc_ids},
+            qc_sequences=dict(node.qc_prefix),
+            yc_sequences=dict(node.yc_prefix),
             interference_order=dict(node.order),
             qc_assignment=dict(node.qc_of),
         )
