@@ -521,8 +521,9 @@ class TestSearchTree:
     branching that alters any node shows here, even when the optimum holds."""
 
     # (ul, bays, shipments, inbound ratio) sub-seeded from 707, replicate 0;
-    # nodes, propagations, sequencing children not built and incumbent
-    # objectives as first recorded; the third tree re-recorded when the
+    # nodes, propagations, the prunes by cause (infeasible, bounded, cyclic,
+    # not_first, dominated; all but not_first pinned later, at the counts the
+    # trees had then) and incumbent objectives as first recorded; the third tree re-recorded when the
     # bound took in interference cliques and per-task heads and tails (1,099
     # nodes and 5,668 propagations before), the sixth when it took in
     # quay-crane travel and interference separations (375 nodes and 4,926
@@ -531,29 +532,34 @@ class TestSearchTree:
     # before were its nodes plus its not-first count (propagations before:
     # 1,073, 2,346, 1,054, 1,630, 1,755 and 935).
     PINNED = [
-        ((3, 4, 5, 0.5), 110, 849, 14, [360, 348, 346, 340, 334, 328]),
-        ((2, 6, 5, 0.5), 63, 553, 0, [331, 330]),
-        ((2, 4, 6, 0.5), 339, 1667, 128, [406, 403, 381, 373, 347, 333]),
-        ((2, 6, 6, 0.5), 99, 660, 9, [465, 454, 372, 347, 299, 287]),
-        ((3, 6, 8, 0.5), 90, 1423, 4, [525, 509, 459, 418, 402]),
-        ((2, 8, 8, 0.2), 123, 1438, 10, [427, 383, 369, 361, 360, 331, 328]),
-        ((3, 4, 6, 0.5), 84, 703, 9, [355, 335, 333]),
+        ((3, 4, 5, 0.5), 110, 849, (40, 0, 0, 14, 0),
+         [360, 348, 346, 340, 334, 328]),
+        ((2, 6, 5, 0.5), 63, 553, (36, 0, 0, 0, 0), [331, 330]),
+        ((2, 4, 6, 0.5), 339, 1667, (11, 119, 0, 128, 0),
+         [406, 403, 381, 373, 347, 333]),
+        ((2, 6, 6, 0.5), 99, 660, (28, 0, 0, 9, 0),
+         [465, 454, 372, 347, 299, 287]),
+        ((3, 6, 8, 0.5), 90, 1423, (48, 0, 0, 4, 5), [525, 509, 459, 418, 402]),
+        ((2, 8, 8, 0.2), 123, 1438, (30, 6, 0, 10, 0),
+         [427, 383, 369, 361, 360, 331, 328]),
+        ((3, 4, 6, 0.5), 84, 703, (40, 0, 0, 9, 5), [355, 335, 333]),
     ]
 
     # Named by shape, so that re-recording a tree keeps its test's name.
     @pytest.mark.parametrize(
-        "shape, nodes, propagations, not_first, incumbents", PINNED,
+        "shape, nodes, propagations, prunes, incumbents", PINNED,
         ids=[f"u{ul}_b{bays}_s{ships}_r{round(100 * ratio)}"
              for (ul, bays, ships, ratio), *_ in PINNED],
     )
-    def test_tree_is_pinned(self, shape, nodes, propagations, not_first, incumbents):
+    def test_tree_is_pinned(self, shape, nodes, propagations, prunes, incumbents):
         ul, bays, shipments, ratio = shape
         instance = random_instance(shipments, ratio, bays, seed=707, ul=ul)
         report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
         assert report.status == "optimal"
         assert report.nodes == nodes
         assert report.propagations == propagations
-        assert report.not_first == not_first
+        assert (report.infeasible, report.bounded, report.cyclic,
+                report.not_first, report.dominated) == prunes
         assert [obj for _, obj in report.incumbent_trace] == incumbents
 
     def test_relaxed_arcs_are_the_precedence_arcs(self, monkeypatch):
