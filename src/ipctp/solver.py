@@ -66,22 +66,25 @@ class SolveParams:
 
 @dataclass
 class SolveReport:
-    best_objective: Optional[int]
-    lower_bound: Optional[int]
-    gap_percent: Optional[float]
-    status: str
-    nodes: int
-    propagations: int
+    """What a solve found and counted.  The engine counts into its report as
+    it searches, and ``solve`` returns that same record."""
+
+    best_objective: Optional[int] = None
+    lower_bound: Optional[int] = None
+    gap_percent: Optional[float] = None
+    status: str = "unknown"
+    nodes: int = 0
+    propagations: int = 0
     # Prunes by cause: propagation found no window, the bound reached the
     # incumbent, a leaf's orders were cyclic; the sequencing children never
     # built because their shipment could not go first, and the yard children
     # never built because their location is dominated.
-    infeasible: int
-    bounded: int
-    cyclic: int
-    not_first: int
-    dominated: int
-    wall_time: float
+    infeasible: int = 0
+    bounded: int = 0
+    cyclic: int = 0
+    not_first: int = 0
+    dominated: int = 0
+    wall_time: float = 0.0
     incumbent_trace: list[tuple[float, int]] = field(default_factory=list)
 
     def to_payload(self) -> dict:
@@ -150,12 +153,13 @@ class _Facts(NamedTuple):
 
 class _Engine:
     """One search over one instance: the tables every node shares, a cache
-    of each quay assignment's active tuples and cliques, and the search's
-    clock, incumbent and counters.
+    of each quay assignment's active tuples and cliques, the search's clock
+    and incumbent, and the ``SolveReport`` it counts into.
 
     Keep an engine to at most 29 attributes, and derive what can be
     derived: past that, CPython 3.11 no longer keeps them inline, and each
-    ``self.`` read in propagation takes its slower, dict-based path.
+    ``self.`` read in propagation takes its slower, dict-based path.  So a
+    counter is a field of ``report``, never an attribute of its own.
     """
 
     def __init__(
@@ -199,11 +203,7 @@ class _Engine:
         self.started = time.monotonic()
         self.incumbent: Optional[int] = None
         self.best: Optional[Solution] = None
-        self.trace: list[tuple[float, int]] = []
-        self.nodes = 0
-        self.propagations = 0
-        self.infeasible = self.bounded = self.cyclic = self.not_first = 0
-        self.dominated = 0
+        self.report = SolveReport()
 
     def _dominance(
         self,
@@ -410,7 +410,7 @@ class _Engine:
         """``relax``, counting its raises as propagations; False means a
         positive cycle."""
         settled, raises = relax(arcs, est)
-        self.propagations += raises
+        self.report.propagations += raises
         return settled
 
     def _tighten_lct(
@@ -431,13 +431,14 @@ class _Engine:
             else:
                 others = total - self.weight[vessel_id] * lb
                 caps[vessel_id] = (self.incumbent - 1 - others) // self.weight[vessel_id]
+        raises = 0
         for task, (vessel_id, duration, rest) in enumerate(
             zip(self.vessel_of_task, self.duration, tail)
         ):
             deadline = caps[vessel_id] - duration - rest
             if deadline < lct[task]:
                 lct[task] = deadline
-                self.propagations += 1
+                raises += 1
         for _ in range(len(lct) + 2):
             changed = False
             for u, v, weight in arcs:
@@ -445,9 +446,10 @@ class _Engine:
                 if candidate < lct[u]:
                     lct[u] = candidate
                     changed = True
-                    self.propagations += 1
+                    raises += 1
             if not changed:
                 break
+        self.report.propagations += raises
         return vessel_lb
 
     def _pairwise(
@@ -456,6 +458,7 @@ class _Engine:
         """Disjunctive reasoning between unsequenced tasks on one crane."""
         duration = self.duration
         changed = False
+        raises = 0
         task = self.quay_task
         for resource in facts.resources.values():
             if len(resource.left) < 2:
@@ -468,13 +471,15 @@ class _Engine:
                 b_done = est[tb] + duration[tb] + travel[sb, sa]
                 a_first, b_first = a_done <= lct[tb], b_done <= lct[ta]
                 if not a_first and not b_first:
+                    self.report.propagations += raises
                     return None
                 if a_first != b_first:  # one order left: push the second
                     later, ready = (tb, a_done) if a_first else (ta, b_done)
                     if ready > est[later]:
                         est[later] = ready
-                        self.propagations += 1
+                        raises += 1
                         changed = True
+        self.report.propagations += raises
         return changed
 
     def _force_orders(
@@ -665,7 +670,7 @@ class _Engine:
             if any(t in free for t in self.twins[k]) or len(
                 holes.union(self.dominators[k] & free) - {k}
             ) > left:
-                self.dominated += 1
+                self.report.dominated += 1
                 continue
             yard = {**node.yard, ship: k}
             child = SearchNode(yard, node.qc_of, node.qc_prefix, node.yc_prefix,
@@ -710,7 +715,7 @@ class _Engine:
             done, at = est[t] + duration[t], spot[ship]
             if any(done + travel[at, spot[u]] > lct[task[u] + kind]
                    for u in record.left if u != ship):
-                self.not_first += 1
+                self.report.not_first += 1
                 continue
             sequence = prefixes[crane] + (ship,)
             chosen = {**prefixes, crane: sequence}
@@ -739,7 +744,9 @@ class _Engine:
         if self.incumbent is None or solution.objective < self.incumbent:
             self.incumbent = solution.objective
             self.best = solution
-            self.trace.append((time.monotonic() - self.started, solution.objective))
+            self.report.incumbent_trace.append(
+                (time.monotonic() - self.started, solution.objective)
+            )
 
     def _search(self, node: SearchNode, facts: _Facts) -> Optional[int]:
         """Depth-first search from ``node`` on an explicit stack: an entry per
@@ -749,8 +756,9 @@ class _Engine:
         Returns None once the tree is exhausted.  On timeout it returns the
         least bound of the open subtrees: every one hangs below an entry."""
         stack: list[tuple[int, Iterator[tuple[SearchNode, _Facts]]]] = []
+        report = self.report
         while True:
-            self.nodes += 1
+            report.nodes += 1
             # Every node past the root reads the clock; the root's entry is
             # then always on the stack.
             if stack and time.monotonic() > self.deadline:
@@ -769,12 +777,12 @@ class _Engine:
         is pruned or a leaf, which is scheduled and offered as incumbent."""
         propagated = self.propagate(node, facts)
         if propagated is None:
-            self.infeasible += 1
+            self.report.infeasible += 1
             return None
         node, vessel_lb = propagated
         bound = self.lower_bound(node, facts, vessel_lb)
         if self.incumbent is not None and bound >= self.incumbent:
-            self.bounded += 1
+            self.report.bounded += 1
             return None
         children = self._children(node, facts)
         if children is not None:
@@ -784,7 +792,7 @@ class _Engine:
                 self.instance, self.derived, self._decisions_of(node)
             )
         except CyclicOrdering:
-            self.cyclic += 1
+            self.report.cyclic += 1
             return None
         self._offer_incumbent(solution)
         return None
@@ -834,43 +842,27 @@ def solve(
     root = engine.root()
     open_lb = engine._search(root, engine.facts(root))
 
-    wall = time.monotonic() - engine.started
-    best = engine.incumbent
-    lb: Optional[int] = best
+    report = engine.report
+    report.wall_time = time.monotonic() - engine.started
+    report.best_objective = best = lb = engine.incumbent
     if open_lb is None:
-        status = "infeasible" if best is None else "optimal"
+        report.status = "infeasible" if best is None else "optimal"
     else:
-        status = "feasible" if best is not None else "unknown"
+        report.status = "feasible" if best is not None else "unknown"
         lb = open_lb if best is None else min(open_lb, best)
+    report.lower_bound = lb
 
-    gap = None
     if best is not None and lb is not None and best > 0:
-        gap = (best - lb) * 100.0 / best
+        report.gap_percent = (best - lb) * 100.0 / best
     elif best is not None and best == lb:
-        gap = 0.0
+        report.gap_percent = 0.0
 
     solution = None
     if engine.best is not None:
         solution = engine.best.with_status(
-            "optimal" if status == "optimal" else "feasible"
+            "optimal" if report.status == "optimal" else "feasible"
         )
         problems = validate(instance, derived, solution)
         if problems:  # pragma: no cover - internal consistency guard
             raise IpctpError(f"solver produced an invalid solution: {problems[0]}")
-
-    report = SolveReport(
-        best_objective=best,
-        lower_bound=lb,
-        gap_percent=gap,
-        status=status,
-        nodes=engine.nodes,
-        propagations=engine.propagations,
-        infeasible=engine.infeasible,
-        bounded=engine.bounded,
-        cyclic=engine.cyclic,
-        not_first=engine.not_first,
-        dominated=engine.dominated,
-        wall_time=wall,
-        incumbent_trace=list(engine.trace),
-    )
     return report, solution

@@ -39,6 +39,7 @@ from ipctp.solver import (
     _PREFIX_FIELD,
     SearchNode,
     SolveParams,
+    SolveReport,
     _Engine,
     _Resource,
     lower_bound,
@@ -662,20 +663,20 @@ class TestNotFirst:
 
         def checked(engine, node, facts, key):
             nonlocal skipped_total
-            before = engine.not_first
+            before = engine.report.not_first
             built = list(real_sequenced(engine, node, facts, key))
             every = list(every_sequencing_child(engine, node, facts, key))
             kept = [child for child, _ in built]
             # The kept children, with their facts, come in the reference order.
             assert built == [(c, f) for c, f in every if c in kept]
             skipped = [(c, f) for c, f in every if c not in kept]
-            assert len(skipped) == engine.not_first - before
+            assert len(skipped) == engine.report.not_first - before
             # Each skipped child dies in propagation under the incumbent of
             # this moment; a later, better one only tightens its windows.
-            propagations = engine.propagations
+            propagations = engine.report.propagations
             for child, child_facts in skipped:
                 assert engine.propagate(child, child_facts) is None
-            engine.propagations = propagations
+            engine.report.propagations = propagations
             skipped_total += len(skipped)
             yield from built
 
@@ -886,6 +887,25 @@ def test_engine_attributes_stay_inline():
     reads are quickest, only up to 29 of them."""
     instance = random_instance(8, 0.5, 4, seed=707, ul=3)
     assert len(vars(_Engine(instance, build_derived(instance)))) <= 29
+
+
+def test_counters_live_only_in_the_report(monkeypatch):
+    """The engine keeps no counter of its own: it counts into its report,
+    and ``solve`` returns that record."""
+    instance = random_instance(5, 0.5, 4, seed=707, ul=3)
+    engine = _Engine(instance, build_derived(instance))
+    assert not set(vars(engine)) & {f.name for f in fields(SolveReport)}
+    assert engine.report == SolveReport()
+    engines = []
+    real_init = _Engine.__init__
+
+    def init(engine, *args):
+        real_init(engine, *args)
+        engines.append(engine)
+
+    monkeypatch.setattr(_Engine, "__init__", init)
+    report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
+    assert report is engines[0].report and report.nodes > 0
 
 
 class TestChildFacts:
