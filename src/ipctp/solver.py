@@ -179,12 +179,15 @@ class _Engine:
         self.quay_task = quay_task = derived.quay_task
         # Per kind, a crane's empty travel between the spots of two shipments:
         # a shipment's spot is itself for quay cranes, its location for yard
-        # cranes.
-        places = [k.id for k in instance.yard_locations]
+        # cranes.  A yard crane travels only between its own locations.
+        places: dict[int, list[int]] = {}
+        for k in instance.yard_locations:
+            places.setdefault(k.yc, []).append(k.id)
         self.itself = {i: i for i in self.ship_ids}
         self.travel = (
             derived.qc_empty_travel,
-            {(k, l): instance.tyc(k, l) for k in places for l in places},
+            {(k, l): instance.tyc(k, l)
+             for own in places.values() for k in own for l in own},
         )
         n_tasks = 2 * len(ships)
         self.duration = [0] * n_tasks

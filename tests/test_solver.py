@@ -25,6 +25,7 @@ from ipctp.instance import (
 from ipctp.oracle import brute_force, estimate_combinations
 from ipctp.schedule import (
     QUAY,
+    YARD,
     I_FIRST,
     J_FIRST,
     compute_schedule,
@@ -888,6 +889,18 @@ def test_engine_attributes_stay_inline():
     instance = random_instance(8, 0.5, 4, seed=707, ul=3)
     assert len(vars(_Engine(instance, build_derived(instance)))) <= 29
 
+
+def test_yard_travel_joins_the_locations_of_one_crane():
+    """The yard travel table holds every ordered pair of locations on one
+    yard crane, a location with itself too, and no other pair."""
+    instance = random_instance(40, 0.5, 8, seed=707, ul=3)
+    travel = _Engine(instance, build_derived(instance)).travel[YARD]
+    crane = {k.id: k.yc for k in instance.yard_locations}
+    assert len(set(crane.values())) > 1
+    assert set(travel) == {
+        (k, l) for k in crane for l in crane if crane[k] == crane[l]
+    }
+    assert all(t == instance.tyc(k, l) for (k, l), t in travel.items())
 
 def test_counters_live_only_in_the_report(monkeypatch):
     """The engine keeps no counter of its own: it counts into its report,
