@@ -56,12 +56,12 @@ def _yard_choices(instance: Instance):
 
 
 def _quay_choices(instance: Instance, derived: DerivedTables):
-    """Each quay assignment, with each quay crane's shipments by id and the
-    interference tuples it makes active."""
+    """For each quay assignment, each quay crane's shipments by id and the
+    interference tuples the assignment makes active."""
     ship_ids = [s.id for s in instance.shipments]
     for choice in product(*(derived.eligible_qcs[i] for i in ship_ids)):
         assignment = dict(zip(ship_ids, choice))
-        yield (assignment, crane_members(instance, QUAY, assignment),
+        yield (crane_members(instance, QUAY, assignment),
                active_interference(derived, assignment))
 
 
@@ -121,7 +121,7 @@ def estimate_combinations(
         )
     qc_side = sum(
         _orderings(buckets) * 2 ** len(active)
-        for _, buckets, active in _quay_choices(instance, derived)
+        for buckets, active in _quay_choices(instance, derived)
     )
 
     total = yard_side * qc_side
@@ -164,8 +164,8 @@ def brute_force(
         ]
 
     quay_side = [
-        (assignment, [sequenced(QUAY, b, {}) for b in buckets.values()], active)
-        for assignment, buckets, active in _quay_choices(instance, derived)
+        ([sequenced(QUAY, b, {}) for b in buckets.values()], active)
+        for buckets, active in _quay_choices(instance, derived)
     ]
     qc_ids = list(range(1, instance.qc_count + 1))
     n_tasks = 2 * len(instance.shipments)
@@ -180,7 +180,7 @@ def brute_force(
         transfer = transfer_arcs(instance, derived, yard)
         yc_options = [sequenced(YARD, ships, location) for ships in members.values()]
 
-        for qc_assignment, qc_options, active in quay_side:
+        for qc_options, active in quay_side:
             for qc_combo in product(*qc_options):
                 quay_arcs = transfer + [a for _, seg in qc_combo for a in seg]
                 for directions in product((I_FIRST, J_FIRST), repeat=len(active)):
@@ -198,9 +198,7 @@ def brute_force(
                         )
                         if best_score is None or score < best_score:
                             best_score = score
-                            best_decisions = (
-                                yard, qc_assignment, qc_combo, order, members, yc_combo
-                            )
+                            best_decisions = (yard, qc_combo, order, members, yc_combo)
 
     # Every sequence in id order with every tuple i_first is acyclic, so no
     # best means no combination at all: too few locations for the inbound.
@@ -210,13 +208,12 @@ def brute_force(
             f"shipment(s) exceed {len(instance.inbound_available_locations)} "
             "inbound-available location(s)"
         )
-    yard, qc_assignment, qc_combo, order, members, yc_combo = best_decisions
+    yard, qc_combo, order, members, yc_combo = best_decisions
     decisions = Decisions(
         yard_assignment=yard,
         qc_sequences=dict(zip(qc_ids, (seq for seq, _ in qc_combo))),
         yc_sequences=dict(zip(members, (seq for seq, _ in yc_combo))),
         interference_order=order,
-        qc_assignment=qc_assignment,
     )
     best = compute_schedule(instance, derived, decisions).with_status("optimal")
     problems = validate(instance, derived, best)

@@ -72,12 +72,6 @@ class Decisions:
     qc_sequences: Mapping[int, tuple[int, ...]]
     yc_sequences: Mapping[int, tuple[int, ...]]
     interference_order: Mapping[tuple[int, int, int, int], str]
-    qc_assignment: Mapping[int, int] | None = None
-
-    def resolved_qc_assignment(self) -> dict[int, int]:
-        if self.qc_assignment is not None:
-            return dict(self.qc_assignment)
-        return qc_assignment_of(self.qc_sequences)
 
 
 @dataclass(frozen=True)
@@ -333,7 +327,7 @@ def compute_schedule(
     orders contradict the sequences, MalformedSolution when the decisions
     are structurally broken.
     """
-    qc_assignment = decisions.resolved_qc_assignment()
+    qc_assignment = qc_assignment_of(decisions.qc_sequences)
     structural = _structural_violations(
         instance,
         derived,

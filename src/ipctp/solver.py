@@ -740,7 +740,6 @@ class _Engine:
             qc_sequences=dict(node.qc_prefix),
             yc_sequences=dict(node.yc_prefix),
             interference_order=dict(node.order),
-            qc_assignment=dict(node.qc_of),
         )
 
     def _offer_incumbent(self, solution: Solution) -> None:

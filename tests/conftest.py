@@ -135,7 +135,6 @@ def interference_pair_decisions(order: str = I_FIRST) -> Decisions:
         qc_sequences={1: (1,), 2: (2,)},
         yc_sequences={1: (1,), 2: (2,)},
         interference_order={(1, 2, 1, 2): order},
-        qc_assignment={1: 1, 2: 2},
     )
 
 
@@ -206,7 +205,6 @@ def mixed_decisions() -> Decisions:
         qc_sequences={1: (3, 1), 2: (2, 4)},
         yc_sequences={1: (3, 1, 4), 2: (2,)},
         interference_order={(1, 2, 1, 2): J_FIRST},
-        qc_assignment={1: 1, 2: 2, 3: 1, 4: 2},
     )
 
 
@@ -248,7 +246,6 @@ def random_decisions(instance: Instance, derived, rng: random.Random) -> Decisio
         qc_sequences=qc_sequences,
         yc_sequences=yc_sequences,
         interference_order=order,
-        qc_assignment=qc_assignment,
     )
 
 

@@ -105,7 +105,6 @@ def _mixed_variant_baseline():
         qc_sequences={1: (1, 3), 2: (2, 4)},
         yc_sequences={1: (1, 4, 3), 2: (2,)},
         interference_order={(1, 2, 1, 2): I_FIRST},
-        qc_assignment={1: 1, 2: 2, 3: 1, 4: 2},
     )
     solution = compute_schedule(instance, derived, decisions)
     assert validate(instance, derived, solution) == []

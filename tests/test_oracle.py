@@ -47,14 +47,14 @@ def plain_enumeration(instance, derived):
     solution.
     """
     quay_side = [
-        (assignment, [list(permutations(b)) for b in buckets.values()], active)
-        for assignment, buckets, active in _quay_choices(instance, derived)
+        ([list(permutations(b)) for b in buckets.values()], active)
+        for buckets, active in _quay_choices(instance, derived)
     ]
     enumerated = cyclic = 0
     best = None
     for yard, members in _yard_choices(instance):
         yc_options = [list(permutations(ships)) for ships in members.values()]
-        for qc_assignment, qc_options, active in quay_side:
+        for qc_options, active in quay_side:
             for qc_combo in product(*qc_options):
                 for directions in product((I_FIRST, J_FIRST), repeat=len(active)):
                     for yc_combo in product(*yc_options):
@@ -64,7 +64,6 @@ def plain_enumeration(instance, derived):
                             qc_sequences=dict(enumerate(qc_combo, start=1)),
                             yc_sequences=dict(zip(members, yc_combo)),
                             interference_order=dict(zip(active, directions)),
-                            qc_assignment=qc_assignment,
                         )
                         try:
                             solution = compute_schedule(instance, derived, decisions)

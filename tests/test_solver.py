@@ -32,6 +32,7 @@ from ipctp.schedule import (
     crane_arcs,
     crane_members,
     precedence_arcs,
+    qc_assignment_of,
     solution_to_json,
     validate,
 )
@@ -194,7 +195,7 @@ class TestLowerBound:
         node = replace(
             root_node(instance, derived),
             yard=dict(decisions.yard_assignment),
-            qc_of=decisions.resolved_qc_assignment(),
+            qc_of=qc_assignment_of(decisions.qc_sequences),
             qc_prefix={q: tuple(s) for q, s in decisions.qc_sequences.items()},
             yc_prefix={c: tuple(s) for c, s in decisions.yc_sequences.items()},
             order=dict(decisions.interference_order),
