@@ -8,7 +8,7 @@ are recorded per instance and never abort the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .instance import Instance, build_derived
 from .solver import SolveParams, solve
@@ -50,19 +50,14 @@ def rpd_percent(short_objective: float, long_objective: float) -> float:
 def run_bench(
     items: Iterable[tuple[str, str, int, Instance]],
     budgets: tuple[float, float] = (600.0, 3600.0),
-    solve_fn: Callable = None,
 ) -> tuple[list[BenchRow], list[RunRecord]]:
-    """Solve each (name, config_id, replicate, instance) under both budgets.
-
-    ``solve_fn(instance, budget)`` returns (objective, status, wall, gap).
-    """
-    runner = solve_fn or _default_runner
+    """Solve each (name, config_id, replicate, instance) under both budgets."""
     records: list[RunRecord] = []
     for name, config_id, replicate, instance in items:
         for budget in budgets:
             error = None
             try:
-                objective, status, wall, gap = runner(instance, budget)
+                objective, status, wall, gap = _default_runner(instance, budget)
             except Exception as exc:  # per-instance failures stay local
                 objective, status, wall, gap = None, "error", 0.0, None
                 error = f"{type(exc).__name__}: {exc}"

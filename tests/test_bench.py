@@ -1,5 +1,6 @@
 """Benchmark harness: RPD formula, aggregation bookkeeping, table rendering."""
 
+import ipctp.bench as bench_mod
 from ipctp.bench import (
     BenchRow,
     RunRecord,
@@ -77,18 +78,15 @@ class TestAggregation:
         assert rows[0].mean_objective == 50
         assert rows[0].rpd_percent == 0.0
 
-    def test_failures_do_not_abort_the_batch(self):
+    def test_failures_do_not_abort_the_batch(self, monkeypatch):
         def exploding_runner(instance, budget):
             raise RuntimeError("boom")
 
+        monkeypatch.setattr(bench_mod, "_default_runner", exploding_runner)
         instance = generate(
             GenConfig(ul_ratio=2, bays=4, shipments=2, inbound_ratio=0.5, seed=3)
         )
-        rows, records = run_bench(
-            [("one", "cfg", 0, instance)],
-            budgets=(1.0, 2.0),
-            solve_fn=exploding_runner,
-        )
+        rows, records = run_bench([("one", "cfg", 0, instance)], budgets=(1.0, 2.0))
         assert len(records) == 2
         assert all(r.status == "error" for r in records)
         assert rows[0].infeasible_count == 1
