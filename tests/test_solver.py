@@ -526,14 +526,15 @@ class TestSearchTree:
     # (ul, bays, shipments, inbound ratio) sub-seeded from 707, replicate 0;
     # nodes, propagations, the prunes by cause (infeasible, bounded, cyclic,
     # not_first, dominated; all but not_first pinned later, at the counts the
-    # trees had then) and incumbent objectives as first recorded; the third tree re-recorded when the
-    # bound took in interference cliques and per-task heads and tails (1,099
-    # nodes and 5,668 propagations before), the sixth when it took in
-    # quay-crane travel and interference separations (375 nodes and 4,926
-    # propagations before), and every tree but the second when sequencing
-    # children that cannot go first stopped being built: each tree's nodes
-    # before were its nodes plus its not-first count (propagations before:
-    # 1,073, 2,346, 1,054, 1,630, 1,755 and 935).
+    # trees had then) and incumbent objectives as first recorded; the third
+    # tree re-recorded when the bound took in interference cliques and
+    # per-task heads and tails (1,099 nodes and 5,668 propagations before),
+    # the sixth when it took in quay-crane travel and interference
+    # separations (375 nodes and 4,926 propagations before), and every tree
+    # but the second when sequencing children that cannot go first stopped
+    # being built: each tree's nodes before were its nodes plus its
+    # not-first count (propagations before: 1,073, 2,346, 1,054, 1,630,
+    # 1,755 and 935).
     PINNED = [
         ((3, 4, 5, 0.5), 110, 849, (40, 0, 0, 14, 0),
          [360, 348, 346, 340, 334, 328]),
