@@ -73,4 +73,5 @@ print(f"  eligible cranes: { {i: sorted(q) for i, q in derived.eligible_qcs.item
 print(f"  conflict set:    {list(derived.interference_set)}")
 for key in derived.interference_set:
     print(f"    tuple {key} needs separation {derived.interference_time[key]}")
-print(f"  empty quay travel 1 -> 2: {derived.qc_empty_travel[(1, 2)]} (one bay)")
+bays = (instance.shipment(1).bay, instance.shipment(2).bay)
+print(f"  empty quay travel from bay {bays[0]} to {bays[1]}: {instance.tqc(*bays)}")

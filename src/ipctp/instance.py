@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from functools import partial
-from itertools import chain, product
+from itertools import chain, combinations, product
 from operator import attrgetter
 from typing import Mapping
 
@@ -155,6 +155,10 @@ class Instance:
         """Yard-crane travel time between two yard locations (by id)."""
         idx = self._location_index
         return self.yc_travel[idx[from_location]][idx[to_location]]
+
+    def tqc(self, from_bay: int, to_bay: int) -> int:
+        """Quay-crane empty travel time between two bays."""
+        return self.qc_unit_travel * abs(from_bay - to_bay)
 
     def tt(self, location_id: int) -> int:
         """Quay-to-yard transfer time for an inbound-available location."""
@@ -381,13 +385,15 @@ def interference_time(
 
 @dataclass(frozen=True)
 class DerivedTables:
-    """Precomputed eligibility, interference and quay-crane empty travel."""
+    """Precomputed eligibility, interference and task numbering."""
 
     # Each shipment's eligible quay cranes, in id order.
     eligible_qcs: Mapping[int, tuple[int, ...]]
+    # The separation of each interference tuple (i, j, v, w) with i < j: an
+    # ordering of the pair in either direction needs the same one.
     interference_time: Mapping[tuple[int, int, int, int], int]
+    # The keys of ``interference_time``, in sorted order.
     interference_set: tuple[tuple[int, int, int, int], ...]
-    qc_empty_travel: Mapping[tuple[int, int], int]
     # The task numbering: each shipment's quay task is ``2 * rank``, where
     # rank is its position by id, and its yard task the one after it.  Add a
     # crane kind (QUAY = 0, YARD = 1 in ``schedule``) to get that kind's task.
@@ -411,9 +417,6 @@ class DerivedTables:
                 for (i, j, v, w), t in sorted(self.interference_time.items())
             ],
             "interference_set": [list(t) for t in self.interference_set],
-            "qc_empty_travel": [
-                [i, j, t] for (i, j), t in sorted(self.qc_empty_travel.items())
-            ],
         }
         return canonical_dumps(payload)
 
@@ -430,33 +433,23 @@ def build_derived(instance: Instance) -> DerivedTables:
 
     # Keys come in sorted order: shipments and cranes are walked by id.
     interference: dict[tuple[int, int, int, int], int] = {}
-    for a in ships:
-        for b in ships:
-            if a.id == b.id:
-                continue
-            for v in eligible[a.id]:
-                for w in eligible[b.id]:
-                    t = bay_interference_time(
-                        a.bay,
-                        b.bay,
-                        v,
-                        w,
-                        instance.safety_distance,
-                        instance.qc_unit_travel,
-                    )
-                    if t > 0:
-                        interference[(a.id, b.id, v, w)] = t
-    theta = tuple(key for key in interference if key[0] < key[1])
-
-    qc_empty = {
-        (a.id, b.id): instance.qc_unit_travel * abs(a.bay - b.bay)
-        for a in ships
-        for b in ships
-    }
+    for a, b in combinations(ships, 2):
+        for v in eligible[a.id]:
+            for w in eligible[b.id]:
+                t = bay_interference_time(
+                    a.bay,
+                    b.bay,
+                    v,
+                    w,
+                    instance.safety_distance,
+                    instance.qc_unit_travel,
+                )
+                if t > 0:
+                    interference[(a.id, b.id, v, w)] = t
 
     quay_task = {s.id: 2 * rank for rank, s in enumerate(ships)}
     separation = {}
-    for key in theta:
+    for key in interference:
         i, j = key[:2]
         separation[key] = tuple(
             (quay_task[a], quay_task[b], instance.shipment(a).qc_time + interference[key])
@@ -466,8 +459,7 @@ def build_derived(instance: Instance) -> DerivedTables:
     return DerivedTables(
         eligible_qcs=eligible,
         interference_time=interference,
-        interference_set=theta,
-        qc_empty_travel=qc_empty,
+        interference_set=tuple(interference),
         quay_task=quay_task,
         separation_arcs=separation,
     )

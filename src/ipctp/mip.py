@@ -253,9 +253,9 @@ class _Builder:
         Returns its fixed part, the row terms that carry the rest, and the
         row's family.
         """
-        if kind == "qc":
-            return self.derived.qc_empty_travel[(i, j)], {}, QC_SEQUENCE_TIMING
         a, b = self.instance.shipment(i), self.instance.shipment(j)
+        if kind == "qc":
+            return self.instance.tqc(a.bay, b.bay), {}, QC_SEQUENCE_TIMING
         family = yard_timing_family(a, b)
         if family == YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND:
             travel = self.instance.tyc(a.fixed_location, b.fixed_location)
@@ -603,7 +603,7 @@ def mip_point_from_solution(
                 continue
             set_var(names.sy(a.id, b.id), instance.tyc(location[a.id], location[b.id]))
 
-    per_vessel = vessel_completions(instance, solution)
+    per_vessel = vessel_completions(instance, solution.qc_start, solution.yc_start)
     for vessel in instance.vessels:
         set_var(names.cmax(vessel.id), vessel.weight * per_vessel[vessel.id])
     return point
@@ -677,8 +677,6 @@ def solution_from_values(
     qc_sequences = chains("qc_successor", instance.qc_count)
     yc_sequences = chains("yc_successor", instance.yc_count)
 
-    qc_assignment = qc_assignment_of(qc_sequences)
-
     def start(name: str) -> int:
         value = values.get(name, 0)
         if not math.isfinite(value):
@@ -689,7 +687,7 @@ def solution_from_values(
     yc_start = {s.id: start(names.syc(s.id)) for s in instance.shipments}
 
     order: dict[tuple[int, int, int, int], str] = {}
-    for key in active_interference(derived, qc_assignment):
+    for key in active_interference(derived, qc_assignment_of(qc_sequences)):
         i, j, _, _ = key
         if on(names.qz(i, j)):
             order[key] = I_FIRST
@@ -700,7 +698,6 @@ def solution_from_values(
 
     solution = Solution(
         yard_assignment=yard,
-        qc_assignment=qc_assignment,
         qc_sequences=qc_sequences,
         yc_sequences=yc_sequences,
         interference_order=order,

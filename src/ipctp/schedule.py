@@ -77,7 +77,6 @@ class Decisions:
 @dataclass(frozen=True)
 class Solution:
     yard_assignment: Mapping[int, int]
-    qc_assignment: Mapping[int, int]
     qc_sequences: Mapping[int, tuple[int, ...]]
     yc_sequences: Mapping[int, tuple[int, ...]]
     interference_order: Mapping[tuple[int, int, int, int], str]
@@ -140,11 +139,7 @@ def active_interference(
     ]
 
 
-def vessel_completions(instance: Instance, solution: Solution) -> dict[int, int]:
-    return _vessel_completions(instance, solution.qc_start, solution.yc_start)
-
-
-def _vessel_completions(
+def vessel_completions(
     instance: Instance, qc_start: Mapping[int, int], yc_start: Mapping[int, int]
 ) -> dict[int, int]:
     """Latest handling completion per vessel (yard side in, quay side out)."""
@@ -166,7 +161,9 @@ def _weighted_sum(instance: Instance, per_vessel: Mapping[int, int]) -> int:
 
 def objective_of(instance: Instance, solution: Solution):
     """Sum of weighted vessel completion times, recomputed from start times."""
-    return _weighted_sum(instance, vessel_completions(instance, solution))
+    return _weighted_sum(
+        instance, vessel_completions(instance, solution.qc_start, solution.yc_start)
+    )
 
 
 # -- schedule construction ----------------------------------------------
@@ -229,9 +226,11 @@ def crane_arcs(
         pairs = [*pairs, *((sequence[-1], u) for u in unsequenced)]
     shipment, task = instance.shipment, derived.quay_task
     if kind == QUAY:
-        empty = derived.qc_empty_travel
+        tqc = instance.tqc
         return [
-            (task[a], task[b], shipment(a).qc_time + empty[a, b]) for a, b in pairs
+            (task[a], task[b],
+             shipment(a).qc_time + tqc(shipment(a).bay, shipment(b).bay))
+            for a, b in pairs
         ]
     tyc = instance.tyc
     return [
@@ -327,18 +326,17 @@ def compute_schedule(
     orders contradict the sequences, MalformedSolution when the decisions
     are structurally broken.
     """
-    qc_assignment = qc_assignment_of(decisions.qc_sequences)
     structural = _structural_violations(
         instance,
         derived,
         decisions.yard_assignment,
-        qc_assignment,
         decisions.qc_sequences,
         decisions.yc_sequences,
     )
     if structural:
         raise MalformedSolution("; ".join(str(v) for v in structural[:3]))
 
+    qc_assignment = qc_assignment_of(decisions.qc_sequences)
     order = {}
     for key in active_interference(derived, qc_assignment):
         order[key] = decisions.interference_order.get(key)
@@ -360,10 +358,9 @@ def compute_schedule(
     location = locations(instance, decisions.yard_assignment)
     qc_start = {i: start[t] for i, t in derived.quay_task.items()}
     yc_start = {i: start[t + YARD] for i, t in derived.quay_task.items()}
-    per_vessel = _vessel_completions(instance, qc_start, yc_start)
+    per_vessel = vessel_completions(instance, qc_start, yc_start)
     return Solution(
         yard_assignment=dict(decisions.yard_assignment),
-        qc_assignment=qc_assignment,
         qc_sequences={q: tuple(s) for q, s in decisions.qc_sequences.items()},
         yc_sequences={c: tuple(s) for c, s in decisions.yc_sequences.items()},
         interference_order=order,
@@ -423,7 +420,6 @@ def _structural_violations(
     instance: Instance,
     derived: DerivedTables,
     yard_assignment: Mapping[int, int],
-    qc_assignment: Mapping[int, int],
     qc_sequences: Mapping[int, tuple[int, ...]],
     yc_sequences: Mapping[int, tuple[int, ...]],
 ) -> list[Violation]:
@@ -505,16 +501,6 @@ def _structural_violations(
             out.append(
                 Violation(QC_ELIGIBILITY, (i, holders[0]), "quay crane not eligible")
             )
-        elif qc_assignment.get(i) != holders[0]:
-            out.append(
-                Violation(
-                    QC_CHAIN_CONSISTENCY,
-                    (i, qc_assignment.get(i), holders[0]),
-                    "assignment and sequence disagree",
-                )
-            )
-    for i in sorted(set(qc_assignment) - ship_ids):
-        out.append(Violation(QC_CHAIN_CONSISTENCY, (i,), "assignment for unknown id"))
 
     own_yc = yard_cranes(instance, locations(instance, yard_assignment))
     for s in instance.shipments:
@@ -548,7 +534,6 @@ def validate(
         instance,
         derived,
         solution.yard_assignment,
-        solution.qc_assignment,
         solution.qc_sequences,
         solution.yc_sequences,
     )
@@ -573,7 +558,7 @@ def validate(
             solution.qc_sequences,
             solution.qc_start,
             attrgetter("qc_time"),
-            lambda a, b: derived.qc_empty_travel[a, b],
+            lambda a, b: instance.tqc(shipment(a).bay, shipment(b).bay),
             lambda a, b: QC_SEQUENCE_TIMING,
         ),
         (
@@ -650,7 +635,8 @@ def validate(
                     )
                 )
 
-    for key in active_interference(derived, solution.qc_assignment):
+    qc_assignment = qc_assignment_of(solution.qc_sequences)
+    for key in active_interference(derived, qc_assignment):
         i, j, v, w = key
         order = solution.interference_order.get(key)
         if order not in (I_FIRST, J_FIRST):
@@ -692,7 +678,7 @@ def validate(
             )
         )
     if solution.per_vessel_completion is not None:
-        actual = vessel_completions(instance, solution)
+        actual = vessel_completions(instance, solution.qc_start, solution.yc_start)
         if dict(solution.per_vessel_completion) != actual:
             out.append(
                 Violation(OBJECTIVE_VALUE, (), "per-vessel completions mismatch")
@@ -740,7 +726,6 @@ def solution_from_payload(payload: Mapping) -> Solution:
             yard_assignment={
                 int(i): k for i, k in payload["yard_assignment"].items()
             },
-            qc_assignment=qc_assignment_of(qc_sequences),
             qc_sequences=qc_sequences,
             yc_sequences=yc_sequences,
             interference_order={

@@ -178,14 +178,15 @@ class _Engine:
         self.dominators, self.twins = self._dominance()
         self.quay_task = quay_task = derived.quay_task
         # Per kind, a crane's empty travel between the spots of two shipments:
-        # a shipment's spot is itself for quay cranes, its location for yard
+        # a shipment's spot is its bay for quay cranes, its location for yard
         # cranes.  A yard crane travels only between its own locations.
         places: dict[int, list[int]] = {}
         for k in instance.yard_locations:
             places.setdefault(k.yc, []).append(k.id)
-        self.itself = {i: i for i in self.ship_ids}
+        self.bay = {s.id: s.bay for s in ships}
+        bays = range(1, instance.total_bays + 1)
         self.travel = (
-            derived.qc_empty_travel,
+            {(a, b): instance.tqc(a, b) for a in bays for b in bays},
             {(k, l): instance.tyc(k, l)
              for own in places.values() for k in own for l in own},
         )
@@ -295,7 +296,7 @@ class _Engine:
         step, place = 0, None
         if kind == QUAY:
             step = self.instance.qc_unit_travel
-            place = {t: self.instance.shipment(i).bay for i, t in zip(ships, tasks)}
+            place = {t: self.bay[i] for i, t in zip(ships, tasks)}
         return _Resource(
             kind, tasks, sum(self.duration[t] for t in tasks), left,
             crane_arcs(self.instance, self.derived, kind, sequence, left, location),
@@ -467,7 +468,7 @@ class _Engine:
             if len(resource.left) < 2:
                 continue
             kind, travel = resource.kind, self.travel[resource.kind]
-            spot = facts.location if kind == YARD else self.itself
+            spot = facts.location if kind == YARD else self.bay
             for a, b in combinations(resource.left, 2):
                 ta, tb, sa, sb = task[a] + kind, task[b] + kind, spot[a], spot[b]
                 a_done = est[ta] + duration[ta] + travel[sa, sb]
@@ -711,7 +712,7 @@ class _Engine:
         record = facts.resources[key]
         prefixes = getattr(node, _PREFIX_FIELD[kind])
         task, duration, travel = self.quay_task, self.duration, self.travel[kind]
-        spot = facts.location if kind == YARD else self.itself
+        spot = facts.location if kind == YARD else self.bay
         est, lct = node.est, node.lct
         for ship in sorted(record.left, key=lambda i: (est[task[i] + kind], i)):
             t = task[ship] + kind

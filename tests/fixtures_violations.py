@@ -69,7 +69,6 @@ def rebuilt(instance: Instance, solution: Solution, **overrides) -> Solution:
     """Copy a solution with overrides, restating the objective from starts."""
     fields = dict(
         yard_assignment=dict(solution.yard_assignment),
-        qc_assignment=dict(solution.qc_assignment),
         qc_sequences={q: tuple(s) for q, s in solution.qc_sequences.items()},
         yc_sequences={c: tuple(s) for c, s in solution.yc_sequences.items()},
         interference_order=dict(solution.interference_order),
@@ -250,7 +249,6 @@ def qc_ineligible_crane():
         instance,
         sol,
         qc_sequences={1: (1,), 2: (2, 4, 3)},
-        qc_assignment={1: 1, 2: 2, 3: 2, 4: 2},
     )
 
 

@@ -30,6 +30,7 @@ from ipctp.schedule import (
     I_FIRST,
     compute_schedule,
     objective_of,
+    qc_assignment_of,
     solution_to_json,
     validate,
 )
@@ -176,12 +177,10 @@ def test_criterion_4_interference_semantics(solved_corpus):
     tuples_checked = 0
     for name, instance, derived, oracle, _, solution in solved_corpus:
         for candidate in (oracle.best_solution, solution):
+            qc_of = qc_assignment_of(candidate.qc_sequences)
             for key in derived.interference_set:
                 i, j, v, w = key
-                if (
-                    candidate.qc_assignment.get(i) != v
-                    or candidate.qc_assignment.get(j) != w
-                ):
+                if qc_of.get(i) != v or qc_of.get(j) != w:
                     continue
                 start_i = candidate.qc_start[i]
                 start_j = candidate.qc_start[j]

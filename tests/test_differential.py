@@ -24,7 +24,7 @@ from ipctp.instance import (
     build_derived,
 )
 from ipctp.oracle import brute_force, estimate_combinations
-from ipctp.schedule import Solution, validate
+from ipctp.schedule import Solution, qc_assignment_of, validate
 from ipctp.solver import (
     SearchNode,
     SolveParams,
@@ -139,7 +139,7 @@ def oracle_path(root: SearchNode, best: Solution):
     for i, k in sorted(best.yard_assignment.items()):
         node = replace(node, yard={**node.yard, i: k})
         yield node
-    for i, q in sorted(best.qc_assignment.items()):
+    for i, q in sorted(qc_assignment_of(best.qc_sequences).items()):
         if i not in node.qc_of:
             node = replace(node, qc_of={**node.qc_of, i: q})
             yield node

@@ -209,11 +209,18 @@ class TestBuildDerived:
             assert v in derived.eligible_qcs[i]
             assert w in derived.eligible_qcs[j]
 
-    def test_qc_empty_travel(self, mixed):
-        instance, derived = mixed
-        assert derived.qc_empty_travel[(1, 2)] == 3  # bays 4 -> 5
-        assert derived.qc_empty_travel[(1, 3)] == 9  # bays 4 -> 1
-        assert derived.qc_empty_travel[(1, 1)] == 0
+    def test_interference_is_stored_once_per_pair(self):
+        for instance in (mixed_instance(), random_instance(6, 0.5, 8, seed=4, ul=3)):
+            derived = build_derived(instance)
+            assert derived.interference_set
+            assert tuple(derived.interference_time) == derived.interference_set
+            assert all(i < j for i, j, _, _ in derived.interference_time)
+
+    def test_tqc(self, mixed):
+        instance, _ = mixed
+        assert instance.tqc(4, 5) == 3
+        assert instance.tqc(4, 1) == 9
+        assert instance.tqc(4, 4) == 0
 
     def test_deterministic_byte_for_byte(self):
         first = build_derived(mixed_instance()).canonical_json()

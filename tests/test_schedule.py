@@ -17,7 +17,6 @@ from ipctp.schedule import (
     _longest_paths,
     compute_schedule,
     objective_of,
-    qc_assignment_of,
     relax,
     solution_from_json,
     solution_to_json,
@@ -458,8 +457,7 @@ class TestValidate:
 
     @pytest.mark.parametrize("field, entry, detail", [
         ("yard_assignment", {2: 1}, "assignment for non-inbound id"),
-        ("qc_assignment", {99: 1}, "assignment for unknown id"),
-    ], ids=["outbound_shipment", "unknown_shipment"])
+    ], ids=["outbound_shipment"])
     def test_assignments_of_unexpected_ids_are_reported(self, mixed, field, entry,
                                                         detail):
         instance, derived = mixed
@@ -587,10 +585,7 @@ class TestPinnedValidation:
                 fields = {f: dict(getattr(base, f)) for f in cls.MUTATED_FIELDS}
                 if not all([_mutate(kind, fields, instance, rng) for kind in combo]):
                     continue
-                # Each mutant's quay cranes are read off its own sequences.
-                mutant = replace(base, **fields,
-                                 qc_assignment=qc_assignment_of(fields["qc_sequences"]))
-                violations = validate(instance, derived, mutant)
+                violations = validate(instance, derived, replace(base, **fields))
                 lines.append([(v.family, list(v.ids), v.detail) for v in violations])
         return lines
 
