@@ -11,6 +11,11 @@ import re
 
 import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
+from scipy.sparse import csr_array
+
+# Seconds HiGHS may spend on one MIP: a stalled solve fails with a message
+# instead of hanging the test run.
+TIME_LIMIT = 60.0
 
 _NUMBER = re.compile(r"\d+(\.\d+)?$")
 _SENSE = re.compile(r"(<=|>=|=)\s*(-?\d+(\.\d+)?)\s*$")
@@ -91,18 +96,22 @@ def solve_lp_text(text: str) -> tuple[float, dict[str, float]]:
     costs = np.zeros(len(names))
     for name, coef in objective.items():
         costs[index[name]] = coef
-    matrix = np.zeros((len(rows), len(names)))
+    # The matrix is sparse: a row touches a handful of the variables.
+    row_of, column_of, coefs = [], [], []
     lower = np.full(len(rows), -np.inf)
     upper = np.full(len(rows), np.inf)
     for r, (_, terms, sense, rhs) in enumerate(rows):
         for name, coef in terms.items():
-            matrix[r, index[name]] = coef
+            row_of.append(r)
+            column_of.append(index[name])
+            coefs.append(coef)
         if sense == "<=":
             upper[r] = rhs
         elif sense == ">=":
             lower[r] = rhs
         else:
             lower[r] = upper[r] = rhs
+    matrix = csr_array((coefs, (row_of, column_of)), shape=(len(rows), len(names)))
     integrality = np.array([1 if name in binaries else 0 for name in names])
     var_upper = np.array([1.0 if name in binaries else np.inf for name in names])
     result = milp(
@@ -110,7 +119,7 @@ def solve_lp_text(text: str) -> tuple[float, dict[str, float]]:
         constraints=LinearConstraint(matrix, lower, upper),
         integrality=integrality,
         bounds=Bounds(np.zeros(len(names)), var_upper),
-        options={"mip_rel_gap": 0.0},
+        options={"mip_rel_gap": 0.0, "time_limit": TIME_LIMIT},
     )
     if not result.success:
         raise RuntimeError(f"MILP backend failed: {result.message}")
