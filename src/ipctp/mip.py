@@ -3,7 +3,11 @@
 The emitted file encodes the whole feasible set (assignment, successor
 chains with dummy start/end shipments, big-M timing, interference
 disjunctions, and the linearized inbound-pair empty-travel terms) so any
-external MILP engine can solve it.  The artifacts returned alongside the
+external MILP engine can solve it.  The pair products x_ik * x_jl of the
+empty travel between inbound shipments are linearised compactly (Liberti
+2007, level 1 of Adams & Sherali's RLT): with I inbound shipments and A
+free locations that takes 2*I*(I-1)*A rows, where McCormick's rows take
+2*I*(I-1)*A*(A-1).  The artifacts returned alongside the
 text allow a solution vector to be parsed back into a validated Solution,
 and a Solution to be injected as a point satisfying every row.
 """
@@ -367,21 +371,29 @@ class _Builder:
                 for k, l, theta in pairs:
                     coeffs[theta] = -instance.tyc(k, l)
                 self.row(f"sy_uu_{i}_{j}", coeffs, "=", 0, YC_EMPTY_BETWEEN_INBOUND)
+                # theta_ikjl = x_ik * x_jl, linearised compactly: the pair
+                # variables of i at k sum to x_ik (tha) and those of j at l
+                # sum to x_jl (thb).
+                #
+                # Exact for binary x: with asg and cap, thb zeroes every
+                # theta_i.jl' with x_jl' = 0, so tha at k = loc(i) leaves
+                # theta_ikjl = 1 only at l = loc(j), and tha at k != loc(i)
+                # leaves 0.  The rows also forbid x_ik = x_jk = 1.
+                #
+                # At least as tight as McCormick's rows in the LP relaxation:
+                # tha and thb give theta <= x_ik and theta <= x_jl; thb at l
+                # less the other theta_ik'jl <= x_ik', with asg_i, gives
+                # theta >= x_ik + x_jl - 1.
+                at_k = {k: {} for k in self.available}
+                at_l = {l: {} for l in self.available}
                 for k, l, theta in pairs:
-                    self.row(
-                        f"thl_{i}_{k}_{j}_{l}",
-                        {x_i[k]: 1, x_j[l]: 1, theta: -1},
-                        "<=",
-                        1,
-                        YC_EMPTY_LINEARIZATION,
-                    )
-                    self.row(
-                        f"thu_{i}_{k}_{j}_{l}",
-                        {theta: 2, x_i[k]: -1, x_j[l]: -1},
-                        "<=",
-                        0,
-                        YC_EMPTY_LINEARIZATION,
-                    )
+                    at_k[k][theta] = at_l[l][theta] = 1
+                for k, coeffs in at_k.items():
+                    coeffs[x_i[k]] = -1
+                    self.row(f"tha_{i}_{k}_{j}", coeffs, "=", 0, YC_EMPTY_LINEARIZATION)
+                for l, coeffs in at_l.items():
+                    coeffs[x_j[l]] = -1
+                    self.row(f"thb_{i}_{j}_{l}", coeffs, "=", 0, YC_EMPTY_LINEARIZATION)
         for i in self.outbound:
             source = instance.shipment(i).fixed_location
             for j in self.inbound:

@@ -37,6 +37,7 @@ from conftest import (
     interference_pair_instance,
     mixed_decisions,
     mixed_instance,
+    random_decisions,
     random_instance,
     single_inbound_instance,
     wide_eligibility_instance,
@@ -98,7 +99,7 @@ class TestRowStructure:
         pairs = len(derived.interference_set)
         assert n_in >= 3 and a >= 3 and pairs > 0
         counts = artifacts.row_counts
-        assert counts[YC_EMPTY_LINEARIZATION] == 2 * n_in * (n_in - 1) * a * (a - 1)
+        assert counts[YC_EMPTY_LINEARIZATION] == 2 * n_in * (n_in - 1) * a
         assert counts[YC_EMPTY_BETWEEN_INBOUND] == n_in * (n_in - 1)
         assert counts[QC_DISJUNCTION] == n * (n - 1)
         assert counts[INTERFERENCE_DISJUNCTION] == pairs
@@ -114,8 +115,10 @@ class TestRenderFormat:
     """The byte format of ``render_lp`` on a hand-built model.
 
     No pinned instance has a row whose first sorted coefficient is zero, an
-    all-zero row or a row wider than eight terms with unit coefficients, so
-    these rules are fixed here.
+    all-zero row or a row that runs to a third line, so these rules are
+    fixed here.  Rows of nine or ten unit terms, which take a second line,
+    are pinned too: the flow rows of ``random_s5`` and the interference
+    disjunctions of ``mixed``.
     """
 
     def test_exact_text(self):
@@ -162,7 +165,7 @@ class TestPinnedExport:
 
     Renaming, reordering or re-weighting any row or variable changes a
     digest.  ``mixed`` and ``wide`` give shipments a choice of quay crane;
-    every case has two or more inbound shipments (``thl``/``thu`` rows) and
+    every case has two or more inbound shipments (``tha``/``thb`` rows) and
     active interference tuples (``idj``/``isp`` rows).
     """
 
@@ -319,7 +322,53 @@ class TestInjection:
         assert validate(instance, derived, parsed) == []
 
 
-class TestCheckPointNonFinite:
+class TestPairLinearisationIsExact:
+    """With x fixed at a valid solution's point, the ``tha``/``thb`` rows
+    admit exactly one pair-placement vector: flipping any one theta, up or
+    down, breaks a row of the linearisation, and so does moving a theta
+    that is 1 to another pair variable of the same shipments that shares
+    its first or its second location."""
+
+    @pytest.mark.parametrize("shape", [(5, 0.5, 4, 1), (6, 0.5, 6, 3), (5, 0.8, 6, 6)])
+    def test_every_theta_flip_breaks_a_linearisation_row(self, shape):
+        *config, seed = shape
+        instance = random_instance(*config, seed=seed)
+        assert len(instance.inbound_shipments) >= 3
+        derived = build_derived(instance)
+        artifacts = build_mip(instance, derived)
+        solution = compute_schedule(
+            instance, derived, random_decisions(instance, derived, random.Random(seed))
+        )
+        assert validate(instance, derived, solution) == []
+        point = mip_point_from_solution(instance, derived, artifacts, solution)
+        assert check_point(artifacts, point) == []
+
+        linearisation = dc_replace(artifacts, rows=tuple(
+            row for row in artifacts.rows if row.family == YC_EMPTY_LINEARIZATION
+        ))
+        thetas = {
+            name: info for name, info in artifacts.variables.items()
+            if info["kind"] == "pair_placement"
+        }
+        assert {point[name] for name in thetas} == {0, 1}
+        for name in thetas:
+            flipped = {**point, name: 1 - point[name]}
+            assert check_point(linearisation, flipped), name
+
+        def shared(a, b, side):
+            keys = ("shipment_a", "shipment_b", f"location_{side}")
+            return all(thetas[a][key] == thetas[b][key] for key in keys)
+
+        moves = [
+            (one, other)
+            for one in thetas if point[one] == 1
+            for other in thetas
+            if other != one and (shared(one, other, "a") or shared(one, other, "b"))
+        ]
+        assert moves
+        for one, other in moves:
+            moved = {**point, one: 0, other: 1}
+            assert check_point(linearisation, moved), (one, other)
     """Every comparison with NaN is false, so a row holds only when its
     comparison does; a NaN value breaks exactly the rows it appears in."""
 
@@ -348,7 +397,9 @@ class TestCheckPointNonFinite:
 
 class TestCheckPointFlagsTheCatalogue:
     """Each catalogue solution whose fault the model sees breaks rows of the
-    validator's family; an overlap breaks the interference disjunction."""
+    validator's family; an overlap breaks the interference disjunction, and
+    two inbound shipments at one location break the pair linearisation too,
+    whose rows hold only when x_ik * x_jk = 0."""
 
     EXPECTED = {name: {family} for name, family, _ in FIXTURES if name in (
         "capacity_two_inbound_share_location",
@@ -364,6 +415,7 @@ class TestCheckPointFlagsTheCatalogue:
         "interference_gap_too_small",
     )}
     EXPECTED["interference_overlapping_tasks"] = {INTERFERENCE_DISJUNCTION}
+    EXPECTED["capacity_two_inbound_share_location"].add(YC_EMPTY_LINEARIZATION)
     BUILDERS = {name: builder for name, _, builder in FIXTURES}
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
