@@ -171,20 +171,20 @@ class TestPinnedExport:
 
     PINNED = {
         "mixed": (
-            "8f16e0bfe402e5a59fc75cf50cc29405f27c9b619b348dcbbb6c15a28e1e8b34",
-            "f7af1815be7d12f697f15bf3fbdbec2f0c495fcd8321174740d4c0677d5884a2",
+            "506e68980d6ebaf4afd4e2743f812a2256235f034edec7113dc004ea039bc4a4",
+            "cb628b5cff7efc317a777779ec304bf969d38e9f71ad44f09931698c39d9de3b",
         ),
         "interference_pair": (
-            "75945ac5e8fda1fe9b6f4892cccde8f183a2ac544b9a85c53c7b6aada9256288",
+            "e7c7a38e324591c3d64fcacf5c6f4012754d4338b3b5a239f0d29634b48dfff1",
             "5a94ceb8b2f087130ecd4b2305b79585853846536fa848450f0d17fe61e69568",
         ),
         "random_s5": (
-            "7795d61a9e96f56a48ea5b8835c4010527516d70804d156cefebdc4a47d25d7c",
-            "eb8c6255e2ab214d9c63e40ee185ff9273bd17627c19e49e39d9db61c67d8b39",
+            "4b5e12dd3cb442828bd9f7acc0882325e24acf943cdbaeb50ba526cf9271562c",
+            "caa9d005d482ffbac14288b9e6f254595bfbbf0a1ca8400fab6f678446c8bdd9",
         ),
         "wide": (
-            "6e5896912e91105db20fa5d54f10561296c51b559fb010deb68c0dd6f7d52c75",
-            "b85ac42f9b0df818c3018e638940eeed4840449acac6d811aec03900cb245b44",
+            "ac389af36eadbed0718b1796fb192eb587f9ece56cc29ef2ac06dae2437b4cd9",
+            "adc360ec091a840ce409b570bff1ae24bdc740878c31257e20736f9de1016214",
         ),
     }
 
