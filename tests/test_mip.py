@@ -330,7 +330,7 @@ class TestPairLinearisationIsExact:
     its first or its second location."""
 
     @pytest.mark.parametrize("shape", [(5, 0.5, 4, 1), (6, 0.5, 6, 3), (5, 0.8, 6, 6)])
-    def test_every_theta_flip_breaks_a_linearisation_row(self, shape):
+    def test_every_theta_flip_or_move_breaks_a_linearisation_row(self, shape):
         *config, seed = shape
         instance = random_instance(*config, seed=seed)
         assert len(instance.inbound_shipments) >= 3
