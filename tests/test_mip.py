@@ -369,6 +369,9 @@ class TestPairLinearisationIsExact:
         for one, other in moves:
             moved = {**point, one: 0, other: 1}
             assert check_point(linearisation, moved), (one, other)
+
+
+class TestCheckPointNonFinite:
     """Every comparison with NaN is false, so a row holds only when its
     comparison does; a NaN value breaks exactly the rows it appears in."""
 
