@@ -20,6 +20,15 @@ dominator lowers no arc weight and strictly lowers the rank sum of the used
 locations, so some optimal solution escapes them.  They act in branching
 only: the public ``propagate`` accepts any location.
 
+Before the root, one schedule is built without search and offered as the
+first incumbent, so the incumbent's caps on latest starts act from the
+root on.  The shipments are ranked by their quay task's earliest start at
+the propagated root, then by id; inbound shipments take the free locations
+in id order, each shipment in rank order takes its least-loaded eligible
+quay crane, and every crane sequence and interference order follows the
+rank.  Every arc of that schedule then stays inside one shipment or points
+forward in rank, so its precedence graph is acyclic.
+
 All arithmetic is exact integer arithmetic, tie-breaking is by lowest id
 and the search is single-threaded, so runs are reproducible.
 """
@@ -67,7 +76,9 @@ class SolveParams:
 @dataclass
 class SolveReport:
     """What a solve found and counted.  The engine counts into its report as
-    it searches, and ``solve`` returns that same record."""
+    it searches, and ``solve`` returns that same record.  ``propagations``
+    also counts the raises of the root propagation that ranks the shipments
+    for the constructive schedule."""
 
     best_objective: Optional[int] = None
     lower_bound: Optional[int] = None
@@ -751,6 +762,57 @@ class _Engine:
                 (time.monotonic() - self.started, solution.objective)
             )
 
+    def constructive(self, root: SearchNode, facts: _Facts) -> Optional[Solution]:
+        """One complete schedule built without search; None when the root
+        propagates to None, as it does when the inbound shipments outnumber
+        the free locations.
+
+        The shipments are ranked by their quay task's earliest start at the
+        propagated root, then by id.  Inbound shipments, in id order, take
+        the free locations by (transfer time, id).  In rank order, each
+        shipment takes the eligible quay crane with the least quay time
+        given to it so far, the lowest id on ties.  Every crane sequence and
+        every interference order puts the lower rank first.
+
+        The precedence graph is then acyclic.  An arc inside one shipment is
+        its transfer arc, one per shipment; every other arc, a crane chain's
+        or an interference order's, points from a lower rank to a higher
+        one.  A cycle visits two shipments, so it climbs in rank on some arc
+        and no arc brings it back down.  A ``CyclicOrdering`` here is
+        therefore an internal error.
+        """
+        propagated = self.propagate(root, facts)
+        if propagated is None:
+            return None
+        est, task = propagated[0].est, self.quay_task
+        ranked = sorted(self.ship_ids, key=lambda i: (est[task[i]], i))
+        rank = {i: r for r, i in enumerate(ranked)}
+        yard = dict(zip(self.inbound_ids, self.available))
+        location = locations(self.instance, yard)
+        eligible = self.derived.eligible_qcs
+        load = dict.fromkeys(range(1, self.instance.qc_count + 1), 0)
+        qc_sequences = {q: [] for q in load}
+        yc_sequences = {c: [] for c in range(1, self.instance.yc_count + 1)}
+        for i in ranked:
+            q = min(eligible[i], key=lambda q: (load[q], q))
+            load[q] += self.duration[task[i]]
+            qc_sequences[q].append(i)
+            yc_sequences[self.yc_at[location[i]]].append(i)
+        decisions = Decisions(
+            yard_assignment=yard,
+            qc_sequences={q: tuple(s) for q, s in qc_sequences.items()},
+            yc_sequences={c: tuple(s) for c, s in yc_sequences.items()},
+            # compute_schedule reads the orders of the active tuples only.
+            interference_order={
+                key: I_FIRST if rank[key[0]] < rank[key[1]] else J_FIRST
+                for key in self.derived.interference_set
+            },
+        )
+        try:
+            return compute_schedule(self.instance, self.derived, decisions)
+        except CyclicOrdering as error:  # pragma: no cover - see the docstring
+            raise IpctpError(f"constructive schedule is cyclic: {error}") from error
+
     def _search(self, node: SearchNode, facts: _Facts) -> Optional[int]:
         """Depth-first search from ``node`` on an explicit stack: an entry per
         expanded node on the current path, holding its bound and the children
@@ -836,6 +898,11 @@ def solve(
 
     The returned solution, when present, passes ``validate`` with zero
     violations; status "optimal" means the search tree was exhausted.
+
+    The engine's constructive schedule, when there is one, is the first
+    incumbent, offered before the search's root.  Building it costs one
+    root propagation and one ``compute_schedule`` more before the search
+    first reads the clock; both count in the wall time and the limit.
     """
     if not params.time_limit > 0:  # NaN too: no clock reading exceeds it
         raise IpctpError("time_limit must be positive")
@@ -843,7 +910,10 @@ def solve(
         raise IpctpError("workers must be 1: solves are single-threaded")
     engine = _Engine(instance, derived, params.time_limit)
     root = engine.root()
-    open_lb = engine._search(root, engine.facts(root))
+    facts = engine.facts(root)
+    if (first := engine.constructive(root, facts)) is not None:
+        engine._offer_incumbent(first)
+    open_lb = engine._search(root, facts)
 
     report = engine.report
     report.wall_time = time.monotonic() - engine.started
