@@ -534,19 +534,27 @@ class TestSearchTree:
     # but the second when sequencing children that cannot go first stopped
     # being built: each tree's nodes before were its nodes plus its
     # not-first count (propagations before: 1,073, 2,346, 1,054, 1,630,
-    # 1,755 and 935).
+    # 1,755 and 935).  Every tree re-recorded when the constructive schedule
+    # became the first incumbent offered: it opens every incumbent list (the
+    # first tree's, 360, was already its first); each tree's optimum stayed.
+    # Before, in order, the trees had 110, 63, 339, 99, 90, 123 and 84
+    # nodes; 849, 553, 1,667, 660, 1,423, 1,438 and 703 propagations; and
+    # prunes (40, 0, 0, 14, 0), (36, 0, 0, 0, 0), (11, 119, 0, 128, 0),
+    # (28, 0, 0, 9, 0), (48, 0, 0, 4, 5), (30, 6, 0, 10, 0) and
+    # (40, 0, 0, 9, 5).
     PINNED = [
-        ((3, 4, 5, 0.5), 110, 849, (40, 0, 0, 14, 0),
+        ((3, 4, 5, 0.5), 93, 713, (34, 0, 0, 17, 0),
          [360, 348, 346, 340, 334, 328]),
-        ((2, 6, 5, 0.5), 63, 553, (36, 0, 0, 0, 0), [331, 330]),
-        ((2, 4, 6, 0.5), 339, 1667, (11, 119, 0, 128, 0),
-         [406, 403, 381, 373, 347, 333]),
-        ((2, 6, 6, 0.5), 99, 660, (28, 0, 0, 9, 0),
-         [465, 454, 372, 347, 299, 287]),
-        ((3, 6, 8, 0.5), 90, 1423, (48, 0, 0, 4, 5), [525, 509, 459, 418, 402]),
-        ((2, 8, 8, 0.2), 123, 1438, (30, 6, 0, 10, 0),
-         [427, 383, 369, 361, 360, 331, 328]),
-        ((3, 4, 6, 0.5), 84, 703, (40, 0, 0, 9, 5), [355, 335, 333]),
+        ((2, 6, 5, 0.5), 63, 568, (36, 0, 0, 0, 0), [542, 331, 330]),
+        ((2, 4, 6, 0.5), 339, 1680, (11, 119, 0, 128, 0),
+         [580, 406, 403, 381, 373, 347, 333]),
+        ((2, 6, 6, 0.5), 95, 566, (25, 0, 0, 11, 0),
+         [572, 465, 454, 372, 347, 299, 287]),
+        ((3, 6, 8, 0.5), 89, 1444, (48, 0, 0, 4, 5),
+         [832, 525, 509, 459, 418, 402]),
+        ((2, 8, 8, 0.2), 122, 1370, (30, 6, 0, 10, 0),
+         [498, 427, 383, 369, 361, 360, 331, 328]),
+        ((3, 4, 6, 0.5), 81, 658, (37, 0, 0, 12, 5), [459, 355, 335, 333]),
     ]
 
     # Named by shape, so that re-recording a tree keeps its test's name.
