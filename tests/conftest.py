@@ -19,7 +19,8 @@ from ipctp.instance import (
     YardLocation,
     build_derived,
 )
-from ipctp.schedule import Decisions, I_FIRST, J_FIRST, active_interference
+from ipctp.schedule import Decisions, I_FIRST, J_FIRST, Solution, active_interference
+from ipctp.solver import _Engine
 
 
 def random_instance(shipments, ratio, bays, seed, ul=2) -> Instance:
@@ -86,6 +87,13 @@ def single_inbound_instance(tt: int = 5, locations: int = 1) -> Instance:
         yc_travel=travel,
         yt_inbound_transfer={k: tt + 2 * (k - 1) for k in range(1, locations + 1)},
     )
+
+
+def constructive_schedule(instance: Instance, derived) -> Solution | None:
+    """The schedule a solve offers before its root, if it has one."""
+    engine = _Engine(instance, derived)
+    root = engine.root()
+    return engine.constructive(root, engine.facts(root))
 
 
 def overfull_yard_instance() -> Instance:

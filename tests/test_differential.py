@@ -38,7 +38,8 @@ from ipctp.solver import (
     solve,
 )
 
-from milp_backend import solve_lp_text
+from conftest import constructive_schedule
+from milp_backend import MILP_OBJECTIVE_TOLERANCE, solve_lp_text
 
 # Draws with more complete decision combinations are skipped: the oracle
 # enumerates every one of them.
@@ -50,11 +51,6 @@ COMBINATIONS = 20_000
 # is fixed, and a replayed draw is picked again.  Four-shipment draws are
 # left out because they take HiGHS up to 3.4 s each.
 MILP_EVERY = 4
-# HiGHS holds each row only to within 1e-6, so a start time may come back
-# that much early and the weighted objective several times that low: 3 of
-# the 25 sampled draws read 1e-6 to 2e-6 below the optimum.  The parsed
-# solution's objective is compared exactly.
-MILP_OBJECTIVE_TOLERANCE = 1e-4
 
 
 @st.composite
@@ -139,6 +135,16 @@ def test_solver_oracle_and_bounds_agree(instance):
     report, solution = solve(instance, derived, SolveParams(time_limit=60))
     assert (report.status, report.best_objective) == ("optimal", optimum)
     assert validate(instance, derived, solution) == []
+
+    # Every draw has a location for each inbound shipment, so the root
+    # propagates and the constructive schedule exists; it is the first
+    # incumbent, and each later one is strictly better.
+    first = constructive_schedule(instance, derived)
+    assert validate(instance, derived, first) == []
+    assert first.objective >= optimum
+    trace = [objective for _, objective in report.incumbent_trace]
+    assert trace[0] == first.objective
+    assert all(a > b for a, b in zip(trace, trace[1:]))
 
     if in_milp_sample(instance):
         text, artifacts = export_lp(instance, derived)

@@ -43,7 +43,7 @@ from conftest import (
     wide_eligibility_instance,
 )
 from fixtures_violations import FIXTURES
-from milp_backend import solve_lp_text
+from milp_backend import MILP_OBJECTIVE_TOLERANCE, solve_lp_text
 
 
 class TestRowStructure:
@@ -439,7 +439,7 @@ class TestExternalEngine:
             text, artifacts = export_lp(instance, derived)
             oracle = brute_force(instance, derived)
             objective, values = solve_lp_text(text)
-            assert abs(objective - oracle.best_objective) < 1e-6
+            assert abs(objective - oracle.best_objective) <= MILP_OBJECTIVE_TOLERANCE
             parsed = solution_from_values(instance, derived, artifacts, values)
             assert validate(instance, derived, parsed) == []
             assert parsed.objective == oracle.best_objective
@@ -458,7 +458,7 @@ class TestExternalEngine:
             text, artifacts = export_lp(instance, derived)
             oracle = brute_force(instance, derived)
             objective, values = solve_lp_text(text)
-            assert abs(objective - oracle.best_objective) < 1e-6
+            assert abs(objective - oracle.best_objective) <= MILP_OBJECTIVE_TOLERANCE
             parsed = solution_from_values(instance, derived, artifacts, values)
             assert validate(instance, derived, parsed) == []
             assert parsed.objective == oracle.best_objective
@@ -482,7 +482,7 @@ class TestCraneChoiceEquivalence:
             text, artifacts = export_lp(instance, derived)
             oracle = brute_force(instance, derived, limit=3_000_000)
             objective, values = solve_lp_text(text)
-            assert abs(objective - oracle.best_objective) < 1e-6
+            assert abs(objective - oracle.best_objective) <= MILP_OBJECTIVE_TOLERANCE
             parsed = solution_from_values(instance, derived, artifacts, values)
             assert validate(instance, derived, parsed) == []
             assert parsed.objective == oracle.best_objective

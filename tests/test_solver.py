@@ -51,8 +51,10 @@ from ipctp.solver import (
 )
 
 from conftest import (
+    constructive_schedule,
     interference_pair_decisions,
     interference_pair_instance,
+    overfull_yard_instance,
     random_instance,
     single_inbound_instance,
     single_outbound_instance,
@@ -517,6 +519,46 @@ class TestSolve:
         report, _ = solve(instance, derived, SolveParams(time_limit=60))
         assert time.monotonic() - started < 60
         assert report.status == "optimal"
+
+
+class TestConstructive:
+    """The schedule built without search and offered before the root."""
+
+    def test_an_overfull_yard_has_none_and_stays_infeasible(self):
+        instance = overfull_yard_instance()
+        derived = build_derived(instance)
+        assert constructive_schedule(instance, derived) is None
+        report, solution = solve(instance, derived, SolveParams(time_limit=60))
+        assert report.status == "infeasible"
+        assert solution is None
+        assert report.incumbent_trace == []
+
+    def test_an_optimal_constructive_schedule_is_the_solution(self):
+        # The search keeps only strictly better incumbents, and the root's
+        # bound already meets this one.
+        instance = random_instance(6, 0.5, 6, seed=9)
+        derived = build_derived(instance)
+        first = constructive_schedule(instance, derived)
+        assert validate(instance, derived, first) == []
+        report, solution = solve(instance, derived, SolveParams(time_limit=60))
+        assert report.status == "optimal"
+        assert [obj for _, obj in report.incumbent_trace] == [first.objective]
+        assert solution_to_json(solution) == solution_to_json(
+            first.with_status("optimal"))
+
+    def test_two_solves_give_the_same_report(self):
+        instance = generate(GenConfig(ul_ratio=2, bays=8, shipments=10,
+                                      inbound_ratio=0.2, seed=5))
+        derived = build_derived(instance)
+        payloads = []
+        for _ in range(2):
+            report, _ = solve(instance, derived, SolveParams(time_limit=60))
+            assert report.status == "optimal"
+            payload = report.to_payload()
+            del payload["wall_time"]
+            payload["incumbent_trace"] = [obj for _, obj in payload["incumbent_trace"]]
+            payloads.append(payload)
+        assert payloads[0] == payloads[1]
 
 
 class TestSearchTree:
