@@ -534,8 +534,8 @@ class TestConstructive:
         assert report.incumbent_trace == []
 
     def test_an_optimal_constructive_schedule_is_the_solution(self):
-        # The search keeps only strictly better incumbents, and the root's
-        # bound already meets this one.
+        # The search keeps only strictly better incumbents; here the root
+        # fails to propagate under this one's caps.
         instance = random_instance(6, 0.5, 6, seed=9)
         derived = build_derived(instance)
         first = constructive_schedule(instance, derived)
