@@ -66,7 +66,12 @@ def qc_assignment_of(qc_sequences: Mapping[int, tuple[int, ...]]) -> dict[int, i
 
 @dataclass(frozen=True)
 class Decisions:
-    """The discrete part of a solution; start times follow deterministically."""
+    """The discrete part of a solution; start times follow deterministically.
+
+    The one record of these decisions: a ``Solution`` adds its timetable,
+    and the solver's ``SearchNode`` holds the decisions made so far, each
+    crane's sequence so far among them, so a leaf node can be passed
+    wherever a ``Decisions`` is."""
 
     yard_assignment: Mapping[int, int]
     qc_sequences: Mapping[int, tuple[int, ...]]
@@ -75,11 +80,7 @@ class Decisions:
 
 
 @dataclass(frozen=True)
-class Solution:
-    yard_assignment: Mapping[int, int]
-    qc_sequences: Mapping[int, tuple[int, ...]]
-    yc_sequences: Mapping[int, tuple[int, ...]]
-    interference_order: Mapping[tuple[int, int, int, int], str]
+class Solution(Decisions):
     qc_start: Mapping[int, int]
     yc_start: Mapping[int, int]
     objective: int
@@ -273,13 +274,14 @@ def crane_members(
 def precedence_arcs(
     instance: Instance,
     derived: DerivedTables,
-    yard_assignment: Mapping[int, int],
+    decisions: Decisions,
     qc_assignment: Mapping[int, int],
-    qc_sequences: Mapping[int, tuple[int, ...]],
-    yc_sequences: Mapping[int, tuple[int, ...]],
     interference_order: Mapping[tuple[int, int, int, int], str],
 ) -> list[Arc]:
-    """Precedence arcs ``(u, v, min_gap)`` induced by possibly partial decisions.
+    """Precedence arcs ``(u, v, min_gap)`` induced by possibly partial
+    decisions: their locations and crane sequences, with the quay crane of
+    each shipment in ``qc_assignment`` and the orders of
+    ``interference_order``.
 
     Tasks are numbered by ``derived.quay_task``; every arc demands
     ``start[v] >= start[u] + min_gap``.  The arcs are the concatenation of
@@ -288,11 +290,11 @@ def precedence_arcs(
     are those of its ``crane_members`` that its sequence does not hold;
     then ``order_arcs``.
     """
-    location = locations(instance, yard_assignment)
-    arcs = transfer_arcs(instance, derived, yard_assignment)
+    location = locations(instance, decisions.yard_assignment)
+    arcs = transfer_arcs(instance, derived, decisions.yard_assignment)
     for kind, sequences, crane_of in (
-        (QUAY, qc_sequences, qc_assignment),
-        (YARD, yc_sequences, yard_cranes(instance, location)),
+        (QUAY, decisions.qc_sequences, qc_assignment),
+        (YARD, decisions.yc_sequences, yard_cranes(instance, location)),
     ):
         for crane, ships in crane_members(instance, kind, crane_of).items():
             sequence = sequences[crane]
@@ -324,15 +326,10 @@ def compute_schedule(
     Assigns every task its longest path from time zero through
     ``precedence_arcs``.  Raises CyclicOrdering when the interference
     orders contradict the sequences, MalformedSolution when the decisions
-    are structurally broken.
+    are structurally broken.  ``decisions`` may be any ``Decisions``: the
+    solver passes a leaf ``SearchNode`` as it is.
     """
-    structural = _structural_violations(
-        instance,
-        derived,
-        decisions.yard_assignment,
-        decisions.qc_sequences,
-        decisions.yc_sequences,
-    )
+    structural = _structural_violations(instance, derived, decisions)
     if structural:
         raise MalformedSolution("; ".join(str(v) for v in structural[:3]))
 
@@ -344,15 +341,7 @@ def compute_schedule(
             raise MalformedSolution(f"no ordering decided for interference {key}")
     start = _longest_paths(
         2 * len(instance.shipments),
-        precedence_arcs(
-            instance,
-            derived,
-            decisions.yard_assignment,
-            qc_assignment,
-            decisions.qc_sequences,
-            decisions.yc_sequences,
-            order,
-        ),
+        precedence_arcs(instance, derived, decisions, qc_assignment, order),
     )
 
     location = locations(instance, decisions.yard_assignment)
@@ -417,12 +406,11 @@ def _longest_paths(n_tasks: int, arcs: list[Arc]) -> list[int]:
 
 
 def _structural_violations(
-    instance: Instance,
-    derived: DerivedTables,
-    yard_assignment: Mapping[int, int],
-    qc_sequences: Mapping[int, tuple[int, ...]],
-    yc_sequences: Mapping[int, tuple[int, ...]],
+    instance: Instance, derived: DerivedTables, decisions: Decisions
 ) -> list[Violation]:
+    yard_assignment = decisions.yard_assignment
+    qc_sequences = decisions.qc_sequences
+    yc_sequences = decisions.yc_sequences
     out: list[Violation] = []
     ship_ids = {s.id for s in instance.shipments}
     inbound_ids = {s.id for s in instance.inbound_shipments}
@@ -530,13 +518,7 @@ def validate(
     instance: Instance, derived: DerivedTables, solution: Solution
 ) -> list[Violation]:
     """All constraint violations of a solution; empty list means feasible."""
-    structural = _structural_violations(
-        instance,
-        derived,
-        solution.yard_assignment,
-        solution.qc_sequences,
-        solution.yc_sequences,
-    )
+    structural = _structural_violations(instance, derived, solution)
     missing_starts = [
         Violation(START_NEGATIVE, (s.id,), "missing start time")
         for s in instance.shipments

@@ -103,20 +103,18 @@ class SolveReport:
 
 
 @dataclass(frozen=True)
-class SearchNode:
-    """Partial decisions plus per-task start-time windows [est, lct]."""
+class SearchNode(Decisions):
+    """The decisions made so far, each crane's sequence so far among them,
+    plus each shipment's quay crane once chosen and the per-task start-time
+    windows [est, lct].  A leaf is scheduled as it is."""
 
-    yard: Mapping[int, int]
     qc_of: Mapping[int, int]
-    qc_prefix: Mapping[int, tuple[int, ...]]
-    yc_prefix: Mapping[int, tuple[int, ...]]
-    order: Mapping[tuple[int, int, int, int], str]
     est: tuple[int, ...]
     lct: tuple[int, ...]
 
 
 # The SearchNode field holding each kind's crane sequences.
-_PREFIX_FIELD = ("qc_prefix", "yc_prefix")
+_SEQUENCES_FIELD = ("qc_sequences", "yc_sequences")
 
 
 class _Resource(NamedTuple):
@@ -267,17 +265,17 @@ class _Engine:
         eligible = self.derived.eligible_qcs
         n_tasks = len(self.duration)
         return SearchNode(
-            yard={},
+            yard_assignment={},
+            qc_sequences=dict.fromkeys(range(1, self.instance.qc_count + 1), ()),
+            yc_sequences=dict.fromkeys(range(1, self.instance.yc_count + 1), ()),
+            interference_order={},
             qc_of={i: eligible[i][0] for i in self.ship_ids if len(eligible[i]) == 1},
-            qc_prefix=dict.fromkeys(range(1, self.instance.qc_count + 1), ()),
-            yc_prefix=dict.fromkeys(range(1, self.instance.yc_count + 1), ()),
-            order={},
             est=(0,) * n_tasks,
             lct=(self.horizon,) * n_tasks,
         )
 
     def facts(self, node: SearchNode) -> _Facts:
-        location = locations(self.instance, node.yard)
+        location = locations(self.instance, node.yard_assignment)
         resources = {
             (kind, crane): self.crane(node, (kind, crane), ships, location)
             for kind, crane_of in (
@@ -285,8 +283,8 @@ class _Engine:
             )
             for crane, ships in crane_members(self.instance, kind, crane_of).items()
         }
-        transfer = transfer_arcs(self.instance, self.derived, node.yard)
-        taken = set(node.yard.values())
+        transfer = transfer_arcs(self.instance, self.derived, node.yard_assignment)
+        taken = set(node.yard_assignment.values())
         free = [k for k in self.available if k not in taken]
         active, cliques = self.quay(node.qc_of)
         resources.update(cliques)
@@ -301,7 +299,7 @@ class _Engine:
     ) -> _Resource:
         """The record of crane ``key`` serving ``ships``, given in id order."""
         kind, crane = key
-        sequence = getattr(node, _PREFIX_FIELD[kind])[crane]
+        sequence = getattr(node, _SEQUENCES_FIELD[kind])[crane]
         tasks = [self.quay_task[i] + kind for i in ships]
         left = [i for i in ships if i not in sequence]
         step, place = 0, None
@@ -387,9 +385,9 @@ class _Engine:
         means pruned."""
         est = list(node.est)
         lct = list(node.lct)
-        order = dict(node.order)
+        order = dict(node.interference_order)
 
-        if len(self.inbound_ids) - len(node.yard) > len(facts.free):
+        if len(self.inbound_ids) - len(node.yard_assignment) > len(facts.free):
             return None
 
         # The arcs precedence_arcs gives for the node and its working order:
@@ -417,8 +415,8 @@ class _Engine:
         else:  # the cap ended the loop: est moved after the last bounds
             vessel_lb = self._vessel_bounds(est, facts.tail)
         return SearchNode(
-            node.yard, node.qc_of, node.qc_prefix, node.yc_prefix, order,
-            tuple(est), tuple(lct),
+            node.yard_assignment, node.qc_sequences, node.yc_sequences, order,
+            node.qc_of, tuple(est), tuple(lct),
         ), vessel_lb
 
     def _relax(self, arcs: list[Arc], est: list[int]) -> bool:
@@ -595,7 +593,9 @@ class _Engine:
         """The node's children, each with its facts, in search order; None
         once every decision is made.  A child is built only when the search
         reaches it."""
-        ship = next((i for i in self.inbound_ids if i not in node.yard), None)
+        ship = next(
+            (i for i in self.inbound_ids if i not in node.yard_assignment), None
+        )
         if ship is not None:  # identical domains, lowest id first
             return self._placed(node, facts, ship)
 
@@ -607,8 +607,9 @@ class _Engine:
                 eligible[ship], key=lambda q: (facts.resources[QUAY, q].workload, q)
             )
             return self._with_facts(
-                SearchNode(node.yard, {**node.qc_of, ship: q}, node.qc_prefix,
-                           node.yc_prefix, node.order, node.est, node.lct)
+                SearchNode(node.yard_assignment, node.qc_sequences,
+                           node.yc_sequences, node.interference_order,
+                           {**node.qc_of, ship: q}, node.est, node.lct)
                 for q in cranes
             )
 
@@ -618,10 +619,10 @@ class _Engine:
         if pending:
             return self._sequenced(node, facts, min(pending)[1])
 
-        est = node.est
+        est, decided = node.est, node.interference_order
         free_orders: dict[tuple[int, int, int, int], str] = {}
         for key in facts.active:
-            if key in node.order:
+            if key in decided:
                 continue
             (ti, tj, gap_i), (_, _, gap_j) = self.derived.separation_arcs[key]
             if est[tj] >= est[ti] + gap_i:
@@ -633,17 +634,17 @@ class _Engine:
                     (I_FIRST, J_FIRST) if est[ti] <= est[tj] else (J_FIRST, I_FIRST)
                 )
                 return (
-                    (self._ordered(node, {**node.order, key: d}), facts)
+                    (self._ordered(node, {**decided, key: d}), facts)
                     for d in directions
                 )
         if free_orders:  # dominated directions are fixed in one child
-            return [(self._ordered(node, {**node.order, **free_orders}), facts)]
+            return [(self._ordered(node, {**decided, **free_orders}), facts)]
         return None
 
     @staticmethod
     def _ordered(node: SearchNode, order: dict) -> SearchNode:
-        return SearchNode(node.yard, node.qc_of, node.qc_prefix, node.yc_prefix,
-                          order, node.est, node.lct)
+        return SearchNode(node.yard_assignment, node.qc_sequences,
+                          node.yc_sequences, order, node.qc_of, node.est, node.lct)
 
     def _with_facts(self, children):
         """Each of ``children`` with its facts built in full."""
@@ -679,17 +680,18 @@ class _Engine:
         a swap would place first.  Neither rule cuts that solution.
         """
         free = set(facts.free)
-        holes = {a for b in node.yard.values() for a in self.dominators[b] if a in free}
-        left = len(self.inbound_ids) - len(node.yard) - 1
+        placed = node.yard_assignment
+        holes = {a for b in placed.values() for a in self.dominators[b] if a in free}
+        left = len(self.inbound_ids) - len(placed) - 1
         for k in facts.free:
             if any(t in free for t in self.twins[k]) or len(
                 holes.union(self.dominators[k] & free) - {k}
             ) > left:
                 self.report.dominated += 1
                 continue
-            yard = {**node.yard, ship: k}
-            child = SearchNode(yard, node.qc_of, node.qc_prefix, node.yc_prefix,
-                               node.order, node.est, node.lct)
+            yard = {**placed, ship: k}
+            child = SearchNode(yard, node.qc_sequences, node.yc_sequences,
+                               node.interference_order, node.qc_of, node.est, node.lct)
             location = {**facts.location, ship: k}
             crane = self.yc_at[k]
             members = sorted(i for i, l in location.items() if self.yc_at[l] == crane)
@@ -721,7 +723,7 @@ class _Engine:
         """
         kind, crane = key
         record = facts.resources[key]
-        prefixes = getattr(node, _PREFIX_FIELD[kind])
+        sequences = getattr(node, _SEQUENCES_FIELD[kind])
         task, duration, travel = self.quay_task, self.duration, self.travel[kind]
         spot = facts.location if kind == YARD else self.bay
         est, lct = node.est, node.lct
@@ -732,27 +734,20 @@ class _Engine:
                    for u in record.left if u != ship):
                 self.report.not_first += 1
                 continue
-            sequence = prefixes[crane] + (ship,)
-            chosen = {**prefixes, crane: sequence}
-            qc_prefix, yc_prefix = (
-                (chosen, node.yc_prefix) if kind == QUAY else (node.qc_prefix, chosen)
+            sequence = sequences[crane] + (ship,)
+            chosen = {**sequences, crane: sequence}
+            qc_sequences, yc_sequences = (
+                (chosen, node.yc_sequences) if kind == QUAY
+                else (node.qc_sequences, chosen)
             )
-            child = SearchNode(node.yard, node.qc_of, qc_prefix, yc_prefix,
-                               node.order, est, lct)
+            child = SearchNode(node.yard_assignment, qc_sequences, yc_sequences,
+                               node.interference_order, node.qc_of, est, lct)
             left = [i for i in record.left if i != ship]
             arcs = crane_arcs(
                 self.instance, self.derived, kind, sequence, left, facts.location
             )
             resources = {**facts.resources, key: record._replace(left=left, arcs=arcs)}
             yield child, facts._replace(resources=resources)
-
-    def _decisions_of(self, node: SearchNode) -> Decisions:
-        return Decisions(
-            yard_assignment=dict(node.yard),
-            qc_sequences=dict(node.qc_prefix),
-            yc_sequences=dict(node.yc_prefix),
-            interference_order=dict(node.order),
-        )
 
     def _offer_incumbent(self, solution: Solution) -> None:
         if self.incumbent is None or solution.objective < self.incumbent:
@@ -853,9 +848,7 @@ class _Engine:
         if children is not None:
             return bound, iter(children)
         try:
-            solution = compute_schedule(
-                self.instance, self.derived, self._decisions_of(node)
-            )
+            solution = compute_schedule(self.instance, self.derived, node)
         except CyclicOrdering:
             self.report.cyclic += 1
             return None

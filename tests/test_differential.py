@@ -177,16 +177,15 @@ def oracle_path(root: SearchNode, best: Solution):
     node = root
     yield node
     for i, k in sorted(best.yard_assignment.items()):
-        node = replace(node, yard={**node.yard, i: k})
+        node = replace(node, yard_assignment={**node.yard_assignment, i: k})
         yield node
     for i, q in sorted(qc_assignment_of(best.qc_sequences).items()):
         if i not in node.qc_of:
             node = replace(node, qc_of={**node.qc_of, i: q})
             yield node
-    for field, sequences in (("qc_prefix", best.qc_sequences),
-                             ("yc_prefix", best.yc_sequences)):
-        for crane, sequence in sorted(sequences.items()):
+    for field in ("qc_sequences", "yc_sequences"):
+        for crane, sequence in sorted(getattr(best, field).items()):
             for end in range(1, len(sequence) + 1):
-                prefixes = getattr(node, field)
-                node = replace(node, **{field: {**prefixes, crane: sequence[:end]}})
+                so_far = getattr(node, field)
+                node = replace(node, **{field: {**so_far, crane: sequence[:end]}})
                 yield node

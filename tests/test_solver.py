@@ -38,7 +38,7 @@ from ipctp.schedule import (
 )
 import ipctp.solver
 from ipctp.solver import (
-    _PREFIX_FIELD,
+    _SEQUENCES_FIELD,
     SearchNode,
     SolveParams,
     SolveReport,
@@ -98,9 +98,9 @@ class TestPropagate:
         root = root_node(instance, derived)
         node = replace(
             root,
-            yard={1: 1, 2: 2},
+            yard_assignment={1: 1, 2: 2},
             qc_of={1: 1, 2: 1},  # both on crane 1
-            qc_prefix={1: (1,), 2: ()},
+            qc_sequences={1: (1,), 2: ()},
         )
         tightened = propagate(instance, derived, node)
         # successor est >= predecessor end + empty travel between bays 5 and 4
@@ -112,11 +112,11 @@ class TestPropagate:
         root = root_node(instance, derived)
         node = replace(
             root,
-            yard={1: 1, 2: 2},
+            yard_assignment={1: 1, 2: 2},
             qc_of={1: 1, 2: 2},
-            qc_prefix={1: (1,), 2: (2,)},
-            yc_prefix={1: (1,), 2: (2,)},
-            order={(1, 2, 1, 2): I_FIRST},
+            qc_sequences={1: (1,), 2: (2,)},
+            yc_sequences={1: (1,), 2: (2,)},
+            interference_order={(1, 2, 1, 2): I_FIRST},
         )
         tightened = propagate(instance, derived, node)
         assert tightened.est[2] >= 4 + 9  # handling of the first plus separation
@@ -132,25 +132,25 @@ class TestPropagate:
         derived = build_derived(instance)
         node = replace(
             root_node(instance, derived),
-            yard={1: 1, 2: 2},
+            yard_assignment={1: 1, 2: 2},
             qc_of={1: 1, 2: 2},
-            qc_prefix={1: (1,), 2: (2,)},
-            yc_prefix={1: (1,), 2: (2,)},
+            qc_sequences={1: (1,), 2: (2,)},
+            yc_sequences={1: (1,), 2: (2,)},
         )
         # With this cap only the order that schedules shipment 2 first survives.
         tightened = propagate(instance, derived, node, incumbent=30)
         assert tightened is not None
-        assert tightened.order == {(1, 2, 1, 2): J_FIRST}
+        assert tightened.interference_order == {(1, 2, 1, 2): J_FIRST}
 
     def test_impossible_windows_prune(self):
         instance = interference_pair_instance()
         derived = build_derived(instance)
         node = replace(
             root_node(instance, derived),
-            yard={1: 1, 2: 2},
+            yard_assignment={1: 1, 2: 2},
             qc_of={1: 1, 2: 2},
-            qc_prefix={1: (1,), 2: (2,)},
-            yc_prefix={1: (1,), 2: (2,)},
+            qc_sequences={1: (1,), 2: (2,)},
+            yc_sequences={1: (1,), 2: (2,)},
         )
         # Optimum of this instance is 27; a cap below it wipes both orders.
         assert propagate(instance, derived, node, incumbent=27) is None
@@ -164,9 +164,9 @@ class TestPropagate:
         derived = build_derived(instance)
         node = replace(
             root_node(instance, derived),
-            yard={1: 1, 2: 2},
+            yard_assignment={1: 1, 2: 2},
             qc_of={1: 1, 2: 1},  # both on the same quay crane
-            yc_prefix={1: (1,), 2: (2,)},
+            yc_sequences={1: (1,), 2: (2,)},
         )
         relaxed = propagate(instance, derived, node)
         assert relaxed.est[0] == 0  # either order still open
@@ -196,11 +196,11 @@ class TestLowerBound:
         decisions = interference_pair_decisions(I_FIRST)
         node = replace(
             root_node(instance, derived),
-            yard=dict(decisions.yard_assignment),
+            yard_assignment=dict(decisions.yard_assignment),
             qc_of=qc_assignment_of(decisions.qc_sequences),
-            qc_prefix={q: tuple(s) for q, s in decisions.qc_sequences.items()},
-            yc_prefix={c: tuple(s) for c, s in decisions.yc_sequences.items()},
-            order=dict(decisions.interference_order),
+            qc_sequences={q: tuple(s) for q, s in decisions.qc_sequences.items()},
+            yc_sequences={c: tuple(s) for c, s in decisions.yc_sequences.items()},
+            interference_order=dict(decisions.interference_order),
         )
         tightened = propagate(instance, derived, node)
         schedule = compute_schedule(instance, derived, decisions)
@@ -323,7 +323,8 @@ class TestLowerBound:
         )
         derived = build_derived(instance)
         node = replace(
-            root_node(instance, derived), yard={1: 1}, est=(0, 0, 10, 0, 10, 0)
+            root_node(instance, derived), yard_assignment={1: 1},
+            est=(0, 0, 10, 0, 10, 0)
         )
         # Shipments 2 and 3 start no earlier than 10, so the later ends its
         # quay task at 18 and its yard task no earlier than 18 + 9 + 3: this
@@ -631,7 +632,7 @@ class TestSearchTree:
         real_force_orders = _Engine._force_orders
 
         def propagate(engine, node, *rest):
-            seen["node"], seen["order"] = node, node.order
+            seen["node"], seen["order"] = node, node.interference_order
             return real_propagate(engine, node, *rest)
 
         def force_orders(engine, facts, order, *rest):
@@ -641,8 +642,7 @@ class TestSearchTree:
         def relax(engine, arcs, est):
             node = seen["node"]
             assert arcs == precedence_arcs(
-                engine.instance, engine.derived, node.yard, node.qc_of,
-                node.qc_prefix, node.yc_prefix, seen["order"],
+                engine.instance, engine.derived, node, node.qc_of, seen["order"]
             )
             seen["passes"] += 1
             return real_relax(engine, arcs, est)
@@ -662,12 +662,12 @@ def every_sequencing_child(engine, node, facts, key):
     cannot go first: the reference for the not-first rule."""
     kind, crane = key
     record = facts.resources[key]
-    field_name = _PREFIX_FIELD[kind]
-    prefixes = getattr(node, field_name)
+    field_name = _SEQUENCES_FIELD[kind]
+    sequences = getattr(node, field_name)
     task = engine.quay_task
     for ship in sorted(record.left, key=lambda i: (node.est[task[i] + kind], i)):
-        sequence = prefixes[crane] + (ship,)
-        child = replace(node, **{field_name: {**prefixes, crane: sequence}})
+        sequence = sequences[crane] + (ship,)
+        child = replace(node, **{field_name: {**sequences, crane: sequence}})
         left = [i for i in record.left if i != ship]
         arcs = crane_arcs(engine.instance, engine.derived, kind, sequence, left,
                           facts.location)
@@ -831,7 +831,7 @@ class TestDominance:
 
         def placed(engine, node, facts, ship):
             for child, child_facts in real_placed(engine, node, facts, ship):
-                built.append(dict(child.yard))
+                built.append(dict(child.yard_assignment))
                 yield child, child_facts
 
         with monkeypatch.context() as patch:
@@ -1005,8 +1005,9 @@ class TestChildFacts:
         for instance in instances:
             report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
             assert report.status == "optimal"
-        assert made["yard"] > 500 and made["qc_of"] > 50 and made["order"] > 50
-        assert made["qc_prefix"] + made["yc_prefix"] > 1000
+        assert made["yard_assignment"] > 500 and made["qc_of"] > 50
+        assert made["interference_order"] > 50
+        assert made["qc_sequences"] + made["yc_sequences"] > 1000
 
 
 class TestCliques:
