@@ -686,6 +686,52 @@ def search_instances() -> list[Instance]:
     ]
 
 
+class TestLatestStarts:
+    def test_each_latest_start_is_its_least_limit(self, monkeypatch):
+        """Every node propagation returns holds each task's latest start at
+        the least of the horizon, its vessel's cap less its duration and
+        tail, and the latest start of each arc's head less the arc's weight.
+        The caps come from the returned earliest starts and the incumbent of
+        that moment; the arcs are ``precedence_arcs`` of the returned node.
+        That is the greatest fixpoint, whatever order the arcs are walked."""
+        real_propagate = _Engine.propagate
+        checked = 0
+
+        def propagate(engine, node, facts):
+            nonlocal checked
+            propagated = real_propagate(engine, node, facts)
+            if propagated is None:
+                return None
+            out = propagated[0]
+            est, lct, tail = out.est, out.lct, facts.tail
+            weight, vessel_of = engine.weight, engine.vessel_of_task
+            ends = dict.fromkeys(weight, 0)
+            for t, vessel in enumerate(vessel_of):
+                ends[vessel] = max(ends[vessel], est[t] + engine.duration[t] + tail[t])
+            total = sum(weight[v] * end for v, end in ends.items())
+            cap = {
+                v: engine.horizon if engine.incumbent is None
+                else (engine.incumbent - 1 - total + weight[v] * end) // weight[v]
+                for v, end in ends.items()
+            }
+            limit = [
+                min(engine.horizon, cap[vessel_of[t]] - engine.duration[t] - tail[t])
+                for t in range(len(lct))
+            ]
+            for u, v, w in precedence_arcs(engine.instance, engine.derived, out,
+                                           out.qc_of, out.interference_order):
+                limit[u] = min(limit[u], lct[v] - w)
+            assert list(lct) == limit
+            checked += 1
+            return propagated
+
+        monkeypatch.setattr(_Engine, "propagate", propagate)
+        for instance in search_instances():
+            report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
+            assert report.status == "optimal"
+        assert checked > 1000
+
+
 class TestNotFirst:
     """Sequencing children whose shipment cannot go first are never built;
     the rule removes only children that propagation would prune."""
