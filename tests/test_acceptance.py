@@ -38,7 +38,7 @@ from ipctp.solver import SolveParams, lower_bound, propagate, root_node, solve
 
 from conftest import random_decisions
 from fixtures_violations import FIXTURES
-from milp_backend import solve_lp_text
+from milp_backend import MILP_OBJECTIVE_TOLERANCE, solve_lp_text
 
 ORACLE_LIMIT = 5_000_000
 
@@ -145,7 +145,8 @@ def test_criterion_2_model_equivalence():
                     milp_objective, values = solve_lp_text(text)
                     parsed = solution_from_values(instance, derived, artifacts, values)
                     assert validate(instance, derived, parsed) == []
-                    assert abs(milp_objective - oracle.best_objective) < 1e-6
+                    assert (abs(milp_objective - oracle.best_objective)
+                            <= MILP_OBJECTIVE_TOLERANCE)
                     assert parsed.objective == oracle.best_objective
                     assert report.best_objective == oracle.best_objective
                     checked += 1
