@@ -433,8 +433,11 @@ class _Engine:
         est: list[int],
         lct: list[int],
     ) -> dict[int, int]:
-        """Cap each task's latest start by the incumbent; returns the vessel
-        bounds of ``est`` that the caps came from."""
+        """Cap each task's latest start by the incumbent, then pull it back
+        along the arcs; returns the vessel bounds of ``est`` that the caps
+        came from.  The arcs mostly run forward along the crane chains, so
+        walking them in reverse moves a latest start back along a whole
+        chain in one pass."""
         vessel_lb = self._vessel_bounds(est, tail)
         caps: dict[int, int] = {}
         total = sum(self.weight[s] * lb for s, lb in vessel_lb.items())
@@ -454,7 +457,7 @@ class _Engine:
                 raises += 1
         for _ in range(len(lct) + 2):
             changed = False
-            for u, v, weight in arcs:
+            for u, v, weight in reversed(arcs):
                 candidate = lct[v] - weight
                 if candidate < lct[u]:
                     lct[u] = candidate
