@@ -34,8 +34,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-HERE = Path(__file__).resolve().parent
-REPO = HERE.parent
+REPO = Path(__file__).resolve().parent.parent
 
 # Budgets in clock readings, 1 ms each.
 PROVE_TICKS = 20_000
