@@ -407,19 +407,6 @@ class DerivedTables:
         tuple[int, int, int, int], tuple[tuple[int, int, int], tuple[int, int, int]]
     ]
 
-    def canonical_json(self) -> str:
-        payload = {
-            "eligible_qcs": {
-                str(i): list(qcs) for i, qcs in sorted(self.eligible_qcs.items())
-            },
-            "interference_time": [
-                [i, j, v, w, t]
-                for (i, j, v, w), t in sorted(self.interference_time.items())
-            ],
-            "interference_set": [list(t) for t in self.interference_set],
-        }
-        return canonical_dumps(payload)
-
 
 def build_derived(instance: Instance) -> DerivedTables:
     """Populate every derived table; rejects instances with unreachable bays."""

@@ -299,8 +299,7 @@ def precedence_arcs(
         for crane, ships in crane_members(instance, kind, crane_of).items():
             sequence = sequences[crane]
             left = [i for i in ships if i not in sequence]
-            if len(sequence) > 1 or sequence and left:  # has arcs
-                arcs += crane_arcs(instance, derived, kind, sequence, left, location)
+            arcs += crane_arcs(instance, derived, kind, sequence, left, location)
     return arcs + order_arcs(derived, interference_order)
 
 

@@ -140,15 +140,15 @@ class _Resource(NamedTuple):
 
 
 class _Facts(NamedTuple):
-    """What a node's decisions fix; propagation leaves all of it unchanged."""
+    """What a node's decisions fix; propagation leaves all of it unchanged.
+    A node's free yard locations are not kept: ``_placed`` lists them where
+    it reads them."""
 
     # Yard location of every shipment that has one.
     location: dict[int, int]
     # Shortest remaining chain after each task ends: a transfer and the
     # second task for a shipment's first task, 0 for every other task.
     tail: list[int]
-    # Inbound locations no shipment holds yet, by (transfer time, id).
-    free: list[int]
     # Interference tuples the quay assignment selects.
     active: list[tuple[int, int, int, int]]
     # The arc between each shipment's two tasks, as ``transfer_arcs`` gives
@@ -284,11 +284,9 @@ class _Engine:
             for crane, ships in crane_members(self.instance, kind, crane_of).items()
         }
         transfer = transfer_arcs(self.instance, self.derived, node.yard_assignment)
-        taken = set(node.yard_assignment.values())
-        free = [k for k in self.available if k not in taken]
         active, cliques = self.quay(node.qc_of)
         resources.update(cliques)
-        return _Facts(location, self.tail(transfer), free, active, transfer, resources)
+        return _Facts(location, self.tail(transfer), active, transfer, resources)
 
     def crane(
         self,
@@ -387,7 +385,8 @@ class _Engine:
         lct = list(node.lct)
         order = dict(node.interference_order)
 
-        if len(self.inbound_ids) - len(node.yard_assignment) > len(facts.free):
+        # Too few locations for the inbound shipments: no node completes.
+        if len(self.inbound_ids) > len(self.available):
             return None
 
         # The arcs precedence_arcs gives for the node and its working order:
@@ -410,8 +409,7 @@ class _Engine:
                 return None
             if not (changed or forced):
                 break
-            forced_order = {key: order[key] for key in forced}
-            arcs += order_arcs(self.derived, forced_order)
+            arcs += forced
         else:  # the cap ended the loop: est moved after the last bounds
             vessel_lb = self._vessel_bounds(est, facts.tail)
         return SearchNode(
@@ -504,10 +502,12 @@ class _Engine:
         order: dict,
         est: list[int],
         lct: list[int],
-    ) -> Optional[list[tuple[int, int, int, int]]]:
+    ) -> Optional[list[Arc]]:
         """Decide interference tuples whose disjunction has one side left.
 
-        Returns the tuples decided, in the order they were added to ``order``.
+        Returns the arcs of the orders decided, as ``order_arcs`` gives them,
+        in the order they were added to ``order``; None when a tuple has no
+        side left.
         """
         separation = self.derived.separation_arcs
         forced = []
@@ -519,12 +519,9 @@ class _Engine:
             j_possible = est[tj] + gap_j <= lct[ti]
             if not i_possible and not j_possible:
                 return None
-            if i_possible and not j_possible:
-                order[key] = I_FIRST
-                forced.append(key)
-            elif j_possible and not i_possible:
-                order[key] = J_FIRST
-                forced.append(key)
+            if i_possible != j_possible:
+                order[key] = J_FIRST if j_possible else I_FIRST
+                forced.append(separation[key][j_possible])
         return forced
 
     def _vessel_bounds(self, est: list[int], tail: list[int]) -> dict[int, int]:
@@ -658,11 +655,13 @@ class _Engine:
         """The children that give inbound shipment ``ship`` each free
         location, in (transfer time, id) order.
 
-        A child carries its parent's facts and rebuilds only what a location
-        changes: the location map, the free locations, the transfer arcs and
+        The free locations are the available ones less the node's, listed
+        once per expansion.  A child carries its parent's facts and rebuilds
+        only what a location changes: the location map, the transfer arcs and
         tails (the least free transfer time may move) and the record of the
-        location's yard crane.  The quay assignment, and so the active tuples
-        and cliques, stay as they are.
+        location's yard crane, whose members ``crane_members`` gives.  The
+        quay assignment, and so the active tuples and cliques, stay as they
+        are.
 
         A location gets no child, counted in ``dominated``, when a free twin
         of lower id exists, or when the free locations that dominate some
@@ -682,13 +681,14 @@ class _Engine:
         free, a dominator of a used location, or take a later shipment, which
         a swap would place first.  Neither rule cuts that solution.
         """
-        free = set(facts.free)
         placed = node.yard_assignment
-        holes = {a for b in placed.values() for a in self.dominators[b] if a in free}
+        taken = set(placed.values())
+        free = [k for k in self.available if k not in taken]
+        holes = {a for b in taken for a in self.dominators[b]} - taken
         left = len(self.inbound_ids) - len(placed) - 1
-        for k in facts.free:
-            if any(t in free for t in self.twins[k]) or len(
-                holes.union(self.dominators[k] & free) - {k}
+        for k in free:
+            if any(t not in taken for t in self.twins[k]) or len(
+                holes.union(self.dominators[k] - taken) - {k}
             ) > left:
                 self.report.dominated += 1
                 continue
@@ -696,16 +696,16 @@ class _Engine:
             child = SearchNode(yard, node.qc_sequences, node.yc_sequences,
                                node.interference_order, node.qc_of, node.est, node.lct)
             location = {**facts.location, ship: k}
-            crane = self.yc_at[k]
-            members = sorted(i for i, l in location.items() if self.yc_at[l] == crane)
-            key = (YARD, crane)
+            key = (YARD, self.yc_at[k])
+            members = crane_members(
+                self.instance, YARD, yard_cranes(self.instance, location)
+            )[key[1]]
             record = self.crane(child, key, members, location)
             resources = {**facts.resources, key: record}
             transfer = transfer_arcs(self.instance, self.derived, yard)
             yield child, facts._replace(
                 location=location,
                 tail=self.tail(transfer),
-                free=[l for l in facts.free if l != k],
                 transfer=transfer,
                 resources=resources,
             )

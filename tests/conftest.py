@@ -23,6 +23,18 @@ from ipctp.schedule import Decisions, I_FIRST, J_FIRST, Solution, active_interfe
 from ipctp.solver import _Engine
 
 
+class TickingClock:
+    """A stand-in for the ``time`` module whose clock advances by one on
+    every reading, so a time limit counts clock readings."""
+
+    def __init__(self):
+        self.now = 0
+
+    def monotonic(self) -> float:
+        self.now += 1
+        return self.now
+
+
 def random_instance(shipments, ratio, bays, seed, ul=2) -> Instance:
     """Replicate 0 of a generator configuration, sub-seeded from ``seed``."""
     config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments, inbound_ratio=ratio)

@@ -42,6 +42,8 @@ ANYTIME_TICKS = 3_000
 VERIFY_TICKS = 60_000
 
 
+# Not conftest's ``TickingClock``: importing conftest imports ipctp, and
+# this script must first choose the ``src`` tree that ipctp comes from.
 class TickClock:
     """A stand-in for the ``time`` module: each reading is 1 ms later."""
 

@@ -15,13 +15,13 @@ from scipy import stats
 from ipctp.bench import run_bench, rows_to_text
 from ipctp.generator import (
     GenConfig,
-    derive_seed,
     draw_container_count,
     draw_qc_rate,
     draw_transfer_time,
     draw_yc_rate,
     generate,
     generate_grid,
+    grid_entry,
 )
 from ipctp.instance import build_derived, instance_to_json
 from ipctp.mip import export_lp, mip_point_from_solution, check_point, solution_from_values
@@ -46,15 +46,7 @@ ORACLE_LIMIT = 5_000_000
 def _instance_for(ul, bays, shipments, ratio, base_seed, replicate):
     config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments,
                        inbound_ratio=ratio)
-    return generate(
-        GenConfig(
-            ul_ratio=ul,
-            bays=bays,
-            shipments=shipments,
-            inbound_ratio=ratio,
-            seed=derive_seed(base_seed, config, replicate),
-        )
-    )
+    return grid_entry(base_seed, config, replicate).instance
 
 
 def _small_corpus():

@@ -8,7 +8,7 @@ from dataclasses import replace as dc_replace
 import pytest
 
 from ipctp.errors import MalformedSolution
-from ipctp.generator import GenConfig, derive_seed, generate, grid_entry
+from ipctp.generator import GenConfig, grid_entry
 from ipctp.instance import Vessel, build_derived
 from ipctp.mip import (
     INTERFERENCE_DISJUNCTION,
@@ -72,7 +72,7 @@ class TestRowStructure:
         assert all(count >= 0 for count in artifacts.row_counts.values())
         assert sum(artifacts.row_counts.values()) == len(artifacts.rows)
 
-    def test_big_m_override_and_default(self):
+    def test_big_m_is_the_default_horizon(self):
         instance = mixed_instance()
         derived = build_derived(instance)
         assert build_mip(instance, derived).big_m == default_big_m(instance, derived)
@@ -451,7 +451,7 @@ class TestExternalEngine:
                            vessels=2)
         for seed in range(4):
             instance = dc_replace(
-                generate(dc_replace(config, seed=derive_seed(33, config, seed))),
+                grid_entry(33, config, seed).instance,
                 vessels=(Vessel(1, 2), Vessel(2, 3)),
             )
             derived = build_derived(instance)

@@ -10,7 +10,7 @@ import pytest
 
 from ipctp import oracle
 from ipctp.errors import BudgetExceeded, CyclicOrdering, IpctpError, NoFeasibleSolution
-from ipctp.generator import GenConfig, derive_seed, generate, generate_grid, grid_entry
+from ipctp.generator import GenConfig, generate_grid, grid_entry
 from ipctp.instance import INBOUND_AVAILABLE, Instance, Vessel, build_derived
 from ipctp.oracle import (
     _orderings,
@@ -87,7 +87,7 @@ def reference_instances() -> list[Instance]:
     config = GenConfig(ul_ratio=2, bays=6, shipments=3, inbound_ratio=0.5, vessels=2)
     for rep in range(4):
         instances.append(replace(
-            generate(replace(config, seed=derive_seed(33, config, rep))),
+            grid_entry(33, config, rep).instance,
             vessels=(Vessel(1, 2), Vessel(2, 3)),
         ))
     rng = random.Random(808)

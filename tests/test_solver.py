@@ -10,7 +10,7 @@ from itertools import combinations, product
 import pytest
 
 from ipctp.errors import BudgetExceeded, IpctpError
-from ipctp.generator import GenConfig, derive_seed, generate, grid_entry
+from ipctp.generator import GenConfig, generate, grid_entry
 from ipctp.instance import (
     INBOUND,
     INBOUND_AVAILABLE,
@@ -31,6 +31,7 @@ from ipctp.schedule import (
     compute_schedule,
     crane_arcs,
     crane_members,
+    order_arcs,
     precedence_arcs,
     qc_assignment_of,
     solution_to_json,
@@ -51,6 +52,7 @@ from ipctp.solver import (
 )
 
 from conftest import (
+    TickingClock,
     constructive_schedule,
     interference_pair_decisions,
     interference_pair_instance,
@@ -62,23 +64,11 @@ from conftest import (
 )
 
 
-class TickingClock:
-    """A stand-in for the ``time`` module whose clock advances by one on
-    every reading, so a time limit counts clock readings."""
-
-    def __init__(self):
-        self.now = 0
-
-    def monotonic(self) -> float:
-        self.now += 1
-        return self.now
-
-
 def weighted_two_vessel_instances(count: int) -> list[Instance]:
     """Six-shipment grid draws with two vessels weighted 2 and 3."""
     config = GenConfig(ul_ratio=2, bays=6, shipments=6, inbound_ratio=0.5, vessels=2)
     return [
-        replace(generate(replace(config, seed=derive_seed(33, config, rep))),
+        replace(grid_entry(33, config, rep).instance,
                 vessels=(Vessel(1, 2), Vessel(2, 3)))
         for rep in range(count)
     ]
@@ -509,12 +499,7 @@ class TestSolve:
     def test_smallest_grid_configuration_proves_quickly(self):
         # ul 2, 4 bays, 5 shipments: optimality well under a minute.
         config = GenConfig(ul_ratio=2, bays=4, shipments=5, inbound_ratio=0.2)
-        instance = generate(
-            GenConfig(
-                ul_ratio=2, bays=4, shipments=5, inbound_ratio=0.2,
-                seed=derive_seed(2026, config, 0),
-            )
-        )
+        instance = grid_entry(2026, config, 0).instance
         derived = build_derived(instance)
         started = time.monotonic()
         report, _ = solve(instance, derived, SolveParams(time_limit=60))
@@ -529,6 +514,9 @@ class TestConstructive:
         instance = overfull_yard_instance()
         derived = build_derived(instance)
         assert constructive_schedule(instance, derived) is None
+        # Nor does a node that has placed one of the two shipments propagate.
+        placed = replace(root_node(instance, derived), yard_assignment={1: 1})
+        assert propagate(instance, derived, placed) is None
         report, solution = solve(instance, derived, SolveParams(time_limit=60))
         assert report.status == "infeasible"
         assert solution is None
@@ -629,7 +617,7 @@ class TestSearchTree:
         ]
         instances.append(wide_eligibility_instance(random.Random(8), shipments=4))
         instances += weighted_two_vessel_instances(2)
-        seen = {"passes": 0}
+        seen = {"passes": 0, "forced": 0}
         real_propagate = _Engine.propagate
         real_relax = _Engine._relax
         real_force_orders = _Engine._force_orders
@@ -640,7 +628,13 @@ class TestSearchTree:
 
         def force_orders(engine, facts, order, *rest):
             seen["order"] = order  # the next pass relaxes what this one leaves
-            return real_force_orders(engine, facts, order, *rest)
+            decided = len(order)
+            forced = real_force_orders(engine, facts, order, *rest)
+            if forced is not None:  # the arcs of the orders added, in order
+                added = dict(list(order.items())[decided:])
+                assert forced == order_arcs(engine.derived, added)
+                seen["forced"] += len(forced)
+            return forced
 
         def relax(engine, arcs, est):
             node = seen["node"]
@@ -657,6 +651,7 @@ class TestSearchTree:
             report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
             assert report.status == "optimal"
         assert seen["passes"] > 1500
+        assert seen["forced"] > 0
 
 
 def every_sequencing_child(engine, node, facts, key):
@@ -1141,10 +1136,7 @@ class TestWeightedVessels:
         for seed in range(6):
             config = GenConfig(ul_ratio=2, bays=6, shipments=4,
                                inbound_ratio=0.5, vessels=2)
-            base = generate(
-                GenConfig(ul_ratio=2, bays=6, shipments=4, inbound_ratio=0.5,
-                          vessels=2, seed=derive_seed(33, config, seed))
-            )
+            base = grid_entry(33, config, seed).instance
             weighted = dc_replace(
                 base, vessels=(Vessel(1, 2), Vessel(2, 3))
             )
@@ -1161,10 +1153,7 @@ class TestWeightedVessels:
         from ipctp.instance import Vessel
 
         config = GenConfig(ul_ratio=2, bays=4, shipments=3, inbound_ratio=0.5)
-        base = generate(
-            GenConfig(ul_ratio=2, bays=4, shipments=3, inbound_ratio=0.5,
-                      seed=derive_seed(34, config, 0))
-        )
+        base = grid_entry(34, config, 0).instance
         derived = build_derived(base)
         plain = brute_force(base, derived)
         scaled_instance = dc_replace(base, vessels=(Vessel(1, 5),))
