@@ -166,7 +166,10 @@ class TestPinnedExport:
     Renaming, reordering or re-weighting any row or variable changes a
     digest.  ``mixed`` and ``wide`` give shipments a choice of quay crane;
     every case has two or more inbound shipments (``tha``/``thb`` rows) and
-    active interference tuples (``idj``/``isp`` rows).
+    active interference tuples (``idj``/``isp`` rows).  ``s15`` is a model
+    of the ``export`` benchmark corpus, ``ipctp_u3_b4_s15_r50_0``: 24 free
+    locations on 6 yard cranes and 3,880 rows, so the pair block is pinned
+    at size.
     """
 
     PINNED = {
@@ -186,6 +189,10 @@ class TestPinnedExport:
             "ac389af36eadbed0718b1796fb192eb587f9ece56cc29ef2ac06dae2437b4cd9",
             "adc360ec091a840ce409b570bff1ae24bdc740878c31257e20736f9de1016214",
         ),
+        "s15": (
+            "54cc9087dd56a90a9f23d3f95ca7cb0a7fe7308c858ba743b298037f12966399",
+            "ef3350f84bcdd19507096da36408a4ce5f0a7baf0a502a7633ceaef1e2ea64fd",
+        ),
     }
 
     @staticmethod
@@ -195,6 +202,9 @@ class TestPinnedExport:
             "interference_pair": interference_pair_instance,
             "random_s5": lambda: random_instance(5, 0.5, 6, seed=3),
             "wide": lambda: wide_eligibility_instance(random.Random(808), shipments=4),
+            "s15": lambda: grid_entry(
+                707, GenConfig(ul_ratio=3, bays=4, shipments=15, inbound_ratio=0.5), 0
+            ).instance,
         }[name]()
 
     @pytest.mark.parametrize("name", sorted(PINNED))
