@@ -12,12 +12,15 @@ corpora are the benchmark's, from ``perfbench/workloads.make_workloads()``:
 
 - ``prove``: the 24 instances, solved at 20,000 ticks;
 - ``anytime``: replicate 0 of its instances, solved at 3,000 ticks;
-- ``verify``: the oracle, then a solve at 60,000 ticks.
+- ``verify``: the oracle, then a solve at 60,000 ticks;
+- ``export``: the 22 instances' MIP, built and rendered as LP text.
 
-Each line is the corpus, the instance's name and one JSON object: the
-solve's report without ``wall_time`` and with the incumbent trace's
-objectives only, the sha256 of the solution JSON and, on ``verify``, the
-oracle's optimum, count and the sha256 of its solution JSON.
+Each line is the corpus, the instance's name and one JSON object.  On the
+first three corpora that is the solve's report without ``wall_time`` and
+with the incumbent trace's objectives only, the sha256 of the solution
+JSON and, on ``verify``, the oracle's optimum, count and the sha256 of its
+solution JSON.  On ``export`` it is the row and variable counts and the
+sha256 of the LP text and of the mapping JSON.
 
 ``--compare A B`` runs the check on two ``src`` trees in subprocesses,
 prints each instance whose lines differ with the keys that differ, and
@@ -110,6 +113,17 @@ def lines(src: Path):
                 }
             record.update(solved(instance, derived, ticks))
             yield f"{corpus} {item.name} {json.dumps(record, sort_keys=True)}"
+    mapping_to_json = importlib.import_module("ipctp.mip").mapping_to_json
+    for item in corpora["export"].items:
+        instance = ipctp.generate(item.config)
+        text, artifacts = ipctp.export_lp(instance, ipctp.build_derived(instance))
+        record = {
+            "rows": len(artifacts.rows),
+            "variables": len(artifacts.variables),
+            "lp_sha256": digest(text),
+            "mapping_sha256": digest(mapping_to_json(artifacts)),
+        }
+        yield f"export {item.name} {json.dumps(record, sort_keys=True)}"
 
 
 def compare(old: Path, new: Path) -> int:
