@@ -109,6 +109,24 @@ class TestRowStructure:
             if info["kind"] == "pair_placement"
         ]
         assert len(placements) == n_in * (n_in - 1) * a * (a - 1)
+        # Each pair variable sits in exactly its sy_uu, tha and thb rows.
+        membership = {}
+        for row in artifacts.rows:
+            for name, coef in row.coeffs.items():
+                if name.startswith("th_"):
+                    membership.setdefault(name, {})[row.name] = coef
+        for name, info in artifacts.variables.items():
+            if info["kind"] != "pair_placement":
+                continue
+            i, k = info["shipment_a"], info["location_a"]
+            j, l = info["shipment_b"], info["location_b"]
+            assert name == f"th_{i}_{k}_{j}_{l}"
+            assert membership[name] == {
+                f"sy_uu_{i}_{j}": -instance.tyc(k, l),
+                f"tha_{i}_{k}_{j}": 1,
+                f"thb_{i}_{j}_{l}": 1,
+            }
+        assert len(membership) == len(placements)
 
 
 class TestRenderFormat:
