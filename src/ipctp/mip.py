@@ -218,19 +218,15 @@ class _Builder:
         return self.var(f"qz_{i}_{j}", "qc_ordering", True, before=i, after=j)
 
     def theta(self, i: int, k: int, j: int, l: int) -> str:
-        # Registered without var()'s keyword packing: on s15-s20 models these
-        # are 96% of the variables.
-        name = f"th_{i}_{k}_{j}_{l}"
-        if name not in self.variables:
-            self.variables[name] = {
-                "kind": "pair_placement",
-                "binary": True,
-                "shipment_a": i,
-                "location_a": k,
-                "shipment_b": j,
-                "location_b": l,
-            }
-        return name
+        return self.var(
+            f"th_{i}_{k}_{j}_{l}",
+            "pair_placement",
+            True,
+            shipment_a=i,
+            location_a=k,
+            shipment_b=j,
+            location_b=l,
+        )
 
     def sqc(self, i: int) -> str:
         return self.var(f"sqc_{i}", "qc_start", False, shipment=i)
@@ -355,21 +351,38 @@ class _Builder:
                 for m in self.available:
                     coeffs[self.x(i, m)] = -instance.tyc(m, target)
                 self.row(f"sy_uo_{i}_{j}", coeffs, "=", 0, YC_EMPTY_TO_OUTBOUND)
+        # The ordered pairs (k, l) of distinct free locations with their
+        # empty travel; each ordered inbound pair's pair variables follow
+        # this order, so those with one k form a run of A - 1.
+        pairs = [(k, l) for k in self.available for l in self.available if k != l]
+        costs = [-instance.tyc(k, l) for k, l in pairs]
+        run = len(self.available) - 1
+        at_l = {
+            l: [p for p, (_, b) in enumerate(pairs) if b == l] for l in self.available
+        }
         x_of = {i: {k: self.x(i, k) for k in self.available} for i in self.inbound}
         for i, x_i in x_of.items():
             for j, x_j in x_of.items():
                 if i == j:
                     continue
-                # Each pair variable is named once for the three row kinds.
-                pairs = [
-                    (k, l, self.theta(i, k, j, l))
-                    for k in self.available
-                    for l in self.available
-                    if k != l
-                ]
+                # Named here in one pass and by theta() for the injection of
+                # a solution; if the two spellings ever diverge, the verify
+                # gates and TestInjection raise MalformedSolution.
+                thetas = {
+                    f"th_{i}_{k}_{j}_{l}": {
+                        "kind": "pair_placement",
+                        "binary": True,
+                        "shipment_a": i,
+                        "location_a": k,
+                        "shipment_b": j,
+                        "location_b": l,
+                    }
+                    for k, l in pairs
+                }
+                self.variables.update(thetas)
+                names = list(thetas)
                 coeffs = {self.sy(i, j): 1}
-                for k, l, theta in pairs:
-                    coeffs[theta] = -instance.tyc(k, l)
+                coeffs.update(zip(names, costs))
                 self.row(f"sy_uu_{i}_{j}", coeffs, "=", 0, YC_EMPTY_BETWEEN_INBOUND)
                 # theta_ikjl = x_ik * x_jl, linearised compactly: the pair
                 # variables of i at k sum to x_ik (tha) and those of j at l
@@ -384,14 +397,12 @@ class _Builder:
                 # tha and thb give theta <= x_ik and theta <= x_jl; thb at l
                 # less the other theta_ik'jl <= x_ik', with asg_i, gives
                 # theta >= x_ik + x_jl - 1.
-                at_k = {k: {} for k in self.available}
-                at_l = {l: {} for l in self.available}
-                for k, l, theta in pairs:
-                    at_k[k][theta] = at_l[l][theta] = 1
-                for k, coeffs in at_k.items():
-                    coeffs[x_i[k]] = -1
+                for a, (k, x_ik) in enumerate(x_i.items()):
+                    coeffs = dict.fromkeys(names[a * run : (a + 1) * run], 1)
+                    coeffs[x_ik] = -1
                     self.row(f"tha_{i}_{k}_{j}", coeffs, "=", 0, YC_EMPTY_LINEARIZATION)
-                for l, coeffs in at_l.items():
+                for l, at in at_l.items():
+                    coeffs = dict.fromkeys([names[p] for p in at], 1)
                     coeffs[x_j[l]] = -1
                     self.row(f"thb_{i}_{j}_{l}", coeffs, "=", 0, YC_EMPTY_LINEARIZATION)
         for i in self.outbound:
@@ -479,7 +490,7 @@ class _Builder:
             counts[row.family] += 1
         objective = {self.cmax(v.id): 1 for v in self.instance.vessels}
         return MipArtifacts(
-            variables=dict(self.variables),
+            variables=self.variables,
             rows=tuple(self.rows),
             objective=objective,
             big_m=self.big_m,
@@ -494,18 +505,18 @@ def build_mip(instance: Instance, derived: DerivedTables) -> MipArtifacts:
 
 
 def _format_terms(coeffs: Mapping[str, int]) -> list[str]:
-    items = sorted(coeffs.items())
+    names = sorted(coeffs)  # the keys are unique, so names alone order them
     terms = [
         f"+ {name}" if coef == 1
         else f"- {name}" if coef == -1
         else f"+ {coef} {name}" if coef > 0
         else f"- {-coef} {name}"
-        for name, coef in items
-        if coef
+        for name in names
+        if (coef := coeffs[name])
     ]
     if not terms:
-        return ["0 " + (items[0][0] if items else "zero")]
-    if items[0][1] > 0:
+        return ["0 " + (names[0] if names else "zero")]
+    if coeffs[names[0]] > 0:
         terms[0] = terms[0][2:]
     return terms
 
