@@ -356,6 +356,8 @@ class _Builder:
         # this order, so those with one k form a run of A - 1.
         pairs = [(k, l) for k in self.available for l in self.available if k != l]
         costs = [-instance.tyc(k, l) for k, l in pairs]
+        # Location ids spelled once per model, not once per pair variable.
+        spelled = [(str(k), str(l)) for k, l in pairs]
         run = len(self.available) - 1
         at_l = {
             l: [p for p, (_, b) in enumerate(pairs) if b == l] for l in self.available
@@ -368,8 +370,9 @@ class _Builder:
                 # Named here in one pass and by theta() for the injection of
                 # a solution; if the two spellings ever diverge, the verify
                 # gates and TestInjection raise MalformedSolution.
+                head, middle = f"th_{i}_", f"_{j}_"
                 thetas = {
-                    f"th_{i}_{k}_{j}_{l}": {
+                    f"{head}{sk}{middle}{sl}": {
                         "kind": "pair_placement",
                         "binary": True,
                         "shipment_a": i,
@@ -377,7 +380,7 @@ class _Builder:
                         "shipment_b": j,
                         "location_b": l,
                     }
-                    for k, l in pairs
+                    for (k, l), (sk, sl) in zip(pairs, spelled)
                 }
                 self.variables.update(thetas)
                 names = list(thetas)
