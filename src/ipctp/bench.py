@@ -49,7 +49,7 @@ def rpd_percent(short_objective: float, long_objective: float) -> float:
 
 def run_bench(
     items: Iterable[tuple[str, str, int, Instance]],
-    budgets: tuple[float, float] = (600.0, 3600.0),
+    budgets: tuple[float, float],
 ) -> tuple[list[BenchRow], list[RunRecord]]:
     """Solve each (name, config_id, replicate, instance) under both budgets."""
     records: list[RunRecord] = []
@@ -133,12 +133,8 @@ def aggregate(
     return rows
 
 
-def _cell(value, width: int, digits: int = 2) -> str:
-    if value is None:
-        return "NA".rjust(width)
-    if isinstance(value, float):
-        return f"{value:.{digits}f}".rjust(width)
-    return str(value).rjust(width)
+def _cell(value: Optional[float], width: int) -> str:
+    return ("NA" if value is None else f"{value:.2f}").rjust(width)
 
 
 def rows_to_text(rows: Sequence[BenchRow]) -> str:

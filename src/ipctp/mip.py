@@ -131,11 +131,11 @@ class MipArtifacts:
 
     def mapping_payload(self) -> dict:
         return {
-            "variables": {name: info for name, info in sorted(self.variables.items())},
+            "variables": self.variables,
             "big_m": self.big_m,
             "dummy_start": self.dummy_start,
             "dummy_end": self.dummy_end,
-            "row_families": dict(sorted(self.row_counts.items())),
+            "row_families": self.row_counts,
         }
 
 

@@ -87,12 +87,11 @@ class SolveReport:
     nodes: int = 0
     propagations: int = 0
     # Prunes by cause: propagation found no window, the bound reached the
-    # incumbent, a leaf's orders were cyclic; the sequencing children never
-    # built because their shipment could not go first, and the yard children
-    # never built because their location is dominated.
+    # incumbent; the sequencing children never built because their shipment
+    # could not go first, and the yard children never built because their
+    # location is dominated.  No leaf is cyclic: see ``_Engine.propagate``.
     infeasible: int = 0
     bounded: int = 0
-    cyclic: int = 0
     not_first: int = 0
     dominated: int = 0
     wall_time: float = 0.0
@@ -112,6 +111,8 @@ class SearchNode(Decisions):
     est: tuple[int, ...]
     lct: tuple[int, ...]
 
+
+_ROUNDS = 40  # rounds of one propagation, at most
 
 # The SearchNode field holding each kind's crane sequences.
 _SEQUENCES_FIELD = ("qc_sequences", "yc_sequences")
@@ -184,7 +185,6 @@ class _Engine:
             key=lambda k: (instance.tt(k), k),
         )
         self.yc_at = {k.id: k.yc for k in instance.yard_locations}
-        self.dominators, self.twins = self._dominance()
         self.quay_task = quay_task = derived.quay_task
         # Per kind, a crane's empty travel between the spots of two shipments:
         # a shipment's spot is its bay for quay cranes, its location for yard
@@ -199,6 +199,7 @@ class _Engine:
             {(k, l): instance.tyc(k, l)
              for own in places.values() for k in own for l in own},
         )
+        self.dominators, self.twins = self._dominance(places)
         n_tasks = 2 * len(ships)
         self.duration = [0] * n_tasks
         self.vessel_of_task = [0] * n_tasks
@@ -219,7 +220,7 @@ class _Engine:
         self.report = SolveReport()
 
     def _dominance(
-        self,
+        self, places: dict[int, list[int]]
     ) -> tuple[dict[int, frozenset[int]], dict[int, tuple[int, ...]]]:
         """Each inbound location's dominators, and its twins of lower id.
 
@@ -228,26 +229,20 @@ class _Engine:
         other location x of that crane.  A dominator is a twin when it has
         b's transfer time and b's travel to every such x.
 
-        Each location's row holds its travel to every location of its crane.
-        With its own entry raised above every travel time, b's row compares
-        with a's by ``map(gt, ...)`` with neither own entry counting: a's is
-        0, b's is the raised one.
+        Each location's row holds its travel to every location of its crane
+        in ``places``.  With its own entry raised above every travel time,
+        b's row compares with a's by ``map(gt, ...)`` with neither own entry
+        counting: a's is 0, b's is the raised one.
         """
-        instance, travel = self.instance, self.instance.yc_travel
-        top = 1 + max(map(max, travel), default=0)
-        cranes = range(1, instance.yc_count + 1)
-        position, columns = {}, {c: [] for c in cranes}
-        for p, k in enumerate(instance.yard_locations):
-            position[k.id] = p
-            columns[k.yc].append(p)
+        instance, trips = self.instance, self.travel[YARD]
+        top = 1 + max(trips.values(), default=0)
         row, raised = {}, {}
         for k in self.available:
-            own = position[k]
-            row[k] = [travel[own][q] for q in columns[self.yc_at[k]]]
-            raised[k] = [top if q == own else t
-                         for q, t in zip(columns[self.yc_at[k]], row[k])]
+            own = places[self.yc_at[k]]
+            row[k] = [trips[k, l] for l in own]
+            raised[k] = [top if l == k else t for l, t in zip(own, row[k])]
         # Each crane's inbound locations so far, by (transfer time, id).
-        ranked: dict[int, list[int]] = {c: [] for c in cranes}
+        ranked: dict[int, list[int]] = {c: [] for c in range(1, instance.yc_count + 1)}
         dominators: dict[int, frozenset[int]] = {}
         twins: dict[int, tuple[int, ...]] = {}
         for b in self.available:
@@ -380,7 +375,14 @@ class _Engine:
         self, node: SearchNode, facts: _Facts
     ) -> Optional[tuple[SearchNode, dict[int, int]]]:
         """The node at its propagation fixpoint and its vessel bounds; None
-        means pruned."""
+        means pruned.
+
+        The node returned satisfies every arc of ``precedence_arcs`` for its
+        decisions, ``qc_of`` and orders, and its latest starts are at their
+        fixpoint: a round relaxes and tightens before it infers, and the loop
+        ends on a round that inferred nothing or on the last one ``_ROUNDS``
+        allows, which stops before it infers.  Every arc weighs at least 1,
+        so a leaf, whose starts satisfy its arcs, has an acyclic graph."""
         est = list(node.est)
         lct = list(node.lct)
         order = dict(node.interference_order)
@@ -395,12 +397,14 @@ class _Engine:
         for resource in facts.resources.values():
             arcs += resource.arcs
         arcs += order_arcs(self.derived, order)
-        for _ in range(40):  # joint fixpoint of arcs + disjunctive inferences
+        for rounds_left in reversed(range(_ROUNDS)):  # arcs + inferences
             if not self._relax(arcs, est):
                 return None
             vessel_lb = self._tighten_lct(facts.tail, arcs, est, lct)
             if any(map(gt, est, lct)):
                 return None
+            if not rounds_left:
+                break
             changed = self._pairwise(facts, est, lct)
             if changed is None:
                 return None
@@ -410,8 +414,6 @@ class _Engine:
             if not (changed or forced):
                 break
             arcs += forced
-        else:  # the cap ended the loop: est moved after the last bounds
-            vessel_lb = self._vessel_bounds(est, facts.tail)
         return SearchNode(
             node.yard_assignment, node.qc_sequences, node.yc_sequences, order,
             node.qc_of, tuple(est), tuple(lct),
@@ -850,12 +852,7 @@ class _Engine:
         children = self._children(node, facts)
         if children is not None:
             return bound, iter(children)
-        try:
-            solution = compute_schedule(self.instance, self.derived, node)
-        except CyclicOrdering:
-            self.report.cyclic += 1
-            return None
-        self._offer_incumbent(solution)
+        self._offer_incumbent(compute_schedule(self.instance, self.derived, node))
         return None
 
 
@@ -865,7 +862,9 @@ def propagate(
     node: SearchNode,
     incumbent: Optional[int] = None,
 ) -> Optional[SearchNode]:
-    """Tighten a node's windows to their fixpoint; None means pruned."""
+    """Tighten a node's windows to their fixpoint; None means pruned.  The
+    node returned satisfies all its ``precedence_arcs``, with latest starts
+    at their fixpoint, so a leaf is acyclic: see ``_Engine.propagate``."""
     engine = _Engine(instance, derived)
     engine.incumbent = incumbent
     propagated = engine.propagate(node, engine.facts(node))

@@ -68,7 +68,7 @@ def test_solve_validate_oracle_flow(corpus, capsys):
     report = json.loads(report_file.read_text())
     assert set(report) == {
         "best_objective", "lower_bound", "gap_percent", "status",
-        "nodes", "propagations", "infeasible", "bounded", "cyclic", "not_first",
+        "nodes", "propagations", "infeasible", "bounded", "not_first",
         "dominated", "wall_time", "incumbent_trace",
     }
 

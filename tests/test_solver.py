@@ -555,7 +555,7 @@ class TestSearchTree:
     branching that alters any node shows here, even when the optimum holds."""
 
     # (ul, bays, shipments, inbound ratio) sub-seeded from 707, replicate 0;
-    # nodes, propagations, the prunes by cause (infeasible, bounded, cyclic,
+    # nodes, propagations, the prunes by cause (infeasible, bounded,
     # not_first, dominated; all but not_first pinned later, at the counts the
     # trees had then) and incumbent objectives as first recorded; the third
     # tree re-recorded when the bound took in interference cliques and
@@ -570,25 +570,30 @@ class TestSearchTree:
     # first tree's, 360, was already its first); each tree's optimum stayed.
     # Before, in order, the trees had 110, 63, 339, 99, 90, 123 and 84
     # nodes; 849, 553, 1,667, 660, 1,423, 1,438 and 703 propagations; and
-    # prunes (40, 0, 0, 14, 0), (36, 0, 0, 0, 0), (11, 119, 0, 128, 0),
+    # prunes as 5-tuples (infeasible, bounded, cyclic, not_first, dominated)
+    # (40, 0, 0, 14, 0), (36, 0, 0, 0, 0), (11, 119, 0, 128, 0),
     # (28, 0, 0, 9, 0), (48, 0, 0, 4, 5), (30, 6, 0, 10, 0) and
     # (40, 0, 0, 9, 5).  Propagations re-recorded when the backward pass of
     # the latest starts began to walk the arcs in reverse, which changes the
     # number of raises but no tree: before, 713, 568, 1,680, 566, 1,444,
-    # 1,370 and 658.
+    # 1,370 and 658.  The cyclic count, 0 in every tree, left the prunes when
+    # propagation came to settle every node it returns: no leaf can be
+    # cyclic.  As 5-tuples with it, the prunes below read (34, 0, 0, 17, 0),
+    # (36, 0, 0, 0, 0), (11, 119, 0, 128, 0), (25, 0, 0, 11, 0),
+    # (48, 0, 0, 4, 5), (30, 6, 0, 10, 0) and (37, 0, 0, 12, 5).
     PINNED = [
-        ((3, 4, 5, 0.5), 93, 695, (34, 0, 0, 17, 0),
+        ((3, 4, 5, 0.5), 93, 695, (34, 0, 17, 0),
          [360, 348, 346, 340, 334, 328]),
-        ((2, 6, 5, 0.5), 63, 563, (36, 0, 0, 0, 0), [542, 331, 330]),
-        ((2, 4, 6, 0.5), 339, 1667, (11, 119, 0, 128, 0),
+        ((2, 6, 5, 0.5), 63, 563, (36, 0, 0, 0), [542, 331, 330]),
+        ((2, 4, 6, 0.5), 339, 1667, (11, 119, 128, 0),
          [580, 406, 403, 381, 373, 347, 333]),
-        ((2, 6, 6, 0.5), 95, 555, (25, 0, 0, 11, 0),
+        ((2, 6, 6, 0.5), 95, 555, (25, 0, 11, 0),
          [572, 465, 454, 372, 347, 299, 287]),
-        ((3, 6, 8, 0.5), 89, 1493, (48, 0, 0, 4, 5),
+        ((3, 6, 8, 0.5), 89, 1493, (48, 0, 4, 5),
          [832, 525, 509, 459, 418, 402]),
-        ((2, 8, 8, 0.2), 122, 1352, (30, 6, 0, 10, 0),
+        ((2, 8, 8, 0.2), 122, 1352, (30, 6, 10, 0),
          [498, 427, 383, 369, 361, 360, 331, 328]),
-        ((3, 4, 6, 0.5), 81, 652, (37, 0, 0, 12, 5), [459, 355, 335, 333]),
+        ((3, 4, 6, 0.5), 81, 652, (37, 0, 12, 5), [459, 355, 335, 333]),
     ]
 
     # Named by shape, so that re-recording a tree keeps its test's name.
@@ -604,7 +609,7 @@ class TestSearchTree:
         assert report.status == "optimal"
         assert report.nodes == nodes
         assert report.propagations == propagations
-        assert (report.infeasible, report.bounded, report.cyclic,
+        assert (report.infeasible, report.bounded,
                 report.not_first, report.dominated) == prunes
         assert [obj for _, obj in report.incumbent_trace] == incumbents
 
@@ -685,13 +690,25 @@ def search_instances() -> list[Instance]:
 
 
 class TestLatestStarts:
-    def test_each_latest_start_is_its_least_limit(self, monkeypatch):
+    # The cap as the solver has it, and one so low that nodes reach it: two
+    # rounds leave one round of inference.
+    @pytest.mark.parametrize("rounds", [40, 2])
+    def test_each_latest_start_is_its_least_limit(self, monkeypatch, rounds):
         """Every node propagation returns holds each task's latest start at
         the least of the horizon, its vessel's cap less its duration and
         tail, and the latest start of each arc's head less the arc's weight.
         The caps come from the returned earliest starts and the incumbent of
         that moment; the arcs are ``precedence_arcs`` of the returned node.
-        That is the greatest fixpoint, whatever order the arcs are walked."""
+        That is the greatest fixpoint, whatever order the arcs are walked.
+        Its earliest starts satisfy every one of those arcs.
+
+        Both hold too when the cap on rounds ends the loop, and a capped
+        solve finds the optimum an uncapped one does."""
+        instances = search_instances()
+        optima = [
+            solve(instance, build_derived(instance), SolveParams(time_limit=60))[0]
+            .best_objective for instance in instances
+        ]
         real_propagate = _Engine.propagate
         checked = 0
 
@@ -718,15 +735,17 @@ class TestLatestStarts:
             ]
             for u, v, w in precedence_arcs(engine.instance, engine.derived, out,
                                            out.qc_of, out.interference_order):
+                assert est[v] >= est[u] + w
                 limit[u] = min(limit[u], lct[v] - w)
             assert list(lct) == limit
             checked += 1
             return propagated
 
         monkeypatch.setattr(_Engine, "propagate", propagate)
-        for instance in search_instances():
+        monkeypatch.setattr(ipctp.solver, "_ROUNDS", rounds)
+        for instance, optimum in zip(instances, optima):
             report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
-            assert report.status == "optimal"
+            assert (report.status, report.best_objective) == ("optimal", optimum)
         assert checked > 1000
 
 
