@@ -63,10 +63,7 @@ print(f"violations on the computed schedule: {validate(instance, derived, soluti
 victim = qc_sequences[1][-1]
 starts = dict(solution.qc_start)
 starts[victim] -= 1
-broken = replace(
-    solution, qc_start=starts, yt_time=None, yc_empty=None,
-    per_vessel_completion=None,
-)
+broken = replace(solution, qc_start=starts)
 broken = replace(broken, objective=objective_of(instance, broken))
 print(f"after starting shipment {victim} one unit earlier:")
 for violation in validate(instance, derived, broken):

@@ -32,10 +32,6 @@ YC_MEMBERSHIP_INBOUND = "yc_membership_inbound"
 YC_MEMBERSHIP_OUTBOUND = "yc_membership_outbound"
 QC_CHAIN_CONSISTENCY = "qc_chain_consistency"
 YC_CHAIN_CONSISTENCY = "yc_chain_consistency"
-YT_TRANSFER_VALUE = "yt_transfer_value"
-YC_EMPTY_VALUE_TO_OUTBOUND = "yc_empty_value_to_outbound"
-YC_EMPTY_VALUE_BETWEEN_INBOUND = "yc_empty_value_between_inbound"
-YC_EMPTY_VALUE_FROM_OUTBOUND = "yc_empty_value_from_outbound"
 QC_SEQUENCE_TIMING = "qc_sequence_timing"
 YC_SEQUENCE_TIMING_AFTER_INBOUND = "yc_sequence_timing_after_inbound"
 YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND = "yc_sequence_timing_outbound_to_inbound"
@@ -81,13 +77,15 @@ class Decisions:
 
 @dataclass(frozen=True)
 class Solution(Decisions):
+    """Decisions with their start times, stated objective and status.
+
+    Every field reaches the solution file, so ``validate`` gives the same
+    verdict in memory and after a file round trip."""
+
     qc_start: Mapping[int, int]
     yc_start: Mapping[int, int]
     objective: int
     status: str = "feasible"
-    yt_time: Mapping[int, int] | None = None
-    yc_empty: Mapping[tuple[int, int], int] | None = None
-    per_vessel_completion: Mapping[int, int] | None = None
 
     def with_status(self, status: str) -> "Solution":
         return replace(self, status=status)
@@ -99,25 +97,6 @@ def locations(instance: Instance, yard_assignment: Mapping[int, int]) -> dict[in
     for s in instance.outbound_shipments:
         location[s.id] = s.fixed_location
     return location
-
-
-def yard_empty_travel(
-    instance: Instance,
-    yc_sequences: Mapping[int, tuple[int, ...]],
-    location: Mapping[int, int],
-) -> dict[tuple[int, int], int]:
-    """Each yard crane's empty travel between consecutive shipments.
-
-    Pairs of two outbound shipments are left out: their travel is fixed data.
-    """
-    empty: dict[tuple[int, int], int] = {}
-    for crane in sorted(yc_sequences):
-        sequence = yc_sequences[crane]
-        for a, b in zip(sequence, sequence[1:]):
-            if instance.shipment(a).is_outbound and instance.shipment(b).is_outbound:
-                continue
-            empty[a, b] = instance.tyc(location[a], location[b])
-    return empty
 
 
 def yard_timing_family(a: Shipment, b: Shipment) -> str:
@@ -343,10 +322,8 @@ def compute_schedule(
         precedence_arcs(instance, derived, decisions, qc_assignment, order),
     )
 
-    location = locations(instance, decisions.yard_assignment)
     qc_start = {i: start[t] for i, t in derived.quay_task.items()}
     yc_start = {i: start[t + YARD] for i, t in derived.quay_task.items()}
-    per_vessel = vessel_completions(instance, qc_start, yc_start)
     return Solution(
         yard_assignment=dict(decisions.yard_assignment),
         qc_sequences={q: tuple(s) for q, s in decisions.qc_sequences.items()},
@@ -354,12 +331,9 @@ def compute_schedule(
         interference_order=order,
         qc_start=qc_start,
         yc_start=yc_start,
-        objective=_weighted_sum(instance, per_vessel),
-        yt_time={
-            s.id: instance.tt(location[s.id]) for s in instance.inbound_shipments
-        },
-        yc_empty=yard_empty_travel(instance, decisions.yc_sequences, location),
-        per_vessel_completion=per_vessel,
+        objective=_weighted_sum(
+            instance, vessel_completions(instance, qc_start, yc_start)
+        ),
     )
 
 
@@ -580,42 +554,6 @@ def validate(
                     )
                 )
 
-    if solution.yt_time is not None:
-        expected_yt = {
-            s.id: instance.tt(location[s.id]) for s in instance.inbound_shipments
-        }
-        for i in sorted(set(expected_yt) | set(solution.yt_time)):
-            if solution.yt_time.get(i) != expected_yt.get(i):
-                out.append(
-                    Violation(
-                        YT_TRANSFER_VALUE,
-                        (i,),
-                        f"stored {solution.yt_time.get(i)} != {expected_yt.get(i)}",
-                    )
-                )
-
-    if solution.yc_empty is not None:
-        expected_empty = yard_empty_travel(instance, solution.yc_sequences, location)
-        # A stored pair may name shipments the instance lacks: not inbound.
-        inbound = {s.id for s in instance.inbound_shipments}
-        empty_family = {
-            (True, False): YC_EMPTY_VALUE_TO_OUTBOUND,
-            (True, True): YC_EMPTY_VALUE_BETWEEN_INBOUND,
-            (False, True): YC_EMPTY_VALUE_FROM_OUTBOUND,
-            (False, False): YC_EMPTY_VALUE_FROM_OUTBOUND,
-        }
-        for a, b in sorted(set(expected_empty) | set(solution.yc_empty)):
-            if solution.yc_empty.get((a, b)) != expected_empty.get((a, b)):
-                family = empty_family[(a in inbound, b in inbound)]
-                out.append(
-                    Violation(
-                        family,
-                        (a, b),
-                        f"stored {solution.yc_empty.get((a, b))} "
-                        f"!= {expected_empty.get((a, b))}",
-                    )
-                )
-
     qc_assignment = qc_assignment_of(solution.qc_sequences)
     for key in active_interference(derived, qc_assignment):
         i, j, v, w = key
@@ -658,12 +596,6 @@ def validate(
                 f"stated objective {solution.objective} != {recomputed}",
             )
         )
-    if solution.per_vessel_completion is not None:
-        actual = vessel_completions(instance, solution.qc_start, solution.yc_start)
-        if dict(solution.per_vessel_completion) != actual:
-            out.append(
-                Violation(OBJECTIVE_VALUE, (), "per-vessel completions mismatch")
-            )
     return out
 
 

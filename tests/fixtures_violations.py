@@ -41,15 +41,11 @@ from ipctp.schedule import (
     YC_CHAIN_CONSISTENCY,
     YC_CHAIN_MISSING,
     YC_CHAIN_UNKNOWN,
-    YC_EMPTY_VALUE_BETWEEN_INBOUND,
-    YC_EMPTY_VALUE_FROM_OUTBOUND,
-    YC_EMPTY_VALUE_TO_OUTBOUND,
     YC_MEMBERSHIP_INBOUND,
     YC_MEMBERSHIP_OUTBOUND,
     YC_SEQUENCE_TIMING_AFTER_INBOUND,
     YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND,
     YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND,
-    YT_TRANSFER_VALUE,
     compute_schedule,
     objective_of,
     validate,
@@ -75,11 +71,9 @@ def rebuilt(instance: Instance, solution: Solution, **overrides) -> Solution:
         qc_start=dict(solution.qc_start),
         yc_start=dict(solution.yc_start),
         status=solution.status,
-        yt_time=None if solution.yt_time is None else dict(solution.yt_time),
-        yc_empty=None if solution.yc_empty is None else dict(solution.yc_empty),
     )
     fields.update(overrides)
-    probe = Solution(objective=0, per_vessel_completion=None, **fields)
+    probe = Solution(objective=0, **fields)
     try:
         objective = objective_of(instance, probe)
     except Exception:
@@ -351,34 +345,6 @@ def inbound_precedence_broken():
     return instance, derived, rebuilt(instance, sol, yc_start=starts)
 
 
-def yt_transfer_wrong():
-    instance, derived, sol = _mixed_baseline()
-    stored = dict(sol.yt_time)
-    stored[1] = 7
-    return instance, derived, rebuilt(instance, sol, yt_time=stored)
-
-
-def yc_empty_wrong_to_outbound():
-    instance, derived, sol = _mixed_variant_baseline()
-    stored = dict(sol.yc_empty)
-    stored[(4, 3)] = 5
-    return instance, derived, rebuilt(instance, sol, yc_empty=stored)
-
-
-def yc_empty_wrong_between_inbound():
-    instance, derived, sol = _mixed_baseline()
-    stored = dict(sol.yc_empty)
-    stored[(1, 4)] = 3
-    return instance, derived, rebuilt(instance, sol, yc_empty=stored)
-
-
-def yc_empty_wrong_from_outbound():
-    instance, derived, sol = _mixed_baseline()
-    stored = dict(sol.yc_empty)
-    stored[(3, 1)] = 2
-    return instance, derived, rebuilt(instance, sol, yc_empty=stored)
-
-
 def interference_overlapping_tasks():
     instance, derived, sol = _pair_baseline()
     starts = dict(sol.qc_start)
@@ -427,13 +393,6 @@ FIXTURES = (
      yc_outbound_pair_too_close),
     ("outbound_precedence_broken", OUTBOUND_PRECEDENCE, outbound_precedence_broken),
     ("inbound_precedence_broken", INBOUND_PRECEDENCE, inbound_precedence_broken),
-    ("yt_transfer_wrong", YT_TRANSFER_VALUE, yt_transfer_wrong),
-    ("yc_empty_wrong_to_outbound", YC_EMPTY_VALUE_TO_OUTBOUND,
-     yc_empty_wrong_to_outbound),
-    ("yc_empty_wrong_between_inbound", YC_EMPTY_VALUE_BETWEEN_INBOUND,
-     yc_empty_wrong_between_inbound),
-    ("yc_empty_wrong_from_outbound", YC_EMPTY_VALUE_FROM_OUTBOUND,
-     yc_empty_wrong_from_outbound),
     ("interference_overlapping_tasks", INTERFERENCE_OVERLAP,
      interference_overlapping_tasks),
     ("interference_order_missing_tuple", INTERFERENCE_ORDER_MISSING,

@@ -13,7 +13,6 @@ from ipctp.schedule import (
     Decisions,
     I_FIRST,
     J_FIRST,
-    YC_EMPTY_VALUE_FROM_OUTBOUND,
     _longest_paths,
     compute_schedule,
     objective_of,
@@ -21,6 +20,7 @@ from ipctp.schedule import (
     solution_from_json,
     solution_to_json,
     validate,
+    vessel_completions,
 )
 
 from conftest import (
@@ -51,7 +51,8 @@ class TestComputeSchedule:
         )
         assert solution.yc_start[1] == 0
         assert solution.qc_start[1] == 15
-        assert solution.per_vessel_completion[1] == 23
+        completions = vessel_completions(instance, solution.qc_start, solution.yc_start)
+        assert completions[1] == 23
         assert solution.objective == 23
 
     def test_single_inbound_chain(self):
@@ -258,9 +259,8 @@ class TestObjective:
         )
         derived = build_derived(weighted)
         solution = compute_schedule(weighted, derived, mixed_decisions())
-        c1 = solution.per_vessel_completion[1]
-        c2 = solution.per_vessel_completion[2]
-        assert solution.objective == 2 * c1 + 3 * c2
+        completions = vessel_completions(weighted, solution.qc_start, solution.yc_start)
+        assert solution.objective == 2 * completions[1] + 3 * completions[2]
 
     def test_vessel_without_shipments_counts_zero(self):
         base = single_outbound_instance()
@@ -287,7 +287,8 @@ class TestObjective:
                 interference_order={},
             ),
         )
-        assert solution.per_vessel_completion[2] == 0
+        completions = vessel_completions(extended, solution.qc_start, solution.yc_start)
+        assert completions[2] == 0
         assert solution.objective == 23
 
     def test_weight_scaling_is_linear(self):
@@ -430,13 +431,7 @@ class TestMinimality:
                 for attr in ("qc_start", "yc_start"):
                     starts = dict(getattr(solution, attr))
                     starts[ship.id] -= 1
-                    mutated = replace(
-                        solution,
-                        **{attr: starts},
-                        per_vessel_completion=None,
-                        yt_time=None,
-                        yc_empty=None,
-                    )
+                    mutated = replace(solution, **{attr: starts})
                     mutated = replace(
                         mutated, objective=objective_of(instance, mutated)
                     )
@@ -446,15 +441,6 @@ class TestMinimality:
 
 
 class TestValidate:
-    def test_stored_empty_travel_of_unknown_shipments_is_reported(self, mixed):
-        instance, derived = mixed
-        solution = compute_schedule(instance, derived, mixed_decisions())
-        stored = {**solution.yc_empty, (998, 999): 4}
-        violations = validate(instance, derived, replace(solution, yc_empty=stored))
-        assert [(v.family, v.ids, v.detail) for v in violations] == [
-            (YC_EMPTY_VALUE_FROM_OUTBOUND, (998, 999), "stored 4 != None")
-        ]
-
     @pytest.mark.parametrize("field, entry, detail", [
         ("yard_assignment", {2: 1}, "assignment for non-inbound id"),
     ], ids=["outbound_shipment"])
@@ -548,12 +534,14 @@ class TestPinnedValidation:
     detail text or their order shows here."""
 
     # Historical: (0cd7d465..., 6038, 2244) while the mutations also
-    # corrupted the stored transfer and empty-travel values.  Recorded once
-    # those two mutations went; every other mutant is drawn as before.
+    # corrupted the stored transfer and empty-travel values, then
+    # (4db7ed63..., 4699, 1772) without those two mutations.  Recorded once
+    # a solution stopped storing them: the 4,699 lists are the earlier ones
+    # less their 177 reports of stale stored values, line by line.
     PINNED = (
-        "4db7ed63ca8364ad216a1a793bf82a0d99bec9b040d587b94bbec4f2957a9ac4",
+        "a4bcb4a1cb01660e6bb41c894fde03176321d8266adf760b21b20fd5f421fe8a",
         4699,  # mutants
-        1772,  # mutants with two or more violations
+        1748,  # mutants with two or more violations
     )
 
     MUTATED_FIELDS = (

@@ -20,10 +20,10 @@ def test_fixture_flags_exactly_its_family(name, family, builder):
     )
 
 
-def test_catalogue_has_27_fixtures():
-    assert len(FIXTURES) == 27
+def test_catalogue_has_23_fixtures():
+    assert len(FIXTURES) == 23
 
 
 def test_catalogue_covers_every_constraint_family():
     covered = {family for _, family, _ in FIXTURES}
-    assert len(covered) == 24
+    assert len(covered) == 20
