@@ -29,7 +29,6 @@ from .instance import (
     eligible_qcs,
     instance_from_json,
     instance_to_json,
-    interference_time,
     read_instance,
     write_instance,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "generate_grid",
     "instance_from_json",
     "instance_to_json",
-    "interference_time",
     "lower_bound",
     "mip_point_from_solution",
     "objective_of",

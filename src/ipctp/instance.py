@@ -364,22 +364,6 @@ def bay_interference_time(
     return 0
 
 
-def interference_time(
-    instance: Instance, ship_i: int, ship_j: int, crane_v: int, crane_w: int
-) -> int:
-    """Start separation needed between shipments ship_i on v and ship_j on w."""
-    if ship_i == ship_j:
-        return 0
-    return bay_interference_time(
-        instance.shipment(ship_i).bay,
-        instance.shipment(ship_j).bay,
-        crane_v,
-        crane_w,
-        instance.safety_distance,
-        instance.qc_unit_travel,
-    )
-
-
 # -- derived tables ----------------------------------------------------
 
 

@@ -23,7 +23,6 @@ from ipctp.instance import (
     instance_from_json,
     instance_from_payload,
     instance_to_json,
-    interference_time,
 )
 from ipctp.schedule import J_FIRST, order_arcs, solution_to_json
 import ipctp.solver
@@ -122,22 +121,25 @@ class TestInterferenceTime:
             for bay_j in range(1, 9):
                 assert bay_interference_time(bay_i, bay_j, 2, 2, 1, 3) == 0
 
-    def test_same_shipment_is_zero(self):
-        instance = single_inbound_instance()
-        assert interference_time(instance, 1, 1, 1, 1) == 0
-
     def test_distinct_shipments_match_the_derived_table(self):
         for instance in (mixed_instance(), random_instance(6, 0.5, 8, seed=4, ul=3)):
             derived = build_derived(instance)
             eligible = derived.eligible_qcs
             ships = [s.id for s in instance.shipments]
             pairs = [(i, j) for i in ships for j in ships if i < j]
-            assert any(interference_time(instance, i, j, v, w) > 0
+
+            def separation(i, j, v, w):
+                return bay_interference_time(
+                    instance.shipment(i).bay, instance.shipment(j).bay, v, w,
+                    instance.safety_distance, instance.qc_unit_travel,
+                )
+
+            assert any(separation(i, j, v, w) > 0
                        for i, j in pairs for v in eligible[i] for w in eligible[j])
             for i, j in pairs:
                 for v in eligible[i]:
                     for w in eligible[j]:
-                        assert interference_time(instance, i, j, v, w) == (
+                        assert separation(i, j, v, w) == (
                             derived.interference_time.get((i, j, v, w), 0)
                         )
 

@@ -8,7 +8,9 @@ from itertools import combinations, product
 import pytest
 
 from ipctp.errors import CyclicOrdering, MalformedSolution
+from ipctp.generator import GenConfig, grid_entry
 from ipctp.instance import Vessel, Instance, build_derived
+from ipctp.oracle import brute_force
 from ipctp.schedule import (
     Decisions,
     I_FIRST,
@@ -22,6 +24,7 @@ from ipctp.schedule import (
     validate,
     vessel_completions,
 )
+from ipctp.solver import solve
 
 from conftest import (
     interference_pair_decisions,
@@ -372,6 +375,19 @@ class TestSolutionJson:
         assert validate(instance, derived, loaded) == []
         assert solution_to_json(loaded) == text
 
+    @pytest.mark.parametrize("shipments", (3, 4, 5))
+    @pytest.mark.parametrize("ratio", (0.2, 0.5))
+    def test_solver_and_oracle_solutions_survive_the_file(self, shipments, ratio):
+        config = GenConfig(ul_ratio=2, bays=4, shipments=shipments,
+                           inbound_ratio=ratio)
+        for replicate in range(3):
+            instance = grid_entry(707, config, replicate).instance
+            derived = build_derived(instance)
+            _, solved = solve(instance, derived)
+            oracle = brute_force(instance, derived).best_solution
+            for solution in (solved, oracle):
+                assert solution_from_json(solution_to_json(solution)) == solution
+
     def test_required_keys(self):
         import json
 
@@ -550,9 +566,9 @@ class TestPinnedValidation:
     )
 
     @classmethod
-    def report(cls):
-        """One violation list per applicable mutant, in generation order."""
-        lines = []
+    def mutants(cls):
+        """Each applicable mutant with its instance and derived tables, in
+        generation order."""
         rng = random.Random(6006)
         shapes = product((2, 3, 4, 5), (0.2, 0.5), (2, 3), (4, 6, 8), range(2))
         for shipments, ratio, ul, bays, seed in shapes:
@@ -566,9 +582,15 @@ class TestPinnedValidation:
                 fields = {f: dict(getattr(base, f)) for f in cls.MUTATED_FIELDS}
                 if not all([_mutate(kind, fields, instance, rng) for kind in combo]):
                     continue
-                violations = validate(instance, derived, replace(base, **fields))
-                lines.append([(v.family, list(v.ids), v.detail) for v in violations])
-        return lines
+                yield instance, derived, replace(base, **fields)
+
+    @classmethod
+    def report(cls):
+        """One violation list per applicable mutant, in generation order."""
+        return [
+            [(v.family, list(v.ids), v.detail) for v in validate(*mutant)]
+            for mutant in cls.mutants()
+        ]
 
     def test_violation_lists_are_pinned(self):
         lines = self.report()
@@ -576,3 +598,10 @@ class TestPinnedValidation:
         digest = hashlib.sha256(text.encode("ascii")).hexdigest()
         several = sum(1 for line in lines if len(line) > 1)
         assert (digest, len(lines), several) == self.PINNED
+
+    def test_verdicts_survive_the_solution_file(self):
+        for instance, derived, mutant in self.mutants():
+            reloaded = solution_from_json(solution_to_json(mutant))
+            assert validate(instance, derived, reloaded) == validate(
+                instance, derived, mutant
+            ), solution_to_json(mutant)
