@@ -112,8 +112,6 @@ class SearchNode(Decisions):
     lct: tuple[int, ...]
 
 
-_ROUNDS = 40  # rounds of one propagation, at most
-
 # The SearchNode field holding each kind's crane sequences.
 _SEQUENCES_FIELD = ("qc_sequences", "yc_sequences")
 
@@ -377,12 +375,20 @@ class _Engine:
         """The node at its propagation fixpoint and its vessel bounds; None
         means pruned.
 
-        The node returned satisfies every arc of ``precedence_arcs`` for its
-        decisions, ``qc_of`` and orders, and its latest starts are at their
-        fixpoint: a round relaxes and tightens before it infers, and the loop
-        ends on a round that inferred nothing or on the last one ``_ROUNDS``
-        allows, which stops before it infers.  Every arc weighs at least 1,
-        so a leaf, whose starts satisfy its arcs, has an acyclic graph."""
+        A round relaxes, tightens the latest starts, then infers; the loop
+        ends on a prune or on a round that inferred nothing.  So the node
+        returned satisfies every arc of ``precedence_arcs`` for its
+        decisions, ``qc_of`` and orders, its latest starts are at their
+        fixpoint and ``_pairwise`` and ``_force_orders`` infer nothing more.
+        Every arc weighs at least 1, so a leaf, whose starts satisfy its
+        arcs, has an acyclic graph.
+
+        A round that does not end the loop raises an earliest start by at
+        least 1 (``_pairwise`` reports only a raise) or decides an undecided
+        active tuple.  Earliest starts only rise, latest starts only fall
+        from the horizon, and an earliest start past its latest start
+        prunes, so at most |active| + sum over tasks of (horizon + 1) rounds
+        continue."""
         est = list(node.est)
         lct = list(node.lct)
         order = dict(node.interference_order)
@@ -397,14 +403,12 @@ class _Engine:
         for resource in facts.resources.values():
             arcs += resource.arcs
         arcs += order_arcs(self.derived, order)
-        for rounds_left in reversed(range(_ROUNDS)):  # arcs + inferences
+        while True:  # arcs + inferences
             if not self._relax(arcs, est):
                 return None
             vessel_lb = self._tighten_lct(facts.tail, arcs, est, lct)
             if any(map(gt, est, lct)):
                 return None
-            if not rounds_left:
-                break
             changed = self._pairwise(facts, est, lct)
             if changed is None:
                 return None
@@ -437,7 +441,9 @@ class _Engine:
         along the arcs; returns the vessel bounds of ``est`` that the caps
         came from.  The arcs mostly run forward along the crane chains, so
         walking them in reverse moves a latest start back along a whole
-        chain in one pass."""
+        chain in one pass.  ``relax`` has just settled the same arcs, each
+        weighing at least 1, so they have no cycle and settle here within
+        ``len(lct)`` walks."""
         vessel_lb = self._vessel_bounds(est, tail)
         caps: dict[int, int] = {}
         total = sum(self.weight[s] * lb for s, lb in vessel_lb.items())
@@ -455,7 +461,8 @@ class _Engine:
             if deadline < lct[task]:
                 lct[task] = deadline
                 raises += 1
-        for _ in range(len(lct) + 2):
+        changed = True
+        while changed:
             changed = False
             for u, v, weight in reversed(arcs):
                 candidate = lct[v] - weight
@@ -463,8 +470,6 @@ class _Engine:
                     lct[u] = candidate
                     changed = True
                     raises += 1
-            if not changed:
-                break
         self.report.propagations += raises
         return vessel_lb
 
@@ -864,7 +869,8 @@ def propagate(
 ) -> Optional[SearchNode]:
     """Tighten a node's windows to their fixpoint; None means pruned.  The
     node returned satisfies all its ``precedence_arcs``, with latest starts
-    at their fixpoint, so a leaf is acyclic: see ``_Engine.propagate``."""
+    at their fixpoint and no inference left, so a leaf is acyclic: see
+    ``_Engine.propagate``."""
     engine = _Engine(instance, derived)
     engine.incumbent = incumbent
     propagated = engine.propagate(node, engine.facts(node))

@@ -690,25 +690,15 @@ def search_instances() -> list[Instance]:
 
 
 class TestLatestStarts:
-    # The cap as the solver has it, and one so low that nodes reach it: two
-    # rounds leave one round of inference.
-    @pytest.mark.parametrize("rounds", [40, 2])
-    def test_each_latest_start_is_its_least_limit(self, monkeypatch, rounds):
+    def test_each_latest_start_is_its_least_limit(self, monkeypatch):
         """Every node propagation returns holds each task's latest start at
         the least of the horizon, its vessel's cap less its duration and
         tail, and the latest start of each arc's head less the arc's weight.
         The caps come from the returned earliest starts and the incumbent of
         that moment; the arcs are ``precedence_arcs`` of the returned node.
         That is the greatest fixpoint, whatever order the arcs are walked.
-        Its earliest starts satisfy every one of those arcs.
-
-        Both hold too when the cap on rounds ends the loop, and a capped
-        solve finds the optimum an uncapped one does."""
-        instances = search_instances()
-        optima = [
-            solve(instance, build_derived(instance), SolveParams(time_limit=60))[0]
-            .best_objective for instance in instances
-        ]
+        Its earliest starts satisfy every one of those arcs, and neither
+        ``_pairwise`` nor ``_force_orders`` infers anything more from it."""
         real_propagate = _Engine.propagate
         checked = 0
 
@@ -738,14 +728,18 @@ class TestLatestStarts:
                 assert est[v] >= est[u] + w
                 limit[u] = min(limit[u], lct[v] - w)
             assert list(lct) == limit
+            inferred = list(est)
+            assert engine._pairwise(facts, inferred, list(lct)) is False
+            order = dict(out.interference_order)
+            assert engine._force_orders(facts, order, inferred, list(lct)) == []
+            assert inferred == list(est)
             checked += 1
             return propagated
 
         monkeypatch.setattr(_Engine, "propagate", propagate)
-        monkeypatch.setattr(ipctp.solver, "_ROUNDS", rounds)
-        for instance, optimum in zip(instances, optima):
+        for instance in search_instances():
             report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
-            assert (report.status, report.best_objective) == ("optimal", optimum)
+            assert report.status == "optimal"
         assert checked > 1000
 
 
