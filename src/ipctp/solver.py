@@ -191,7 +191,7 @@ class _Engine:
         for k in instance.yard_locations:
             places.setdefault(k.yc, []).append(k.id)
         self.bay = {s.id: s.bay for s in ships}
-        bays = range(1, instance.total_bays + 1)
+        bays = set(self.bay.values())
         self.travel = (
             {(a, b): instance.tqc(a, b) for a in bays for b in bays},
             {(k, l): instance.tyc(k, l)

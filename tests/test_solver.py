@@ -999,6 +999,18 @@ def test_engine_attributes_stay_inline():
     assert len(vars(_Engine(instance, build_derived(instance)))) <= 29
 
 
+def test_quay_travel_joins_the_bays_of_the_shipments():
+    """The quay travel table holds every ordered pair of the shipments'
+    bays, a bay with itself too, and no other pair, however many bays the
+    quay has."""
+    instance = replace(random_instance(8, 0.5, 4, seed=707, ul=3), total_bays=400)
+    travel = _Engine(instance, build_derived(instance)).travel[QUAY]
+    bays = {s.bay for s in instance.shipments}
+    assert max(bays) <= 4 and len(bays) > 1
+    assert set(travel) == {(a, b) for a in bays for b in bays}
+    assert all(t == instance.tqc(a, b) for (a, b), t in travel.items())
+
+
 def test_yard_travel_joins_the_locations_of_one_crane():
     """The yard travel table holds every ordered pair of locations on one
     yard crane, a location with itself too, and no other pair."""
