@@ -14,13 +14,14 @@ and a Solution to be injected as a point satisfying every row.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass, replace
 from itertools import permutations
 from typing import Mapping, NamedTuple
 
 from .errors import MalformedSolution
-from .instance import DerivedTables, Instance, canonical_dumps
+from .instance import DerivedTables, Instance
 # Row families the validator reports too are defined once, in schedule.
 from .schedule import (
     I_FIRST,
@@ -735,4 +736,7 @@ def solution_from_values(
 
 
 def mapping_to_json(artifacts: MipArtifacts) -> str:
-    return canonical_dumps(artifacts.mapping_payload())
+    """The mapping as compact JSON with sorted keys: equal models give equal
+    bytes, and the C encoder writes it, as it cannot with an indent."""
+    payload = artifacts.mapping_payload()
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

@@ -193,23 +193,23 @@ class TestPinnedExport:
     PINNED = {
         "mixed": (
             "506e68980d6ebaf4afd4e2743f812a2256235f034edec7113dc004ea039bc4a4",
-            "cb628b5cff7efc317a777779ec304bf969d38e9f71ad44f09931698c39d9de3b",
+            "44a59217ee2bc88d644a9475702ff5c382cc5f912bb0108a02b7afb5e8ebe83f",
         ),
         "interference_pair": (
             "e7c7a38e324591c3d64fcacf5c6f4012754d4338b3b5a239f0d29634b48dfff1",
-            "5a94ceb8b2f087130ecd4b2305b79585853846536fa848450f0d17fe61e69568",
+            "1b37ab2a07a59a27fcab04be43191bed4dec8f6e53290e1fc1c93ea6b74c8e9a",
         ),
         "random_s5": (
             "4b5e12dd3cb442828bd9f7acc0882325e24acf943cdbaeb50ba526cf9271562c",
-            "caa9d005d482ffbac14288b9e6f254595bfbbf0a1ca8400fab6f678446c8bdd9",
+            "41c8a7c4aa0d906968fd71429e5198738c249a4451f243352bae8d640e61cb04",
         ),
         "wide": (
             "ac389af36eadbed0718b1796fb192eb587f9ece56cc29ef2ac06dae2437b4cd9",
-            "adc360ec091a840ce409b570bff1ae24bdc740878c31257e20736f9de1016214",
+            "785532c26b01597185d9380adafeb69b7ba3e9fa3c5afc65116b0614f1d4b0d2",
         ),
         "s15": (
             "54cc9087dd56a90a9f23d3f95ca7cb0a7fe7308c858ba743b298037f12966399",
-            "ef3350f84bcdd19507096da36408a4ce5f0a7baf0a502a7633ceaef1e2ea64fd",
+            "9029e3637c42bd953542f26970a8e6ee880eb8c7ba0a13d3469020c18021aa37",
         ),
     }
 
