@@ -48,7 +48,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("instance")
     p.add_argument("--time-limit", type=float, default=600.0)
     p.add_argument("--out-dir", default=None)
-    p.add_argument("--gantt", action="store_true", help="print a text timeline")
 
     p = sub.add_parser("validate", help="check a solution file against an instance")
     p.add_argument("instance")
@@ -116,8 +115,6 @@ def _cmd_solve(args) -> int:
     _output(args, ".report.json").write_text(canonical_dumps(report.to_payload()))
     if solution is not None:
         write_solution(_output(args, ".sol.json"), solution)
-        if args.gantt:
-            print(gantt_mod.render_text(instance, solution), end="")
     print(
         f"status={report.status} objective={report.best_objective} "
         f"lower_bound={report.lower_bound} nodes={report.nodes} "

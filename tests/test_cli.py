@@ -441,13 +441,6 @@ def test_generate_count_below_one_is_a_machine_readable_error(tmp_path, capsys, 
     assert not out.exists()
 
 
-def test_solve_gantt_flag(corpus, capsys):
-    instance_file = next(iter(sorted(corpus.glob("ipctp_*.json"))))
-    assert main(["solve", str(instance_file), "--time-limit", "30", "--gantt"]) == 0
-    out = capsys.readouterr().out
-    assert "QC 1" in out
-
-
 def test_render_helpers_directly():
     instance = mixed_instance()
     derived = build_derived(instance)
