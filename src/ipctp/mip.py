@@ -736,7 +736,5 @@ def solution_from_values(
 
 
 def mapping_to_json(artifacts: MipArtifacts) -> str:
-    """The mapping as compact JSON with sorted keys: equal models give equal
-    bytes, and the C encoder writes it, as it cannot with an indent."""
     payload = artifacts.mapping_payload()
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

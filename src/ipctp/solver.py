@@ -375,20 +375,16 @@ class _Engine:
         """The node at its propagation fixpoint and its vessel bounds; None
         means pruned.
 
-        A round relaxes, tightens the latest starts, then infers; the loop
+        Each round relaxes, tightens the latest starts, then infers; the loop
         ends on a prune or on a round that inferred nothing.  So the node
         returned satisfies every arc of ``precedence_arcs`` for its
         decisions, ``qc_of`` and orders, its latest starts are at their
-        fixpoint and ``_pairwise`` and ``_force_orders`` infer nothing more.
-        Every arc weighs at least 1, so a leaf, whose starts satisfy its
-        arcs, has an acyclic graph.
-
-        A round that does not end the loop raises an earliest start by at
-        least 1 (``_pairwise`` reports only a raise) or decides an undecided
-        active tuple.  Earliest starts only rise, latest starts only fall
-        from the horizon, and an earliest start past its latest start
-        prunes, so at most |active| + sum over tasks of (horizon + 1) rounds
-        continue."""
+        fixpoint and neither ``_pairwise`` nor ``_force_orders`` infers more;
+        as every arc weighs at least 1, a leaf has an acyclic graph.  A round
+        that goes on decides an active tuple or raises an earliest start by
+        at least 1, the only change ``_pairwise`` reports.  Earliest starts
+        only rise, latest starts only fall from the horizon, and a start past
+        its latest start prunes: at most |active| + sum_t (horizon + 1) rounds go on."""
         est = list(node.est)
         lct = list(node.lct)
         order = dict(node.interference_order)
@@ -438,12 +434,11 @@ class _Engine:
         lct: list[int],
     ) -> dict[int, int]:
         """Cap each task's latest start by the incumbent, then pull it back
-        along the arcs; returns the vessel bounds of ``est`` that the caps
-        came from.  The arcs mostly run forward along the crane chains, so
-        walking them in reverse moves a latest start back along a whole
-        chain in one pass.  ``relax`` has just settled the same arcs, each
-        weighing at least 1, so they have no cycle and settle here within
-        ``len(lct)`` walks."""
+        along the arcs until a walk changes nothing; returns the vessel
+        bounds of ``est`` that the caps came from.  ``relax`` has just
+        settled these arcs, which weigh at least 1, so they have no cycle and
+        settle within ``len(lct)`` walks.  They mostly run forward along the
+        crane chains, so a reversed walk pulls back a whole chain at once."""
         vessel_lb = self._vessel_bounds(est, tail)
         caps: dict[int, int] = {}
         total = sum(self.weight[s] * lb for s, lb in vessel_lb.items())
@@ -869,8 +864,7 @@ def propagate(
 ) -> Optional[SearchNode]:
     """Tighten a node's windows to their fixpoint; None means pruned.  The
     node returned satisfies all its ``precedence_arcs``, with latest starts
-    at their fixpoint and no inference left, so a leaf is acyclic: see
-    ``_Engine.propagate``."""
+    at their fixpoint, so a leaf is acyclic: see ``_Engine.propagate``."""
     engine = _Engine(instance, derived)
     engine.incumbent = incumbent
     propagated = engine.propagate(node, engine.facts(node))
