@@ -5,6 +5,9 @@
 # validated Solution objects; a feasible Solution can conversely be injected
 # as a point satisfying every emitted row.
 
+import sys
+from pathlib import Path
+
 from ipctp import (
     brute_force,
     build_derived,
@@ -45,13 +48,14 @@ print(f"parse-back objective {parsed.objective} "
       f"violations {validate(instance, derived, parsed)}")
 
 # With scipy installed the LP text itself can be solved in-process, which
-# is how the test suite checks model equivalence end to end.
+# is how the test suite checks model equivalence end to end.  The backend
+# lives in the repository's tests directory, found from this file so the
+# demo runs from any working directory.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 try:
-    import sys
-    sys.path.insert(0, "tests")
     from milp_backend import solve_lp_text
-
+except ImportError as error:  # scipy not installed: export/parse still usable
+    print(f"\n{error.name} not available; skipping the in-process MILP solve")
+else:
     objective, values = solve_lp_text(text)
     print(f"\nHiGHS optimum over the LP file: {objective:.1f}")
-except ImportError:  # scipy not installed: export/parse still fully usable
-    print("\nscipy not available; skipping the in-process MILP solve")

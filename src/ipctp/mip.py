@@ -2,14 +2,30 @@
 
 The emitted file encodes the whole feasible set (assignment, successor
 chains with dummy start/end shipments, big-M timing, interference
-disjunctions, and the linearized inbound-pair empty-travel terms) so any
-external MILP engine can solve it.  The pair products x_ik * x_jl of the
-empty travel between inbound shipments are linearised compactly (Liberti
-2007, level 1 of Adams & Sherali's RLT): with I inbound shipments and A
-free locations that takes 2*I*(I-1)*A rows, where McCormick's rows take
-2*I*(I-1)*A*(A-1).  The artifacts returned alongside the
+disjunctions and the empty travel between inbound shipments) so any
+external MILP engine can solve it.  The artifacts returned alongside the
 text allow a solution vector to be parsed back into a validated Solution,
 and a Solution to be injected as a point satisfying every row.
+
+The empty travel sy_i_j from inbound shipment i to inbound shipment j has
+one row for each ordered pair (k, l) of distinct free locations of one
+yard crane with t = tyc(k, l) > 0: ``sy_i_j - t x_ik - t x_jl >= -t``, the
+lower envelope of McCormick (1976) for t * x_ik * x_jl.  That is I(I-1)
+rows per such pair for I inbound shipments, and no pair variable.  The
+model stays exact:
+
+- sy_i_j appears only in its own rows and, with coefficient -1, in the
+  yard timing rows yst_i_j_c, which bind only when v_ijc = 1;
+- then the membership and flow rows put i and j on locations k and l of
+  crane c, and row (k, l) gives sy_i_j >= tyc(k, l);
+- a larger sy_i_j only delays a start, so the big-M is unchanged;
+- so every schedule maps to a point, with sy_i_j = tyc(loc i, loc j), and
+  every point's sequences and starts form a schedule: the optimum is the
+  same.
+
+The LP relaxation is McCormick's, weaker than that of the rows of the
+reformulation-linearisation technique, which need a variable per pair of
+placements.
 """
 
 from __future__ import annotations
@@ -17,7 +33,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from itertools import permutations
 from typing import Mapping, NamedTuple
 
 from .errors import MalformedSolution
@@ -59,7 +74,6 @@ YC_FLOW = "yc_flow"
 YT_TRANSFER = "yt_transfer"
 YC_EMPTY_TO_OUTBOUND = "yc_empty_to_outbound"
 YC_EMPTY_BETWEEN_INBOUND = "yc_empty_between_inbound"
-YC_EMPTY_LINEARIZATION = "yc_empty_linearization"
 YC_EMPTY_FROM_OUTBOUND = "yc_empty_from_outbound"
 QC_DISJUNCTION = "qc_disjunction"
 INTERFERENCE_DISJUNCTION = "interference_disjunction"
@@ -81,7 +95,6 @@ ALL_FAMILIES = (
     YT_TRANSFER,
     YC_EMPTY_TO_OUTBOUND,
     YC_EMPTY_BETWEEN_INBOUND,
-    YC_EMPTY_LINEARIZATION,
     YC_EMPTY_FROM_OUTBOUND,
     QC_SEQUENCE_TIMING,
     YC_SEQUENCE_TIMING_AFTER_INBOUND,
@@ -218,17 +231,6 @@ class _Builder:
     def qz(self, i: int, j: int) -> str:
         return self.var(f"qz_{i}_{j}", "qc_ordering", True, before=i, after=j)
 
-    def theta(self, i: int, k: int, j: int, l: int) -> str:
-        return self.var(
-            f"th_{i}_{k}_{j}_{l}",
-            "pair_placement",
-            True,
-            shipment_a=i,
-            location_a=k,
-            shipment_b=j,
-            location_b=l,
-        )
-
     def sqc(self, i: int) -> str:
         return self.var(f"sqc_{i}", "qc_start", False, shipment=i)
 
@@ -352,63 +354,30 @@ class _Builder:
                 for m in self.available:
                     coeffs[self.x(i, m)] = -instance.tyc(m, target)
                 self.row(f"sy_uo_{i}_{j}", coeffs, "=", 0, YC_EMPTY_TO_OUTBOUND)
-        # The ordered pairs (k, l) of distinct free locations with their
-        # empty travel; each ordered inbound pair's pair variables follow
-        # this order, so those with one k form a run of A - 1.
-        pairs = [(k, l) for k in self.available for l in self.available if k != l]
-        costs = [-instance.tyc(k, l) for k, l in pairs]
-        # Location ids spelled once per model, not once per pair variable.
-        spelled = [(str(k), str(l)) for k, l in pairs]
-        run = len(self.available) - 1
-        at_l = {
-            l: [p for p, (_, b) in enumerate(pairs) if b == l] for l in self.available
-        }
+        # A crane travels empty only between its own locations, so only
+        # pairs (k, l) of one crane bound the travel; see the module
+        # docstring for why the rows are exact.
+        crane = {k: instance.location(k).yc for k in self.available}
+        trips = [
+            (k, l, t)
+            for k in self.available
+            for l in self.available
+            if k != l and crane[k] == crane[l] and (t := instance.tyc(k, l)) > 0
+        ]
         x_of = {i: {k: self.x(i, k) for k in self.available} for i in self.inbound}
         for i, x_i in x_of.items():
             for j, x_j in x_of.items():
                 if i == j:
                     continue
-                # Named here in one pass and by theta() for the injection of
-                # a solution; if the two spellings ever diverge, the verify
-                # gates and TestInjection raise MalformedSolution.
-                head, middle = f"th_{i}_", f"_{j}_"
-                thetas = {
-                    f"{head}{sk}{middle}{sl}": {
-                        "kind": "pair_placement",
-                        "binary": True,
-                        "shipment_a": i,
-                        "location_a": k,
-                        "shipment_b": j,
-                        "location_b": l,
-                    }
-                    for (k, l), (sk, sl) in zip(pairs, spelled)
-                }
-                self.variables.update(thetas)
-                names = list(thetas)
-                coeffs = {self.sy(i, j): 1}
-                coeffs.update(zip(names, costs))
-                self.row(f"sy_uu_{i}_{j}", coeffs, "=", 0, YC_EMPTY_BETWEEN_INBOUND)
-                # theta_ikjl = x_ik * x_jl, linearised compactly: the pair
-                # variables of i at k sum to x_ik (tha) and those of j at l
-                # sum to x_jl (thb).
-                #
-                # Exact for binary x: with asg and cap, thb zeroes every
-                # theta_i.jl' with x_jl' = 0, so tha at k = loc(i) leaves
-                # theta_ikjl = 1 only at l = loc(j), and tha at k != loc(i)
-                # leaves 0.  The rows also forbid x_ik = x_jk = 1.
-                #
-                # At least as tight as McCormick's rows in the LP relaxation:
-                # tha and thb give theta <= x_ik and theta <= x_jl; thb at l
-                # less the other theta_ik'jl <= x_ik', with asg_i, gives
-                # theta >= x_ik + x_jl - 1.
-                for a, (k, x_ik) in enumerate(x_i.items()):
-                    coeffs = dict.fromkeys(names[a * run : (a + 1) * run], 1)
-                    coeffs[x_ik] = -1
-                    self.row(f"tha_{i}_{k}_{j}", coeffs, "=", 0, YC_EMPTY_LINEARIZATION)
-                for l, at in at_l.items():
-                    coeffs = dict.fromkeys([names[p] for p in at], 1)
-                    coeffs[x_j[l]] = -1
-                    self.row(f"thb_{i}_{j}_{l}", coeffs, "=", 0, YC_EMPTY_LINEARIZATION)
+                sy = self.sy(i, j)
+                for k, l, t in trips:
+                    self.row(
+                        f"sy_uu_{i}_{j}_{k}_{l}",
+                        {sy: 1, x_i[k]: -t, x_j[l]: -t},
+                        ">=",
+                        -t,
+                        YC_EMPTY_BETWEEN_INBOUND,
+                    )
         for i in self.outbound:
             source = instance.shipment(i).fixed_location
             for j in self.inbound:
@@ -612,13 +581,7 @@ def mip_point_from_solution(
             )
             set_var(names.qz(a.id, b.id), 1 if finished_before else 0)
 
-    available = {k.id for k in instance.inbound_available_locations}
     inbound = [s.id for s in instance.inbound_shipments]
-    for i, j in permutations(inbound, 2):
-        k, l = location[i], location[j]
-        if k != l and k in available and l in available:
-            set_var(names.theta(i, k, j, l), 1)
-
     for s in ships:
         set_var(names.sqc(s.id), solution.qc_start[s.id])
         set_var(names.syc(s.id), solution.yc_start[s.id])

@@ -117,6 +117,30 @@ def overfull_yard_instance() -> Instance:
     return replace(base, shipments=(*base.shipments, second))
 
 
+def shared_yard_crane_instance() -> Instance:
+    """Two inbound shipments whose two free locations, 9 apart, are the one
+    yard crane's: its empty travel between them sets the optimum, 13, which
+    would be 4 without it."""
+    return Instance(
+        vessels=(Vessel(1, 1),),
+        shipments=tuple(
+            Shipment(id=i, vessel=1, direction=INBOUND, bay=1, containers=1,
+                     qc_time=1, yc_time=1)
+            for i in (1, 2)
+        ),
+        total_bays=1,
+        qc_count=1,
+        yc_count=1,
+        yard_locations=tuple(
+            YardLocation(k, 1, 1, "C", INBOUND_AVAILABLE) for k in (1, 2)
+        ),
+        safety_distance=1,
+        qc_unit_travel=0,
+        yc_travel=((0, 9), (9, 0)),
+        yt_inbound_transfer={1: 1, 2: 1},
+    )
+
+
 def interference_pair_instance() -> Instance:
     """Two inbound shipments on separate cranes with a single active conflict.
 

@@ -1,5 +1,6 @@
 """Every demo script runs to completion."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -26,3 +27,5 @@ def test_demo_exits_cleanly(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    if demo.name == "05_mip_export.py" and importlib.util.find_spec("scipy"):
+        assert "HiGHS optimum over the LP file" in result.stdout

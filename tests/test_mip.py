@@ -17,7 +17,6 @@ from ipctp.mip import (
     LOCATION_CAPACITY,
     QC_DISJUNCTION,
     YC_EMPTY_BETWEEN_INBOUND,
-    YC_EMPTY_LINEARIZATION,
     MipArtifacts,
     Row,
     build_mip,
@@ -39,6 +38,7 @@ from conftest import (
     mixed_instance,
     random_decisions,
     random_instance,
+    shared_yard_crane_instance,
     single_inbound_instance,
     wide_eligibility_instance,
 )
@@ -95,38 +95,31 @@ class TestRowStructure:
         artifacts = build_mip(instance, derived)
         n = len(instance.shipments)
         n_in = len(instance.inbound_shipments)
-        a = len(instance.inbound_available_locations)
         pairs = len(derived.interference_set)
-        assert n_in >= 3 and a >= 3 and pairs > 0
+        assert n_in >= 3 and pairs > 0
         counts = artifacts.row_counts
-        assert counts[YC_EMPTY_LINEARIZATION] == 2 * n_in * (n_in - 1) * a
-        assert counts[YC_EMPTY_BETWEEN_INBOUND] == n_in * (n_in - 1)
+        crane = {k.id: k.yc for k in instance.inbound_available_locations}
+        trips = [
+            (k, l) for k in crane for l in crane
+            if k != l and crane[k] == crane[l] and instance.tyc(k, l) > 0
+        ]
+        assert trips
+        assert counts[YC_EMPTY_BETWEEN_INBOUND] == n_in * (n_in - 1) * len(trips)
         assert counts[QC_DISJUNCTION] == n * (n - 1)
         assert counts[INTERFERENCE_DISJUNCTION] == pairs
         assert counts[INTERFERENCE_SEPARATION] == 2 * pairs
-        placements = [
-            info for info in artifacts.variables.values()
-            if info["kind"] == "pair_placement"
-        ]
-        assert len(placements) == n_in * (n_in - 1) * a * (a - 1)
-        # Each pair variable sits in exactly its sy_uu, tha and thb rows.
-        membership = {}
+        assert all(
+            info["kind"] != "pair_placement" for info in artifacts.variables.values()
+        )
+        # Each row is sy_i_j - t x_ik - t x_jl >= -t with t = tyc(k, l).
         for row in artifacts.rows:
-            for name, coef in row.coeffs.items():
-                if name.startswith("th_"):
-                    membership.setdefault(name, {})[row.name] = coef
-        for name, info in artifacts.variables.items():
-            if info["kind"] != "pair_placement":
+            if row.family != YC_EMPTY_BETWEEN_INBOUND:
                 continue
-            i, k = info["shipment_a"], info["location_a"]
-            j, l = info["shipment_b"], info["location_b"]
-            assert name == f"th_{i}_{k}_{j}_{l}"
-            assert membership[name] == {
-                f"sy_uu_{i}_{j}": -instance.tyc(k, l),
-                f"tha_{i}_{k}_{j}": 1,
-                f"thb_{i}_{j}_{l}": 1,
-            }
-        assert len(membership) == len(placements)
+            i, j, k, l = map(int, row.name.removeprefix("sy_uu_").split("_"))
+            t = instance.tyc(k, l)
+            assert (k, l) in trips
+            assert row.coeffs == {f"sy_{i}_{j}": 1, f"x_{i}_{k}": -t, f"x_{j}_{l}": -t}
+            assert (row.sense, row.rhs) == (">=", -t)
 
 
 class TestRenderFormat:
@@ -183,12 +176,14 @@ class TestPinnedExport:
 
     Renaming, reordering or re-weighting any row or variable changes a
     digest.  ``mixed`` and ``wide`` give shipments a choice of quay crane;
-    every case has two or more inbound shipments (``tha``/``thb`` rows) and
-    active interference tuples (``idj``/``isp`` rows).  ``s15`` is a model
-    of the ``export`` benchmark corpus, ``ipctp_u3_b4_s15_r50_0``: 24 free
-    locations on 6 yard cranes and 3,880 rows, so the pair block is pinned
-    at size.
+    every case has active interference tuples (``idj``/``isp`` rows), and
+    the cases of ``PAIR_ROWS`` have two free locations on one yard crane
+    (``sy_uu`` rows).  ``s15`` is a model of the ``export`` benchmark
+    corpus, ``ipctp_u3_b4_s15_r50_0``: 24 free locations on 6 yard cranes
+    and 3,824 rows, 2,688 of them ``sy_uu`` rows.
     """
+
+    PAIR_ROWS = {"mixed", "s15", "wide"}
 
     PINNED = {
         "mixed": (
@@ -230,7 +225,8 @@ class TestPinnedExport:
         instance = self.instance(name)
         derived = build_derived(instance)
         text, artifacts = export_lp(instance, derived)
-        assert artifacts.row_counts[YC_EMPTY_LINEARIZATION] > 0
+        has_pair_rows = artifacts.row_counts[YC_EMPTY_BETWEEN_INBOUND] > 0
+        assert has_pair_rows == (name in self.PAIR_ROWS)
         assert artifacts.row_counts[INTERFERENCE_DISJUNCTION] > 0
         digests = (
             hashlib.sha256(text.encode("ascii")).hexdigest(),
@@ -350,53 +346,61 @@ class TestInjection:
         assert validate(instance, derived, parsed) == []
 
 
-class TestPairLinearisationIsExact:
-    """With x fixed at a valid solution's point, the ``tha``/``thb`` rows
-    admit exactly one pair-placement vector: flipping any one theta, up or
-    down, breaks a row of the linearisation, and so does moving a theta
-    that is 1 to another pair variable of the same shipments that shares
-    its first or its second location."""
+class TestInboundTravelRowsAreExact:
+    """With x fixed at a valid solution's point, the ``sy_uu`` rows and the
+    bound sy >= 0 put on each sy_i_j a largest lower bound of exactly the
+    travel a schedule reads: tyc(loc i, loc j) when i and j share a yard
+    crane, and 0 otherwise, where no chain of one crane holds both."""
 
-    @pytest.mark.parametrize("shape", [(5, 0.5, 4, 1), (6, 0.5, 6, 3), (5, 0.8, 6, 6)])
-    def test_every_theta_flip_or_move_breaks_a_linearisation_row(self, shape):
-        *config, seed = shape
-        instance = random_instance(*config, seed=seed)
-        assert len(instance.inbound_shipments) >= 3
+    CONFIGS = {
+        "ipctp_u2_b4_s8_r50_0": GenConfig(
+            ul_ratio=2, bays=4, shipments=8, inbound_ratio=0.5
+        ),
+        "ipctp_u3_b4_s15_r50_0": GenConfig(
+            ul_ratio=3, bays=4, shipments=15, inbound_ratio=0.5
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    def test_largest_lower_bound_is_the_travel_on_one_crane(self, name):
+        entry = grid_entry(707, self.CONFIGS[name], 0)
+        assert entry.name == name
+        instance = entry.instance
         derived = build_derived(instance)
         artifacts = build_mip(instance, derived)
-        solution = compute_schedule(
-            instance, derived, random_decisions(instance, derived, random.Random(seed))
-        )
-        assert validate(instance, derived, solution) == []
-        point = mip_point_from_solution(instance, derived, artifacts, solution)
-        assert check_point(artifacts, point) == []
+        inbound = [s.id for s in instance.inbound_shipments]
+        travelled = 0
+        for seed in range(4):
+            decisions = random_decisions(instance, derived, random.Random(seed))
+            solution = compute_schedule(instance, derived, decisions)
+            assert validate(instance, derived, solution) == []
+            point = mip_point_from_solution(instance, derived, artifacts, solution)
+            assert check_point(artifacts, point) == []
 
-        linearisation = dc_replace(artifacts, rows=tuple(
-            row for row in artifacts.rows if row.family == YC_EMPTY_LINEARIZATION
-        ))
-        thetas = {
-            name: info for name, info in artifacts.variables.items()
-            if info["kind"] == "pair_placement"
-        }
-        assert {point[name] for name in thetas} == {0, 1}
-        for name in thetas:
-            flipped = {**point, name: 1 - point[name]}
-            assert check_point(linearisation, flipped), name
+            bound = {f"sy_{i}_{j}": 0 for i in inbound for j in inbound if i != j}
+            for row in artifacts.rows:
+                if row.family != YC_EMPTY_BETWEEN_INBOUND:
+                    continue
+                (sy,) = [v for v in row.coeffs if v.startswith("sy_")]
+                assert row.coeffs[sy] == 1
+                floor = row.rhs - sum(
+                    coef * point[v] for v, coef in row.coeffs.items() if v != sy
+                )
+                bound[sy] = max(bound[sy], floor)
 
-        def shared(a, b, side):
-            keys = ("shipment_a", "shipment_b", f"location_{side}")
-            return all(thetas[a][key] == thetas[b][key] for key in keys)
-
-        moves = [
-            (one, other)
-            for one in thetas if point[one] == 1
-            for other in thetas
-            if other != one and (shared(one, other, "a") or shared(one, other, "b"))
-        ]
-        assert moves
-        for one, other in moves:
-            moved = {**point, one: 0, other: 1}
-            assert check_point(linearisation, moved), (one, other)
+            yard = solution.yard_assignment
+            for i in inbound:
+                for j in inbound:
+                    if i == j:
+                        continue
+                    k, l = yard[i], yard[j]
+                    if instance.location(k).yc == instance.location(l).yc:
+                        expected = instance.tyc(k, l)
+                        travelled += expected > 0
+                    else:
+                        expected = 0
+                    assert bound[f"sy_{i}_{j}"] == expected, (seed, i, j)
+        assert travelled
 
 
 class TestCheckPointNonFinite:
@@ -428,9 +432,7 @@ class TestCheckPointNonFinite:
 
 class TestCheckPointFlagsTheCatalogue:
     """Each catalogue solution whose fault the model sees breaks rows of the
-    validator's family; an overlap breaks the interference disjunction, and
-    two inbound shipments at one location break the pair linearisation too,
-    whose rows hold only when x_ik * x_jk = 0."""
+    validator's family; an overlap breaks the interference disjunction."""
 
     EXPECTED = {name: {family} for name, family, _ in FIXTURES if name in (
         "capacity_two_inbound_share_location",
@@ -446,7 +448,6 @@ class TestCheckPointFlagsTheCatalogue:
         "interference_gap_too_small",
     )}
     EXPECTED["interference_overlapping_tasks"] = {INTERFERENCE_DISJUNCTION}
-    EXPECTED["capacity_two_inbound_share_location"].add(YC_EMPTY_LINEARIZATION)
     BUILDERS = {name: builder for name, _, builder in FIXTURES}
 
     @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -490,6 +491,36 @@ class TestExternalEngine:
             parsed = solution_from_values(instance, derived, artifacts, values)
             assert validate(instance, derived, parsed) == []
             assert parsed.objective == oracle.best_objective
+
+    def test_round_trip_charges_the_travel_between_inbound_shipments(self):
+        # Without the sy_uu rows HiGHS would read the yard crane's travel as
+        # 0 and return 4.
+        instance = shared_yard_crane_instance()
+        derived = build_derived(instance)
+        text, artifacts = export_lp(instance, derived)
+        assert brute_force(instance, derived).best_objective == 13
+        objective, values = solve_lp_text(text)
+        assert abs(objective - 13) <= MILP_OBJECTIVE_TOLERANCE
+        parsed = solution_from_values(instance, derived, artifacts, values)
+        assert validate(instance, derived, parsed) == []
+        assert parsed.objective == 13
+
+    def test_round_trip_of_a_generated_s8_reaches_the_proven_optimum(self):
+        # Two yard cranes here hold two free locations each: 48 sy_uu rows.
+        config = GenConfig(ul_ratio=2, bays=4, shipments=8, inbound_ratio=0.5)
+        entry = grid_entry(707, config, 0)
+        assert entry.name == "ipctp_u2_b4_s8_r50_0"
+        instance = entry.instance
+        derived = build_derived(instance)
+        text, artifacts = export_lp(instance, derived)
+        assert artifacts.row_counts[YC_EMPTY_BETWEEN_INBOUND] > 0
+        report, _ = solve(instance, derived, SolveParams(time_limit=60))
+        assert (report.status, report.best_objective) == ("optimal", 362)
+        objective, values = solve_lp_text(text)
+        assert abs(objective - 362) <= MILP_OBJECTIVE_TOLERANCE
+        parsed = solution_from_values(instance, derived, artifacts, values)
+        assert validate(instance, derived, parsed) == []
+        assert parsed.objective == 362
 
 
 class TestCraneChoiceEquivalence:
