@@ -187,24 +187,24 @@ class TestPinnedExport:
 
     PINNED = {
         "mixed": (
-            "506e68980d6ebaf4afd4e2743f812a2256235f034edec7113dc004ea039bc4a4",
-            "44a59217ee2bc88d644a9475702ff5c382cc5f912bb0108a02b7afb5e8ebe83f",
+            "590a3d99cd170e7675d7d36029c30b8293026094c7e342387b52bf20ea27fa13",
+            "6b97e8e6893abb4e77771c2e964883e3d5a368ddc84ee5e4e19ab3d564c51a4c",
         ),
         "interference_pair": (
-            "e7c7a38e324591c3d64fcacf5c6f4012754d4338b3b5a239f0d29634b48dfff1",
-            "1b37ab2a07a59a27fcab04be43191bed4dec8f6e53290e1fc1c93ea6b74c8e9a",
+            "58a9239ad8be7a07822ccda036b32effc2437efee47581a7fa97c2f591fb203d",
+            "9a8d061e8fd2d4f4a5a4e759e788e6a50c58204145e64a1e7ed2657a4572698b",
         ),
         "random_s5": (
-            "4b5e12dd3cb442828bd9f7acc0882325e24acf943cdbaeb50ba526cf9271562c",
-            "41c8a7c4aa0d906968fd71429e5198738c249a4451f243352bae8d640e61cb04",
+            "f8fe1262b112c7091b527a3ff057d0b37bd8bcd267011f61b2adb88c6cbcc617",
+            "0471cf17eeb9bfde02a725d9f6e7fb9acdb7580486e3de1cd1484066f3033589",
         ),
         "wide": (
-            "ac389af36eadbed0718b1796fb192eb587f9ece56cc29ef2ac06dae2437b4cd9",
-            "785532c26b01597185d9380adafeb69b7ba3e9fa3c5afc65116b0614f1d4b0d2",
+            "7eb2dee0f03c6a4af25efacc0a5a7f9f160579bed71fc60718610a0d69836b69",
+            "78e8a28b205b3fcb649f61ad330f61d2542e688d3136e9f3f34b04eb962d6016",
         ),
         "s15": (
-            "54cc9087dd56a90a9f23d3f95ca7cb0a7fe7308c858ba743b298037f12966399",
-            "9029e3637c42bd953542f26970a8e6ee880eb8c7ba0a13d3469020c18021aa37",
+            "4ef010f57a4fe056fdd12d389b579f04ccc9b9d7fe1070758bc48a9e80f7c35e",
+            "5ff91534588a305d758a63ee3a9088c13894442f2074584f43fdeccd15e5f4ef",
         ),
     }
 
