@@ -2,10 +2,19 @@
 
 The emitted file encodes the whole feasible set (assignment, successor
 chains with dummy start/end shipments, big-M timing, interference
-disjunctions and the empty travel between inbound shipments) so any
-external MILP engine can solve it.  The artifacts returned alongside the
-text allow a solution vector to be parsed back into a validated Solution,
-and a Solution to be injected as a point satisfying every row.
+disjunctions and a yard crane's empty travel) so any external MILP engine
+can solve it.  The artifacts returned alongside the text allow a solution
+vector to be parsed back into a validated Solution, and a Solution to be
+injected as a point satisfying every row.
+
+No variable stands for a value an equality fixes.  The transfer time of
+inbound shipment i is sum_k tt(k) x_ik, and a yard crane's empty travel
+from inbound i to outbound j is sum_m tyc(m, loc j) x_im (from outbound i
+to inbound j, sum_m tyc(loc i, m) x_jm).  Each such sum sits in the one
+row that reads it: ipr_i, or the yard timing row yst_i_j_c.  A variable
+for it would appear only in its defining equality and in that row, and
+the sum is nonnegative, so substituting it drops a coordinate of the MIP
+and of its LP relaxation and changes neither otherwise.
 
 The empty travel sy_i_j from inbound shipment i to inbound shipment j has
 one row for each ordered pair (k, l) of distinct free locations of one
@@ -71,10 +80,7 @@ QC_CHAIN_END = "qc_chain_end"
 YC_CHAIN_END = "yc_chain_end"
 QC_FLOW = "qc_flow"
 YC_FLOW = "yc_flow"
-YT_TRANSFER = "yt_transfer"
-YC_EMPTY_TO_OUTBOUND = "yc_empty_to_outbound"
 YC_EMPTY_BETWEEN_INBOUND = "yc_empty_between_inbound"
-YC_EMPTY_FROM_OUTBOUND = "yc_empty_from_outbound"
 QC_DISJUNCTION = "qc_disjunction"
 INTERFERENCE_DISJUNCTION = "interference_disjunction"
 
@@ -92,10 +98,7 @@ ALL_FAMILIES = (
     YC_MEMBERSHIP_OUTBOUND,
     QC_FLOW,
     YC_FLOW,
-    YT_TRANSFER,
-    YC_EMPTY_TO_OUTBOUND,
     YC_EMPTY_BETWEEN_INBOUND,
-    YC_EMPTY_FROM_OUTBOUND,
     QC_SEQUENCE_TIMING,
     YC_SEQUENCE_TIMING_AFTER_INBOUND,
     YC_SEQUENCE_TIMING_OUTBOUND_TO_INBOUND,
@@ -237,9 +240,6 @@ class _Builder:
     def syc(self, i: int) -> str:
         return self.var(f"syc_{i}", "yc_start", False, shipment=i)
 
-    def t(self, i: int) -> str:
-        return self.var(f"t_{i}", "yt_transfer", False, shipment=i)
-
     def sy(self, i: int, j: int) -> str:
         return self.var(f"sy_{i}_{j}", "yc_empty", False, from_shipment=i, to_shipment=j)
 
@@ -254,16 +254,23 @@ class _Builder:
         """A crane's empty travel from i to j in the timing row of arc i -> j.
 
         Returns its fixed part, the row terms that carry the rest, and the
-        row's family.
+        row's family.  A trip with one inbound end costs the travel between
+        the other end and the inbound shipment's location, -tyc on each of
+        its x; only a trip between two inbound shipments has a variable.
         """
         a, b = self.instance.shipment(i), self.instance.shipment(j)
         if kind == "qc":
             return self.instance.tqc(a.bay, b.bay), {}, QC_SEQUENCE_TIMING
-        family = yard_timing_family(a, b)
-        if family == YC_SEQUENCE_TIMING_BETWEEN_OUTBOUND:
-            travel = self.instance.tyc(a.fixed_location, b.fixed_location)
-            return travel, {}, family
-        return 0, {self.sy(i, j): -1}, family
+        tyc, family = self.instance.tyc, yard_timing_family(a, b)
+        if a.is_inbound and b.is_inbound:
+            return 0, {self.sy(i, j): -1}, family
+        if a.is_inbound:
+            target = b.fixed_location
+            return 0, {self.x(i, m): -tyc(m, target) for m in self.available}, family
+        if b.is_inbound:
+            source = a.fixed_location
+            return 0, {self.x(j, m): -tyc(source, m) for m in self.available}, family
+        return tyc(a.fixed_location, b.fixed_location), {}, family
 
     # -- model ------------------------------------------------------------
 
@@ -341,19 +348,6 @@ class _Builder:
                     coeffs.update(dict.fromkeys(self.out_of(kind, i, c), -1))
                     self.row(f"{kind}f_{i}_{c}", coeffs, "=", 0, chain.flow)
 
-        for i in self.inbound:
-            coeffs = {self.t(i): 1}
-            for k in self.available:
-                coeffs[self.x(i, k)] = -instance.tt(k)
-            self.row(f"ytt_{i}", coeffs, "=", 0, YT_TRANSFER)
-
-        for i in self.inbound:
-            for j in self.outbound:
-                coeffs = {self.sy(i, j): 1}
-                target = instance.shipment(j).fixed_location
-                for m in self.available:
-                    coeffs[self.x(i, m)] = -instance.tyc(m, target)
-                self.row(f"sy_uo_{i}_{j}", coeffs, "=", 0, YC_EMPTY_TO_OUTBOUND)
         # A crane travels empty only between its own locations, so only
         # pairs (k, l) of one crane bound the travel; see the module
         # docstring for why the rows are exact.
@@ -378,13 +372,6 @@ class _Builder:
                         -t,
                         YC_EMPTY_BETWEEN_INBOUND,
                     )
-        for i in self.outbound:
-            source = instance.shipment(i).fixed_location
-            for j in self.inbound:
-                coeffs = {self.sy(i, j): 1}
-                for m in self.available:
-                    coeffs[self.x(j, m)] = -instance.tyc(source, m)
-                self.row(f"sy_ou_{i}_{j}", coeffs, "=", 0, YC_EMPTY_FROM_OUTBOUND)
 
         for kind, c in self.chains:
             start = self.sqc if kind == "qc" else self.syc
@@ -416,9 +403,12 @@ class _Builder:
                 OUTBOUND_PRECEDENCE,
             )
         for i in self.inbound:
+            coeffs = {self.syc(i): 1, self.sqc(i): -1}
+            for k in self.available:
+                coeffs[self.x(i, k)] = -instance.tt(k)
             self.row(
                 f"ipr_{i}",
-                {self.syc(i): 1, self.sqc(i): -1, self.t(i): -1},
+                coeffs,
                 ">=",
                 instance.shipment(i).qc_time,
                 INBOUND_PRECEDENCE,
@@ -581,17 +571,14 @@ def mip_point_from_solution(
             )
             set_var(names.qz(a.id, b.id), 1 if finished_before else 0)
 
-    inbound = [s.id for s in instance.inbound_shipments]
     for s in ships:
         set_var(names.sqc(s.id), solution.qc_start[s.id])
         set_var(names.syc(s.id), solution.yc_start[s.id])
+    inbound = [s.id for s in instance.inbound_shipments]
     for i in inbound:
-        set_var(names.t(i), instance.tt(location[i]))
-    for a in ships:
-        for b in ships:
-            if a.id == b.id or (a.is_outbound and b.is_outbound):
-                continue
-            set_var(names.sy(a.id, b.id), instance.tyc(location[a.id], location[b.id]))
+        for j in inbound:
+            if i != j:
+                set_var(names.sy(i, j), instance.tyc(location[i], location[j]))
 
     per_vessel = vessel_completions(instance, solution.qc_start, solution.yc_start)
     for vessel in instance.vessels:

@@ -141,6 +141,35 @@ def shared_yard_crane_instance() -> Instance:
     )
 
 
+def yard_crane_trip_instance(inbound_weight: int) -> Instance:
+    """Inbound shipment 1 of vessel 1, weighing ``inbound_weight``, and
+    outbound shipment 2 of vessel 2 share the one yard crane, whose two
+    locations are 9 apart.  At weight 10 the crane serves 1 first and the
+    optimum, 45, charges its trip from 1's location to 2's (36 without it);
+    at weight 1 it serves 2 first and the optimum, 14, charges the trip
+    back (6 without it)."""
+    return Instance(
+        vessels=(Vessel(1, inbound_weight), Vessel(2, 1)),
+        shipments=(
+            Shipment(id=1, vessel=1, direction=INBOUND, bay=1, containers=1,
+                     qc_time=1, yc_time=1),
+            Shipment(id=2, vessel=2, direction=OUTBOUND, bay=1, containers=1,
+                     qc_time=1, yc_time=1, fixed_location=2, yt_outbound_time=1),
+        ),
+        total_bays=1,
+        qc_count=1,
+        yc_count=1,
+        yard_locations=(
+            YardLocation(1, 1, 1, "C", INBOUND_AVAILABLE),
+            YardLocation(2, 1, 1, "C", OUTBOUND_FIXED),
+        ),
+        safety_distance=1,
+        qc_unit_travel=0,
+        yc_travel=((0, 9), (9, 0)),
+        yt_inbound_transfer={1: 1},
+    )
+
+
 def interference_pair_instance() -> Instance:
     """Two inbound shipments on separate cranes with a single active conflict.
 

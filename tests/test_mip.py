@@ -11,6 +11,7 @@ from ipctp.errors import MalformedSolution
 from ipctp.generator import GenConfig, grid_entry
 from ipctp.instance import Vessel, build_derived
 from ipctp.mip import (
+    ALL_FAMILIES,
     INTERFERENCE_DISJUNCTION,
     INTERFERENCE_SEPARATION,
     LOCATION_ASSIGNMENT,
@@ -41,6 +42,7 @@ from conftest import (
     shared_yard_crane_instance,
     single_inbound_instance,
     wide_eligibility_instance,
+    yard_crane_trip_instance,
 )
 from fixtures_violations import FIXTURES
 from milp_backend import MILP_OBJECTIVE_TOLERANCE, solve_lp_text
@@ -120,6 +122,44 @@ class TestRowStructure:
             assert (k, l) in trips
             assert row.coeffs == {f"sy_{i}_{j}": 1, f"x_{i}_{k}": -t, f"x_{j}_{l}": -t}
             assert (row.sense, row.rhs) == (">=", -t)
+
+        # No variable stands for a sum an equality fixes: transfer times and
+        # trips with one inbound end are x terms of the rows that read them.
+        assert len(ALL_FAMILIES) == 23 and set(counts) == set(ALL_FAMILIES)
+        inbound = [s.id for s in instance.inbound_shipments]
+        assert not [name for name in artifacts.variables if name.startswith("t_")]
+        assert {name for name in artifacts.variables if name.startswith("sy_")} == {
+            f"sy_{i}_{j}" for i in inbound for j in inbound if i != j
+        }
+        x_of = {i: {k: f"x_{i}_{k}" for k in crane} for i in inbound}
+        rows = {row.name: row for row in artifacts.rows}
+        for i in inbound:
+            expected = {f"syc_{i}": 1, f"sqc_{i}": -1}
+            expected.update({x: -instance.tt(k) for k, x in x_of[i].items()})
+            assert rows[f"ipr_{i}"].coeffs == expected
+        mixed = 0
+        for name, row in rows.items():
+            if not name.startswith("yst_"):
+                continue
+            i, j, c = map(int, name.removeprefix("yst_").split("_"))
+            a, b = instance.shipment(i), instance.shipment(j)
+            if a.is_inbound == b.is_inbound:
+                continue
+            if a.is_inbound:
+                terms = {
+                    x: -instance.tyc(k, b.fixed_location) for k, x in x_of[i].items()
+                }
+            else:
+                terms = {
+                    x: -instance.tyc(a.fixed_location, k) for k, x in x_of[j].items()
+                }
+            M = artifacts.big_m
+            assert row.coeffs == {
+                f"syc_{j}": 1, f"syc_{i}": -1, f"v_{i}_{j}_{c}": -M, **terms
+            }
+            assert (row.sense, row.rhs) == (">=", a.yc_time - M)
+            mixed += 1
+        assert mixed
 
 
 class TestRenderFormat:
@@ -504,6 +544,27 @@ class TestExternalEngine:
         parsed = solution_from_values(instance, derived, artifacts, values)
         assert validate(instance, derived, parsed) == []
         assert parsed.objective == 13
+
+    # Without the x terms of the yard timing row of the optimum's trip
+    # HiGHS would return 36 and 6; each case also catches the other trip.
+    @pytest.mark.parametrize("weight, optimum, sequence", [
+        (10, 45, (1, 2)), (1, 14, (2, 1)),
+    ], ids=["inbound_to_outbound", "outbound_to_inbound"])
+    def test_round_trip_charges_the_travel_with_one_inbound_end(
+        self, weight, optimum, sequence
+    ):
+        instance = yard_crane_trip_instance(weight)
+        derived = build_derived(instance)
+        text, artifacts = export_lp(instance, derived)
+        oracle = brute_force(instance, derived)
+        assert oracle.best_objective == optimum
+        assert oracle.best_solution.yc_sequences == {1: sequence}
+        objective, values = solve_lp_text(text)
+        assert abs(objective - optimum) <= MILP_OBJECTIVE_TOLERANCE
+        parsed = solution_from_values(instance, derived, artifacts, values)
+        assert validate(instance, derived, parsed) == []
+        assert parsed.objective == optimum
+        assert parsed.yc_sequences == {1: sequence}
 
     def test_round_trip_of_a_generated_s8_reaches_the_proven_optimum(self):
         # Two yard cranes here hold two free locations each: 48 sy_uu rows.
