@@ -220,31 +220,31 @@ class TestPinnedExport:
     the cases of ``PAIR_ROWS`` have two free locations on one yard crane
     (``sy_uu`` rows).  ``s15`` is a model of the ``export`` benchmark
     corpus, ``ipctp_u3_b4_s15_r50_0``: 24 free locations on 6 yard cranes
-    and 3,824 rows, 2,688 of them ``sy_uu`` rows.
+    and 3,704 rows, 2,688 of them ``sy_uu`` rows.
     """
 
     PAIR_ROWS = {"mixed", "s15", "wide"}
 
     PINNED = {
         "mixed": (
-            "590a3d99cd170e7675d7d36029c30b8293026094c7e342387b52bf20ea27fa13",
-            "6b97e8e6893abb4e77771c2e964883e3d5a368ddc84ee5e4e19ab3d564c51a4c",
+            "844e2bcaf744051badc556cf91cc6dc5398b61cf6fda05a6d4309ad3f36d764c",
+            "4b49ce3695e977030e4d30d32da4fabbc3b9d3cd7c96620d28f1328c8fe4691e",
         ),
         "interference_pair": (
-            "58a9239ad8be7a07822ccda036b32effc2437efee47581a7fa97c2f591fb203d",
-            "9a8d061e8fd2d4f4a5a4e759e788e6a50c58204145e64a1e7ed2657a4572698b",
+            "0148164e8c9c8328f0d6c870cc8284dcab9607b485e3fa82061d1d0b78e49fed",
+            "dbeb92798135e3ada962eb5829f7e69a88941cf248707db105bae6acd5cfb056",
         ),
         "random_s5": (
-            "f8fe1262b112c7091b527a3ff057d0b37bd8bcd267011f61b2adb88c6cbcc617",
-            "0471cf17eeb9bfde02a725d9f6e7fb9acdb7580486e3de1cd1484066f3033589",
+            "cdae3c37bcd874c15f4342b72b96316b287131943c9fb6af51a9fc002eee510e",
+            "08439a5f27a01db3f43d97b392dd175c9a013d2bbe6a3b4e6ecdc99a5504ec84",
         ),
         "wide": (
-            "7eb2dee0f03c6a4af25efacc0a5a7f9f160579bed71fc60718610a0d69836b69",
-            "78e8a28b205b3fcb649f61ad330f61d2542e688d3136e9f3f34b04eb962d6016",
+            "36f9faaa4da731f85a6d4c80404900529e00afe06a29f67ce07b7e3c9a8cec7b",
+            "429d438ce49d2622c94268bfce38cfc8a125d10b3f91cc58c4ca30c0c452c7a2",
         ),
         "s15": (
-            "4ef010f57a4fe056fdd12d389b579f04ccc9b9d7fe1070758bc48a9e80f7c35e",
-            "5ff91534588a305d758a63ee3a9088c13894442f2074584f43fdeccd15e5f4ef",
+            "5ba5e8b19cf9ab1563d3799307e0c3e473a19fceef4391ebcffa8419352a5aed",
+            "f89e8a09fad223a01201744b163af6c3587369ba58206ec3f67579778ece87f0",
         ),
     }
 
