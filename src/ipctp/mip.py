@@ -571,10 +571,10 @@ def mip_point_from_solution(
             )
             set_var(names.qz(a.id, b.id), 1 if finished_before else 0)
 
+    inbound = [s.id for s in instance.inbound_shipments]
     for s in ships:
         set_var(names.sqc(s.id), solution.qc_start[s.id])
         set_var(names.syc(s.id), solution.yc_start[s.id])
-    inbound = [s.id for s in instance.inbound_shipments]
     for i in inbound:
         for j in inbound:
             if i != j:
