@@ -17,7 +17,7 @@ from .solver import SolveParams, solve
 @dataclass(frozen=True)
 class RunRecord:
     name: str
-    config_id: str
+    config: str
     replicate: int
     budget: float
     objective: Optional[int]
@@ -29,7 +29,7 @@ class RunRecord:
 
 @dataclass(frozen=True)
 class BenchRow:
-    config_id: str
+    config: str
     mean_objective: Optional[float]
     mean_wall_time: Optional[float]
     gap_percent: Optional[float]
@@ -50,31 +50,25 @@ def rpd_percent(short_objective: float, long_objective: float) -> float:
 def run_bench(
     items: Iterable[tuple[str, str, int, Instance]],
     budgets: tuple[float, float],
-) -> tuple[list[BenchRow], list[RunRecord]]:
-    """Solve each (name, config_id, replicate, instance) under both budgets."""
-    records: list[RunRecord] = []
-    for name, config_id, replicate, instance in items:
-        for budget in budgets:
-            error = None
-            try:
-                objective, status, wall, gap = _default_runner(instance, budget)
-            except Exception as exc:  # per-instance failures stay local
-                objective, status, wall, gap = None, "error", 0.0, None
-                error = f"{type(exc).__name__}: {exc}"
-            records.append(
-                RunRecord(
-                    name=name,
-                    config_id=config_id,
-                    replicate=replicate,
-                    budget=budget,
-                    objective=objective,
-                    status=status,
-                    wall_time=wall,
-                    gap_percent=gap,
-                    error=error,
-                )
-            )
-    return aggregate(records, budgets), records
+) -> tuple[list[BenchRow], list[tuple[RunRecord, RunRecord]]]:
+    """Solve each (name, config, replicate, instance) under the short and
+    then the long budget; each item's runs come back as a (short, long) pair."""
+    short_budget, long_budget = budgets
+    pairs = [(_run(item, short_budget), _run(item, long_budget)) for item in items]
+    return aggregate(pairs), pairs
+
+
+def _run(item: tuple[str, str, int, Instance], budget: float) -> RunRecord:
+    name, config, replicate, instance = item
+    error = None
+    try:
+        objective, status, wall, gap = _default_runner(instance, budget)
+    except Exception as exc:  # per-instance failures stay local
+        objective, status, wall, gap = None, "error", 0.0, None
+        error = f"{type(exc).__name__}: {exc}"
+    return RunRecord(
+        name, config, replicate, budget, objective, status, wall, gap, error
+    )
 
 
 def _default_runner(instance: Instance, budget: float):
@@ -86,41 +80,27 @@ def _mean(values: Sequence[float]) -> Optional[float]:
     return sum(values) / len(values) if values else None
 
 
-def aggregate(
-    records: Sequence[RunRecord], budgets: tuple[float, float]
-) -> list[BenchRow]:
-    """Per-configuration means over the long-budget runs plus RPD vs short.
-
-    ``records`` come as ``run_bench`` gives them: each item's runs, one per
-    budget, next to each other.  Items are told apart by their place, not
-    their name: two corpora may hold files of the same name.  So are an
-    item's runs: its short run is the first at the short budget and its
-    long run the last at the long one, which keeps both when the budgets
-    are equal."""
-    short_budget, long_budget = budgets
-    by_config: dict[str, list[tuple[Optional[RunRecord], Optional[RunRecord]]]] = {}
-    for k in range(0, len(records), len(budgets)):
-        runs = records[k:k + len(budgets)]
-        short = next((r for r in runs if r.budget == short_budget), None)
-        long = next((r for r in reversed(runs) if r.budget == long_budget), None)
-        by_config.setdefault(records[k].config_id, []).append((short, long))
+def aggregate(pairs: Sequence[tuple[RunRecord, RunRecord]]) -> list[BenchRow]:
+    """Per-configuration means over the long-budget runs plus RPD vs short."""
+    by_config: dict[str, list[tuple[RunRecord, RunRecord]]] = {}
+    for short, long in pairs:
+        by_config.setdefault(long.config, []).append((short, long))
 
     rows: list[BenchRow] = []
-    for config_id in sorted(by_config):
-        items = by_config[config_id]
-        long_runs = [long for _, long in items if long is not None]
+    for config in sorted(by_config):
+        items = by_config[config]
+        long_runs = [long for _, long in items]
         objectives = [r.objective for r in long_runs if r.objective is not None]
         walls = [r.wall_time for r in long_runs if r.error is None]
         gaps = [r.gap_percent for r in long_runs if r.gap_percent is not None]
         rpds = [
             rpd_percent(short.objective, long.objective)
             for short, long in items
-            if short is not None and long is not None
-            and short.objective is not None and long.objective is not None
+            if short.objective is not None and long.objective is not None
         ]
         rows.append(
             BenchRow(
-                config_id=config_id,
+                config=config,
                 mean_objective=_mean(objectives),
                 mean_wall_time=_mean(walls),
                 gap_percent=_mean(gaps),
@@ -145,7 +125,7 @@ def rows_to_text(rows: Sequence[BenchRow]) -> str:
     lines = [header, "-" * len(header)]
     for row in rows:
         lines.append(
-            f"{row.config_id:<20} {_cell(row.mean_objective, 10)} "
+            f"{row.config:<20} {_cell(row.mean_objective, 10)} "
             f"{_cell(row.mean_wall_time, 10)} {_cell(row.gap_percent, 8)} "
             f"{_cell(row.rpd_percent, 8)} {row.optimal_count:>4} "
             f"{row.infeasible_count:>4}"
@@ -157,7 +137,7 @@ def rows_to_csv(rows: Sequence[BenchRow]) -> str:
     lines = ["config,obj,cpu,gap_percent,rpd_percent,optimal_count,infeasible_count"]
     for row in rows:
         cells = [
-            row.config_id,
+            row.config,
             "" if row.mean_objective is None else f"{row.mean_objective:.4f}",
             "" if row.mean_wall_time is None else f"{row.mean_wall_time:.4f}",
             "" if row.gap_percent is None else f"{row.gap_percent:.4f}",

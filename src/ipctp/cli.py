@@ -182,12 +182,12 @@ def _bench_items(paths: list[str]):
 
 
 def _budgets(text: str) -> tuple[float, float]:
-    message = f"--budgets takes two comma-separated positive numbers, got {text!r}"
+    message = f"--budgets takes short,long, both positive, short <= long; got {text!r}"
     try:
         short, long = (float(part) for part in text.split(","))
     except ValueError:
         raise IpctpError(message) from None
-    if not (short > 0 and long > 0):  # NaN fails too
+    if not 0 < short <= long:  # NaN fails too
         raise IpctpError(message)
     return short, long
 
@@ -195,7 +195,7 @@ def _budgets(text: str) -> tuple[float, float]:
 def _cmd_bench(args) -> int:
     budgets = _budgets(args.budgets)
     items = _bench_items(args.corpus)
-    rows, records = bench_mod.run_bench(items, budgets=budgets)
+    rows, pairs = bench_mod.run_bench(items, budgets=budgets)
     text = bench_mod.rows_to_text(rows)
     print(text, end="")
     if args.out_dir:
@@ -203,9 +203,7 @@ def _cmd_bench(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         (out_dir / "bench.txt").write_text(text)
         (out_dir / "bench.csv").write_text(bench_mod.rows_to_csv(rows))
-        runs = [asdict(r) for r in records]
-        for run in runs:
-            run["config"] = run.pop("config_id")
+        runs = [asdict(run) for pair in pairs for run in pair]
         (out_dir / "runs.json").write_text(canonical_dumps(runs))
     return 0
 

@@ -154,7 +154,7 @@ def brute_force(
 
     The first combination in enumeration order with the least objective wins.
     """
-    estimate_combinations(instance, derived, limit)
+    enumerated = estimate_combinations(instance, derived, limit)
 
     def sequenced(kind, ships, location):
         """Each sequence of the crane's shipments, with its arcs."""
@@ -171,7 +171,6 @@ def brute_force(
     n_tasks = 2 * len(instance.shipments)
     table = _completion_table(instance, derived)
 
-    enumerated = 0
     best_score = None
     best_decisions = None
 
@@ -187,7 +186,6 @@ def brute_force(
                     order = dict(zip(active, directions))
                     fixed = quay_arcs + order_arcs(derived, order)
                     for yc_combo in product(*yc_options):
-                        enumerated += 1
                         arcs = fixed + [a for _, seg in yc_combo for a in seg]
                         start = [0] * n_tasks
                         if not relax(arcs, start)[0]:  # cyclic

@@ -35,10 +35,10 @@ class TickingClock:
         return self.now
 
 
-def random_instance(shipments, ratio, bays, seed, ul=2) -> Instance:
-    """Replicate 0 of a generator configuration, sub-seeded from ``seed``."""
+def random_instance(shipments, ratio, bays, seed, ul=2, replicate=0) -> Instance:
+    """One replicate of a generator configuration, sub-seeded from ``seed``."""
     config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments, inbound_ratio=ratio)
-    return grid_entry(seed, config, 0).instance
+    return grid_entry(seed, config, replicate).instance
 
 
 def single_outbound_instance() -> Instance:

@@ -13,6 +13,9 @@ import numpy as np
 from scipy.optimize import Bounds, LinearConstraint, milp
 from scipy.sparse import csr_array
 
+from ipctp.mip import export_lp, solution_from_values
+from ipctp.schedule import validate
+
 # Seconds HiGHS may spend on one MIP: a stalled solve fails with a message
 # instead of hanging the test run.
 TIME_LIMIT = 60.0
@@ -131,3 +134,16 @@ def solve_lp_text(text: str) -> tuple[float, dict[str, float]]:
     if not result.success:
         raise RuntimeError(f"MILP backend failed: {result.message}")
     return float(result.fun), dict(zip(names, result.x))
+
+
+def round_trip(instance, derived, optimum: int):
+    """Export the instance's MIP, solve its LP text with HiGHS and check that
+    HiGHS's objective is ``optimum`` within MILP_OBJECTIVE_TOLERANCE and that
+    the parsed solution validates at exactly ``optimum``; returns it."""
+    text, artifacts = export_lp(instance, derived)
+    objective, values = solve_lp_text(text)
+    assert abs(objective - optimum) <= MILP_OBJECTIVE_TOLERANCE
+    parsed = solution_from_values(instance, derived, artifacts, values)
+    assert validate(instance, derived, parsed) == []
+    assert parsed.objective == optimum
+    return parsed

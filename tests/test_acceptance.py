@@ -21,10 +21,9 @@ from ipctp.generator import (
     draw_yc_rate,
     generate,
     generate_grid,
-    grid_entry,
 )
 from ipctp.instance import build_derived, instance_to_json
-from ipctp.mip import export_lp, mip_point_from_solution, check_point, solution_from_values
+from ipctp.mip import build_mip, check_point, mip_point_from_solution
 from ipctp.oracle import brute_force
 from ipctp.schedule import (
     I_FIRST,
@@ -36,17 +35,11 @@ from ipctp.schedule import (
 )
 from ipctp.solver import SolveParams, lower_bound, propagate, root_node, solve
 
-from conftest import random_decisions
+from conftest import random_decisions, random_instance
 from fixtures_violations import FIXTURES
-from milp_backend import MILP_OBJECTIVE_TOLERANCE, solve_lp_text
+from milp_backend import round_trip
 
 ORACLE_LIMIT = 5_000_000
-
-
-def _instance_for(ul, bays, shipments, ratio, base_seed, replicate):
-    config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments,
-                       inbound_ratio=ratio)
-    return grid_entry(base_seed, config, replicate).instance
 
 
 def _small_corpus():
@@ -60,9 +53,8 @@ def _small_corpus():
                         corpus.append(
                             (
                                 f"s{shipments}_u{ul}_b{bays}_r{ratio}_{replicate}",
-                                _instance_for(ul, bays, shipments, ratio,
-                                              base_seed=20260808,
-                                              replicate=replicate),
+                                random_instance(shipments, ratio, bays, 20260808,
+                                                ul=ul, replicate=replicate),
                             )
                         )
     return corpus
@@ -124,22 +116,17 @@ def test_criterion_2_model_equivalence():
         for ratio in (0.2, 0.5):
             for bays in (4, 6):
                 for replicate in (0, 1):
-                    instance = _instance_for(2, bays, shipments, ratio,
-                                             base_seed=6_0202, replicate=replicate)
+                    instance = random_instance(shipments, ratio, bays, 6_0202,
+                                               replicate=replicate)
                     derived = build_derived(instance)
                     oracle = brute_force(instance, derived, limit=ORACLE_LIMIT)
                     report, _ = solve(instance, derived, SolveParams(time_limit=120))
-                    text, artifacts = export_lp(instance, derived)
+                    artifacts = build_mip(instance, derived)
                     point = mip_point_from_solution(
                         instance, derived, artifacts, oracle.best_solution
                     )
                     assert check_point(artifacts, point) == []
-                    milp_objective, values = solve_lp_text(text)
-                    parsed = solution_from_values(instance, derived, artifacts, values)
-                    assert validate(instance, derived, parsed) == []
-                    assert (abs(milp_objective - oracle.best_objective)
-                            <= MILP_OBJECTIVE_TOLERANCE)
-                    assert parsed.objective == oracle.best_objective
+                    round_trip(instance, derived, oracle.best_objective)
                     assert report.best_objective == oracle.best_objective
                     checked += 1
     assert checked >= 20
@@ -202,12 +189,13 @@ def test_criterion_5_schedule_minimality():
     rng = random.Random(515151)
     checked = 0
     while checked < 100:
-        instance = _instance_for(
+        # Drawn in the order written; the instances depend on it.
+        instance = random_instance(
             ul=rng.choice((2, 3)),
             bays=rng.choice((4, 6, 8)),
             shipments=rng.choice((2, 3, 4, 5)),
             ratio=rng.choice((0.2, 0.5)),
-            base_seed=515,
+            seed=515,
             replicate=checked,
         )
         derived = build_derived(instance)
@@ -281,24 +269,22 @@ def test_criterion_7_desk_scale_trends():
                     name,
                     name,
                     0,
-                    _instance_for(2, 4, shipments, ratio, base_seed=707,
-                                  replicate=0),
+                    random_instance(shipments, ratio, 4, 707),
                 )
             )
-    rows, records = run_bench(items, budgets=(5.0, 30.0))
+    rows, pairs = run_bench(items, budgets=(5.0, 30.0))
     table = rows_to_text(rows)
     by_size = {}
-    for record in records:
-        if record.budget == 30.0:
-            size = int(record.config_id.split("_")[0][1:])
-            by_size.setdefault(size, []).append(record)
+    for _, long in pairs:
+        size = int(long.config.split("_")[0][1:])
+        by_size.setdefault(size, []).append(long)
     mean_time = {
         size: sum(r.wall_time for r in recs) / len(recs)
         for size, recs in by_size.items()
     }
     five_optimal = all(r.status == "optimal" for r in by_size[5])
     monotone = mean_time[5] <= mean_time[10] and mean_time[10] <= mean_time[15] * 1.5
-    print("ACCEPTANCE 7: desk-scale trend report (soft, reported not asserted)")
+    print("ACCEPTANCE 7: desk-scale trend report (s5 proofs asserted, trend reported)")
     print(table)
     print(
         f"  mean long-budget solve time by shipment count: "
@@ -306,7 +292,9 @@ def test_criterion_7_desk_scale_trends():
     )
     print(f"  five-shipment configs all proven optimal: {five_optimal}")
     print(f"  time grows with shipment count: {monotone}")
-    print("ACCEPTANCE 7: PASS criterion-7 report produced (soft criterion)")
+    # s5 proves in milliseconds, so this does not depend on the clock.
+    assert five_optimal
+    print("ACCEPTANCE 7: PASS criterion-7 s5 proven, report produced (trend soft)")
 
 
 def test_criterion_8_determinism():

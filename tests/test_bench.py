@@ -32,7 +32,7 @@ class TestRpd:
 def _record(name, config, budget, objective, status="optimal", wall=1.0, gap=0.0):
     return RunRecord(
         name=name,
-        config_id=config,
+        config=config,
         replicate=0,
         budget=budget,
         objective=objective,
@@ -44,19 +44,18 @@ def _record(name, config, budget, objective, status="optimal", wall=1.0, gap=0.0
 
 class TestAggregation:
     def test_three_row_fixture_matches_hand_computed_means(self):
-        budgets = (5.0, 30.0)
-        records = [
-            _record("a", "cfg", 30.0, 100, wall=2.0),
-            _record("a", "cfg", 5.0, 110),
-            _record("b", "cfg", 30.0, 200, wall=4.0),
-            _record("b", "cfg", 5.0, 230),
-            _record("c", "cfg", 30.0, 300, status="feasible", wall=6.0, gap=12.0),
-            _record("c", "cfg", 5.0, 300),
+        pairs = [
+            (_record("a", "cfg", 5.0, 110), _record("a", "cfg", 30.0, 100, wall=2.0)),
+            (_record("b", "cfg", 5.0, 230), _record("b", "cfg", 30.0, 200, wall=4.0)),
+            (
+                _record("c", "cfg", 5.0, 300),
+                _record("c", "cfg", 30.0, 300, status="feasible", wall=6.0, gap=12.0),
+            ),
         ]
-        rows = aggregate(records, budgets)
+        rows = aggregate(pairs)
         assert len(rows) == 1
         row = rows[0]
-        assert row.config_id == "cfg"
+        assert row.config == "cfg"
         assert row.mean_objective == (100 + 200 + 300) / 3
         assert row.mean_wall_time == (2.0 + 4.0 + 6.0) / 3
         assert row.gap_percent == (0.0 + 0.0 + 12.0) / 3
@@ -66,14 +65,14 @@ class TestAggregation:
         assert row.replicates == 3
 
     def test_missing_objectives_are_counted_infeasible(self):
-        budgets = (5.0, 30.0)
-        records = [
-            _record("a", "cfg", 30.0, None, status="unknown"),
-            _record("a", "cfg", 5.0, None, status="unknown"),
-            _record("b", "cfg", 30.0, 50),
-            _record("b", "cfg", 5.0, 50),
+        pairs = [
+            (
+                _record("a", "cfg", 5.0, None, status="unknown"),
+                _record("a", "cfg", 30.0, None, status="unknown"),
+            ),
+            (_record("b", "cfg", 5.0, 50), _record("b", "cfg", 30.0, 50)),
         ]
-        rows = aggregate(records, budgets)
+        rows = aggregate(pairs)
         assert rows[0].infeasible_count == 1
         assert rows[0].mean_objective == 50
         assert rows[0].rpd_percent == 0.0
@@ -86,21 +85,22 @@ class TestAggregation:
         instance = generate(
             GenConfig(ul_ratio=2, bays=4, shipments=2, inbound_ratio=0.5, seed=3)
         )
-        rows, records = run_bench([("one", "cfg", 0, instance)], budgets=(1.0, 2.0))
-        assert len(records) == 2
-        assert all(r.status == "error" for r in records)
+        rows, pairs = run_bench([("one", "cfg", 0, instance)], budgets=(1.0, 2.0))
+        [(short, long)] = pairs
+        assert (short.budget, long.budget) == (1.0, 2.0)
+        assert short.status == long.status == "error"
         assert rows[0].infeasible_count == 1
 
     def test_real_solves_on_tiny_instance(self):
         instance = generate(
             GenConfig(ul_ratio=2, bays=4, shipments=2, inbound_ratio=0.5, seed=3)
         )
-        rows, records = run_bench(
+        rows, pairs = run_bench(
             [("one", "cfg", 0, instance)], budgets=(5.0, 10.0)
         )
         assert rows[0].optimal_count == 1
         assert rows[0].rpd_percent == 0.0
-        assert all(r.objective is not None for r in records)
+        assert all(r.objective is not None for pair in pairs for r in pair)
 
 
 class TestRendering:

@@ -226,7 +226,7 @@ def test_bench_keeps_vessel_counts_apart(tmp_path, monkeypatch):
         bench_mod, "_default_runner", lambda instance, budget: (1, "optimal", 0.0, 0.0)
     )
     rows, _ = bench_mod.run_bench(_bench_items([str(corpus)]), budgets=(1.0, 2.0))
-    assert [row.config_id for row in rows] == ["u2_b4_s3_r20", "u2_b4_s3_r20_v2"]
+    assert [row.config for row in rows] == ["u2_b4_s3_r20", "u2_b4_s3_r20_v2"]
     assert [row.replicates for row in rows] == [1, 1]
 
 
@@ -393,7 +393,9 @@ def test_malformed_manifest_is_a_machine_readable_error(corpus, capsys, shape):
     assert "manifest" in err["message"]
 
 
-@pytest.mark.parametrize("budgets", ["1", "1,2,3", "short,long", "nan,5", "5,0"])
+@pytest.mark.parametrize(
+    "budgets", ["1", "1,2,3", "short,long", "nan,5", "5,0", "2,0.5"]
+)
 def test_malformed_budgets_are_a_machine_readable_error(corpus, capsys, budgets):
     assert main(["bench", str(corpus), "--budgets", budgets]) == 2
     err = json.loads(capsys.readouterr().err)

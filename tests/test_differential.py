@@ -26,7 +26,6 @@ from ipctp.instance import (
     YardLocation,
     build_derived,
 )
-from ipctp.mip import export_lp, solution_from_values
 from ipctp.oracle import brute_force, estimate_combinations
 from ipctp.schedule import Solution, qc_assignment_of, validate
 from ipctp.solver import (
@@ -39,7 +38,7 @@ from ipctp.solver import (
 )
 
 from conftest import constructive_schedule
-from milp_backend import MILP_OBJECTIVE_TOLERANCE, solve_lp_text
+from milp_backend import round_trip
 
 # Draws with more complete decision combinations are skipped: the oracle
 # enumerates every one of them.
@@ -147,12 +146,7 @@ def test_solver_oracle_and_bounds_agree(instance):
     assert all(a > b for a, b in zip(trace, trace[1:]))
 
     if in_milp_sample(instance):
-        text, artifacts = export_lp(instance, derived)
-        objective, values = solve_lp_text(text)
-        assert abs(objective - optimum) <= MILP_OBJECTIVE_TOLERANCE
-        parsed = solution_from_values(instance, derived, artifacts, values)
-        assert validate(instance, derived, parsed) == []
-        assert parsed.objective == optimum
+        round_trip(instance, derived, optimum)
 
     # No node on the way to the oracle's solution is pruned without an
     # incumbent, and none has a bound above the optimum.

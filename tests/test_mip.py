@@ -45,7 +45,7 @@ from conftest import (
     yard_crane_trip_instance,
 )
 from fixtures_violations import FIXTURES
-from milp_backend import MILP_OBJECTIVE_TOLERANCE, solve_lp_text
+from milp_backend import round_trip
 
 
 class TestRowStructure:
@@ -505,13 +505,7 @@ class TestExternalEngine:
         for seed in range(3):
             instance = random_instance(3, 0.5, 4, seed=100 + seed)
             derived = build_derived(instance)
-            text, artifacts = export_lp(instance, derived)
-            oracle = brute_force(instance, derived)
-            objective, values = solve_lp_text(text)
-            assert abs(objective - oracle.best_objective) <= MILP_OBJECTIVE_TOLERANCE
-            parsed = solution_from_values(instance, derived, artifacts, values)
-            assert validate(instance, derived, parsed) == []
-            assert parsed.objective == oracle.best_objective
+            round_trip(instance, derived, brute_force(instance, derived).best_objective)
 
     def test_weighted_two_vessel_round_trip(self):
         # The generator weighs every vessel 1; each vessel's completion rows
@@ -524,26 +518,15 @@ class TestExternalEngine:
                 vessels=(Vessel(1, 2), Vessel(2, 3)),
             )
             derived = build_derived(instance)
-            text, artifacts = export_lp(instance, derived)
-            oracle = brute_force(instance, derived)
-            objective, values = solve_lp_text(text)
-            assert abs(objective - oracle.best_objective) <= MILP_OBJECTIVE_TOLERANCE
-            parsed = solution_from_values(instance, derived, artifacts, values)
-            assert validate(instance, derived, parsed) == []
-            assert parsed.objective == oracle.best_objective
+            round_trip(instance, derived, brute_force(instance, derived).best_objective)
 
     def test_round_trip_charges_the_travel_between_inbound_shipments(self):
         # Without the sy_uu rows HiGHS would read the yard crane's travel as
         # 0 and return 4.
         instance = shared_yard_crane_instance()
         derived = build_derived(instance)
-        text, artifacts = export_lp(instance, derived)
         assert brute_force(instance, derived).best_objective == 13
-        objective, values = solve_lp_text(text)
-        assert abs(objective - 13) <= MILP_OBJECTIVE_TOLERANCE
-        parsed = solution_from_values(instance, derived, artifacts, values)
-        assert validate(instance, derived, parsed) == []
-        assert parsed.objective == 13
+        round_trip(instance, derived, 13)
 
     # Without the x terms of the yard timing row of the optimum's trip
     # HiGHS would return 36 and 6; each case also catches the other trip.
@@ -555,16 +538,10 @@ class TestExternalEngine:
     ):
         instance = yard_crane_trip_instance(weight)
         derived = build_derived(instance)
-        text, artifacts = export_lp(instance, derived)
         oracle = brute_force(instance, derived)
         assert oracle.best_objective == optimum
         assert oracle.best_solution.yc_sequences == {1: sequence}
-        objective, values = solve_lp_text(text)
-        assert abs(objective - optimum) <= MILP_OBJECTIVE_TOLERANCE
-        parsed = solution_from_values(instance, derived, artifacts, values)
-        assert validate(instance, derived, parsed) == []
-        assert parsed.objective == optimum
-        assert parsed.yc_sequences == {1: sequence}
+        assert round_trip(instance, derived, optimum).yc_sequences == {1: sequence}
 
     def test_round_trip_of_a_generated_s8_reaches_the_proven_optimum(self):
         # Two yard cranes here hold two free locations each: 48 sy_uu rows.
@@ -573,15 +550,10 @@ class TestExternalEngine:
         assert entry.name == "ipctp_u2_b4_s8_r50_0"
         instance = entry.instance
         derived = build_derived(instance)
-        text, artifacts = export_lp(instance, derived)
-        assert artifacts.row_counts[YC_EMPTY_BETWEEN_INBOUND] > 0
+        assert build_mip(instance, derived).row_counts[YC_EMPTY_BETWEEN_INBOUND] > 0
         report, _ = solve(instance, derived, SolveParams(time_limit=60))
         assert (report.status, report.best_objective) == ("optimal", 362)
-        objective, values = solve_lp_text(text)
-        assert abs(objective - 362) <= MILP_OBJECTIVE_TOLERANCE
-        parsed = solution_from_values(instance, derived, artifacts, values)
-        assert validate(instance, derived, parsed) == []
-        assert parsed.objective == 362
+        round_trip(instance, derived, 362)
 
 
 class TestCraneChoiceEquivalence:
@@ -599,11 +571,6 @@ class TestCraneChoiceEquivalence:
             derived = build_derived(instance)
             if any(len(e) > 1 for e in derived.eligible_qcs.values()):
                 exercised += 1
-            text, artifacts = export_lp(instance, derived)
             oracle = brute_force(instance, derived, limit=3_000_000)
-            objective, values = solve_lp_text(text)
-            assert abs(objective - oracle.best_objective) <= MILP_OBJECTIVE_TOLERANCE
-            parsed = solution_from_values(instance, derived, artifacts, values)
-            assert validate(instance, derived, parsed) == []
-            assert parsed.objective == oracle.best_objective
+            round_trip(instance, derived, oracle.best_objective)
         assert exercised >= 4
