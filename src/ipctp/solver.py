@@ -130,6 +130,10 @@ class _Resource(NamedTuple):
     # arcs as ``crane_arcs`` gives them; a clique has neither.
     left: list[int]
     arcs: list[Arc]
+    # Each pair of ``left`` in id order as (task a, task b, weight of a
+    # before b, weight of b before a), the weights ``crane_arcs`` gives; a
+    # child drops the pairs of the shipment it sequences.  Empty for a clique.
+    pairs: list[tuple[int, int, int, int]]
     # The least cost of one unit of transition, and the place of each task
     # it is counted in: a quay crane's ``qc_unit_travel`` per bay of its
     # tasks' span, a clique's least interference time per change of quay
@@ -293,14 +297,21 @@ class _Engine:
         sequence = getattr(node, _SEQUENCES_FIELD[kind])[crane]
         tasks = [self.quay_task[i] + kind for i in ships]
         left = [i for i in ships if i not in sequence]
+        duration, travel = self.duration, self.travel[kind]
+        spot = location if kind == YARD else self.bay
+        located = [(self.quay_task[i] + kind, spot[i]) for i in left]
+        pairs = [
+            (ta, tb, duration[ta] + travel[sa, sb], duration[tb] + travel[sb, sa])
+            for (ta, sa), (tb, sb) in combinations(located, 2)
+        ]
         step, place = 0, None
         if kind == QUAY:
             step = self.instance.qc_unit_travel
             place = {t: self.bay[i] for i, t in zip(ships, tasks)}
         return _Resource(
-            kind, tasks, sum(self.duration[t] for t in tasks), left,
+            kind, tasks, sum(duration[t] for t in tasks), left,
             crane_arcs(self.instance, self.derived, kind, sequence, left, location),
-            step, place,
+            pairs, step, place,
         )
 
     def tail(self, transfer: list[Arc]) -> list[int]:
@@ -357,7 +368,7 @@ class _Engine:
         cliques = {
             rank: _Resource(
                 None, [task[i] for i in clique],
-                sum(self.duration[task[i]] for i in clique), [], [],
+                sum(self.duration[task[i]] for i in clique), [], [], [],
                 min(interference[t] for t in active
                     if t[0] in clique and t[1] in clique),
                 {task[i]: qc_of[i] for i in clique},
@@ -471,20 +482,14 @@ class _Engine:
     def _pairwise(
         self, facts: _Facts, est: list[int], lct: list[int]
     ) -> Optional[bool]:
-        """Disjunctive reasoning between unsequenced tasks on one crane."""
-        duration = self.duration
+        """Disjunctive reasoning between unsequenced tasks on one crane, pair
+        by pair as each crane's ``pairs`` table lists them."""
         changed = False
         raises = 0
-        task = self.quay_task
         for resource in facts.resources.values():
-            if len(resource.left) < 2:
-                continue
-            kind, travel = resource.kind, self.travel[resource.kind]
-            spot = facts.location if kind == YARD else self.bay
-            for a, b in combinations(resource.left, 2):
-                ta, tb, sa, sb = task[a] + kind, task[b] + kind, spot[a], spot[b]
-                a_done = est[ta] + duration[ta] + travel[sa, sb]
-                b_done = est[tb] + duration[tb] + travel[sb, sa]
+            for ta, tb, a_then_b, b_then_a in resource.pairs:
+                a_done = est[ta] + a_then_b
+                b_done = est[tb] + b_then_a
                 a_first, b_first = a_done <= lct[tb], b_done <= lct[ta]
                 if not a_first and not b_first:
                     self.report.propagations += raises
@@ -563,21 +568,41 @@ class _Engine:
         each node more costly.
 
         A resource with one task is skipped: its term is that task's
-        ``est + duration + tail``, which its vessel's bound already holds."""
+        ``est + duration + tail``, which its vessel's bound already holds.
+
+        So is a crane (never a clique, whose ``left`` is always empty) with
+        two tasks or more and no shipment left: its sequence is complete.  At
+        a propagated node its tasks satisfy its chain arcs, each weighing a
+        duration plus a travel, so each set of them above is a suffix of the
+        chain, and its head, work and span of bays add up to at most the
+        last task's ``est + duration``.  Its term is then at most that last
+        task's ``est + duration + tail``, at most its vessel's bound, at most
+        the weighted sum the bound starts from: skipping it changes nothing.
+        On a node that is not propagated the public ``lower_bound`` may lose
+        the term, but a bound made of fewer admissible terms stays
+        admissible."""
         est, tail, duration = node.est, facts.tail, self.duration
         vessel_of, weight = self.vessel_of_task, self.weight
         best = sum(weight[s] * lb for s, lb in vessel_lb.items())
-        for kind, tasks, _, _, _, step, place in facts.resources.values():
-            if len(tasks) < 2:
+        for kind, tasks, _, left, _, _, step, place in facts.resources.values():
+            if len(tasks) < 2 or (kind is not None and not left):
                 continue
             work = moves = 0
             least: dict[int, int] = {}  # per vessel, the least tail so far
-            seen: set[int] = set()  # a quay crane's bays, a clique's cranes
+            seen: set[int] = set()  # a clique's cranes
+            low, high = math.inf, -math.inf  # a quay crane's bays
             for t in sorted(tasks, key=est.__getitem__, reverse=True):
                 work += duration[t]
-                if step:
+                if kind is None:
                     seen.add(place[t])
-                    moves = max(seen) - min(seen) if kind == QUAY else len(seen) - 1
+                    moves = len(seen) - 1
+                elif step:
+                    at = place[t]
+                    if at < low:
+                        low = at
+                    if at > high:
+                        high = at
+                    moves = high - low
                 vessel = vessel_of[t]
                 if vessel not in least or tail[t] < least[vessel]:
                     least[vessel] = tail[t]
@@ -661,9 +686,10 @@ class _Engine:
         once per expansion.  A child carries its parent's facts and rebuilds
         only what a location changes: the location map, the transfer arcs and
         tails (the least free transfer time may move) and the record of the
-        location's yard crane, whose members ``crane_members`` gives.  The
-        quay assignment, and so the active tuples and cliques, stay as they
-        are.
+        location's yard crane.  That crane's members are the parent's record's
+        ``left`` plus ``ship``: no yard sequence exists while shipments are
+        still placed.  The quay assignment, and so the active tuples and
+        cliques, stay as they are.
 
         A location gets no child, counted in ``dominated``, when a free twin
         of lower id exists, or when the free locations that dominate some
@@ -699,9 +725,7 @@ class _Engine:
                                node.interference_order, node.qc_of, node.est, node.lct)
             location = {**facts.location, ship: k}
             key = (YARD, self.yc_at[k])
-            members = crane_members(
-                self.instance, YARD, yard_cranes(self.instance, location)
-            )[key[1]]
+            members = sorted([*facts.resources[key].left, ship])
             record = self.crane(child, key, members, location)
             resources = {**facts.resources, key: record}
             transfer = transfer_arcs(self.instance, self.derived, yard)
@@ -729,14 +753,18 @@ class _Engine:
         kind, crane = key
         record = facts.resources[key]
         sequences = getattr(node, _SEQUENCES_FIELD[kind])
-        task, duration, travel = self.quay_task, self.duration, self.travel[kind]
-        spot = facts.location if kind == YARD else self.bay
-        est, lct = node.est, node.lct
+        task, est, lct = self.quay_task, node.est, node.lct
+        # The tasks that cannot end and travel to some other task left
+        # before its latest start.
+        dead = set()
+        for ta, tb, a_then_b, b_then_a in record.pairs:
+            if est[ta] + a_then_b > lct[tb]:
+                dead.add(ta)
+            if est[tb] + b_then_a > lct[ta]:
+                dead.add(tb)
         for ship in sorted(record.left, key=lambda i: (est[task[i] + kind], i)):
             t = task[ship] + kind
-            done, at = est[t] + duration[t], spot[ship]
-            if any(done + travel[at, spot[u]] > lct[task[u] + kind]
-                   for u in record.left if u != ship):
+            if t in dead:
                 self.report.not_first += 1
                 continue
             sequence = sequences[crane] + (ship,)
@@ -751,7 +779,9 @@ class _Engine:
             arcs = crane_arcs(
                 self.instance, self.derived, kind, sequence, left, facts.location
             )
-            resources = {**facts.resources, key: record._replace(left=left, arcs=arcs)}
+            pairs = [p for p in record.pairs if p[0] != t and p[1] != t]
+            resources = {**facts.resources,
+                         key: record._replace(left=left, arcs=arcs, pairs=pairs)}
             yield child, facts._replace(resources=resources)
 
     def _offer_incumbent(self, solution: Solution) -> None:

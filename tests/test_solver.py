@@ -659,6 +659,19 @@ class TestSearchTree:
         assert seen["forced"] > 0
 
 
+def pair_table(engine, kind, left, location):
+    """The ``pairs`` table of a crane with shipments ``left`` in id order,
+    from the weights ``crane_arcs`` gives each two-shipment sequence."""
+    def weight(a, b):
+        (_, _, w), = crane_arcs(engine.instance, engine.derived, kind, (a, b), [],
+                                location)
+        return w
+
+    task = engine.quay_task
+    return [(task[a] + kind, task[b] + kind, weight(a, b), weight(b, a))
+            for a, b in combinations(left, 2)]
+
+
 def every_sequencing_child(engine, node, facts, key):
     """Every child that appends one shipment to crane ``key``'s sequence,
     built as the solver built them before it rejected shipments that
@@ -674,7 +687,9 @@ def every_sequencing_child(engine, node, facts, key):
         left = [i for i in record.left if i != ship]
         arcs = crane_arcs(engine.instance, engine.derived, kind, sequence, left,
                           facts.location)
-        resources = {**facts.resources, key: record._replace(left=left, arcs=arcs)}
+        pairs = pair_table(engine, kind, left, facts.location)
+        resources = {**facts.resources,
+                     key: record._replace(left=left, arcs=arcs, pairs=pairs)}
         yield child, facts._replace(resources=resources)
 
 
@@ -801,6 +816,76 @@ class TestNotFirst:
                 obj for _, obj in report.incumbent_trace
             ] == [obj for _, obj in reference.incumbent_trace]
         assert skipped_total > 100
+
+
+def bound_over_every_resource(engine, node, facts, vessel_lb):
+    """``_Engine.lower_bound`` by its definition, counting every resource: the
+    weighted vessel bounds, and per resource the head-body-tail term of each
+    set of its tasks from the latest start down."""
+    est, duration, weight = node.est, engine.duration, engine.weight
+    best = sum(weight[v] * lb for v, lb in vessel_lb.items())
+    for record in facts.resources.values():
+        ordered = sorted(record.tasks, key=est.__getitem__, reverse=True)
+        for size in range(1, len(ordered) + 1):
+            group = ordered[:size]
+            moves = 0
+            if record.step:
+                places = {record.place[t] for t in group}
+                moves = (max(places) - min(places) if record.kind == QUAY
+                         else len(places) - 1)
+            head = est[group[-1]] + sum(duration[t] for t in group) + record.step * moves
+            least = {}
+            for t in group:
+                vessel = engine.vessel_of_task[t]
+                least[vessel] = min(least.get(vessel, facts.tail[t]), facts.tail[t])
+            best = max(best, min(weight[v] * (head + rest) for v, rest in least.items()))
+    return best
+
+
+class TestSettledCranes:
+    """``lower_bound`` skips a crane whose sequence is complete; at a
+    propagated node its term never sets the bound."""
+
+    def test_the_bound_counts_every_crane(self, monkeypatch):
+        real_bound = _Engine.lower_bound
+        bounded = settled = 0
+
+        def lower_bound(engine, node, facts, vessel_lb):
+            nonlocal bounded, settled
+            bound = real_bound(engine, node, facts, vessel_lb)
+            assert bound == bound_over_every_resource(engine, node, facts, vessel_lb)
+            bounded += 1
+            settled += any(r.kind is not None and len(r.tasks) > 1 and not r.left
+                           for r in facts.resources.values())
+            return bound
+
+        monkeypatch.setattr(_Engine, "lower_bound", lower_bound)
+        for instance in search_instances():
+            report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
+            assert report.status == "optimal"
+        assert bounded > 1000 and settled > 400
+
+    @staticmethod
+    def propagated_bound(instance):
+        """The bound of the propagated root, and its weighted vessel bounds."""
+        derived = build_derived(instance)
+        node = propagate(instance, derived, root_node(instance, derived))
+        engine = _Engine(instance, derived)
+        facts = engine.facts(node)
+        vessel_lb = engine._vessel_bounds(node.est, facts.tail)
+        return (lower_bound(instance, derived, node),
+                sum(engine.weight[v] * lb for v, lb in vessel_lb.items()))
+
+    def test_a_crane_with_shipments_left_sets_the_bound(self):
+        # Both shipments are left on the one quay crane, bays 1 and 3 apart.
+        instance = TestLowerBound.two_inbound(bays=(1, 3), qc_count=1, qc_times=(4, 6))
+        assert self.propagated_bound(instance) == (4 + 6 + 2 * 3 + 1 + 2, 6 + 1 + 2)
+
+    def test_a_clique_sets_the_bound(self):
+        # One shipment on each quay crane, and the two interfere: the clique
+        # charges the separation, 3.
+        instance = TestLowerBound.two_inbound(bays=(2, 3), qc_count=2, qc_times=(4, 6))
+        assert self.propagated_bound(instance) == (4 + 6 + 3 + 1 + 2, 6 + 1 + 2)
 
 
 def yard_instance(transfer, travel, inbound, outbound=(), cranes=None) -> Instance:
@@ -1047,7 +1132,9 @@ class TestChildFacts:
         """Every child's facts equal the ones built from scratch, field by
         field and resource by resource in the same order: yard and
         sequencing children derive theirs from the parent's, quay children
-        build theirs and order children carry the parent's."""
+        build theirs and order children carry the parent's.  Each crane's
+        ``pairs`` table of the full build holds the weights ``crane_arcs``
+        gives each pair of its shipments left; a clique's is empty."""
         real_children = _Engine._children
         made = Counter()
 
@@ -1057,6 +1144,10 @@ class TestChildFacts:
                 for name in full._fields:
                     assert getattr(child_facts, name) == getattr(full, name), name
                 assert list(child_facts.resources) == list(full.resources)
+                for record in full.resources.values():
+                    assert record.pairs == ([] if record.kind is None else pair_table(
+                        engine, record.kind, record.left, full.location))
+                    made["pairs"] += len(record.pairs)
                 decided = next(f.name for f in fields(SearchNode)
                                if getattr(child, f.name) != getattr(node, f.name))
                 made[decided] += 1
@@ -1077,6 +1168,7 @@ class TestChildFacts:
         assert made["yard_assignment"] > 500 and made["qc_of"] > 50
         assert made["interference_order"] > 50
         assert made["qc_sequences"] + made["yc_sequences"] > 1000
+        assert made["pairs"] > 5000
 
 
 class TestCliques:
@@ -1120,7 +1212,7 @@ class TestCliques:
                     members = [i for i in ships if task[i] in record.tasks]
                     assert record == _Resource(
                         None, [task[i] for i in members],
-                        sum(instance.shipment(i).qc_time for i in members), [], [],
+                        sum(instance.shipment(i).qc_time for i in members), [], [], [],
                         min(gap[pair] for pair in combinations(members, 2)
                             if qc_of[pair[0]] != qc_of[pair[1]]),
                         {task[i]: qc_of[i] for i in members},
