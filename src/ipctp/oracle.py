@@ -153,6 +153,16 @@ def brute_force(
     """Prove the optimum by enumerating every complete decision combination.
 
     The first combination in enumeration order with the least objective wins.
+
+    Each yard assignment's combinations of yard sequences are joined into
+    arc lists once.  For each quay combination and direction the transfer,
+    quay and order arcs are relaxed once, and when they are cyclic every
+    yard combination is skipped: each would hold that cycle.  Otherwise
+    each combination is relaxed from a copy of the settled starts.  Those
+    starts are a fixpoint of a subset of its arcs, so they lie at or below
+    the least fixpoint of them all; ``relax`` therefore ends at the same
+    starts as from zero, within no more passes, and a positive cycle still
+    never settles.  Every score, and so the winner, is unchanged.
     """
     enumerated = estimate_combinations(instance, derived, limit)
 
@@ -178,6 +188,10 @@ def brute_force(
         location = locations(instance, yard)
         transfer = transfer_arcs(instance, derived, yard)
         yc_options = [sequenced(YARD, ships, location) for ships in members.values()]
+        yard_side = [
+            (yc_combo, [a for _, seg in yc_combo for a in seg])
+            for yc_combo in product(*yc_options)
+        ]
 
         for qc_options, active in quay_side:
             for qc_combo in product(*qc_options):
@@ -185,10 +199,12 @@ def brute_force(
                 for directions in product((I_FIRST, J_FIRST), repeat=len(active)):
                     order = dict(zip(active, directions))
                     fixed = quay_arcs + order_arcs(derived, order)
-                    for yc_combo in product(*yc_options):
-                        arcs = fixed + [a for _, seg in yc_combo for a in seg]
-                        start = [0] * n_tasks
-                        if not relax(arcs, start)[0]:  # cyclic
+                    settled = [0] * n_tasks
+                    if not relax(fixed, settled)[0]:  # cyclic
+                        continue
+                    for yc_combo, yard_arcs in yard_side:
+                        start = settled.copy()
+                        if not relax(yard_arcs + fixed, start)[0]:  # cyclic
                             continue
                         score = sum(
                             weight * max(start[t] + d for t, d in ends)
