@@ -25,8 +25,17 @@ from .schedule import read_solution, validate, write_solution
 from .solver import SolveParams, solve
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a command line it cannot parse as an ``IpctpError``, which
+    ``main`` reports as JSON, where argparse prints its usage and exits.
+    Subparsers are made of the same class."""
+
+    def error(self, message: str):
+        raise IpctpError(f"{self.prog}: {message}")
+
+
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ipctp",
         description="Integrated container terminal scheduling toolkit",
     )
@@ -231,8 +240,8 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return _COMMANDS[args.command](args)
     # A file that is not UTF-8, or JSON nested too deep for the parser's
     # recursion, is a read error like malformed JSON.

@@ -66,8 +66,8 @@ class Decisions:
 
     The one record of these decisions: a ``Solution`` adds its timetable,
     and the solver's ``SearchNode`` holds the decisions made so far, each
-    crane's sequence so far among them, so a leaf node can be passed
-    wherever a ``Decisions`` is."""
+    crane's sequence so far among them.  ``compute_schedule`` reads the four
+    fields by name, so the solver passes it a leaf's node record as it is."""
 
     yard_assignment: Mapping[int, int]
     qc_sequences: Mapping[int, tuple[int, ...]]
@@ -304,8 +304,8 @@ def compute_schedule(
     Assigns every task its longest path from time zero through
     ``precedence_arcs``.  Raises CyclicOrdering when the interference
     orders contradict the sequences, MalformedSolution when the decisions
-    are structurally broken.  ``decisions`` may be any ``Decisions``: the
-    solver passes a leaf ``SearchNode`` as it is.
+    are structurally broken.  ``decisions`` may be any record with the
+    four ``Decisions`` fields: the solver passes a leaf's node as it is.
     """
     structural = _structural_violations(instance, derived, decisions)
     if structural:

@@ -105,14 +105,16 @@ class SolveReport:
 class SearchNode(Decisions):
     """The decisions made so far, each crane's sequence so far among them,
     plus each shipment's quay crane once chosen and the per-task start-time
-    windows [est, lct].  A leaf is scheduled as it is."""
+    windows [est, lct].  The engine holds a node as a record that starts
+    with these fields; a leaf's record goes to ``compute_schedule`` without
+    a copy, as that reads the four decision fields by name."""
 
     qc_of: Mapping[int, int]
     est: tuple[int, ...]
     lct: tuple[int, ...]
 
 
-# The SearchNode field holding each kind's crane sequences.
+# The node field holding each kind's crane sequences.
 _SEQUENCES_FIELD = ("qc_sequences", "yc_sequences")
 
 
@@ -142,11 +144,20 @@ class _Resource(NamedTuple):
     place: Optional[dict[int, int]]
 
 
-class _Facts(NamedTuple):
-    """What a node's decisions fix; propagation leaves all of it unchanged.
-    A node's free yard locations are not kept: ``_placed`` lists them where
-    it reads them."""
+class _Node(NamedTuple):
+    """A search node inside the engine: ``SearchNode``'s fields in their
+    order, then what its decisions fix, which propagation leaves unchanged.
+    ``_Engine.facts`` builds one in full; every other child is its parent's
+    ``_replace`` of what its decision changes.  A node's free yard locations
+    are not kept: ``_placed`` lists them where it reads them."""
 
+    yard_assignment: Mapping[int, int]
+    qc_sequences: Mapping[int, tuple[int, ...]]
+    yc_sequences: Mapping[int, tuple[int, ...]]
+    interference_order: Mapping[tuple[int, int, int, int], str]
+    qc_of: Mapping[int, int]
+    est: tuple[int, ...]
+    lct: tuple[int, ...]
     # Yard location of every shipment that has one.
     location: dict[int, int]
     # Shortest remaining chain after each task ends: a transfer and the
@@ -271,7 +282,8 @@ class _Engine:
             lct=(self.horizon,) * n_tasks,
         )
 
-    def facts(self, node: SearchNode) -> _Facts:
+    def facts(self, node: SearchNode | _Node) -> _Node:
+        """``node``'s record, with what its decisions fix built in full."""
         location = locations(self.instance, node.yard_assignment)
         resources = {
             (kind, crane): self.crane(node, (kind, crane), ships, location)
@@ -283,11 +295,15 @@ class _Engine:
         transfer = transfer_arcs(self.instance, self.derived, node.yard_assignment)
         active, cliques = self.quay(node.qc_of)
         resources.update(cliques)
-        return _Facts(location, self.tail(transfer), active, transfer, resources)
+        return _Node(
+            node.yard_assignment, node.qc_sequences, node.yc_sequences,
+            node.interference_order, node.qc_of, node.est, node.lct,
+            location, self.tail(transfer), active, transfer, resources,
+        )
 
     def crane(
         self,
-        node: SearchNode,
+        node: SearchNode | _Node,
         key: tuple[int, int],
         ships: list[int],
         location: Mapping[int, int],
@@ -380,9 +396,7 @@ class _Engine:
 
     # -- propagation -----------------------------------------------------
 
-    def propagate(
-        self, node: SearchNode, facts: _Facts
-    ) -> Optional[tuple[SearchNode, dict[int, int]]]:
+    def propagate(self, node: _Node) -> Optional[tuple[_Node, dict[int, int]]]:
         """The node at its propagation fixpoint and its vessel bounds; None
         means pruned.
 
@@ -405,29 +419,29 @@ class _Engine:
             return None
 
         # The arcs precedence_arcs gives for the node and its working order:
-        # its facts' arcs, then the orders, each newly forced one appended.
-        arcs = list(facts.transfer)
-        for resource in facts.resources.values():
+        # its transfer and crane arcs, then the orders, each newly forced one
+        # appended.
+        arcs = list(node.transfer)
+        for resource in node.resources.values():
             arcs += resource.arcs
         arcs += order_arcs(self.derived, order)
         while True:  # arcs + inferences
             if not self._relax(arcs, est):
                 return None
-            vessel_lb = self._tighten_lct(facts.tail, arcs, est, lct)
+            vessel_lb = self._tighten_lct(node.tail, arcs, est, lct)
             if any(map(gt, est, lct)):
                 return None
-            changed = self._pairwise(facts, est, lct)
+            changed = self._pairwise(node, est, lct)
             if changed is None:
                 return None
-            forced = self._force_orders(facts, order, est, lct)
+            forced = self._force_orders(node, order, est, lct)
             if forced is None:
                 return None
             if not (changed or forced):
                 break
             arcs += forced
-        return SearchNode(
-            node.yard_assignment, node.qc_sequences, node.yc_sequences, order,
-            node.qc_of, tuple(est), tuple(lct),
+        return node._replace(
+            interference_order=order, est=tuple(est), lct=tuple(lct)
         ), vessel_lb
 
     def _relax(self, arcs: list[Arc], est: list[int]) -> bool:
@@ -479,14 +493,12 @@ class _Engine:
         self.report.propagations += raises
         return vessel_lb
 
-    def _pairwise(
-        self, facts: _Facts, est: list[int], lct: list[int]
-    ) -> Optional[bool]:
+    def _pairwise(self, node: _Node, est: list[int], lct: list[int]) -> Optional[bool]:
         """Disjunctive reasoning between unsequenced tasks on one crane, pair
         by pair as each crane's ``pairs`` table lists them."""
         changed = False
         raises = 0
-        for resource in facts.resources.values():
+        for resource in node.resources.values():
             for ta, tb, a_then_b, b_then_a in resource.pairs:
                 a_done = est[ta] + a_then_b
                 b_done = est[tb] + b_then_a
@@ -504,11 +516,7 @@ class _Engine:
         return changed
 
     def _force_orders(
-        self,
-        facts: _Facts,
-        order: dict,
-        est: list[int],
-        lct: list[int],
+        self, node: _Node, order: dict, est: list[int], lct: list[int]
     ) -> Optional[list[Arc]]:
         """Decide interference tuples whose disjunction has one side left.
 
@@ -518,7 +526,7 @@ class _Engine:
         """
         separation = self.derived.separation_arcs
         forced = []
-        for key in facts.active:
+        for key in node.active:
             if key in order:
                 continue
             (ti, tj, gap_i), (_, _, gap_j) = separation[key]
@@ -542,9 +550,7 @@ class _Engine:
 
     # -- bounding ---------------------------------------------------------
 
-    def lower_bound(
-        self, node: SearchNode, facts: _Facts, vessel_lb: dict[int, int]
-    ) -> int:
+    def lower_bound(self, node: _Node, vessel_lb: dict[int, int]) -> int:
         """The best of the vessel bounds ``vessel_lb`` of ``node.est`` and,
         per unary resource, the head-body-tail bound of each set of its tasks
         that start no earlier than some head: the last of them to run ends
@@ -581,10 +587,10 @@ class _Engine:
         On a node that is not propagated the public ``lower_bound`` may lose
         the term, but a bound made of fewer admissible terms stays
         admissible."""
-        est, tail, duration = node.est, facts.tail, self.duration
+        est, tail, duration = node.est, node.tail, self.duration
         vessel_of, weight = self.vessel_of_task, self.weight
         best = sum(weight[s] * lb for s, lb in vessel_lb.items())
-        for kind, tasks, _, left, _, _, step, place in facts.resources.values():
+        for kind, tasks, _, left, _, _, step, place in node.resources.values():
             if len(tasks) < 2 or (kind is not None and not left):
                 continue
             work = moves = 0
@@ -616,39 +622,34 @@ class _Engine:
 
     # -- branching --------------------------------------------------------
 
-    def _children(self, node: SearchNode, facts: _Facts):
-        """The node's children, each with its facts, in search order; None
-        once every decision is made.  A child is built only when the search
-        reaches it."""
+    def _children(self, node: _Node):
+        """The node's children in search order; None once every decision is
+        made.  A child is built only when the search reaches it."""
         ship = next(
             (i for i in self.inbound_ids if i not in node.yard_assignment), None
         )
         if ship is not None:  # identical domains, lowest id first
-            return self._placed(node, facts, ship)
+            return self._placed(node, ship)
 
         unassigned_qc = [i for i in self.ship_ids if i not in node.qc_of]
         if unassigned_qc:
             eligible = self.derived.eligible_qcs
             ship = min(unassigned_qc, key=lambda i: (len(eligible[i]), i))
             cranes = sorted(
-                eligible[ship], key=lambda q: (facts.resources[QUAY, q].workload, q)
+                eligible[ship], key=lambda q: (node.resources[QUAY, q].workload, q)
             )
-            return self._with_facts(
-                SearchNode(node.yard_assignment, node.qc_sequences,
-                           node.yc_sequences, node.interference_order,
-                           {**node.qc_of, ship: q}, node.est, node.lct)
-                for q in cranes
-            )
+            return (self.facts(node._replace(qc_of={**node.qc_of, ship: q}))
+                    for q in cranes)
 
         # The most loaded crane with shipments left to sequence; keys never
         # tie, and a clique has none left, so its key meets no crane's.
-        pending = [(-r.workload, key) for key, r in facts.resources.items() if r.left]
+        pending = [(-r.workload, key) for key, r in node.resources.items() if r.left]
         if pending:
-            return self._sequenced(node, facts, min(pending)[1])
+            return self._sequenced(node, min(pending)[1])
 
         est, decided = node.est, node.interference_order
         free_orders: dict[tuple[int, int, int, int], str] = {}
-        for key in facts.active:
+        for key in node.active:
             if key in decided:
                 continue
             (ti, tj, gap_i), (_, _, gap_j) = self.derived.separation_arcs[key]
@@ -660,31 +661,19 @@ class _Engine:
                 directions = (
                     (I_FIRST, J_FIRST) if est[ti] <= est[tj] else (J_FIRST, I_FIRST)
                 )
-                return (
-                    (self._ordered(node, {**decided, key: d}), facts)
-                    for d in directions
-                )
+                return (node._replace(interference_order={**decided, key: d})
+                        for d in directions)
         if free_orders:  # dominated directions are fixed in one child
-            return [(self._ordered(node, {**decided, **free_orders}), facts)]
+            return [node._replace(interference_order={**decided, **free_orders})]
         return None
 
-    @staticmethod
-    def _ordered(node: SearchNode, order: dict) -> SearchNode:
-        return SearchNode(node.yard_assignment, node.qc_sequences,
-                          node.yc_sequences, order, node.qc_of, node.est, node.lct)
-
-    def _with_facts(self, children):
-        """Each of ``children`` with its facts built in full."""
-        for child in children:
-            yield child, self.facts(child)
-
-    def _placed(self, node: SearchNode, facts: _Facts, ship: int):
+    def _placed(self, node: _Node, ship: int):
         """The children that give inbound shipment ``ship`` each free
         location, in (transfer time, id) order.
 
         The free locations are the available ones less the node's, listed
-        once per expansion.  A child carries its parent's facts and rebuilds
-        only what a location changes: the location map, the transfer arcs and
+        once per expansion.  A child is its parent's record with only what
+        a location changes rebuilt: the location map, the transfer arcs and
         tails (the least free transfer time may move) and the record of the
         location's yard crane.  That crane's members are the parent's record's
         ``left`` plus ``ship``: no yard sequence exists while shipments are
@@ -721,26 +710,25 @@ class _Engine:
                 self.report.dominated += 1
                 continue
             yard = {**placed, ship: k}
-            child = SearchNode(yard, node.qc_sequences, node.yc_sequences,
-                               node.interference_order, node.qc_of, node.est, node.lct)
-            location = {**facts.location, ship: k}
+            location = {**node.location, ship: k}
             key = (YARD, self.yc_at[k])
-            members = sorted([*facts.resources[key].left, ship])
-            record = self.crane(child, key, members, location)
-            resources = {**facts.resources, key: record}
+            members = sorted([*node.resources[key].left, ship])
+            resources = {**node.resources,
+                         key: self.crane(node, key, members, location)}
             transfer = transfer_arcs(self.instance, self.derived, yard)
-            yield child, facts._replace(
+            yield node._replace(
+                yard_assignment=yard,
                 location=location,
                 tail=self.tail(transfer),
                 transfer=transfer,
                 resources=resources,
             )
 
-    def _sequenced(self, node: SearchNode, facts: _Facts, key: tuple[int, int]):
+    def _sequenced(self, node: _Node, key: tuple[int, int]):
         """The children that append one shipment to crane ``key``'s sequence.
 
         A child carries its parent's resource records and rebuilds only this
-        crane's: building its facts in full gives the same trees but makes a
+        crane's: building its record in full gives the same trees but makes a
         node about 1.6 to 1.8 times as costly.
 
         A shipment that cannot go first gets no child (the not-first rule):
@@ -751,8 +739,9 @@ class _Engine:
         would return None.
         """
         kind, crane = key
-        record = facts.resources[key]
-        sequences = getattr(node, _SEQUENCES_FIELD[kind])
+        record = node.resources[key]
+        field_name = _SEQUENCES_FIELD[kind]
+        sequences = getattr(node, field_name)
         task, est, lct = self.quay_task, node.est, node.lct
         # The tasks that cannot end and travel to some other task left
         # before its latest start.
@@ -768,21 +757,16 @@ class _Engine:
                 self.report.not_first += 1
                 continue
             sequence = sequences[crane] + (ship,)
-            chosen = {**sequences, crane: sequence}
-            qc_sequences, yc_sequences = (
-                (chosen, node.yc_sequences) if kind == QUAY
-                else (node.qc_sequences, chosen)
-            )
-            child = SearchNode(node.yard_assignment, qc_sequences, yc_sequences,
-                               node.interference_order, node.qc_of, est, lct)
             left = [i for i in record.left if i != ship]
             arcs = crane_arcs(
-                self.instance, self.derived, kind, sequence, left, facts.location
+                self.instance, self.derived, kind, sequence, left, node.location
             )
             pairs = [p for p in record.pairs if p[0] != t and p[1] != t]
-            resources = {**facts.resources,
+            resources = {**node.resources,
                          key: record._replace(left=left, arcs=arcs, pairs=pairs)}
-            yield child, facts._replace(resources=resources)
+            yield node._replace(
+                **{field_name: {**sequences, crane: sequence}}, resources=resources
+            )
 
     def _offer_incumbent(self, solution: Solution) -> None:
         if self.incumbent is None or solution.objective < self.incumbent:
@@ -792,7 +776,7 @@ class _Engine:
                 (time.monotonic() - self.started, solution.objective)
             )
 
-    def constructive(self, root: SearchNode, facts: _Facts) -> Optional[Solution]:
+    def constructive(self, root: _Node) -> Optional[Solution]:
         """One complete schedule built without search; None when the root
         propagates to None, as it does when the inbound shipments outnumber
         the free locations.
@@ -811,7 +795,7 @@ class _Engine:
         and no arc brings it back down.  A ``CyclicOrdering`` here is
         therefore an internal error.
         """
-        propagated = self.propagate(root, facts)
+        propagated = self.propagate(root)
         if propagated is None:
             return None
         est, task = propagated[0].est, self.quay_task
@@ -843,14 +827,14 @@ class _Engine:
         except CyclicOrdering as error:  # pragma: no cover - see the docstring
             raise IpctpError(f"constructive schedule is cyclic: {error}") from error
 
-    def _search(self, node: SearchNode, facts: _Facts) -> Optional[int]:
+    def _search(self, node: _Node) -> Optional[int]:
         """Depth-first search from ``node`` on an explicit stack: an entry per
         expanded node on the current path, holding its bound and the children
         it has left.  A child is built only when the loop draws it.
 
         Returns None once the tree is exhausted.  On timeout it returns the
         least bound of the open subtrees: every one hangs below an entry."""
-        stack: list[tuple[int, Iterator[tuple[SearchNode, _Facts]]]] = []
+        stack: list[tuple[int, Iterator[_Node]]] = []
         report = self.report
         while True:
             report.nodes += 1
@@ -858,28 +842,27 @@ class _Engine:
             # then always on the stack.
             if stack and time.monotonic() > self.deadline:
                 return min(bound for bound, _ in stack)
-            entry = self._expand(node, facts)
+            entry = self._expand(node)
             if entry is not None:
                 stack.append(entry)
-            while stack and (child := next(stack[-1][1], None)) is None:
+            while stack and (node := next(stack[-1][1], None)) is None:
                 stack.pop()
             if not stack:
                 return None
-            node, facts = child
 
-    def _expand(self, node: SearchNode, facts: _Facts):
+    def _expand(self, node: _Node):
         """The node's stack entry, its bound and its children; None when it
         is pruned or a leaf, which is scheduled and offered as incumbent."""
-        propagated = self.propagate(node, facts)
+        propagated = self.propagate(node)
         if propagated is None:
             self.report.infeasible += 1
             return None
         node, vessel_lb = propagated
-        bound = self.lower_bound(node, facts, vessel_lb)
+        bound = self.lower_bound(node, vessel_lb)
         if self.incumbent is not None and bound >= self.incumbent:
             self.report.bounded += 1
             return None
-        children = self._children(node, facts)
+        children = self._children(node)
         if children is not None:
             return bound, iter(children)
         self._offer_incumbent(compute_schedule(self.instance, self.derived, node))
@@ -897,8 +880,8 @@ def propagate(
     at their fixpoint, so a leaf is acyclic: see ``_Engine.propagate``."""
     engine = _Engine(instance, derived)
     engine.incumbent = incumbent
-    propagated = engine.propagate(node, engine.facts(node))
-    return None if propagated is None else propagated[0]
+    propagated = engine.propagate(engine.facts(node))
+    return None if propagated is None else SearchNode(*propagated[0][:7])
 
 
 def lower_bound(
@@ -906,8 +889,8 @@ def lower_bound(
 ) -> int:
     """Admissible lower bound on any feasible completion of the node."""
     engine = _Engine(instance, derived)
-    facts = engine.facts(node)
-    return engine.lower_bound(node, facts, engine._vessel_bounds(node.est, facts.tail))
+    record = engine.facts(node)
+    return engine.lower_bound(record, engine._vessel_bounds(node.est, record.tail))
 
 
 def root_node(instance: Instance, derived: DerivedTables) -> SearchNode:
@@ -934,11 +917,10 @@ def solve(
     if params.workers != 1:
         raise IpctpError("workers must be 1: solves are single-threaded")
     engine = _Engine(instance, derived, params.time_limit)
-    root = engine.root()
-    facts = engine.facts(root)
-    if (first := engine.constructive(root, facts)) is not None:
+    root = engine.facts(engine.root())
+    if (first := engine.constructive(root)) is not None:
         engine._offer_incumbent(first)
-    open_lb = engine._search(root, facts)
+    open_lb = engine._search(root)
 
     report = engine.report
     report.wall_time = time.monotonic() - engine.started

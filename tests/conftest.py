@@ -104,8 +104,7 @@ def single_inbound_instance(tt: int = 5, locations: int = 1) -> Instance:
 def constructive_schedule(instance: Instance, derived) -> Solution | None:
     """The schedule a solve offers before its root, if it has one."""
     engine = _Engine(instance, derived)
-    root = engine.root()
-    return engine.constructive(root, engine.facts(root))
+    return engine.constructive(engine.facts(engine.root()))
 
 
 def overfull_yard_instance() -> Instance:

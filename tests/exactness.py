@@ -2,12 +2,12 @@
 
     python tests/exactness.py                       # this checkout's src
     python tests/exactness.py --src OTHER/src       # another src tree
-    python tests/exactness.py --compare OLD/src src # both; exit 1 on a difference
+    python tests/exactness.py --compare OLD/src src # both; see below for exits
 
 ``ipctp.solver`` reads its clock through ``time.monotonic``.  Here that
 clock advances 1 ms per reading, so a time limit counts clock readings (the
 search reads it once per node past the root and once per new incumbent)
-and every run of a tree is the same, whatever the host's pace.  The
+and every run of a tree is the same, whatever the host's pace.  Four
 corpora are the benchmark's, from ``perfbench/workloads.make_workloads()``:
 
 - ``prove``: the 24 instances, solved at 20,000 ticks;
@@ -15,16 +15,22 @@ corpora are the benchmark's, from ``perfbench/workloads.make_workloads()``:
 - ``verify``: the oracle, then a solve at 60,000 ticks;
 - ``export``: the 22 instances' MIP, built and rendered as LP text.
 
+The fifth, ``quay``, reaches the quay-crane choice, which no benchmark
+instance has: replicate 0 of u2/u3 x b8 x s10/s15 x r20/r50 from base seed
+707, with two quay cranes in place of the generator's four, so some
+shipments have two eligible cranes.  Each is solved at 3,000 ticks.
+
 Each line is the corpus, the instance's name and one JSON object.  On the
-first three corpora that is the solve's report without ``wall_time`` and
+solved corpora that is the solve's report without ``wall_time`` and
 with the incumbent trace's objectives only, the sha256 of the solution
 JSON and, on ``verify``, the oracle's optimum, count and the sha256 of its
 solution JSON.  On ``export`` it is the row and variable counts and the
 sha256 of the LP text and of the mapping JSON.
 
-``--compare A B`` runs the check on two ``src`` trees in subprocesses,
-prints each instance whose lines differ with the keys that differ, and
-exits 1 if any do.  The file is not a test module, so Tier-1 leaves it out.
+``--compare A B`` runs the check on two ``src`` trees in subprocesses and
+prints each instance whose lines differ with the keys that differ.  It
+exits 2 when a run fails, 1 when both runs end and some instance differs,
+and 0 otherwise.  The file is not a test module, so Tier-1 leaves it out.
 """
 
 from __future__ import annotations
@@ -35,6 +41,7 @@ import importlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -43,6 +50,7 @@ REPO = Path(__file__).resolve().parent.parent
 PROVE_TICKS = 20_000
 ANYTIME_TICKS = 3_000
 VERIFY_TICKS = 60_000
+QUAY_TICKS = 3_000
 
 
 # Not conftest's ``TickingClock``: importing conftest imports ipctp, and
@@ -91,15 +99,25 @@ def lines(src: Path):
         return payload
 
     corpora = workloads.make_workloads()
-    for corpus, ticks, replicate_0 in (
-        ("prove", PROVE_TICKS, False),
-        ("anytime", ANYTIME_TICKS, True),
-        ("verify", VERIFY_TICKS, False),
-    ):
+
+    def benchmark(corpus: str, replicate_0: bool = False):
         for item in corpora[corpus].items:
-            if replicate_0 and not item.name.endswith("_0"):
-                continue
-            instance = ipctp.generate(item.config)
+            if not replicate_0 or item.name.endswith("_0"):
+                yield item.name, ipctp.generate(item.config)
+
+    grid_entry = importlib.import_module("ipctp.generator").grid_entry
+    quay = (
+        grid_entry(707, ipctp.GenConfig(ul, 8, shipments, ratio), 0)
+        for ul in (2, 3) for shipments in (10, 15) for ratio in (0.2, 0.5)
+    )
+    for corpus, ticks, instances in (
+        ("prove", PROVE_TICKS, benchmark("prove")),
+        ("anytime", ANYTIME_TICKS, benchmark("anytime", replicate_0=True)),
+        ("verify", VERIFY_TICKS, benchmark("verify")),
+        ("quay", QUAY_TICKS,
+         ((entry.name, replace(entry.instance, qc_count=2)) for entry in quay)),
+    ):
+        for name, instance in instances:
             derived = ipctp.build_derived(instance)
             record = {}
             if corpus == "verify":
@@ -112,7 +130,7 @@ def lines(src: Path):
                     ),
                 }
             record.update(solved(instance, derived, ticks))
-            yield f"{corpus} {item.name} {json.dumps(record, sort_keys=True)}"
+            yield f"{corpus} {name} {json.dumps(record, sort_keys=True)}"
     mapping_to_json = importlib.import_module("ipctp.mip").mapping_to_json
     for item in corpora["export"].items:
         instance = ipctp.generate(item.config)
@@ -127,7 +145,8 @@ def lines(src: Path):
 
 
 def compare(old: Path, new: Path) -> int:
-    """Run both trees side by side; print what differs, return 1 if any."""
+    """Run both trees side by side and print what differs; return 2 if a
+    run fails, else 1 if any instance differs."""
     runs = [
         subprocess.Popen(
             [sys.executable, str(Path(__file__).resolve()), "--src", str(src)],
@@ -138,7 +157,7 @@ def compare(old: Path, new: Path) -> int:
     outputs = [run.communicate()[0].splitlines() for run in runs]
     if any(run.returncode for run in runs):
         print("a run failed:", [run.returncode for run in runs])
-        return 1
+        return 2
     keyed = [{" ".join(line.split(" ", 2)[:2]): line for line in out}
              for out in outputs]
     differ = 0

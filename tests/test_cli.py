@@ -412,6 +412,32 @@ def test_non_positive_time_limit_is_a_machine_readable_error(corpus, capsys, lim
     assert "time_limit must be positive" in err["message"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve", "x.json", "--time-limit", "abc"],
+    ["generate", "--count", "x"],
+    ["solve"],
+    ["solve", "x.json", "--bogus"],
+    ["bogus"],
+    [],
+], ids=["bad_float", "bad_int", "missing_argument", "unknown_option",
+        "unknown_command", "no_command"])
+def test_a_bad_command_line_is_a_machine_readable_error(capsys, argv):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    payload = json.loads(err)
+    assert payload["error"] == "IpctpError"
+    assert payload["message"].startswith("ipctp")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_still_prints_and_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: ipctp")
+
+
 def test_generate_matches_the_grid_for_one_configuration(tmp_path):
     assert main([
         "generate", "--out-dir", str(tmp_path), "--seed", "5", "--shipments", "10",

@@ -167,7 +167,8 @@ def in_milp_sample(instance: Instance) -> bool:
 def oracle_path(root: SearchNode, best: Solution):
     """The root, then the nodes that add the decisions of ``best`` to it:
     its yard locations one shipment at a time, then its quay cranes, then
-    each crane's sequence one shipment at a time."""
+    each crane's sequence one shipment at a time, then its interference
+    orders one tuple at a time, in key order."""
     node = root
     yield node
     for i, k in sorted(best.yard_assignment.items()):
@@ -183,3 +184,8 @@ def oracle_path(root: SearchNode, best: Solution):
                 so_far = getattr(node, field)
                 node = replace(node, **{field: {**so_far, crane: sequence[:end]}})
                 yield node
+    for key, direction in sorted(best.interference_order.items()):
+        node = replace(
+            node, interference_order={**node.interference_order, key: direction}
+        )
+        yield node

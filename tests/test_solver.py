@@ -631,10 +631,10 @@ class TestSearchTree:
             seen["node"], seen["order"] = node, node.interference_order
             return real_propagate(engine, node, *rest)
 
-        def force_orders(engine, facts, order, *rest):
+        def force_orders(engine, node, order, *rest):
             seen["order"] = order  # the next pass relaxes what this one leaves
             decided = len(order)
-            forced = real_force_orders(engine, facts, order, *rest)
+            forced = real_force_orders(engine, node, order, *rest)
             if forced is not None:  # the arcs of the orders added, in order
                 added = dict(list(order.items())[decided:])
                 assert forced == order_arcs(engine.derived, added)
@@ -672,25 +672,25 @@ def pair_table(engine, kind, left, location):
             for a, b in combinations(left, 2)]
 
 
-def every_sequencing_child(engine, node, facts, key):
+def every_sequencing_child(engine, node, key):
     """Every child that appends one shipment to crane ``key``'s sequence,
     built as the solver built them before it rejected shipments that
     cannot go first: the reference for the not-first rule."""
     kind, crane = key
-    record = facts.resources[key]
+    record = node.resources[key]
     field_name = _SEQUENCES_FIELD[kind]
     sequences = getattr(node, field_name)
     task = engine.quay_task
     for ship in sorted(record.left, key=lambda i: (node.est[task[i] + kind], i)):
         sequence = sequences[crane] + (ship,)
-        child = replace(node, **{field_name: {**sequences, crane: sequence}})
         left = [i for i in record.left if i != ship]
         arcs = crane_arcs(engine.instance, engine.derived, kind, sequence, left,
-                          facts.location)
-        pairs = pair_table(engine, kind, left, facts.location)
-        resources = {**facts.resources,
+                          node.location)
+        pairs = pair_table(engine, kind, left, node.location)
+        resources = {**node.resources,
                      key: record._replace(left=left, arcs=arcs, pairs=pairs)}
-        yield child, facts._replace(resources=resources)
+        yield node._replace(**{field_name: {**sequences, crane: sequence}},
+                            resources=resources)
 
 
 def search_instances() -> list[Instance]:
@@ -717,13 +717,13 @@ class TestLatestStarts:
         real_propagate = _Engine.propagate
         checked = 0
 
-        def propagate(engine, node, facts):
+        def propagate(engine, node):
             nonlocal checked
-            propagated = real_propagate(engine, node, facts)
+            propagated = real_propagate(engine, node)
             if propagated is None:
                 return None
             out = propagated[0]
-            est, lct, tail = out.est, out.lct, facts.tail
+            est, lct, tail = out.est, out.lct, out.tail
             weight, vessel_of = engine.weight, engine.vessel_of_task
             ends = dict.fromkeys(weight, 0)
             for t, vessel in enumerate(vessel_of):
@@ -744,9 +744,9 @@ class TestLatestStarts:
                 limit[u] = min(limit[u], lct[v] - w)
             assert list(lct) == limit
             inferred = list(est)
-            assert engine._pairwise(facts, inferred, list(lct)) is False
+            assert engine._pairwise(out, inferred, list(lct)) is False
             order = dict(out.interference_order)
-            assert engine._force_orders(facts, order, inferred, list(lct)) == []
+            assert engine._force_orders(out, order, inferred, list(lct)) == []
             assert inferred == list(est)
             checked += 1
             return propagated
@@ -769,8 +769,8 @@ class TestNotFirst:
         survivors = []
         real_bound = _Engine.lower_bound
 
-        def lower_bound(engine, node, facts, vessel_lb):
-            bound = real_bound(engine, node, facts, vessel_lb)
+        def lower_bound(engine, node, vessel_lb):
+            bound = real_bound(engine, node, vessel_lb)
             survivors.append((node, bound))
             return bound
 
@@ -786,21 +786,21 @@ class TestNotFirst:
         real_sequenced = _Engine._sequenced
         skipped_total = 0
 
-        def checked(engine, node, facts, key):
+        def checked(engine, node, key):
             nonlocal skipped_total
             before = engine.report.not_first
-            built = list(real_sequenced(engine, node, facts, key))
-            every = list(every_sequencing_child(engine, node, facts, key))
-            kept = [child for child, _ in built]
-            # The kept children, with their facts, come in the reference order.
-            assert built == [(c, f) for c, f in every if c in kept]
-            skipped = [(c, f) for c, f in every if c not in kept]
+            built = list(real_sequenced(engine, node, key))
+            every = list(every_sequencing_child(engine, node, key))
+            # The kept children, with all they fix, come in the reference
+            # order.
+            assert built == [child for child in every if child in built]
+            skipped = [child for child in every if child not in built]
             assert len(skipped) == engine.report.not_first - before
             # Each skipped child dies in propagation under the incumbent of
             # this moment; a later, better one only tightens its windows.
             propagations = engine.report.propagations
-            for child, child_facts in skipped:
-                assert engine.propagate(child, child_facts) is None
+            for child in skipped:
+                assert engine.propagate(child) is None
             engine.report.propagations = propagations
             skipped_total += len(skipped)
             yield from built
@@ -818,13 +818,13 @@ class TestNotFirst:
         assert skipped_total > 100
 
 
-def bound_over_every_resource(engine, node, facts, vessel_lb):
+def bound_over_every_resource(engine, node, vessel_lb):
     """``_Engine.lower_bound`` by its definition, counting every resource: the
     weighted vessel bounds, and per resource the head-body-tail term of each
     set of its tasks from the latest start down."""
     est, duration, weight = node.est, engine.duration, engine.weight
     best = sum(weight[v] * lb for v, lb in vessel_lb.items())
-    for record in facts.resources.values():
+    for record in node.resources.values():
         ordered = sorted(record.tasks, key=est.__getitem__, reverse=True)
         for size in range(1, len(ordered) + 1):
             group = ordered[:size]
@@ -837,7 +837,7 @@ def bound_over_every_resource(engine, node, facts, vessel_lb):
             least = {}
             for t in group:
                 vessel = engine.vessel_of_task[t]
-                least[vessel] = min(least.get(vessel, facts.tail[t]), facts.tail[t])
+                least[vessel] = min(least.get(vessel, node.tail[t]), node.tail[t])
             best = max(best, min(weight[v] * (head + rest) for v, rest in least.items()))
     return best
 
@@ -850,13 +850,13 @@ class TestSettledCranes:
         real_bound = _Engine.lower_bound
         bounded = settled = 0
 
-        def lower_bound(engine, node, facts, vessel_lb):
+        def lower_bound(engine, node, vessel_lb):
             nonlocal bounded, settled
-            bound = real_bound(engine, node, facts, vessel_lb)
-            assert bound == bound_over_every_resource(engine, node, facts, vessel_lb)
+            bound = real_bound(engine, node, vessel_lb)
+            assert bound == bound_over_every_resource(engine, node, vessel_lb)
             bounded += 1
             settled += any(r.kind is not None and len(r.tasks) > 1 and not r.left
-                           for r in facts.resources.values())
+                           for r in node.resources.values())
             return bound
 
         monkeypatch.setattr(_Engine, "lower_bound", lower_bound)
@@ -871,8 +871,7 @@ class TestSettledCranes:
         derived = build_derived(instance)
         node = propagate(instance, derived, root_node(instance, derived))
         engine = _Engine(instance, derived)
-        facts = engine.facts(node)
-        vessel_lb = engine._vessel_bounds(node.est, facts.tail)
+        vessel_lb = engine._vessel_bounds(node.est, engine.facts(node).tail)
         return (lower_bound(instance, derived, node),
                 sum(engine.weight[v] * lb for v, lb in vessel_lb.items()))
 
@@ -971,10 +970,10 @@ class TestDominance:
         built = []
         real_placed = _Engine._placed
 
-        def placed(engine, node, facts, ship):
-            for child, child_facts in real_placed(engine, node, facts, ship):
+        def placed(engine, node, ship):
+            for child in real_placed(engine, node, ship):
                 built.append(dict(child.yard_assignment))
-                yield child, child_facts
+                yield child
 
         with monkeypatch.context() as patch:
             patch.setattr(_Engine, "_placed", placed)
@@ -1129,21 +1128,24 @@ def test_counters_live_only_in_the_report(monkeypatch):
 
 class TestChildFacts:
     def test_children_facts_match_a_full_build(self, monkeypatch):
-        """Every child's facts equal the ones built from scratch, field by
-        field and resource by resource in the same order: yard and
-        sequencing children derive theirs from the parent's, quay children
-        build theirs and order children carry the parent's.  Each crane's
-        ``pairs`` table of the full build holds the weights ``crane_arcs``
-        gives each pair of its shipments left; a clique's is empty."""
+        """What every child's decisions fix, its five fields after
+        ``SearchNode``'s, equals a full build of it, field by field and
+        resource by resource in the same order: yard and sequencing children
+        derive theirs from the parent's, quay children build theirs and
+        order children carry the parent's.  Each crane's ``pairs`` table of
+        the full build holds the weights ``crane_arcs`` gives each pair of
+        its shipments left; a clique's is empty."""
         real_children = _Engine._children
         made = Counter()
+        derived_fields = ("location", "tail", "active", "transfer", "resources")
 
         def checked(engine, node, children):
-            for child, child_facts in children:
+            for child in children:
                 full = engine.facts(child)
-                for name in full._fields:
-                    assert getattr(child_facts, name) == getattr(full, name), name
-                assert list(child_facts.resources) == list(full.resources)
+                assert full._fields[len(fields(SearchNode)):] == derived_fields
+                for name in derived_fields:
+                    assert getattr(child, name) == getattr(full, name), name
+                assert list(child.resources) == list(full.resources)
                 for record in full.resources.values():
                     assert record.pairs == ([] if record.kind is None else pair_table(
                         engine, record.kind, record.left, full.location))
@@ -1151,10 +1153,10 @@ class TestChildFacts:
                 decided = next(f.name for f in fields(SearchNode)
                                if getattr(child, f.name) != getattr(node, f.name))
                 made[decided] += 1
-                yield child, child_facts
+                yield child
 
-        def children(engine, node, facts):
-            built = real_children(engine, node, facts)
+        def children(engine, node):
+            built = real_children(engine, node)
             return None if built is None else checked(engine, node, built)
 
         monkeypatch.setattr(_Engine, "_children", children)
