@@ -44,12 +44,14 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="write random instances plus a manifest")
     p.add_argument("--out-dir", default="instances")
     p.add_argument("--seed", type=int, default=0, help="base seed")
-    p.add_argument("--grid", action="store_true", help="full configuration grid")
-    p.add_argument("--shipments", type=int, default=5)
-    p.add_argument("--bays", type=int, default=4)
-    p.add_argument("--inbound-ratio", type=float, default=0.2)
-    p.add_argument("--ul-ratio", type=int, default=2)
-    p.add_argument("--vessels", type=int, default=1)
+    p.add_argument("--grid", action="store_true",
+                   help="full configuration grid; takes no configuration option")
+    # None when not given, so that --grid can reject them; see _CONFIG_DEFAULTS.
+    p.add_argument("--shipments", type=int)
+    p.add_argument("--bays", type=int)
+    p.add_argument("--inbound-ratio", type=float)
+    p.add_argument("--ul-ratio", type=int)
+    p.add_argument("--vessels", type=int)
     p.add_argument("--count", type=int, default=GRID_REPLICATES,
                    help="replicates per configuration, with or without --grid")
 
@@ -85,21 +87,28 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
+# The configuration options' defaults; --grid takes none of them.
+_CONFIG_DEFAULTS = {
+    "shipments": 5, "bays": 4, "inbound_ratio": 0.2, "ul_ratio": 2, "vessels": 1,
+}
+
+
 def _cmd_generate(args) -> int:
     if args.count < 1:
         raise ConfigInvalid("--count must be positive")
+    given = {
+        name: value for name in _CONFIG_DEFAULTS
+        if (value := getattr(args, name)) is not None
+    }
+    if args.grid and given:
+        options = ", ".join("--" + name.replace("_", "-") for name in given)
+        raise ConfigInvalid(f"--grid takes no {options}: the grid sets them")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.grid:
         entries = generate_grid(args.seed, args.count)
     else:
-        config = GenConfig(
-            ul_ratio=args.ul_ratio,
-            bays=args.bays,
-            shipments=args.shipments,
-            inbound_ratio=args.inbound_ratio,
-            vessels=args.vessels,
-        )
+        config = GenConfig(**{**_CONFIG_DEFAULTS, **given})
         entries = [grid_entry(args.seed, config, r) for r in range(args.count)]
     for entry in entries:
         write_instance(out_dir / (entry.name + ".json"), entry.instance)
@@ -246,14 +255,8 @@ def main(argv=None) -> int:
     # A file that is not UTF-8, or JSON nested too deep for the parser's
     # recursion, is a read error like malformed JSON.
     except (
-        IpctpError, json.JSONDecodeError, UnicodeDecodeError, RecursionError
+        IpctpError, OSError, json.JSONDecodeError, UnicodeDecodeError, RecursionError
     ) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-            file=sys.stderr,
-        )
-        return 2
-    except OSError as exc:
         error = type(exc).__name__
         if isinstance(exc, FileNotFoundError):
             error = "FileNotFound"

@@ -146,15 +146,6 @@ class MipArtifacts:
     dummy_end: int
     row_counts: Mapping[str, int]
 
-    def mapping_payload(self) -> dict:
-        return {
-            "variables": self.variables,
-            "big_m": self.big_m,
-            "dummy_start": self.dummy_start,
-            "dummy_end": self.dummy_end,
-            "row_families": self.row_counts,
-        }
-
 
 class _Builder:
     def __init__(self, instance: Instance, derived: DerivedTables):
@@ -686,5 +677,11 @@ def solution_from_values(
 
 
 def mapping_to_json(artifacts: MipArtifacts) -> str:
-    payload = artifacts.mapping_payload()
+    payload = {
+        "variables": artifacts.variables,
+        "big_m": artifacts.big_m,
+        "dummy_start": artifacts.dummy_start,
+        "dummy_end": artifacts.dummy_end,
+        "row_families": artifacts.row_counts,
+    }
     return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"

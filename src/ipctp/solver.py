@@ -830,7 +830,12 @@ class _Engine:
     def _search(self, node: _Node) -> Optional[int]:
         """Depth-first search from ``node`` on an explicit stack: an entry per
         expanded node on the current path, holding its bound and the children
-        it has left.  A child is built only when the loop draws it.
+        it has left; a child is built only when the loop draws it.  Each node
+        drawn is propagated and bounded, then counts in ``infeasible`` or
+        ``bounded``, pushes its entry, or as a leaf is scheduled and offered
+        as incumbent.  At a leaf every arc is settled, so the propagated
+        earliest starts are its schedule and its bound is their objective:
+        every leaf the loop reaches improves the incumbent.
 
         Returns None once the tree is exhausted.  On timeout it returns the
         least bound of the open subtrees: every one hangs below an entry."""
@@ -842,31 +847,24 @@ class _Engine:
             # then always on the stack.
             if stack and time.monotonic() > self.deadline:
                 return min(bound for bound, _ in stack)
-            entry = self._expand(node)
-            if entry is not None:
-                stack.append(entry)
+            propagated = self.propagate(node)
+            if propagated is None:
+                report.infeasible += 1
+            else:
+                node, vessel_lb = propagated
+                bound = self.lower_bound(node, vessel_lb)
+                if self.incumbent is not None and bound >= self.incumbent:
+                    report.bounded += 1
+                elif (children := self._children(node)) is not None:
+                    stack.append((bound, iter(children)))
+                else:
+                    self._offer_incumbent(
+                        compute_schedule(self.instance, self.derived, node)
+                    )
             while stack and (node := next(stack[-1][1], None)) is None:
                 stack.pop()
             if not stack:
                 return None
-
-    def _expand(self, node: _Node):
-        """The node's stack entry, its bound and its children; None when it
-        is pruned or a leaf, which is scheduled and offered as incumbent."""
-        propagated = self.propagate(node)
-        if propagated is None:
-            self.report.infeasible += 1
-            return None
-        node, vessel_lb = propagated
-        bound = self.lower_bound(node, vessel_lb)
-        if self.incumbent is not None and bound >= self.incumbent:
-            self.report.bounded += 1
-            return None
-        children = self._children(node)
-        if children is not None:
-            return bound, iter(children)
-        self._offer_incumbent(compute_schedule(self.instance, self.derived, node))
-        return None
 
 
 def propagate(
@@ -932,10 +930,10 @@ def solve(
         lb = open_lb if best is None else min(open_lb, best)
     report.lower_bound = lb
 
-    if best is not None and lb is not None and best > 0:
-        report.gap_percent = (best - lb) * 100.0 / best
-    elif best is not None and best == lb:
-        report.gap_percent = 0.0
+    # A set incumbent sets ``lb``; an incumbent of 0 has a bound of 0, as
+    # bounds are sums of nonnegative terms.
+    if best is not None:
+        report.gap_percent = (best - lb) * 100.0 / best if best > 0 else 0.0
 
     solution = None
     if engine.best is not None:

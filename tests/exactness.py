@@ -20,6 +20,11 @@ instance has: replicate 0 of u2/u3 x b8 x s10/s15 x r20/r50 from base seed
 707, with two quay cranes in place of the generator's four, so some
 shipments have two eligible cranes.  Each is solved at 3,000 ticks.
 
+The sixth, ``scale``, times out at size: replicate 0 of u2 x b8 x
+s50/s100/s200 x r20, with one vessel and with two, from base seed 707.
+Each size has its own budget, 2,000, 1,000 and 400 ticks; each s200 solve
+counts 400 nodes.
+
 Each line is the corpus, the instance's name and one JSON object.  On the
 solved corpora that is the solve's report without ``wall_time`` and
 with the incumbent trace's objectives only, the sha256 of the solution
@@ -51,6 +56,7 @@ PROVE_TICKS = 20_000
 ANYTIME_TICKS = 3_000
 VERIFY_TICKS = 60_000
 QUAY_TICKS = 3_000
+SCALE_TICKS = {50: 2_000, 100: 1_000, 200: 400}
 
 
 # Not conftest's ``TickingClock``: importing conftest imports ipctp, and
@@ -110,12 +116,18 @@ def lines(src: Path):
         grid_entry(707, ipctp.GenConfig(ul, 8, shipments, ratio), 0)
         for ul in (2, 3) for shipments in (10, 15) for ratio in (0.2, 0.5)
     )
+    scale = (
+        grid_entry(707, ipctp.GenConfig(2, 8, shipments, 0.2, vessels=vessels), 0)
+        for shipments in SCALE_TICKS for vessels in (1, 2)
+    )
     for corpus, ticks, instances in (
         ("prove", PROVE_TICKS, benchmark("prove")),
         ("anytime", ANYTIME_TICKS, benchmark("anytime", replicate_0=True)),
         ("verify", VERIFY_TICKS, benchmark("verify")),
         ("quay", QUAY_TICKS,
          ((entry.name, replace(entry.instance, qc_count=2)) for entry in quay)),
+        # Its budget is per size.
+        ("scale", None, ((entry.name, entry.instance) for entry in scale)),
     ):
         for name, instance in instances:
             derived = ipctp.build_derived(instance)
@@ -129,7 +141,9 @@ def lines(src: Path):
                         ipctp.solution_to_json(oracle.best_solution)
                     ),
                 }
-            record.update(solved(instance, derived, ticks))
+            record.update(solved(
+                instance, derived, ticks or SCALE_TICKS[len(instance.shipments)]
+            ))
             yield f"{corpus} {name} {json.dumps(record, sort_keys=True)}"
     mapping_to_json = importlib.import_module("ipctp.mip").mapping_to_json
     for item in corpora["export"].items:

@@ -460,6 +460,27 @@ def test_generate_grid_honours_count(tmp_path):
     assert {entry["replicate"] for entry in manifest["instances"]} == {0}
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--shipments", "7"),
+    ("--bays", "6"),
+    ("--inbound-ratio", "0.5"),
+    ("--ul-ratio", "3"),
+    ("--vessels", "2"),
+])
+def test_generate_grid_with_a_configuration_option_is_a_machine_readable_error(
+    tmp_path, capsys, option, value
+):
+    out = tmp_path / "out"
+    argv = ["generate", "--grid", "--count", "1", option, value, "--out-dir", str(out)]
+    assert main(argv) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    err = json.loads(stderr)
+    assert err["error"] == "ConfigInvalid"
+    assert option in err["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", [[], ["--grid"]], ids=["single", "grid"])
 def test_generate_count_below_one_is_a_machine_readable_error(tmp_path, capsys, grid):
     out = tmp_path / "out"

@@ -4,6 +4,8 @@ The draws reach what the generator never makes: several weighted vessels,
 safety distances 0 to 2, free quay travel, a choice of quay crane and
 inbound-only or outbound-only mixes.  Yard travel is drawn at random and
 then closed under shortest paths, so it is metric as every instance must be.
+A second test draws two quay cranes with the shipments next to their
+border, so that the search and the oracle decide interference orders.
 A fixed sample of the draws with two or more inbound shipments also goes
 through the exported MILP, solved by HiGHS.
 """
@@ -46,15 +48,20 @@ COMBINATIONS = 20_000
 
 # One in MILP_EVERY draws of two or three shipments with two or more
 # inbound, picked by a checksum of the draw, is also solved as a MILP: 25
-# draws and under 2 s of HiGHS.  The draws are derandomized, so the sample
-# is fixed, and a replayed draw is picked again.  Four-shipment draws are
+# draws of the first test below and 15 of the second, 2.4 s and 0.9 s of
+# HiGHS on 2 cores.  The draws are derandomized, so the sample is fixed,
+# and a replayed draw is picked again.  Four-shipment draws are
 # left out because they take HiGHS up to 3.4 s each.
 MILP_EVERY = 4
 
 
 @st.composite
-def instances(draw) -> Instance:
-    count = draw(st.integers(1, 4))
+def instances(draw, interfering: bool = False) -> Instance:
+    """A drawn instance.  An ``interfering`` one has two quay cranes that
+    each own half of ``2 (safety + 1)`` bays, two shipments or more on the
+    bays next to their border and quay travel that costs time, so that its
+    interference tuples are active and their orders get decided."""
+    count = draw(st.integers(2 if interfering else 1, 4))
     mix = draw(st.sampled_from(("inbound", "outbound", "mixed")))
     if mix == "mixed":
         directions = draw(st.lists(st.sampled_from((INBOUND, OUTBOUND)),
@@ -64,10 +71,16 @@ def instances(draw) -> Instance:
     vessels = tuple(
         Vessel(v, draw(st.integers(1, 3))) for v in range(1, draw(st.integers(1, 2)) + 1)
     )
-    qc_count = draw(st.integers(1, 2))
-    safety = draw(st.integers(0, 2))
-    # Two cranes leave no bay without one when there are twice the spacing.
-    total_bays = draw(st.integers(max(1, 2 * (safety + 1) * (qc_count - 1)), 8))
+    if interfering:
+        qc_count, safety = 2, draw(st.integers(1, 2))
+        total_bays = 2 * (safety + 1)
+        bays = st.integers(safety, safety + 3)
+    else:
+        qc_count = draw(st.integers(1, 2))
+        safety = draw(st.integers(0, 2))
+        # Two cranes leave no bay without one when there are twice the spacing.
+        total_bays = draw(st.integers(max(1, 2 * (safety + 1) * (qc_count - 1)), 8))
+        bays = st.integers(1, total_bays)
     yc_count = draw(st.integers(1, 2))
 
     inbound = directions.count(INBOUND)
@@ -82,7 +95,7 @@ def instances(draw) -> Instance:
             id=i,
             vessel=draw(st.integers(1, len(vessels))),
             direction=direction,
-            bay=draw(st.integers(1, total_bays)),
+            bay=draw(bays),
             containers=1,
             qc_time=draw(st.integers(1, 6)),
             yc_time=draw(st.integers(1, 6)),
@@ -112,7 +125,7 @@ def instances(draw) -> Instance:
         yc_count=yc_count,
         yard_locations=tuple(locations),
         safety_distance=safety,
-        qc_unit_travel=draw(st.integers(0, 3)),
+        qc_unit_travel=draw(st.integers(1 if interfering else 0, 3)),
         yc_travel=tuple(map(tuple, travel)),
         yt_inbound_transfer={
             k.id: draw(st.integers(0, 5))
@@ -124,6 +137,16 @@ def instances(draw) -> Instance:
 @given(instance=instances())
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 def test_solver_oracle_and_bounds_agree(instance):
+    check_against_the_oracle(instance)
+
+
+@given(instance=instances(interfering=True))
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+def test_solver_oracle_and_bounds_agree_on_interfering_cranes(instance):
+    check_against_the_oracle(instance)
+
+
+def check_against_the_oracle(instance: Instance) -> None:
     derived = build_derived(instance)
     try:
         estimate_combinations(instance, derived, COMBINATIONS)

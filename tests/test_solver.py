@@ -329,12 +329,18 @@ class TestLowerBound:
     ]
 
     @pytest.mark.parametrize("shape, replicate, optimum", PROVEN)
-    def test_timed_out_bound_is_below_a_proven_optimum(self, shape, replicate, optimum):
+    def test_timed_out_bound_is_below_a_proven_optimum(
+        self, monkeypatch, shape, replicate, optimum
+    ):
+        # 2,000 ticks: u2_b8_s8_r50_1 needs 4,803 nodes to prove, and
+        # u3_b8_s10_r50_0 far more.
         ul, bays, shipments, ratio = shape
         config = GenConfig(ul_ratio=ul, bays=bays, shipments=shipments,
                            inbound_ratio=ratio)
         instance = grid_entry(707, config, replicate).instance
-        report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=0.5))
+        monkeypatch.setattr(ipctp.solver, "time", TickingClock())
+        report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=2000))
+        assert report.status != "optimal"
         assert report.lower_bound <= optimum <= report.best_objective
 
     def test_timed_out_bounds_are_admissible_at_tiny_limits(self, monkeypatch):
@@ -422,10 +428,11 @@ class TestSolve:
         assert report.gap_percent == 0.0
         assert report.lower_bound == report.best_objective
 
-    def test_timeout_keeps_best_incumbent_and_admissible_bound(self):
+    def test_timeout_keeps_best_incumbent_and_admissible_bound(self, monkeypatch):
         instance = random_instance(15, 0.5, 6, seed=42)
         derived = build_derived(instance)
-        report, solution = solve(instance, derived, SolveParams(time_limit=2))
+        monkeypatch.setattr(ipctp.solver, "time", TickingClock())
+        report, solution = solve(instance, derived, SolveParams(time_limit=500))
         assert report.status in ("feasible", "unknown")
         if report.best_objective is not None:
             assert solution is not None
@@ -446,19 +453,21 @@ class TestSolve:
         assert report.status != "optimal"
         assert report.nodes <= limit + 2
 
-    def test_search_depth_is_not_bounded_by_the_recursion_limit(self):
-        # 60 shipments put the first leaf more than 100 levels down; the
-        # search must keep its incumbent rather than raise RecursionError.
+    def test_search_depth_is_not_bounded_by_the_recursion_limit(self, monkeypatch):
+        # 60 shipments put the first leaf more than 100 levels down, and the
+        # search is 156 levels deep after 200 ticks; it must keep its
+        # incumbent rather than raise RecursionError.
         instance = generate(GenConfig(ul_ratio=2, bays=8, shipments=60,
                                       inbound_ratio=0.2, seed=5))
         derived = build_derived(instance)
+        monkeypatch.setattr(ipctp.solver, "time", TickingClock())
         depth, frame = 0, sys._getframe()
         while frame is not None:
             depth, frame = depth + 1, frame.f_back
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(depth + 100)
         try:
-            report, solution = solve(instance, derived, SolveParams(time_limit=2))
+            report, solution = solve(instance, derived, SolveParams(time_limit=200))
         finally:
             sys.setrecursionlimit(limit)
         assert report.status in ("feasible", "optimal")
@@ -1171,6 +1180,48 @@ class TestChildFacts:
         assert made["interference_order"] > 50
         assert made["qc_sequences"] + made["yc_sequences"] > 1000
         assert made["pairs"] > 5000
+
+
+class TestLeaves:
+    def test_every_leaf_is_its_schedule_and_improves_the_incumbent(self, monkeypatch):
+        """At every leaf the search schedules, ``compute_schedule`` starts
+        each task at the leaf's earliest start, its objective equals the
+        leaf's public ``lower_bound``, and it is below the incumbent of that
+        moment."""
+        real_schedule = ipctp.solver.compute_schedule
+        real_offer = _Engine._offer_incumbent
+        leaves = []
+        offered = 0
+
+        def schedule(instance, derived, decisions):
+            solution = real_schedule(instance, derived, decisions)
+            if not hasattr(decisions, "est"):  # the constructive schedule
+                return solution
+            starts = [None] * len(decisions.est)
+            for i, task in derived.quay_task.items():
+                starts[task] = solution.qc_start[i]
+                starts[task + 1] = solution.yc_start[i]
+            assert tuple(starts) == decisions.est
+            node = SearchNode(*decisions[:len(fields(SearchNode))])
+            assert solution.objective == lower_bound(instance, derived, node)
+            leaves.append(solution)
+            return solution
+
+        def offer(engine, solution):
+            nonlocal offered
+            if leaves and solution is leaves[-1]:
+                assert engine.incumbent is None or solution.objective < engine.incumbent
+                offered += 1
+            real_offer(engine, solution)
+
+        monkeypatch.setattr(ipctp.solver, "compute_schedule", schedule)
+        monkeypatch.setattr(_Engine, "_offer_incumbent", offer)
+        for instance in search_instances():
+            met = len(leaves)
+            report, _ = solve(instance, build_derived(instance), SolveParams(time_limit=60))
+            assert report.status == "optimal"
+            assert len(leaves) > met
+        assert offered == len(leaves)
 
 
 class TestCliques:
